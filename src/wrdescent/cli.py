@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analysis, flows
 from .config import ConfigError, ExperimentConfig, load_config, parse_value, set_key
-from .engine import load_trace, run, save_trace, write_summary_csv
+from .engine import _fmt, load_trace, run, save_trace, write_summary_csv
 from .problems import UnsupportedProblem
 from .steps import check_lex_monotone
 
@@ -42,10 +42,6 @@ KNOWN_CHECKS = (
     "summability",
     "gamma",
 )
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _apply_overrides(doc: dict, pairs: list[str]) -> dict:
@@ -89,67 +85,83 @@ def cmd_run(args) -> int:
 
 
 def _verify_one(trace, name: str):
-    """(status, detail) with status in {'pass', 'fail', 'skip'}."""
+    """(status, detail, certificate) with status in {'pass', 'fail', 'skip'}.
+
+    certificate is the rate certificate of a bound_* check that ran, else None.
+    """
     problem = trace.problem
     if name == "step_length":
         if trace.config.record_level != "full":
-            return "skip", "needs full records"
+            return "skip", "needs full records", None
         rep = analysis.check_step_length_bound_trace(trace)
-        return ("pass" if rep.ok else "fail"), f"min rel slack {rep.rel_slack:.3e}"
+        return ("pass" if rep.ok else "fail"), f"min rel slack {rep.rel_slack:.3e}", None
     if name in ("epoch_descent", "epoch_descent_tight"):
         if trace.config.record_level != "full":
-            return "skip", "needs full records"
+            return "skip", "needs full records", None
         if not problem.is_smooth:
-            return "skip", "needs a smooth problem"
+            return "skip", "needs a smooth problem", None
         if trace.epochs_completed < 2:
-            return "skip", "needs at least 2 epochs"
+            return "skip", "needs at least 2 epochs", None
         checker = (
             analysis.check_epoch_descent_trace
             if name == "epoch_descent"
             else analysis.check_epoch_descent_tight_trace
         )
         rep = checker(trace)
-        return ("pass" if rep.ok else "fail"), f"min rel slack {rep.rel_slack:.3e}"
+        return ("pass" if rep.ok else "fail"), f"min rel slack {rep.rel_slack:.3e}", None
     if name == "lex":
         history = [[r.alpha for r in rec.inner] for rec in trace.records]
         if not any(history):
-            return "skip", "needs full records"
+            return "skip", "needs full records", None
         rep = check_lex_monotone(history)
-        return ("pass" if rep.ok else "fail"), f"violation {rep.violation}"
+        return ("pass" if rep.ok else "fail"), f"violation {rep.violation}", None
     if name.startswith("bound_"):
         rule = name[len("bound_"):]
         if not problem.is_smooth:
-            return "skip", "needs a smooth problem"
+            return "skip", "needs a smooth problem", None
         if rule not in analysis.matching_rate_rules(trace):
-            return "skip", "strategy does not match this rate rule"
+            return "skip", "strategy does not match this rate rule", None
         cert = analysis.certify_run(trace, rule)[0]
         worst = min(cert.reports, key=lambda r: r.slack)
         return (
             ("pass" if cert.ok else "fail"),
             f"{len(cert.reports)} horizons, min slack {worst.slack:.3e} at N={worst.N}",
+            cert,
         )
     if name == "summability":
         if trace.config.record_level != "full":
-            return "skip", "needs full records"
+            return "skip", "needs full records", None
         try:
             rep = analysis.check_summability_ada(trace)
         except ValueError as err:
-            return "skip", str(err)
-        return ("pass" if rep.ok else "fail"), f"rel slack {rep.rel_slack:.3e}"
+            return "skip", str(err), None
+        return ("pass" if rep.ok else "fail"), f"rel slack {rep.rel_slack:.3e}", None
     if name == "gamma":
         gt = flows.gamma_trace(trace)
         if gt.lambda_bound_ok is None:
             ok = bool(np.all(gt.ratios >= 1.0 - 1e-12))
-            return ("pass" if ok else "fail"), "epoch-level ratios only"
+            return ("pass" if ok else "fail"), "epoch-level ratios only", None
         return (
             ("pass" if gt.lambda_bound_ok else "fail"),
             f"max hull-weight excess {gt.max_lambda_excess:.3e}",
+            None,
         )
-    return "skip", "unknown check"
+    return "skip", "unknown check", None
+
+
+def _load_trace_or_report(path):
+    """The trace at ``path``, or None after printing why it cannot be read."""
+    try:
+        return load_trace(path)
+    except ValueError as err:
+        print(f"trace error: {err}", file=sys.stderr)
+        return None
 
 
 def cmd_verify(args) -> int:
-    trace = load_trace(args.trace)
+    trace = _load_trace_or_report(args.trace)
+    if trace is None:
+        return 2
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     for c in checks:
         if c not in KNOWN_CHECKS:
@@ -161,15 +173,13 @@ def cmd_verify(args) -> int:
     failed = False
     for name in checks:
         try:
-            status, detail = _verify_one(trace, name)
+            status, detail, cert = _verify_one(trace, name)
         except (UnsupportedProblem, ValueError) as err:
-            status, detail = "skip", str(err)
+            status, detail, cert = "skip", str(err), None
         results[name] = {"status": status, "detail": detail}
         print(f"[{status.upper():4s}] {name}: {detail}")
         failed = failed or status == "fail"
-        if name.startswith("bound_") and status != "skip":
-            rule = name[len("bound_"):]
-            cert = analysis.certify_run(trace, rule)[0]
+        if cert is not None:
             rows = ["N,bound,observed,slack,pass"]
             rows += [
                 f"{r.N},{_fmt(r.bound)},{_fmt(r.observed)},{_fmt(r.slack)},{int(r.ok)}"
@@ -287,7 +297,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    trace = load_trace(args.trace)
+    trace = _load_trace_or_report(args.trace)
+    if trace is None:
+        return 2
     out = Path(args.out) if args.out else Path(args.trace).parent
     out.mkdir(parents=True, exist_ok=True)
     problem = trace.problem

@@ -21,36 +21,34 @@ Schema (JSON object):
     x0:          {"kind": "zero"} | {"kind": "ball", "radius": float, "seed": int}
     epochs:      int >= 1
     record_level: "full" | "epoch_only"   (default "epoch_only")
-    checks:      [check names]            (default [])
     output_dir:  str                      (default "out")
 
-"auto" resolves against the instantiated problem (L, or beta = n^2 and
-delta = n^3 for the adaptive rule).
+"auto" (the default for L, beta and delta) resolves against the
+instantiated problem (L, or beta = n^2 and delta = n^3 for the adaptive
+rule); the strategy's n is the problem's.  Keys of a strategy or policy
+that its variant does not use are ignored.
 """
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
+
 import numpy as np
 
-from .engine import RunConfig
+from .engine import VARIANT_SECTIONS, RunConfig, variant_from_dict
 from .problems import PROBLEM_KINDS, FiniteSumProblem, make_problem
-from .schedules import (
-    ConvexMix,
-    DelayedAsync,
-    FixedPermutation,
-    FullGradient,
-    Identity,
-    Incremental,
-    MiniBatch,
-    ShuffledPerEpoch,
-    AdversarialMaxNorm,
-    counter_rng,
-)
-from .steps import Adaptive, Constant, DecreasingCbrtWithL, DecreasingSqrt
+from .schedules import counter_rng
 
 _X0_TAG = 11
+# strategy fields that default to "auto", resolved against the problem
+_AUTO = {
+    "L": lambda problem: problem.L,
+    "beta": lambda problem: float(problem.n) ** 2,
+    "delta": lambda problem: float(problem.n) ** 3,
+}
+_COERCE = {"float": float, "int": int}
 
 
 class ConfigError(ValueError):
@@ -66,7 +64,6 @@ class ExperimentConfig:
     x0: dict = field(default_factory=lambda: {"kind": "zero"})
     epochs: int = 1
     record_level: str = "epoch_only"
-    checks: list = field(default_factory=list)
     output_dir: str = "out"
 
     def to_dict(self) -> dict:
@@ -74,34 +71,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {
-            "problem",
-            "strategy",
-            "eval_policy",
-            "perm_policy",
-            "x0",
-            "epochs",
-            "record_level",
-            "checks",
-            "output_dir",
-        }
+        known = {f.name: f for f in fields(cls)}
         for key in doc:
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
-        for key in ("problem", "strategy"):
-            if key not in doc:
-                raise ConfigError(f"missing config key {key!r}")
-        cfg = cls(
-            problem=dict(doc["problem"]),
-            strategy=dict(doc["strategy"]),
-            eval_policy=dict(doc.get("eval_policy", {"variant": "incremental"})),
-            perm_policy=dict(doc.get("perm_policy", {"variant": "identity"})),
-            x0=dict(doc.get("x0", {"kind": "zero"})),
-            epochs=doc.get("epochs", 1),
-            record_level=doc.get("record_level", "epoch_only"),
-            checks=list(doc.get("checks", [])),
-            output_dir=doc.get("output_dir", "out"),
-        )
+        for name, f in known.items():
+            if f.default is MISSING and f.default_factory is MISSING and name not in doc:
+                raise ConfigError(f"missing config key {name!r}")
+        cfg = cls(**copy.deepcopy(doc))
         cfg.validate()
         return cfg
 
@@ -137,77 +114,34 @@ class ExperimentConfig:
         )
         return RunConfig(
             problem=problem,
-            strategy=build_strategy(self.strategy, problem),
-            eval_policy=build_eval_policy(self.eval_policy),
-            perm_policy=build_perm_policy(self.perm_policy),
+            **{
+                section: _build_variant(section, getattr(self, section), table, problem)
+                for section, table in VARIANT_SECTIONS.items()
+            },
             x0=build_x0(self.x0, problem),
             epochs=self.epochs,
             record_level=self.record_level,
         )
 
 
-def build_strategy(spec: dict, problem: FiniteSumProblem):
-    variant = spec.get("variant")
-    n = problem.n
-    if variant == "constant":
-        if "alpha" not in spec:
-            raise ConfigError("missing config key 'strategy.alpha'")
-        return Constant(alpha=float(spec["alpha"]), n=n)
-    if variant == "decreasing_sqrt":
-        return DecreasingSqrt(n=n)
-    if variant == "decreasing_cbrt":
-        lip = spec.get("L", "auto")
-        if lip == "auto":
-            if problem.L is None:
-                raise ConfigError("'strategy.L' = auto needs a smooth problem")
-            lip = problem.L
-        return DecreasingCbrtWithL(L=float(lip), n=n)
-    if variant == "adaptive":
-        beta = spec.get("beta", "auto")
-        delta = spec.get("delta", "auto")
-        beta = float(n) ** 2 if beta == "auto" else float(beta)
-        delta = float(n) ** 3 if delta == "auto" else float(delta)
-        return Adaptive(delta=delta, beta=beta, n=n)
-    raise ConfigError(f"unknown 'strategy.variant' {variant!r}")
+def _build_variant(section: str, spec: dict, table: dict, problem: FiniteSumProblem):
+    """The strategy or policy of a config section, with n and "auto" filled in."""
+    if spec.get("variant") not in table:
+        raise ConfigError(f"unknown '{section}.variant' {spec.get('variant')!r}")
 
+    def read(f, doc):
+        if f.name == "n":
+            return problem.n
+        value = doc.get(f.name, "auto" if f.name in _AUTO else MISSING)
+        if value is MISSING:
+            raise ConfigError(f"missing config key '{section}.{f.name}'")
+        if f.name in _AUTO and value == "auto":
+            value = _AUTO[f.name](problem)
+            if value is None:
+                raise ConfigError(f"'{section}.{f.name}' = auto needs a smooth problem")
+        return _COERCE.get(f.type, lambda v: v)(value)
 
-def build_eval_policy(spec: dict):
-    variant = spec.get("variant")
-    if variant == "full_gradient":
-        return FullGradient()
-    if variant == "incremental":
-        return Incremental()
-    if variant == "mini_batch":
-        if "b" not in spec:
-            raise ConfigError("missing config key 'eval_policy.b'")
-        return MiniBatch(b=int(spec["b"]))
-    if variant == "delayed_async":
-        for key in ("max_delay", "seed"):
-            if key not in spec:
-                raise ConfigError(f"missing config key 'eval_policy.{key}'")
-        return DelayedAsync(max_delay=int(spec["max_delay"]), seed=int(spec["seed"]))
-    if variant == "convex_mix":
-        if "seed" not in spec:
-            raise ConfigError("missing config key 'eval_policy.seed'")
-        return ConvexMix(seed=int(spec["seed"]))
-    raise ConfigError(f"unknown 'eval_policy.variant' {variant!r}")
-
-
-def build_perm_policy(spec: dict):
-    variant = spec.get("variant")
-    if variant == "identity":
-        return Identity()
-    if variant == "fixed":
-        if "perm" not in spec:
-            raise ConfigError("missing config key 'perm_policy.perm'")
-        return FixedPermutation(perm=tuple(spec["perm"]))
-    if variant == "shuffled":
-        if "seed" not in spec:
-            raise ConfigError("missing config key 'perm_policy.seed'")
-        return ShuffledPerEpoch(seed=int(spec["seed"]))
-    if variant == "adversarial":
-        return AdversarialMaxNorm()
-    raise ConfigError(f"unknown 'perm_policy.variant' {variant!r}")
+    return variant_from_dict(spec, table, read)
 
 
 def build_x0(spec: dict, problem: FiniteSumProblem) -> np.ndarray:

@@ -23,34 +23,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .problems import FiniteSumProblem, problem_from_dict, problem_to_dict
 from .schedules import (
+    EVAL_POLICIES,
+    PERM_POLICIES,
     EvalPointPolicy,
     PermutationPolicy,
     eval_point,
-    eval_policy_from_dict,
-    eval_policy_to_dict,
     eval_support,
     hull_point,
-    needs_probe,
-    perm_policy_from_dict,
-    perm_policy_to_dict,
     permutation,
 )
-from .steps import (
-    StepStrategy,
-    StepState,
-    is_adaptive,
-    new_state,
-    step_value,
-    strategy_from_dict,
-    strategy_to_dict,
-)
+from .steps import STRATEGIES, StepStrategy, StepState, is_adaptive, new_state, step_value
 
 TRACE_FORMAT = "wrdescent-trace/1"
 
@@ -189,10 +178,8 @@ def run_epoch(
     adaptive = is_adaptive(strategy)
 
     probe = None
-    if needs_probe(perm_policy):
-        probe = np.array(
-            [math.sqrt(float(c.direction(x) @ c.direction(x))) for c in comps]
-        )
+    if perm_policy.needs_probe:
+        probe = np.array([math.sqrt(float(d @ d)) for d in (c.direction(x) for c in comps)])
     perm = permutation(perm_policy, K, n, probe=probe)
 
     zs = [x]
@@ -418,12 +405,35 @@ def _parse_vec(s: str) -> np.ndarray:
     return np.array([float(c) for c in s.split(";")])
 
 
+# RunConfig fields stored as {"variant": VARIANT, **fields}, with their {VARIANT: class} tables
+VARIANT_SECTIONS = {
+    "strategy": STRATEGIES,
+    "eval_policy": EVAL_POLICIES,
+    "perm_policy": PERM_POLICIES,
+}
+
+
+def variant_to_dict(obj) -> dict:
+    """{"variant": VARIANT, **fields} of a step strategy or schedule policy."""
+    return {"variant": obj.VARIANT, **{f.name: getattr(obj, f.name) for f in fields(obj)}}
+
+
+def variant_from_dict(doc: dict, table: dict, read=None):
+    """Inverse of variant_to_dict through a {VARIANT: class} table.
+
+    ``read(field, doc)`` supplies each field's value (default
+    ``doc[field.name]``); keys that are not fields of the class are ignored.
+    """
+    cls = table.get(doc.get("variant"))
+    if cls is None:
+        raise ValueError(f"unknown variant {doc.get('variant')!r}")
+    return cls(**{f.name: read(f, doc) if read else doc[f.name] for f in fields(cls)})
+
+
 def config_to_dict(config: RunConfig) -> dict:
     return {
         "problem": problem_to_dict(config.problem),
-        "strategy": strategy_to_dict(config.strategy),
-        "eval_policy": eval_policy_to_dict(config.eval_policy),
-        "perm_policy": perm_policy_to_dict(config.perm_policy),
+        **{key: variant_to_dict(getattr(config, key)) for key in VARIANT_SECTIONS},
         "x0": [float(c) for c in config.x0],
         "epochs": config.epochs,
         "record_level": config.record_level,
@@ -435,9 +445,7 @@ def config_to_dict(config: RunConfig) -> dict:
 def config_from_dict(doc: dict) -> RunConfig:
     return RunConfig(
         problem=problem_from_dict(doc["problem"]),
-        strategy=strategy_from_dict(doc["strategy"]),
-        eval_policy=eval_policy_from_dict(doc["eval_policy"]),
-        perm_policy=perm_policy_from_dict(doc["perm_policy"]),
+        **{key: variant_from_dict(doc[key], table) for key, table in VARIANT_SECTIONS.items()},
         x0=np.array(doc["x0"], dtype=float),
         epochs=doc["epochs"],
         record_level=doc["record_level"],
@@ -483,13 +491,38 @@ def save_trace(trace: RunTrace, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _section_rows(sections: dict, name: str, count: int) -> list:
+    """The data rows of a trace section, which must hold ``count`` of them."""
+    if name not in sections:
+        raise ValueError(f"{name}: section missing")
+    rows = sections[name][1:]
+    if len(rows) != count:
+        what = "missing" if len(rows) < count else "unexpected"
+        raise ValueError(
+            f"{name} row {min(len(rows), count) + 1}: {what}, the header implies {count} rows"
+        )
+    return rows
+
+
 def load_trace(path) -> RunTrace:
+    """Read a trace file; a truncated or malformed one raises ValueError.
+
+    Row counts follow from the header: epochs + 1 #NODES rows, one #EPOCHS
+    row per completed epoch and, at full level, n rows per #INNER block.
+    Errors name the section and the row, counted from 1 after the column
+    header.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError("empty trace file")
     header = json.loads(lines[0])
     if header.get("format") != TRACE_FORMAT:
         raise ValueError(f"not a {TRACE_FORMAT} file")
     config = config_from_dict(header["config"])
+    aborted = tuple(header["aborted_at"]) if header["aborted_at"] else None
+    epochs = aborted[0] if aborted else config.epochs
+    n, p = config.problem.n, config.problem.p
 
     sections: dict = {}
     current = None
@@ -500,57 +533,72 @@ def load_trace(path) -> RunTrace:
         elif line:
             sections[current].append(line)
 
-    nodes = sections["#NODES"][1:]
-    p = config.problem.p
-    xs, f_list, g_list = [], [], []
-    for row in nodes:
-        parts = row.split(",")
-        xs.append(np.array([float(c) for c in parts[1 : 1 + p]]))
-        f_list.append(float(parts[1 + p]))
-        g_list.append(float(parts[2 + p]))
+    full = config.record_level == "full"
+    nodes = _section_rows(sections, "#NODES", epochs + 1)
+    epoch_rows = _section_rows(sections, "#EPOCHS", epochs)
+    blocks = [_section_rows(sections, f"#INNER {K}", n) if full else [] for K in range(epochs)]
 
-    epochs_rows = sections["#EPOCHS"][1:]
-    af, al, asum, vend = [], [], [], []
-    for row in epochs_rows:
-        parts = row.split(",")
-        af.append(float(parts[1]))
-        al.append(float(parts[2]))
-        asum.append(float(parts[3]))
-        vend.append(float(parts[4]))
+    section, r = "#NODES", 0
+    try:
+        xs, f_list, g_list = [], [], []
+        for r, row in enumerate(nodes, start=1):
+            parts = row.split(",")
+            if len(parts) != p + 3:
+                raise ValueError(f"{len(parts)} columns, expected {p + 3}")
+            xs.append(np.array([float(c) for c in parts[1 : 1 + p]]))
+            f_list.append(float(parts[1 + p]))
+            g_list.append(float(parts[2 + p]))
 
-    records = []
-    for K in range(len(epochs_rows)):
-        inner = []
-        key = f"#INNER {K}"
-        if key in sections:
-            for row in sections[key][1:]:
+        section = "#EPOCHS"
+        af, al, asum, vend = [], [], [], []
+        for r, row in enumerate(epoch_rows, start=1):
+            parts = row.split(",")
+            if len(parts) != 5:
+                raise ValueError(f"{len(parts)} columns, expected 5")
+            af.append(float(parts[1]))
+            al.append(float(parts[2]))
+            asum.append(float(parts[3]))
+            vend.append(float(parts[4]))
+
+        records = []
+        for K, block in enumerate(blocks):
+            section = f"#INNER {K}"
+            inner = []
+            for r, row in enumerate(block, start=1):
                 parts = row.split(",")
-                inner.append(
-                    InnerRecord(
-                        index=int(parts[1]),
-                        weights=_parse_vec(parts[5]),
-                        zhat=_parse_vec(parts[6]),
-                        d=_parse_vec(parts[7]),
-                        dnorm2=float(parts[3]),
-                        alpha=float(parts[2]),
-                        z=_parse_vec(parts[8]),
-                        v=float(parts[4]),
-                    )
+                if len(parts) != 9:
+                    raise ValueError(f"{len(parts)} columns, expected 9")
+                rec = InnerRecord(
+                    index=int(parts[1]),
+                    weights=_parse_vec(parts[5]),
+                    zhat=_parse_vec(parts[6]),
+                    d=_parse_vec(parts[7]),
+                    dnorm2=float(parts[3]),
+                    alpha=float(parts[2]),
+                    z=_parse_vec(parts[8]),
+                    v=float(parts[4]),
                 )
-        records.append(
-            EpochRecord(
-                K=K,
-                x_start=xs[K],
-                inner=inner,
-                x_next=xs[K + 1],
-                f_next=f_list[K + 1],
-                grad_sq_start=g_list[K],
-                alpha_first=af[K],
-                alpha_last=al[K],
-                alpha_sum=asum[K],
-                v_end=vend[K],
+                if rec.weights.size != r:
+                    raise ValueError(f"{rec.weights.size} hull weights, expected {r}")
+                if not rec.zhat.size == rec.d.size == rec.z.size == p:
+                    raise ValueError(f"zhat, d and z need {p} entries each")
+                inner.append(rec)
+            records.append(
+                EpochRecord(
+                    K=K,
+                    x_start=xs[K],
+                    inner=inner,
+                    x_next=xs[K + 1],
+                    f_next=f_list[K + 1],
+                    grad_sq_start=g_list[K],
+                    alpha_first=af[K],
+                    alpha_last=al[K],
+                    alpha_sum=asum[K],
+                    v_end=vend[K],
+                )
             )
-        )
+    except ValueError as err:
+        raise ValueError(f"{section} row {r}: {err}") from None
 
     return RunTrace(
         config=config,
@@ -562,7 +610,7 @@ def load_trace(path) -> RunTrace:
         alpha_last=np.array(al),
         alpha_sum=np.array(asum),
         v_end=np.array(vend),
-        aborted_at=tuple(header["aborted_at"]) if header["aborted_at"] else None,
+        aborted_at=aborted,
         bound_exceeded_at=header["bound_exceeded_at"],
     )
 

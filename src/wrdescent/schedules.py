@@ -15,12 +15,13 @@ Draw-based policies use counter-based generators keyed on (seed, K, i), so
 runs replay exactly without storing the draws.  Permutation policies decide
 the order components are queried in; every epoch visits each component
 exactly once.  Component indices are 0-based; inner positions are 1-based.
+Each policy class names its serialized form in ``VARIANT``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Union, get_args
 
 import numpy as np
 
@@ -44,57 +45,70 @@ def counter_rng(seed: int, *counters: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class FullGradient:
-    pass
+    VARIANT = "full_gradient"
+
+    def support(self, K: int, i: int) -> Optional[int]:
+        return 0
 
 
 @dataclass(frozen=True)
 class Incremental:
-    pass
+    VARIANT = "incremental"
+
+    def support(self, K: int, i: int) -> Optional[int]:
+        return i - 1
 
 
 @dataclass(frozen=True)
 class MiniBatch:
     b: int
+    VARIANT = "mini_batch"
 
     def __post_init__(self):
         if self.b < 1:
             raise ValueError("batch size must be at least 1")
+
+    def support(self, K: int, i: int) -> Optional[int]:
+        return ((i - 1) // self.b) * self.b
 
 
 @dataclass(frozen=True)
 class DelayedAsync:
     max_delay: int
     seed: int
+    VARIANT = "delayed_async"
 
     def __post_init__(self):
         if self.max_delay < 0:
             raise ValueError("max_delay must be nonnegative")
 
+    def support(self, K: int, i: int) -> Optional[int]:
+        delay = int(counter_rng(self.seed, _TAG_DELAY, K, i).integers(0, self.max_delay + 1))
+        return max(0, i - 1 - delay)
+
 
 @dataclass(frozen=True)
 class ConvexMix:
     seed: int
+    VARIANT = "convex_mix"
+
+    def support(self, K: int, i: int) -> Optional[int]:
+        return None
+
+    def weights(self, K: int, i: int) -> np.ndarray:
+        """Strictly positive Dirichlet hull weights for step (K, i)."""
+        return counter_rng(self.seed, _TAG_MIX, K, i).dirichlet(np.ones(i))
 
 
 EvalPointPolicy = Union[FullGradient, Incremental, MiniBatch, DelayedAsync, ConvexMix]
+EVAL_POLICIES = {cls.VARIANT: cls for cls in get_args(EvalPointPolicy)}
 
 
 def eval_support(policy: EvalPointPolicy, K: int, i: int) -> Optional[int]:
     """Index j with zhat = z_{K,j} for single-point policies, None otherwise."""
     if i < 1:
         raise ValueError("inner index i must be at least 1")
-    if isinstance(policy, FullGradient):
-        return 0
-    if isinstance(policy, Incremental):
-        return i - 1
-    if isinstance(policy, MiniBatch):
-        return ((i - 1) // policy.b) * policy.b
-    if isinstance(policy, DelayedAsync):
-        delay = int(
-            counter_rng(policy.seed, _TAG_DELAY, K, i).integers(0, policy.max_delay + 1)
-        )
-        return max(0, i - 1 - delay)
-    return None
+    return policy.support(K, i)
 
 
 def eval_point(policy: EvalPointPolicy, K: int, i: int) -> np.ndarray:
@@ -104,7 +118,7 @@ def eval_point(policy: EvalPointPolicy, K: int, i: int) -> np.ndarray:
         w = np.zeros(i)
         w[j] = 1.0
         return w
-    return counter_rng(policy.seed, _TAG_MIX, K, i).dirichlet(np.ones(i))
+    return policy.weights(K, i)
 
 
 def hull_point(weights: np.ndarray, points) -> np.ndarray:
@@ -131,29 +145,59 @@ def hull_point(weights: np.ndarray, points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Identity:
-    pass
+    VARIANT = "identity"
+    needs_probe = False
+
+    def order(self, K: int, n: int, probe: Optional[np.ndarray]) -> np.ndarray:
+        return np.arange(n)
 
 
 @dataclass(frozen=True)
 class FixedPermutation:
     perm: tuple
+    VARIANT = "fixed"
+    needs_probe = False
 
     def __post_init__(self):
+        # a perm read from JSON is a list; the frozen policy keeps it hashable
+        object.__setattr__(self, "perm", tuple(self.perm))
         if sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError("perm must be a 0-based permutation of range(n)")
+
+    def order(self, K: int, n: int, probe: Optional[np.ndarray]) -> np.ndarray:
+        if len(self.perm) != n:
+            raise ValueError("fixed permutation length does not match n")
+        return np.asarray(self.perm, dtype=int)
 
 
 @dataclass(frozen=True)
 class ShuffledPerEpoch:
     seed: int
+    VARIANT = "shuffled"
+    needs_probe = False
+
+    def order(self, K: int, n: int, probe: Optional[np.ndarray]) -> np.ndarray:
+        return counter_rng(self.seed, _TAG_PERM, K).permutation(n)
 
 
 @dataclass(frozen=True)
 class AdversarialMaxNorm:
     """Queries components by descending ||d_i(x_K)|| (worst-case probing)."""
 
+    VARIANT = "adversarial"
+    needs_probe = True
+
+    def order(self, K: int, n: int, probe: Optional[np.ndarray]) -> np.ndarray:
+        if probe is None:
+            raise ValueError("AdversarialMaxNorm needs per-index probe values")
+        probe = np.asarray(probe, dtype=float)
+        if probe.shape != (n,):
+            raise ValueError("probe must have one value per component")
+        return np.argsort(-probe, kind="stable")
+
 
 PermutationPolicy = Union[Identity, FixedPermutation, ShuffledPerEpoch, AdversarialMaxNorm]
+PERM_POLICIES = {cls.VARIANT: cls for cls in get_args(PermutationPolicy)}
 
 
 def permutation(
@@ -165,76 +209,4 @@ def permutation(
     """0-based query order for epoch K; always a bijection on range(n)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if isinstance(policy, Identity):
-        return np.arange(n)
-    if isinstance(policy, FixedPermutation):
-        if len(policy.perm) != n:
-            raise ValueError("fixed permutation length does not match n")
-        return np.asarray(policy.perm, dtype=int)
-    if isinstance(policy, ShuffledPerEpoch):
-        return counter_rng(policy.seed, _TAG_PERM, K).permutation(n)
-    if probe is None:
-        raise ValueError("AdversarialMaxNorm needs per-index probe values")
-    probe = np.asarray(probe, dtype=float)
-    if probe.shape != (n,):
-        raise ValueError("probe must have one value per component")
-    return np.argsort(-probe, kind="stable")
-
-
-def needs_probe(policy: PermutationPolicy) -> bool:
-    return isinstance(policy, AdversarialMaxNorm)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def eval_policy_to_dict(policy: EvalPointPolicy) -> dict:
-    if isinstance(policy, FullGradient):
-        return {"variant": "full_gradient"}
-    if isinstance(policy, Incremental):
-        return {"variant": "incremental"}
-    if isinstance(policy, MiniBatch):
-        return {"variant": "mini_batch", "b": policy.b}
-    if isinstance(policy, DelayedAsync):
-        return {"variant": "delayed_async", "max_delay": policy.max_delay, "seed": policy.seed}
-    return {"variant": "convex_mix", "seed": policy.seed}
-
-
-def eval_policy_from_dict(doc: dict) -> EvalPointPolicy:
-    variant = doc.get("variant")
-    if variant == "full_gradient":
-        return FullGradient()
-    if variant == "incremental":
-        return Incremental()
-    if variant == "mini_batch":
-        return MiniBatch(b=doc["b"])
-    if variant == "delayed_async":
-        return DelayedAsync(max_delay=doc["max_delay"], seed=doc["seed"])
-    if variant == "convex_mix":
-        return ConvexMix(seed=doc["seed"])
-    raise ValueError(f"unknown eval policy variant {variant!r}")
-
-
-def perm_policy_to_dict(policy: PermutationPolicy) -> dict:
-    if isinstance(policy, Identity):
-        return {"variant": "identity"}
-    if isinstance(policy, FixedPermutation):
-        return {"variant": "fixed", "perm": list(policy.perm)}
-    if isinstance(policy, ShuffledPerEpoch):
-        return {"variant": "shuffled", "seed": policy.seed}
-    return {"variant": "adversarial"}
-
-
-def perm_policy_from_dict(doc: dict) -> PermutationPolicy:
-    variant = doc.get("variant")
-    if variant == "identity":
-        return Identity()
-    if variant == "fixed":
-        return FixedPermutation(perm=tuple(doc["perm"]))
-    if variant == "shuffled":
-        return ShuffledPerEpoch(seed=doc["seed"])
-    if variant == "adversarial":
-        return AdversarialMaxNorm()
-    raise ValueError(f"unknown permutation policy variant {variant!r}")
+    return policy.order(K, n, probe)

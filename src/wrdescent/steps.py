@@ -18,14 +18,15 @@ beta * ||d||^2 BEFORE the step size v^(-1/3) is computed.
 The epoch anchor alpha_K is the previous epoch's last step size
 (alpha_{K-1,n}); for K = 0 it is delta^(-1/3) for the adaptive rule and
 alpha_{0,1} for prescribed rules (which satisfies alpha_0 >= alpha_{0,1}
-with equality).
+with equality).  Each strategy class names its serialized form in
+``VARIANT``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Union, get_args
 
 import numpy as np
 
@@ -34,6 +35,7 @@ import numpy as np
 class Constant:
     alpha: float
     n: int
+    VARIANT = "constant"
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -47,6 +49,7 @@ class Constant:
 @dataclass(frozen=True)
 class DecreasingSqrt:
     n: int
+    VARIANT = "decreasing_sqrt"
 
     def __post_init__(self):
         _check_n(self.n)
@@ -59,6 +62,7 @@ class DecreasingSqrt:
 class DecreasingCbrtWithL:
     L: float
     n: int
+    VARIANT = "decreasing_cbrt"
 
     def __post_init__(self):
         if self.L <= 0:
@@ -74,6 +78,7 @@ class Adaptive:
     delta: float
     beta: float
     n: int
+    VARIANT = "adaptive"
 
     def __post_init__(self):
         if self.delta <= 0 or self.beta <= 0:
@@ -88,7 +93,7 @@ class Adaptive:
 
 
 StepStrategy = Union[Constant, DecreasingSqrt, DecreasingCbrtWithL, Adaptive]
-PRESCRIBED = (Constant, DecreasingSqrt, DecreasingCbrtWithL)
+STRATEGIES = {cls.VARIANT: cls for cls in get_args(StepStrategy)}
 
 
 def _check_n(n):
@@ -267,31 +272,3 @@ def check_asymptotic_conditions(
         alpha_ok=firsts[-1] <= alpha_threshold,
         ratio_ok=abs(ratio - 1.0) <= ratio_tol,
     )
-
-
-def strategy_to_dict(strategy: StepStrategy) -> dict:
-    if isinstance(strategy, Constant):
-        return {"variant": "constant", "alpha": strategy.alpha, "n": strategy.n}
-    if isinstance(strategy, DecreasingSqrt):
-        return {"variant": "decreasing_sqrt", "n": strategy.n}
-    if isinstance(strategy, DecreasingCbrtWithL):
-        return {"variant": "decreasing_cbrt", "L": strategy.L, "n": strategy.n}
-    return {
-        "variant": "adaptive",
-        "delta": strategy.delta,
-        "beta": strategy.beta,
-        "n": strategy.n,
-    }
-
-
-def strategy_from_dict(doc: dict) -> StepStrategy:
-    variant = doc.get("variant")
-    if variant == "constant":
-        return Constant(alpha=doc["alpha"], n=doc["n"])
-    if variant == "decreasing_sqrt":
-        return DecreasingSqrt(n=doc["n"])
-    if variant == "decreasing_cbrt":
-        return DecreasingCbrtWithL(L=doc["L"], n=doc["n"])
-    if variant == "adaptive":
-        return Adaptive(delta=doc["delta"], beta=doc["beta"], n=doc["n"])
-    raise ValueError(f"unknown strategy variant {variant!r}")

@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from pytest import approx
 import wrdescent as wd
 from wrdescent.cli import fit_loglog_slope, main, sweep_checkpoints
 from wrdescent.config import ExperimentConfig, load_config, save_config
+from wrdescent.engine import VARIANT_SECTIONS
 
 
 def minimal_config(**overrides):
@@ -21,6 +24,18 @@ def minimal_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+# (section, a complete spec, a field that has no default)
+MISSING_FIELD_CASES = [
+    ("strategy", {"variant": "constant", "alpha": 0.5}, "alpha"),
+    ("eval_policy", {"variant": "mini_batch", "b": 2}, "b"),
+    ("eval_policy", {"variant": "delayed_async", "max_delay": 1, "seed": 0}, "max_delay"),
+    ("eval_policy", {"variant": "delayed_async", "max_delay": 1, "seed": 0}, "seed"),
+    ("eval_policy", {"variant": "convex_mix", "seed": 0}, "seed"),
+    ("perm_policy", {"variant": "fixed", "perm": [1, 0]}, "perm"),
+    ("perm_policy", {"variant": "shuffled", "seed": 0}, "seed"),
+]
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -55,6 +70,31 @@ class TestConfig:
         run_config = ExperimentConfig.from_dict(doc).build()
         assert run_config.strategy.beta == approx(4.0)
         assert run_config.strategy.delta == approx(8.0)
+
+    def test_missing_field_cases_cover_every_variant(self):
+        # n comes from the problem; L, beta and delta default to "auto"
+        required = {
+            (section, cls.VARIANT, f.name)
+            for section, table in VARIANT_SECTIONS.items()
+            for cls in table.values()
+            for f in fields(cls)
+            if f.name not in ("n", "L", "beta", "delta")
+        }
+        assert required == {(s, spec["variant"], key) for s, spec, key in MISSING_FIELD_CASES}
+
+    @pytest.mark.parametrize("section, spec, key", MISSING_FIELD_CASES)
+    def test_missing_variant_field_named(self, section, spec, key):
+        ExperimentConfig.from_dict(minimal_config(**{section: spec})).build()
+        partial = {k: v for k, v in spec.items() if k != key}
+        cfg = ExperimentConfig.from_dict(minimal_config(**{section: partial}))
+        with pytest.raises(wd.ConfigError, match=re.escape(f"'{section}.{key}'")):
+            cfg.build()
+
+    @pytest.mark.parametrize("section", list(VARIANT_SECTIONS))
+    def test_unknown_variant_named(self, section):
+        cfg = ExperimentConfig.from_dict(minimal_config(**{section: {"variant": "bogus"}}))
+        with pytest.raises(wd.ConfigError, match=re.escape(f"'{section}.variant'")):
+            cfg.build()
 
     def test_seeded_ball_x0(self):
         doc = minimal_config(x0={"kind": "ball", "radius": 0.5, "seed": 4})
@@ -154,6 +194,37 @@ class TestCmdVerify:
         assert (
             main(["verify", "--trace", str(out / "trace.txt"), "--checks", "corX"]) == 2
         )
+
+
+def _drop_node_row(text):
+    lines = text.splitlines(keepends=True)
+    del lines[lines.index("#NODES\n") + 4]  # the row of x_2
+    return "".join(lines)
+
+
+class TestTraceErrors:
+    @pytest.mark.parametrize(
+        "damage, where",
+        [
+            (lambda text: text[: 2 * len(text) // 3], "#"),
+            (_drop_node_row, "#NODES"),
+            (lambda text: "".join(text.splitlines(keepends=True)[:-3]), "#INNER 5 row 2"),
+        ],
+        ids=["cut_at_two_thirds", "dropped_node_row", "last_three_inner_rows_missing"],
+    )
+    def test_damaged_trace_exits_2_naming_the_section(self, tmp_path, capsys, damage, where):
+        cfg = write_config(tmp_path, problem={"kind": "logistic", "n": 4, "p": 2, "seed": 3}, epochs=6)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        path = out / "trace.txt"
+        path.write_text(damage(path.read_text()))
+        capsys.readouterr()
+        checks = "step_length,epoch_descent_tight,lex,summability"
+        assert main(["verify", "--trace", str(path), "--checks", checks]) == 2
+        assert main(["report", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith(f"trace error: {where}") for line in err)
 
 
 class TestCmdSweep:

@@ -1,12 +1,23 @@
+import dataclasses
+import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from pytest import approx
 
 import wrdescent as wd
 from conftest import make_run
+from wrdescent.engine import (
+    VARIANT_SECTIONS,
+    config_from_dict,
+    config_to_dict,
+    variant_from_dict,
+    variant_to_dict,
+)
 
 
 def zero_problem(p=2):
@@ -290,3 +301,77 @@ class TestConfigValidation:
                 x0=np.zeros(3),
                 epochs=0,
             )
+
+
+_positive = st.floats(min_value=1e-6, max_value=1e6)
+_n = st.integers(min_value=1, max_value=64)
+_seed = st.integers(min_value=0, max_value=2**32)
+VARIANT_VALUES = {
+    wd.Constant: st.builds(wd.Constant, alpha=_positive, n=_n),
+    wd.DecreasingSqrt: st.builds(wd.DecreasingSqrt, n=_n),
+    wd.DecreasingCbrtWithL: st.builds(wd.DecreasingCbrtWithL, L=_positive, n=_n),
+    wd.Adaptive: st.builds(wd.Adaptive, delta=_positive, beta=_positive, n=_n),
+    wd.FullGradient: st.just(wd.FullGradient()),
+    wd.Incremental: st.just(wd.Incremental()),
+    wd.MiniBatch: st.builds(wd.MiniBatch, b=st.integers(min_value=1, max_value=64)),
+    wd.DelayedAsync: st.builds(wd.DelayedAsync, max_delay=st.integers(0, 64), seed=_seed),
+    wd.ConvexMix: st.builds(wd.ConvexMix, seed=_seed),
+    wd.Identity: st.just(wd.Identity()),
+    wd.FixedPermutation: st.integers(1, 12)
+    .flatmap(lambda n: st.permutations(range(n)))
+    .map(wd.FixedPermutation),
+    wd.ShuffledPerEpoch: st.builds(wd.ShuffledPerEpoch, seed=_seed),
+    wd.AdversarialMaxNorm: st.just(wd.AdversarialMaxNorm()),
+}
+
+
+def _values_of(section):
+    return st.one_of(*(VARIANT_VALUES[cls] for cls in VARIANT_SECTIONS[section].values()))
+
+
+class TestVariantDicts:
+    def test_every_variant_is_generated(self):
+        tables = VARIANT_SECTIONS.values()
+        assert set(VARIANT_VALUES) == {cls for table in tables for cls in table.values()}
+
+    @given(st.sampled_from(list(VARIANT_SECTIONS)).flatmap(lambda s: st.tuples(st.just(s), _values_of(s))))
+    def test_round_trip_through_json(self, section_and_value):
+        section, value = section_and_value
+        doc = json.loads(json.dumps(variant_to_dict(value)))
+        assert list(doc)[0] == "variant"
+        assert variant_from_dict(doc, VARIANT_SECTIONS[section]) == value
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            variant_from_dict({"variant": "bogus"}, VARIANT_SECTIONS["strategy"])
+
+    @given(
+        _values_of("strategy"),
+        _values_of("eval_policy"),
+        _values_of("perm_policy"),
+        st.lists(st.floats(allow_nan=False), min_size=2, max_size=2),
+        st.integers(min_value=1, max_value=10**6),
+        st.sampled_from(["full", "epoch_only"]),
+        st.none() | _positive,
+        st.booleans(),
+    )
+    def test_run_config_round_trip(
+        self, strategy, eval_policy, perm_policy, x0, epochs, level, radius, track
+    ):
+        config = wd.RunConfig(
+            problem=wd.make_problem("logistic", 3, 2, 5),
+            strategy=dataclasses.replace(strategy, n=3),
+            eval_policy=eval_policy,
+            perm_policy=perm_policy,
+            x0=np.array(x0),
+            epochs=epochs,
+            record_level=level,
+            monitor_radius=radius,
+            track_objective=track,
+        )
+        text = json.dumps(config_to_dict(config))
+        back = config_from_dict(json.loads(text))
+        for key in VARIANT_SECTIONS:
+            assert getattr(back, key) == getattr(config, key)
+        assert np.array_equal(back.x0, config.x0)
+        assert json.dumps(config_to_dict(back)) == text
