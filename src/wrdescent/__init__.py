@@ -40,7 +40,6 @@ from .analysis import (
 from .config import ConfigError, ExperimentConfig, load_config, save_config
 from .engine import (
     EpochRecord,
-    InnerRecord,
     NonFiniteError,
     ReplayReport,
     RunConfig,

@@ -116,23 +116,23 @@ def check_step_length_bound(record, *, tol: float = EXACT_RTOL) -> MarginReport:
     <= n * sum_j alpha_{K,j}^2 ||d_j||^2, reported as the minimum slack
     over i.  Relative to the (nonnegative) right-hand side.
     """
-    if not record.inner:
+    if record.alpha is None:
         raise ValueError("the step-length check needs inner records")
-    n = len(record.inner)
+    n = len(record.alpha)
     x = record.x_start
-    rhs = n * math.fsum(r.alpha**2 * r.dnorm2 for r in record.inner)
+    rhs = n * _s2(record)
     worst = -math.inf
     arg = None
     xdiff = record.x_next - x
     cand = float(xdiff @ xdiff)
     if cand > worst:
         worst, arg = cand, ("x_next", n)
-    for i, r in enumerate(record.inner, start=1):
-        zdiff = r.z - x
+    for i, (z, zhat) in enumerate(zip(record.z, record.zhat), start=1):
+        zdiff = z - x
         cand = float(zdiff @ zdiff)
         if cand > worst:
             worst, arg = cand, ("z", i)
-        hdiff = r.zhat - x
+        hdiff = zhat - x
         cand = float(hdiff @ hdiff)
         if cand > worst:
             worst, arg = cand, ("zhat", i)
@@ -163,11 +163,15 @@ def check_step_length_bound_trace(trace: RunTrace, *, tol: float = EXACT_RTOL) -
 # ---------------------------------------------------------------------------
 
 
+def _s2(record) -> float:
+    """S2 = sum_j alpha_{K,j}^2 ||d_j||^2, term by term in Python floats."""
+    return math.fsum(a**2 * d2 for a, d2 in zip(record.alpha.tolist(), record.dnorm2.tolist()))
+
+
 def _epoch_sums(trace: RunTrace, K: int, alpha_k: float):
     rec = trace.records[K]
-    s2 = math.fsum(r.alpha**2 * r.dnorm2 for r in rec.inner)
-    ratio_cube = math.fsum(1.0 - (r.alpha / alpha_k) ** 3 for r in rec.inner)
-    return rec, s2, ratio_cube
+    ratio_cube = math.fsum(1.0 - (a / alpha_k) ** 3 for a in rec.alpha.tolist())
+    return rec, _s2(rec), ratio_cube
 
 
 def check_epoch_descent(trace: RunTrace, K: int, *, tol: float = INEQ_RTOL) -> MarginReport:
@@ -175,7 +179,7 @@ def check_epoch_descent(trace: RunTrace, K: int, *, tol: float = INEQ_RTOL) -> M
     _require_full(trace)
     problem = trace.problem
     _require_smooth(problem)
-    lex = check_lex_monotone([[r.alpha for r in rec.inner] for rec in trace.records])
+    lex = check_lex_monotone([rec.alpha for rec in trace.records])
     if not lex.ok:
         raise ValueError(f"step sizes violate lexicographic monotonicity at {lex.violation}")
     n = problem.n
@@ -265,8 +269,8 @@ def check_descent_decomposition(
     n = problem.n
     alpha_k = trace.epoch_anchor(K)
     rec = trace.records[K]
-    s2 = math.fsum(r.alpha**2 * r.dnorm2 for r in rec.inner)
-    ratio_sq = math.fsum((r.alpha / alpha_k - 1.0) ** 2 for r in rec.inner)
+    s2 = _s2(rec)
+    ratio_sq = math.fsum((a / alpha_k - 1.0) ** 2 for a in rec.alpha.tolist())
     g = problem.full_direction(trace.xs[K])
     diff = trace.xs[K + 1] - trace.xs[K]
     lhs = float(g @ diff) + float(diff @ diff) / (2.0 * n * alpha_k)
@@ -521,9 +525,9 @@ def check_summability_ada(
     lhs_terms = []
     energy = []
     for rec in trace.records[: N + 1]:
-        for r in rec.inner:
-            lhs_terms.append(r.alpha**3 * r.dnorm2)
-            energy.append(r.dnorm2)
+        dnorm2 = rec.dnorm2.tolist()
+        lhs_terms.extend(a**3 * d2 for a, d2 in zip(rec.alpha.tolist(), dnorm2))
+        energy.extend(dnorm2)
     lhs = math.fsum(lhs_terms)
     total_energy = math.fsum(energy)
     problem = trace.problem
@@ -551,8 +555,7 @@ def check_adaptive_ratio_bound(trace: RunTrace, *, tol: float = INEQ_RTOL) -> di
     worst = 1.0
     v_prev = s.delta
     for rec in trace.records:
-        for r in rec.inner:
-            worst = max(worst, r.v / v_prev)
+        worst = max(worst, float(np.max(rec.v / v_prev)))
         v_prev = rec.v_end
     return {
         "max_ratio": worst,

@@ -39,7 +39,7 @@ import numpy as np
 
 from .engine import VARIANT_SECTIONS, RunConfig, variant_from_dict
 from .problems import PROBLEM_KINDS, FiniteSumProblem, make_problem
-from .schedules import counter_rng
+from .schedules import FixedPermutation, counter_rng
 
 _X0_TAG = 11
 # strategy fields that default to "auto", resolved against the problem
@@ -112,12 +112,18 @@ class ExperimentConfig:
             self.problem["p"],
             self.problem["seed"],
         )
+        variants = {
+            section: _build_variant(section, getattr(self, section), table, problem)
+            for section, table in VARIANT_SECTIONS.items()
+        }
+        perm = variants["perm_policy"]
+        if isinstance(perm, FixedPermutation) and len(perm.perm) != problem.n:
+            raise ConfigError(
+                f"'perm_policy.perm' has {len(perm.perm)} entries, the problem has n = {problem.n}"
+            )
         return RunConfig(
             problem=problem,
-            **{
-                section: _build_variant(section, getattr(self, section), table, problem)
-                for section, table in VARIANT_SECTIONS.items()
-            },
+            **variants,
             x0=build_x0(self.x0, problem),
             epochs=self.epochs,
             record_level=self.record_level,
@@ -141,7 +147,12 @@ def _build_variant(section: str, spec: dict, table: dict, problem: FiniteSumProb
                 raise ConfigError(f"'{section}.{f.name}' = auto needs a smooth problem")
         return _COERCE.get(f.type, lambda v: v)(value)
 
-    return variant_from_dict(spec, table, read)
+    try:
+        return variant_from_dict(spec, table, read)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"'{section}' ({spec['variant']}): {err}") from None
 
 
 def build_x0(spec: dict, problem: FiniteSumProblem) -> np.ndarray:

@@ -7,10 +7,14 @@ One epoch K starting from x_K performs, for i = 1..n in the permuted order,
 
 and sets x_{K+1} = z_{K,n}.  Step-size bookkeeping is positional (indexed by
 i); the permutation only selects which oracle is called.  Everything needed
-to replay or certify a run is recorded:
+to replay or certify a run is recorded, one EpochRecord per epoch:
 
-  * record_level="full": every inner step (weights, zhat, d, alpha, z, v);
-  * record_level="epoch_only": iterates and per-epoch summaries only.
+  * record_level="full": the epoch's inner steps as arrays, row i-1 for
+    step i: index, alpha, dnorm2, v of shape (n,) and zhat, d, z of shape
+    (n, p).  Hull weights are not stored: they are a pure function of
+    (policy, K, i), see ``schedules.eval_point``;
+  * record_level="epoch_only": iterates and per-epoch summaries only (the
+    inner arrays are None).
 
 Runs are deterministic functions of their configuration (all randomness is
 counter-based off explicit seeds).  A non-finite value aborts the run with
@@ -39,9 +43,17 @@ from .schedules import (
     hull_point,
     permutation,
 )
-from .steps import STRATEGIES, StepStrategy, StepState, is_adaptive, new_state, step_value
+from .steps import (
+    STRATEGIES,
+    StepState,
+    StepStrategy,
+    epoch_anchor,
+    is_adaptive,
+    new_state,
+    step_value,
+)
 
-TRACE_FORMAT = "wrdescent-trace/1"
+TRACE_FORMAT = "wrdescent-trace/2"
 
 
 class NonFiniteError(RuntimeError):
@@ -80,22 +92,9 @@ class RunConfig:
 
 
 @dataclass(slots=True)
-class InnerRecord:
-    index: int  # component queried (0-based)
-    weights: np.ndarray  # hull weights over z_{K,0..i-1}
-    zhat: np.ndarray
-    d: np.ndarray
-    dnorm2: float
-    alpha: float
-    z: np.ndarray  # z_{K,i}
-    v: float  # adaptive accumulator after the update; nan otherwise
-
-
-@dataclass(slots=True)
 class EpochRecord:
     K: int
     x_start: np.ndarray
-    inner: list  # InnerRecord list; empty at epoch_only level
     x_next: np.ndarray
     f_next: float
     grad_sq_start: float
@@ -103,6 +102,18 @@ class EpochRecord:
     alpha_last: float
     alpha_sum: float
     v_end: float
+    # inner steps, row i-1 for step i; None at epoch_only level
+    index: Optional[np.ndarray] = None  # (n,) component queried (0-based)
+    alpha: Optional[np.ndarray] = None  # (n,)
+    dnorm2: Optional[np.ndarray] = None  # (n,)
+    v: Optional[np.ndarray] = None  # (n,) adaptive accumulator after the update; nan otherwise
+    zhat: Optional[np.ndarray] = None  # (n, p)
+    d: Optional[np.ndarray] = None  # (n, p)
+    z: Optional[np.ndarray] = None  # (n, p), row i-1 is z_{K,i}
+
+
+# the per-step arrays of an EpochRecord, in replay's comparison order
+INNER_FIELDS = ("index", "zhat", "d", "dnorm2", "alpha", "z", "v")
 
 
 @dataclass
@@ -136,19 +147,7 @@ class RunTrace:
 
     def epoch_anchor(self, K: int) -> float:
         """alpha_K convention used by the per-epoch inequality checks."""
-        if K < 0 or K > self.epochs_completed:
-            raise ValueError("epoch index out of range")
-        if K == 0:
-            if is_adaptive(self.config.strategy):
-                return self.config.strategy.delta ** (-1.0 / 3.0)
-            return float(self.alpha_first[0])
-        return float(self.alpha_last[K - 1])
-
-    def alphas_of_epoch(self, K: int) -> np.ndarray:
-        rec = self.records[K]
-        if not rec.inner:
-            raise ValueError("inner records unavailable at epoch_only level")
-        return np.array([r.alpha for r in rec.inner])
+        return epoch_anchor(self.config.strategy, K, self.alpha_last)
 
     def running_min_grad_sq(self) -> np.ndarray:
         return np.minimum.accumulate(self.grad_sq)
@@ -182,18 +181,20 @@ def run_epoch(
         probe = np.array([math.sqrt(float(d @ d)) for d in (c.direction(x) for c in comps)])
     perm = permutation(perm_policy, K, n, probe=probe)
 
+    if full:
+        p = problem.p
+        index = np.empty(n, dtype=int)
+        alphas, dnorm2s, vs = np.empty(n), np.empty(n), np.empty(n)
+        zhats, ds, zrows = np.empty((n, p)), np.empty((n, p)), np.empty((n, p))
     zs = [x]
-    inner: list = []
     z = x
     alpha_first = alpha_last = math.nan
     alpha_acc = 0.0
     for i in range(1, n + 1):
         j = eval_support(eval_policy, K, i)
         if j is None:
-            w = eval_point(eval_policy, K, i)
-            zhat = hull_point(w, zs)
+            zhat = hull_point(eval_point(eval_policy, K, i), zs)
         else:
-            w = None
             zhat = zs[j]
         idx = int(perm[i - 1])
         d = comps[idx].direction(zhat)
@@ -210,21 +211,10 @@ def run_epoch(
         alpha_last = alpha
         alpha_acc += alpha
         if full:
-            if w is None:
-                w = np.zeros(i)
-                w[j] = 1.0
-            inner.append(
-                InnerRecord(
-                    index=idx,
-                    weights=w,
-                    zhat=zhat.copy(),
-                    d=d,
-                    dnorm2=dnorm2,
-                    alpha=alpha,
-                    z=z,
-                    v=state.v if adaptive else math.nan,
-                )
-            )
+            r = i - 1
+            index[r], alphas[r], dnorm2s[r] = idx, alpha, dnorm2
+            vs[r] = state.v if adaptive else math.nan
+            zhats[r], ds[r], zrows[r] = zhat, d, z
 
     if track_objective:
         f_next = problem.full_value(z)
@@ -235,10 +225,12 @@ def run_epoch(
         f_next = math.nan
         grad_sq_start = math.nan if grad_sq_start is None else grad_sq_start
 
+    inner = {}
+    if full:
+        inner = dict(index=index, alpha=alphas, dnorm2=dnorm2s, v=vs, zhat=zhats, d=ds, z=zrows)
     record = EpochRecord(
         K=K,
         x_start=x,
-        inner=inner,
         x_next=z,
         f_next=f_next,
         grad_sq_start=grad_sq_start,
@@ -246,6 +238,7 @@ def run_epoch(
         alpha_last=alpha_last,
         alpha_sum=alpha_acc,
         v_end=state.v if adaptive else math.nan,
+        **inner,
     )
     return z, record
 
@@ -337,11 +330,22 @@ def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and bool(np.all(a == b))
 
 
+def _first_bad_row(new: np.ndarray, old: np.ndarray) -> Optional[int]:
+    """First row where two arrays differ (NaN equals NaN), None if none."""
+    if new.shape != old.shape:
+        return 0
+    bad = (new != old) & ~(np.isnan(new) & np.isnan(old))
+    rows = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))
+    return int(rows[0]) if rows.size else None
+
+
 def replay(trace: RunTrace) -> ReplayReport:
     """Recompute every stored quantity from the config; bitwise comparison.
 
     Requires a full-record trace.  The first mismatching (K, i, field) is
-    reported, which localizes trace corruption.
+    reported, which localizes trace corruption: by step i, then in the
+    order of INNER_FIELDS; the epoch's x_next and summaries (alpha_first,
+    alpha_last, alpha_sum, v_end of the trace's series) report i = n.
     """
     if trace.config.record_level != "full":
         raise ValueError("replay needs a full-record trace")
@@ -364,25 +368,20 @@ def replay(trace: RunTrace) -> ReplayReport:
             grad_sq_start=stored.grad_sq_start,
             track_objective=False,
         )
-        for i, (new, old) in enumerate(zip(rec.inner, stored.inner), start=1):
-            if new.index != old.index:
-                return ReplayReport(False, (K, i, "index"))
-            if not _same_array(new.weights, old.weights):
-                return ReplayReport(False, (K, i, "weights"))
-            if not _same_array(new.zhat, old.zhat):
-                return ReplayReport(False, (K, i, "zhat"))
-            if not _same_array(new.d, old.d):
-                return ReplayReport(False, (K, i, "d"))
-            if new.dnorm2 != old.dnorm2:
-                return ReplayReport(False, (K, i, "dnorm2"))
-            if new.alpha != old.alpha:
-                return ReplayReport(False, (K, i, "alpha"))
-            if not _same_array(new.z, old.z):
-                return ReplayReport(False, (K, i, "z"))
-            if not (new.v == old.v or (math.isnan(new.v) and math.isnan(old.v))):
-                return ReplayReport(False, (K, i, "v"))
+        bad = [
+            (row, order, name)
+            for order, name in enumerate(INNER_FIELDS)
+            if (row := _first_bad_row(getattr(rec, name), getattr(stored, name))) is not None
+        ]
+        if bad:
+            row, _, name = min(bad)
+            return ReplayReport(False, (K, row + 1, name))
         if not _same_array(x, stored.x_next):
             return ReplayReport(False, (K, problem.n, "x_next"))
+        for name in ("alpha_first", "alpha_last", "alpha_sum", "v_end"):
+            new, old = getattr(rec, name), getattr(trace, name)[K]
+            if not (new == old or (math.isnan(new) and math.isnan(old))):
+                return ReplayReport(False, (K, problem.n, name))
     return ReplayReport(True)
 
 
@@ -393,16 +392,6 @@ def replay(trace: RunTrace) -> ReplayReport:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def _fmt_vec(v: np.ndarray) -> str:
-    return ";".join(repr(float(c)) for c in v)
-
-
-def _parse_vec(s: str) -> np.ndarray:
-    if s == "":
-        return np.zeros(0)
-    return np.array([float(c) for c in s.split(";")])
 
 
 # RunConfig fields stored as {"variant": VARIANT, **fields}, with their {VARIANT: class} tables
@@ -479,23 +468,40 @@ def save_trace(trace: RunTrace, path) -> None:
             f"{_fmt(trace.alpha_sum[K])},{_fmt(trace.v_end[K])}"
         )
     if trace.config.record_level == "full":
+        columns = "i,index,alpha,dnorm2,v," + ",".join(
+            f"{name}{k}" for name in ("zhat", "d", "z") for k in range(p)
+        )
         for rec in trace.records:
             lines.append(f"#INNER {rec.K}")
-            lines.append("i,index,alpha,dnorm2,v,weights,zhat,d,z")
-            for i, r in enumerate(rec.inner, start=1):
-                lines.append(
-                    f"{i},{r.index},{_fmt(r.alpha)},{_fmt(r.dnorm2)},{_fmt(r.v)},"
-                    f"{_fmt_vec(r.weights)},{_fmt_vec(r.zhat)},{_fmt_vec(r.d)},{_fmt_vec(r.z)}"
-                )
+            lines.append(columns)
+            rows = zip(
+                rec.index.tolist(),
+                rec.alpha.tolist(),
+                rec.dnorm2.tolist(),
+                rec.v.tolist(),
+                np.hstack([rec.zhat, rec.d, rec.z]).tolist(),
+            )
+            for i, (index, alpha, dnorm2, v, vectors) in enumerate(rows, start=1):
+                lines.append(f"{i},{index},{alpha!r},{dnorm2!r},{v!r}," + ",".join(map(repr, vectors)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _section_rows(sections: dict, name: str, count: int) -> list:
-    """The data rows of a trace section, which must hold ``count`` of them."""
+def _section_rows(sections: dict, name: str, count: int, first: int) -> list:
+    """The data rows of a trace section, which must hold ``count`` of them.
+
+    Row r (from 1) must carry the label first + r - 1 in its first column,
+    so a dropped or inserted row is reported where it happened.
+    """
     if name not in sections:
         raise ValueError(f"{name}: section missing")
     rows = sections[name][1:]
+    for r, row in enumerate(rows, start=1):
+        label = row.partition(",")[0]
+        if label != str(first + r - 1):
+            raise ValueError(
+                f"{name} row {r}: label {label!r}, expected {first + r - 1} (row missing or out of order)"
+            )
     if len(rows) != count:
         what = "missing" if len(rows) < count else "unexpected"
         raise ValueError(
@@ -508,20 +514,25 @@ def load_trace(path) -> RunTrace:
     """Read a trace file; a truncated or malformed one raises ValueError.
 
     Row counts follow from the header: epochs + 1 #NODES rows, one #EPOCHS
-    row per completed epoch and, at full level, n rows per #INNER block.
-    Errors name the section and the row, counted from 1 after the column
-    header.
+    row per completed epoch and, at full level, n rows per #INNER block,
+    labelled K = 0, 1, ... (#NODES, #EPOCHS) or i = 1..n (#INNER).  Errors
+    name the section and the row, counted from 1 after the column header.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError("empty trace file")
-    header = json.loads(lines[0])
-    if header.get("format") != TRACE_FORMAT:
-        raise ValueError(f"not a {TRACE_FORMAT} file")
-    config = config_from_dict(header["config"])
-    aborted = tuple(header["aborted_at"]) if header["aborted_at"] else None
-    epochs = aborted[0] if aborted else config.epochs
+    try:
+        header = json.loads(lines[0])
+        if header.get("format") != TRACE_FORMAT:
+            raise ValueError(f"not a {TRACE_FORMAT} file")
+        config = config_from_dict(header["config"])
+        aborted = tuple(header["aborted_at"]) if header["aborted_at"] else None
+        bound_exceeded_at = header["bound_exceeded_at"]
+        epochs = int(aborted[0]) if aborted else config.epochs
+    except (KeyError, TypeError, AttributeError, ValueError) as err:
+        detail = f"missing key {err}" if isinstance(err, KeyError) else err
+        raise ValueError(f"header: {detail}") from None
     n, p = config.problem.n, config.problem.p
 
     sections: dict = {}
@@ -534,9 +545,9 @@ def load_trace(path) -> RunTrace:
             sections[current].append(line)
 
     full = config.record_level == "full"
-    nodes = _section_rows(sections, "#NODES", epochs + 1)
-    epoch_rows = _section_rows(sections, "#EPOCHS", epochs)
-    blocks = [_section_rows(sections, f"#INNER {K}", n) if full else [] for K in range(epochs)]
+    nodes = _section_rows(sections, "#NODES", epochs + 1, 0)
+    epoch_rows = _section_rows(sections, "#EPOCHS", epochs, 0)
+    blocks = [_section_rows(sections, f"#INNER {K}", n, 1) if full else [] for K in range(epochs)]
 
     section, r = "#NODES", 0
     try:
@@ -561,33 +572,32 @@ def load_trace(path) -> RunTrace:
             vend.append(float(parts[4]))
 
         records = []
-        for K, block in enumerate(blocks):
-            section = f"#INNER {K}"
-            inner = []
-            for r, row in enumerate(block, start=1):
-                parts = row.split(",")
-                if len(parts) != 9:
-                    raise ValueError(f"{len(parts)} columns, expected 9")
-                rec = InnerRecord(
-                    index=int(parts[1]),
-                    weights=_parse_vec(parts[5]),
-                    zhat=_parse_vec(parts[6]),
-                    d=_parse_vec(parts[7]),
-                    dnorm2=float(parts[3]),
-                    alpha=float(parts[2]),
-                    z=_parse_vec(parts[8]),
-                    v=float(parts[4]),
+        width = 5 + 3 * p
+        for K in range(epochs):
+            inner = {}
+            if full:
+                section = f"#INNER {K}"
+                index, values = [], []
+                for r, row in enumerate(blocks[K], start=1):
+                    parts = row.split(",")
+                    if len(parts) != width:
+                        raise ValueError(f"{len(parts)} columns, expected {width}")
+                    index.append(int(parts[1]))
+                    values.append([float(c) for c in parts[2:]])
+                cols = np.array(values)
+                inner = dict(
+                    index=np.array(index, dtype=int),
+                    alpha=cols[:, 0].copy(),
+                    dnorm2=cols[:, 1].copy(),
+                    v=cols[:, 2].copy(),
+                    zhat=cols[:, 3 : 3 + p].copy(),
+                    d=cols[:, 3 + p : 3 + 2 * p].copy(),
+                    z=cols[:, 3 + 2 * p :].copy(),
                 )
-                if rec.weights.size != r:
-                    raise ValueError(f"{rec.weights.size} hull weights, expected {r}")
-                if not rec.zhat.size == rec.d.size == rec.z.size == p:
-                    raise ValueError(f"zhat, d and z need {p} entries each")
-                inner.append(rec)
             records.append(
                 EpochRecord(
                     K=K,
                     x_start=xs[K],
-                    inner=inner,
                     x_next=xs[K + 1],
                     f_next=f_list[K + 1],
                     grad_sq_start=g_list[K],
@@ -595,6 +605,7 @@ def load_trace(path) -> RunTrace:
                     alpha_last=al[K],
                     alpha_sum=asum[K],
                     v_end=vend[K],
+                    **inner,
                 )
             )
     except ValueError as err:
@@ -611,7 +622,7 @@ def load_trace(path) -> RunTrace:
         alpha_sum=np.array(asum),
         v_end=np.array(vend),
         aborted_at=aborted,
-        bound_exceeded_at=header["bound_exceeded_at"],
+        bound_exceeded_at=bound_exceeded_at,
     )
 
 

@@ -104,11 +104,9 @@ def gamma_trace(trace: RunTrace, M: Optional[float] = None) -> GammaTrace:
     lambda_ok = None
     excess = None
     if trace.config.record_level == "full" and trace.records:
-        excess = -math.inf
-        for K, rec in enumerate(trace.records):
-            alphas = np.array([r.alpha for r in rec.inner])
-            lam = n * alphas / trace.alpha_sum[K]
-            excess = max(excess, float(np.max(lam - ratios[K])))
+        alphas = np.stack([rec.alpha for rec in trace.records])
+        lam = n * alphas / trace.alpha_sum[:, None]
+        excess = float(np.max(lam - ratios[:, None]))
         lambda_ok = excess <= 1e-12
     return GammaTrace(
         taus=taus,

@@ -124,8 +124,9 @@ def eval_point(policy: EvalPointPolicy, K: int, i: int) -> np.ndarray:
 def hull_point(weights: np.ndarray, points) -> np.ndarray:
     """Combination sum_j weights[j] * points[j], in increasing index order.
 
-    Both the engine and the replay checker call this, so recomputing a
-    stored zhat from its stored weights reproduces it bitwise.
+    The engine calls this for policies without a single support point, so
+    a recorded zhat is reproduced bitwise from eval_point(policy, K, i) and
+    the recorded z_{K,0..i-1}; traces do not store the weights.
     """
     nz = np.flatnonzero(weights)
     if nz.size == 0:

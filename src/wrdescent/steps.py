@@ -25,7 +25,7 @@ with equality).  Each strategy class names its serialized form in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union, get_args
 
 import numpy as np
@@ -109,30 +109,16 @@ def is_adaptive(strategy: StepStrategy) -> bool:
 class StepState:
     """Mutable per-run bookkeeping owned by a single run.
 
-    ``v`` is the adaptive accumulator (None for prescribed strategies),
-    ``history`` the per-epoch lists of recorded alpha values and ``current``
-    the in-progress epoch.
+    ``v`` is the adaptive accumulator (None for prescribed strategies);
+    ``K`` and ``i`` place the state after inner step i of epoch K (i = 0:
+    epoch K not started).  The alpha values themselves live in the run's
+    record.
     """
 
     n: int
     v: Optional[float] = None
-    history: list = field(default_factory=list)
-    current: list = field(default_factory=list)
-
-    @property
-    def completed_epochs(self) -> int:
-        return len(self.history)
-
-    @property
-    def last_alpha_of_prev_epoch(self) -> Optional[float]:
-        if not self.history:
-            return None
-        return self.history[-1][-1]
-
-    def flat_history(self) -> np.ndarray:
-        out = [a for epoch in self.history for a in epoch]
-        out.extend(self.current)
-        return np.asarray(out)
+    K: int = 0
+    i: int = 0
 
 
 def new_state(strategy: StepStrategy) -> StepState:
@@ -147,18 +133,16 @@ def step_value(
     i: int,
     dnorm2: float = 0.0,
 ) -> float:
-    """alpha_{K,i}, recording it in ``state`` (mutated in place).
+    """alpha_{K,i}, advancing ``state`` (mutated in place).
 
     For the adaptive rule the accumulator update v += beta * dnorm2 happens
     before the returned v^(-1/3); prescribed rules ignore ``dnorm2``.
-    Calls must follow the run order: (K, i) = (#complete epochs, #steps+1).
+    Calls must follow the run order: (K, i) = (state.K, state.i + 1).
     """
-    if K != state.completed_epochs:
-        raise ValueError(
-            f"step_value called at epoch {K}, state is at epoch {state.completed_epochs}"
-        )
-    if i != len(state.current) + 1 or not (1 <= i <= state.n):
-        raise ValueError(f"step_value called at inner index {i}, expected {len(state.current) + 1}")
+    if K != state.K:
+        raise ValueError(f"step_value called at epoch {K}, state is at epoch {state.K}")
+    if i != state.i + 1 or not (1 <= i <= state.n):
+        raise ValueError(f"step_value called at inner index {i}, expected {state.i + 1}")
     if dnorm2 < 0:
         raise ValueError("dnorm2 must be nonnegative")
     if is_adaptive(strategy):
@@ -166,37 +150,31 @@ def step_value(
         alpha = state.v ** (-1.0 / 3.0)
     else:
         alpha = strategy.prescribed_value(K)
-    state.current.append(alpha)
-    if len(state.current) == state.n:
-        state.history.append(state.current)
-        state.current = []
+    if i == state.n:
+        state.K, state.i = K + 1, 0
+    else:
+        state.i = i
     return alpha
 
 
-def epoch_anchor(
-    strategy: StepStrategy, state: Optional[StepState], K: int
-) -> float:
+def epoch_anchor(strategy: StepStrategy, K: int, alpha_last=None) -> float:
     """Anchor alpha_K = alpha_{K-1,n} (K >= 1); see module docstring for K = 0.
 
-    Requires epoch K-1 to be complete; prescribed strategies may pass
-    ``state=None`` and use the closed form.
+    ``alpha_last`` holds the last step size of each completed epoch and must
+    cover epoch K-1; without it prescribed strategies use the closed form.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
-    if state is not None and state.completed_epochs < K:
-        raise ValueError(
-            f"epoch_anchor({K}) called with only {state.completed_epochs} complete epochs"
-        )
-    if is_adaptive(strategy):
-        if K == 0:
-            return strategy.delta ** (-1.0 / 3.0)
-        if state is None:
-            raise ValueError("adaptive anchor needs the run state")
-        return state.history[K - 1][-1]
+    if alpha_last is not None and len(alpha_last) < K:
+        raise ValueError(f"epoch_anchor({K}) called with only {len(alpha_last)} complete epochs")
     if K == 0:
+        if is_adaptive(strategy):
+            return strategy.delta ** (-1.0 / 3.0)
         return strategy.prescribed_value(0)
-    if state is not None:
-        return state.history[K - 1][-1]
+    if alpha_last is not None:
+        return float(alpha_last[K - 1])
+    if is_adaptive(strategy):
+        raise ValueError("adaptive anchor needs the recorded alpha_last")
     return strategy.prescribed_value(K - 1)
 
 
@@ -214,21 +192,19 @@ def check_lex_monotone(history) -> LexReport:
 
     ``history`` is a sequence of per-epoch alpha sequences (the last epoch
     may be partial).  Equivalent to the flattened sequence being
-    nonincreasing.
+    nonincreasing, which is scanned once.
     """
-    epochs = [list(e) for e in history]
-    if not any(epochs):
+    epochs = [np.asarray(e, dtype=float) for e in history]
+    flat = np.concatenate(epochs) if epochs else np.zeros(0)
+    if flat.size == 0:
         raise ValueError("history must contain at least one recorded step")
-    flat = []
-    pos = []
-    for K, epoch in enumerate(epochs):
-        for idx, a in enumerate(epoch):
-            flat.append(a)
-            pos.append((K, idx + 1))
-    for k in range(1, len(flat)):
-        if flat[k] > flat[k - 1]:
-            return LexReport(ok=False, violation=pos[k])
-    return LexReport(ok=True)
+    rises = np.flatnonzero(flat[1:] > flat[:-1])
+    if rises.size == 0:
+        return LexReport(ok=True)
+    k = int(rises[0]) + 1
+    ends = np.cumsum([e.size for e in epochs])
+    K = int(np.searchsorted(ends, k, side="right"))
+    return LexReport(ok=False, violation=(K, k - int(ends[K]) + epochs[K].size + 1))
 
 
 @dataclass(frozen=True)

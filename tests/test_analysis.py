@@ -114,7 +114,7 @@ class TestEpochDescent:
         trace = make_run(prob, s, epochs=5)
         assert trace.epoch_anchor(0) == approx(0.5)  # delta^(-1/3)
         for K in range(1, 5):
-            assert trace.epoch_anchor(K) == trace.records[K - 1].inner[-1].alpha
+            assert trace.epoch_anchor(K) == trace.records[K - 1].alpha[-1]
 
 
 class TestDescentDecomposition:

@@ -128,6 +128,20 @@ class TestCmdRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "epochs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, section",
+        [
+            ({"eval_policy": {"variant": "mini_batch", "b": 0}}, "'eval_policy'"),
+            ({"perm_policy": {"variant": "fixed", "perm": [2, 0, 1]}}, "'perm_policy.perm'"),
+        ],
+        ids=["rejected_value", "fixed_perm_length"],
+    )
+    def test_invalid_variant_exits_2_naming_the_section(self, tmp_path, capsys, overrides, section):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and section in err
+
     def test_set_overrides_file_keys(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -207,7 +221,7 @@ class TestTraceErrors:
         "damage, where",
         [
             (lambda text: text[: 2 * len(text) // 3], "#"),
-            (_drop_node_row, "#NODES"),
+            (_drop_node_row, "#NODES row 3"),
             (lambda text: "".join(text.splitlines(keepends=True)[:-3]), "#INNER 5 row 2"),
         ],
         ids=["cut_at_two_thirds", "dropped_node_row", "last_three_inner_rows_missing"],
@@ -225,6 +239,26 @@ class TestTraceErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2
         assert all(line.startswith(f"trace error: {where}") for line in err)
+
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            (None, "trace error: "),
+            ('{"format": "wrdescent-trace/2"}\n', "trace error: header: missing key 'config'"),
+            ('{"format": "wrdescent-trace/1"}\n', "trace error: header: not a wrdescent-trace/2 file"),
+        ],
+        ids=["missing_file", "header_without_config", "format_v1"],
+    )
+    def test_unreadable_trace_exits_2(self, tmp_path, capsys, text, where):
+        path = tmp_path / "trace.txt"
+        if text is not None:
+            path.write_text(text)
+        assert main(["verify", "--trace", str(path)]) == 2
+        assert main(["report", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith(where) for line in err)
 
 
 class TestCmdSweep:

@@ -1,17 +1,20 @@
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
 import wrdescent as wd
 from conftest import make_run
 from wrdescent.engine import (
+    INNER_FIELDS,
     VARIANT_SECTIONS,
     config_from_dict,
     config_to_dict,
@@ -46,8 +49,8 @@ class TestRunEpoch:
         trace = make_run(prob, wd.Constant(0.5, 2), epochs=3, x0=x0)
         for rec in trace.records:
             assert np.array_equal(rec.x_next, x0)
-            for r in rec.inner:
-                assert np.array_equal(r.z, x0)
+            for z in rec.z:
+                assert np.array_equal(z, x0)
 
     def test_n1_epoch_is_one_gradient_step(self):
         prob = wd.make_problem("logistic", 1, 2, 3)
@@ -72,7 +75,7 @@ class TestRunEpoch:
         z1 = z0 - mpmath.mpf("0.25") * d1
         d2 = sig(z1)  # b=1, a=-1
         z2 = z1 - mpmath.mpf("0.25") * d2
-        assert trace.records[0].inner[0].z[0] == approx(float(z1), rel=1e-15)
+        assert trace.records[0].z[0, 0] == approx(float(z1), rel=1e-15)
         assert trace.xs[1][0] == approx(float(z2), rel=1e-15)
 
     def test_each_component_queried_once_per_epoch(self):
@@ -81,7 +84,7 @@ class TestRunEpoch:
             prob, wd.DecreasingSqrt(7), perm_policy=wd.ShuffledPerEpoch(3), epochs=5
         )
         for rec in trace.records:
-            assert sorted(r.index for r in rec.inner) == list(range(7))
+            assert sorted(rec.index.tolist()) == list(range(7))
 
     def test_adversarial_order_follows_probe(self):
         prob = wd.make_problem("logistic", 5, 2, 11)
@@ -93,7 +96,7 @@ class TestRunEpoch:
                 np.linalg.norm(c.direction(rec.x_start)) for c in prob.components
             ]
             expected = np.argsort(-np.asarray(norms), kind="stable")
-            assert [r.index for r in rec.inner] == expected.tolist()
+            assert rec.index.tolist() == expected.tolist()
 
 
 class TestRun:
@@ -179,15 +182,15 @@ class TestRun:
         trace = make_run(prob, s, epochs=15)
         v = s.delta
         for rec in trace.records:
-            for r in rec.inner:
-                v = v + s.beta * r.dnorm2
-                assert r.v == v
-                assert r.alpha == v ** (-1.0 / 3.0)
+            for v_rec, alpha, dnorm2 in zip(rec.v.tolist(), rec.alpha.tolist(), rec.dnorm2.tolist()):
+                v = v + s.beta * dnorm2
+                assert v_rec == v
+                assert alpha == v ** (-1.0 / 3.0)
 
     def test_epoch_only_skips_inner_records(self):
         prob = wd.make_problem("logistic", 4, 2, 7)
         trace = make_run(prob, wd.DecreasingSqrt(4), epochs=6, record_level="epoch_only")
-        assert all(rec.inner == [] for rec in trace.records)
+        assert all(getattr(rec, f) is None for rec in trace.records for f in INNER_FIELDS)
         assert len(trace.xs) == 7
         assert len(trace.alpha_sum) == 6
 
@@ -207,10 +210,19 @@ class TestReplay:
     def test_perturbed_alpha_detected_at_position(self):
         prob = wd.make_problem("logistic", 4, 2, 8)
         trace = make_run(prob, wd.DecreasingSqrt(4), epochs=6)
-        trace.records[3].inner[1].alpha *= 1.0 + 1e-12
+        trace.records[3].alpha[1] *= 1.0 + 1e-12
         rep = wd.replay(trace)
         assert not rep.ok
         assert rep.first_mismatch == (3, 2, "alpha")
+
+    @pytest.mark.parametrize("field", ["alpha_first", "alpha_last", "alpha_sum", "v_end"])
+    def test_corrupted_epoch_summary_detected(self, field):
+        prob = wd.make_problem("logistic", 4, 2, 8)
+        trace = make_run(prob, wd.Adaptive.recommended(4), epochs=6)
+        getattr(trace, field)[2] *= 1.0 + 1e-12
+        rep = wd.replay(trace)
+        assert not rep.ok
+        assert rep.first_mismatch == (2, 4, field)
 
     def test_round_trip_through_file(self, tmp_path):
         prob = wd.make_problem("logistic", 5, 2, 31)
@@ -230,17 +242,83 @@ class TestReplay:
 
     def test_zhat_reconstructs_bitwise_from_weights(self):
         prob = wd.make_problem("logistic", 6, 3, 12)
-        trace = make_run(prob, wd.Constant(0.4, 6), eval_policy=wd.ConvexMix(7), epochs=5)
+        policy = wd.ConvexMix(7)
+        trace = make_run(prob, wd.Constant(0.4, 6), eval_policy=policy, epochs=5)
         for rec in trace.records:
-            zs = [rec.x_start] + [r.z for r in rec.inner]
-            for i, r in enumerate(rec.inner, start=1):
-                assert np.array_equal(wd.hull_point(r.weights, zs[:i]), r.zhat)
+            zs = [rec.x_start] + list(rec.z)
+            for i, zhat in enumerate(rec.zhat, start=1):
+                weights = wd.eval_point(policy, rec.K, i)
+                assert np.array_equal(wd.hull_point(weights, zs[:i]), zhat)
 
     def test_epoch_only_replay_rejected(self):
         prob = wd.make_problem("logistic", 4, 2, 3)
         trace = make_run(prob, wd.Constant(0.2, 4), epochs=3, record_level="epoch_only")
         with pytest.raises(ValueError):
             wd.replay(trace)
+
+
+EVAL_CASES = [
+    wd.FullGradient(),
+    wd.Incremental(),
+    wd.MiniBatch(2),
+    wd.DelayedAsync(2, 3),
+    wd.ConvexMix(5),
+]
+PERM_CASES = [
+    wd.Identity(),
+    wd.FixedPermutation([2, 0, 3, 1]),
+    wd.ShuffledPerEpoch(4),
+    wd.AdversarialMaxNorm(),
+]
+# column of an #INNER row -> field of the record: i,index,alpha,dnorm2,v,zhat0..,d0..,z0..
+INNER_COLUMNS = ["i", "index", "alpha", "dnorm2", "v"] + [f for f in ("zhat", "d", "z") for _ in range(2)]
+
+
+class TestTraceFileProperty:
+    def test_cases_cover_every_policy(self):
+        assert {type(c) for c in EVAL_CASES} == set(VARIANT_SECTIONS["eval_policy"].values())
+        assert {type(c) for c in PERM_CASES} == set(VARIANT_SECTIONS["perm_policy"].values())
+
+    @pytest.mark.parametrize("eval_policy", EVAL_CASES, ids=lambda c: c.VARIANT)
+    @pytest.mark.parametrize("perm_policy", PERM_CASES, ids=lambda c: c.VARIANT)
+    @given(
+        level=st.sampled_from(["full", "epoch_only"]),
+        adaptive=st.booleans(),
+        K=st.integers(0, 2),
+        i=st.integers(1, 4),
+        column=st.integers(1, len(INNER_COLUMNS) - 1),
+    )
+    @settings(max_examples=8)
+    def test_round_trip_replay_and_located_perturbation(
+        self, eval_policy, perm_policy, level, adaptive, K, i, column
+    ):
+        prob = wd.make_problem("logistic", 4, 2, 6)
+        strategy = wd.Adaptive.recommended(4) if adaptive else wd.DecreasingSqrt(4)
+        trace = make_run(prob, strategy, eval_policy, perm_policy, epochs=3, record_level=level)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.txt"
+            wd.save_trace(trace, path)
+            text = path.read_text()
+            loaded = wd.load_trace(path)
+            wd.save_trace(loaded, path)
+            assert path.read_text() == text
+            if level != "full":
+                return
+            assert wd.replay(loaded).ok
+
+            lines = text.splitlines(keepends=True)
+            row = lines.index(f"#INNER {K}\n") + 1 + i
+            parts = lines[row].rstrip("\n").split(",")
+            if column == 1:
+                parts[1] = str((int(parts[1]) + 1) % prob.n)
+            else:
+                value = float(parts[column])
+                parts[column] = repr(1.0 if math.isnan(value) else float(np.nextafter(value, np.inf)))
+            lines[row] = ",".join(parts) + "\n"
+            path.write_text("".join(lines))
+            rep = wd.replay(wd.load_trace(path))
+        assert not rep.ok
+        assert rep.first_mismatch == (K, i, INNER_COLUMNS[column])
 
 
 class TestSummaryCsv:
