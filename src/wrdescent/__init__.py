@@ -39,7 +39,6 @@ from .analysis import (
 )
 from .config import ConfigError, ExperimentConfig, load_config, save_config
 from .engine import (
-    EpochRecord,
     NonFiniteError,
     ReplayReport,
     RunConfig,

@@ -109,25 +109,24 @@ def _require_smooth(problem: FiniteSumProblem):
 # ---------------------------------------------------------------------------
 
 
-def check_step_length_bound(record, *, tol: float = EXACT_RTOL) -> MarginReport:
-    """Step-length bound at every inner step of one epoch.
+def check_step_length_bound(trace: RunTrace, K: int, *, tol: float = EXACT_RTOL) -> MarginReport:
+    """Step-length bound at every inner step of epoch K.
 
     max{||z_{K,i}-x_K||^2, ||x_{K+1}-x_K||^2, ||zhat_{K,i-1}-x_K||^2}
     <= n * sum_j alpha_{K,j}^2 ||d_j||^2, reported as the minimum slack
     over i.  Relative to the (nonnegative) right-hand side.
     """
-    if record.alpha is None:
-        raise ValueError("the step-length check needs inner records")
-    n = len(record.alpha)
-    x = record.x_start
-    rhs = n * _s2(record)
+    _require_full(trace)
+    n = trace.problem.n
+    x = trace.xs[K]
+    rhs = n * _s2(trace, K)
     worst = -math.inf
     arg = None
-    xdiff = record.x_next - x
+    xdiff = trace.xs[K + 1] - x
     cand = float(xdiff @ xdiff)
     if cand > worst:
         worst, arg = cand, ("x_next", n)
-    for i, (z, zhat) in enumerate(zip(record.z, record.zhat), start=1):
+    for i, (z, zhat) in enumerate(zip(trace.z[K], trace.zhat[K]), start=1):
         zdiff = z - x
         cand = float(zdiff @ zdiff)
         if cand > worst:
@@ -140,22 +139,13 @@ def check_step_length_bound(record, *, tol: float = EXACT_RTOL) -> MarginReport:
         denom = 1.0
     else:
         denom = max(rhs, 1e-300)
-    return _report(
-        f"step_length[K={record.K}]", worst, rhs, tol, denom, {"argmax": arg}
-    )
+    return _report(f"step_length[K={K}]", worst, rhs, tol, denom, {"argmax": arg})
 
 
 def check_step_length_bound_trace(trace: RunTrace, *, tol: float = EXACT_RTOL) -> MarginReport:
     """Minimum step-length-bound slack over all epochs of a full trace."""
     _require_full(trace)
-    worst = None
-    for rec in trace.records:
-        rep = check_step_length_bound(rec, tol=tol)
-        if worst is None or rep.rel_slack < worst.rel_slack:
-            worst = rep
-    if worst is None:
-        raise ValueError("trace has no completed epochs")
-    return worst
+    return _worst_over_epochs(trace, check_step_length_bound, 0, None, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +153,14 @@ def check_step_length_bound_trace(trace: RunTrace, *, tol: float = EXACT_RTOL) -
 # ---------------------------------------------------------------------------
 
 
-def _s2(record) -> float:
-    """S2 = sum_j alpha_{K,j}^2 ||d_j||^2, term by term in Python floats."""
-    return math.fsum(a**2 * d2 for a, d2 in zip(record.alpha.tolist(), record.dnorm2.tolist()))
+def _s2(trace: RunTrace, K: int) -> float:
+    """S2 = sum_j alpha_{K,j}^2 ||d_j||^2 of epoch K, term by term in Python floats."""
+    return math.fsum(a**2 * d2 for a, d2 in zip(trace.alpha[K].tolist(), trace.dnorm2[K].tolist()))
 
 
 def _epoch_sums(trace: RunTrace, K: int, alpha_k: float):
-    rec = trace.records[K]
-    ratio_cube = math.fsum(1.0 - (a / alpha_k) ** 3 for a in rec.alpha.tolist())
-    return rec, _s2(rec), ratio_cube
+    ratio_cube = math.fsum(1.0 - (a / alpha_k) ** 3 for a in trace.alpha[K].tolist())
+    return _s2(trace, K), ratio_cube
 
 
 def check_epoch_descent(trace: RunTrace, K: int, *, tol: float = INEQ_RTOL) -> MarginReport:
@@ -179,12 +168,12 @@ def check_epoch_descent(trace: RunTrace, K: int, *, tol: float = INEQ_RTOL) -> M
     _require_full(trace)
     problem = trace.problem
     _require_smooth(problem)
-    lex = check_lex_monotone([rec.alpha for rec in trace.records])
+    lex = check_lex_monotone(trace.alpha)
     if not lex.ok:
         raise ValueError(f"step sizes violate lexicographic monotonicity at {lex.violation}")
     n = problem.n
     alpha_k = trace.epoch_anchor(K)
-    rec, s2, ratio_cube = _epoch_sums(trace, K, alpha_k)
+    s2, ratio_cube = _epoch_sums(trace, K, alpha_k)
     lhs = (
         trace.f_vals[K + 1]
         - trace.f_vals[K]
@@ -213,7 +202,7 @@ def check_epoch_descent_tight(
     _require_smooth(problem)
     n = problem.n
     alpha_k = trace.epoch_anchor(K)
-    rec, s2, ratio_cube = _epoch_sums(trace, K, alpha_k)
+    s2, ratio_cube = _epoch_sums(trace, K, alpha_k)
     diff = trace.xs[K + 1] - trace.xs[K]
     d2 = float(diff @ diff)
     lhs = (
@@ -268,9 +257,8 @@ def check_descent_decomposition(
     _require_smooth(problem)
     n = problem.n
     alpha_k = trace.epoch_anchor(K)
-    rec = trace.records[K]
-    s2 = _s2(rec)
-    ratio_sq = math.fsum((a / alpha_k - 1.0) ** 2 for a in rec.alpha.tolist())
+    s2 = _s2(trace, K)
+    ratio_sq = math.fsum((a / alpha_k - 1.0) ** 2 for a in trace.alpha[K].tolist())
     g = problem.full_direction(trace.xs[K])
     diff = trace.xs[K + 1] - trace.xs[K]
     lhs = float(g @ diff) + float(diff @ diff) / (2.0 * n * alpha_k)
@@ -522,14 +510,9 @@ def check_summability_ada(
         N = trace.epochs_completed - 1
     if N < 0 or N >= trace.epochs_completed:
         raise ValueError("N out of range")
-    lhs_terms = []
-    energy = []
-    for rec in trace.records[: N + 1]:
-        dnorm2 = rec.dnorm2.tolist()
-        lhs_terms.extend(a**3 * d2 for a, d2 in zip(rec.alpha.tolist(), dnorm2))
-        energy.extend(dnorm2)
-    lhs = math.fsum(lhs_terms)
-    total_energy = math.fsum(energy)
+    dnorm2 = trace.dnorm2[: N + 1].ravel().tolist()
+    lhs = math.fsum(a**3 * d2 for a, d2 in zip(trace.alpha[: N + 1].ravel().tolist(), dnorm2))
+    total_energy = math.fsum(dnorm2)
     problem = trace.problem
     rhs = math.log1p(s.beta * problem.n * problem.M**2 * (N + 1) / s.delta) / s.beta
     data_rhs = math.log1p(s.beta * total_energy / s.delta) / s.beta
@@ -552,11 +535,9 @@ def check_adaptive_ratio_bound(trace: RunTrace, *, tol: float = INEQ_RTOL) -> di
     problem = trace.problem
     bound_m2 = 1.0 + s.beta * problem.n * problem.M**2 / s.delta
     bound_m1 = 1.0 + s.beta * problem.n * problem.M / s.delta
-    worst = 1.0
-    v_prev = s.delta
-    for rec in trace.records:
-        worst = max(worst, float(np.max(rec.v / v_prev)))
-        v_prev = rec.v_end
+    # v_K, the accumulator at the start of epoch K
+    v_start = np.concatenate([[s.delta], trace.v_end[:-1]])
+    worst = float(np.max(trace.v / v_start[:, None], initial=1.0))
     return {
         "max_ratio": worst,
         "bound_with_M_squared": bound_m2,

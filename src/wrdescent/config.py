@@ -39,7 +39,7 @@ import numpy as np
 
 from .engine import VARIANT_SECTIONS, RunConfig, variant_from_dict
 from .problems import PROBLEM_KINDS, FiniteSumProblem, make_problem
-from .schedules import FixedPermutation, counter_rng
+from .schedules import counter_rng
 
 _X0_TAG = 11
 # strategy fields that default to "auto", resolved against the problem
@@ -116,18 +116,17 @@ class ExperimentConfig:
             section: _build_variant(section, getattr(self, section), table, problem)
             for section, table in VARIANT_SECTIONS.items()
         }
-        perm = variants["perm_policy"]
-        if isinstance(perm, FixedPermutation) and len(perm.perm) != problem.n:
-            raise ConfigError(
-                f"'perm_policy.perm' has {len(perm.perm)} entries, the problem has n = {problem.n}"
+        x0 = build_x0(self.x0, problem)
+        try:
+            return RunConfig(
+                problem=problem,
+                **variants,
+                x0=x0,
+                epochs=self.epochs,
+                record_level=self.record_level,
             )
-        return RunConfig(
-            problem=problem,
-            **variants,
-            x0=build_x0(self.x0, problem),
-            epochs=self.epochs,
-            record_level=self.record_level,
-        )
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
 
 def _build_variant(section: str, spec: dict, table: dict, problem: FiniteSumProblem):

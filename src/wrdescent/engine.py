@@ -6,16 +6,19 @@ One epoch K starting from x_K performs, for i = 1..n in the permuted order,
     z_{K,i}      = z_{K,i-1} - alpha_{K,i} * d_{pi_K(i)}(zhat_{K,i-1})
 
 and sets x_{K+1} = z_{K,n}.  Step-size bookkeeping is positional (indexed by
-i); the permutation only selects which oracle is called.  Everything needed
-to replay or certify a run is recorded, one EpochRecord per epoch:
+i); the permutation only selects which oracle is called.  A run's record is
+one RunTrace of arrays indexed by epoch K:
 
-  * record_level="full": the epoch's inner steps as arrays, row i-1 for
-    step i: index, alpha, dnorm2, v of shape (n,) and zhat, d, z of shape
-    (n, p).  Hull weights are not stored: they are a pure function of
-    (policy, K, i), see ``schedules.eval_point``;
-  * record_level="epoch_only": iterates and per-epoch summaries only (the
-    inner arrays are None).
+  * node series, one row per iterate x_0..x_N: xs (N+1, p), f_vals and
+    grad_sq (N+1,);
+  * epoch series: alpha_first, alpha_last, alpha_sum, v_end (N,);
+  * record_level="full" only, the inner steps, [K, i-1] for step i:
+    index, alpha, dnorm2, v of shape (N, n) and zhat, d, z of shape
+    (N, n, p).  Hull weights are not stored: they are a pure function of
+    (policy, K, i), see ``schedules.eval_point``.  At record_level
+    "epoch_only" these arrays are None.
 
+Replay re-runs the configuration and compares the arrays one by one.
 Runs are deterministic functions of their configuration (all randomness is
 counter-based off explicit seeds).  A non-finite value aborts the run with
 the offending (K, i); completed epochs are retained.  The engine also
@@ -37,6 +40,7 @@ from .schedules import (
     EVAL_POLICIES,
     PERM_POLICIES,
     EvalPointPolicy,
+    FixedPermutation,
     PermutationPolicy,
     eval_point,
     eval_support,
@@ -87,59 +91,54 @@ class RunConfig:
             raise ValueError("record_level must be 'full' or 'epoch_only'")
         if self.strategy.n != self.problem.n:
             raise ValueError("strategy n does not match the problem")
+        perm = self.perm_policy
+        if isinstance(perm, FixedPermutation) and len(perm.perm) != self.problem.n:
+            raise ValueError(
+                f"'perm_policy.perm' has {len(perm.perm)} entries, the problem has n = {self.problem.n}"
+            )
         if self.monitor_radius is None and self.problem.box_radius is not None:
             self.monitor_radius = self.problem.box_radius
 
 
-@dataclass(slots=True)
-class EpochRecord:
-    K: int
-    x_start: np.ndarray
-    x_next: np.ndarray
-    f_next: float
-    grad_sq_start: float
-    alpha_first: float
-    alpha_last: float
-    alpha_sum: float
-    v_end: float
-    # inner steps, row i-1 for step i; None at epoch_only level
-    index: Optional[np.ndarray] = None  # (n,) component queried (0-based)
-    alpha: Optional[np.ndarray] = None  # (n,)
-    dnorm2: Optional[np.ndarray] = None  # (n,)
-    v: Optional[np.ndarray] = None  # (n,) adaptive accumulator after the update; nan otherwise
-    zhat: Optional[np.ndarray] = None  # (n, p)
-    d: Optional[np.ndarray] = None  # (n, p)
-    z: Optional[np.ndarray] = None  # (n, p), row i-1 is z_{K,i}
-
-
-# the per-step arrays of an EpochRecord, in replay's comparison order
+# the inner-step arrays of a full record, in replay's comparison order
 INNER_FIELDS = ("index", "zhat", "d", "dnorm2", "alpha", "z", "v")
+# one entry per iterate x_0..x_N, and one per epoch; replay compares them in this order
+NODE_SERIES = ("xs", "f_vals", "grad_sq")
+EPOCH_SERIES = ("alpha_first", "alpha_last", "alpha_sum", "v_end")
 
 
 @dataclass
 class RunTrace:
-    """Complete recorded history of one run.
+    """The record of one run, one array per recorded quantity.
 
-    Series are aligned as: xs / f_vals / grad_sq have one entry per iterate
-    x_0..x_N, the per-epoch arrays one entry per completed epoch.  When the
-    run aborted, series cover the completed prefix.
+    Node series have one row per iterate x_0..x_N, epoch series one per
+    completed epoch, and the inner arrays one row per epoch K with step i
+    in column i-1.  When the run aborted, every array covers the completed
+    prefix.
     """
 
     config: RunConfig
-    records: list
-    xs: list
-    f_vals: np.ndarray
-    grad_sq: np.ndarray
-    alpha_first: np.ndarray
-    alpha_last: np.ndarray
-    alpha_sum: np.ndarray
-    v_end: np.ndarray
+    xs: np.ndarray  # (N+1, p)
+    f_vals: np.ndarray  # (N+1,) F(x_K); nan when the objective is not tracked
+    grad_sq: np.ndarray  # (N+1,) ||full direction at x_K||^2; nan likewise
+    alpha_first: np.ndarray  # (N,)
+    alpha_last: np.ndarray  # (N,)
+    alpha_sum: np.ndarray  # (N,)
+    v_end: np.ndarray  # (N,) adaptive accumulator after the epoch; nan otherwise
+    # inner steps, None at epoch_only level
+    index: Optional[np.ndarray] = None  # (N, n) component queried (0-based)
+    alpha: Optional[np.ndarray] = None  # (N, n)
+    dnorm2: Optional[np.ndarray] = None  # (N, n)
+    v: Optional[np.ndarray] = None  # (N, n) adaptive accumulator after the update; nan otherwise
+    zhat: Optional[np.ndarray] = None  # (N, n, p)
+    d: Optional[np.ndarray] = None  # (N, n, p)
+    z: Optional[np.ndarray] = None  # (N, n, p), [K, i-1] is z_{K,i}
     aborted_at: Optional[tuple] = None
     bound_exceeded_at: Optional[int] = None
 
     @property
     def epochs_completed(self) -> int:
-        return len(self.records)
+        return len(self.alpha_sum)
 
     @property
     def problem(self) -> FiniteSumProblem:
@@ -153,39 +152,49 @@ class RunTrace:
         return np.minimum.accumulate(self.grad_sq)
 
 
-def run_epoch(
-    problem: FiniteSumProblem,
-    strategy: StepStrategy,
-    state: StepState,
-    eval_policy: EvalPointPolicy,
-    perm_policy: PermutationPolicy,
-    x: np.ndarray,
-    K: int,
-    record_level: str = "full",
-    *,
-    grad_sq_start: Optional[float] = None,
-    track_objective: bool = True,
-) -> tuple[np.ndarray, EpochRecord]:
-    """One epoch of the recursion; returns (x_{K+1}, record).
+def _new_trace(config: RunConfig, N: int) -> RunTrace:
+    """A trace of N epochs whose arrays are allocated, to be filled in."""
+    n, p = config.problem.n, config.problem.p
+    inner = {}
+    if config.record_level == "full":
+        inner = dict(
+            index=np.empty((N, n), dtype=int),
+            **{name: np.empty((N, n)) for name in ("alpha", "dnorm2", "v")},
+            **{name: np.empty((N, n, p)) for name in ("zhat", "d", "z")},
+        )
+    return RunTrace(
+        config=config,
+        xs=np.empty((N + 1, p)),
+        f_vals=np.full(N + 1, math.nan),
+        grad_sq=np.full(N + 1, math.nan),
+        **{name: np.empty(N) for name in EPOCH_SERIES},
+        **inner,
+    )
 
-    ``state`` must be consistent with epochs 0..K-1 and is advanced in
-    place.  Raises NonFiniteError on overflow/NaN at the offending step.
+
+def run_epoch(trace: RunTrace, state: StepState, x: np.ndarray, K: int) -> np.ndarray:
+    """Epoch K of the trace's run, from x = x_K; returns x_{K+1}.
+
+    Writes row K of the trace's epoch series and, at the full record level,
+    of its inner arrays.  ``state`` must be consistent with epochs 0..K-1
+    and is advanced in place.  Raises NonFiniteError on overflow/NaN at the
+    offending step.
     """
+    config = trace.config
+    problem, strategy, eval_policy = config.problem, config.strategy, config.eval_policy
     n = problem.n
     comps = problem.components
-    full = record_level == "full"
+    full = trace.alpha is not None
     adaptive = is_adaptive(strategy)
 
     probe = None
-    if perm_policy.needs_probe:
+    if config.perm_policy.needs_probe:
         probe = np.array([math.sqrt(float(d @ d)) for d in (c.direction(x) for c in comps)])
-    perm = permutation(perm_policy, K, n, probe=probe)
+    perm = permutation(config.perm_policy, K, n, probe=probe)
 
     if full:
-        p = problem.p
-        index = np.empty(n, dtype=int)
-        alphas, dnorm2s, vs = np.empty(n), np.empty(n), np.empty(n)
-        zhats, ds, zrows = np.empty((n, p)), np.empty((n, p)), np.empty((n, p))
+        index, alphas, dnorm2s, vs = trace.index[K], trace.alpha[K], trace.dnorm2[K], trace.v[K]
+        zhats, ds, zrows = trace.zhat[K], trace.d[K], trace.z[K]
     zs = [x]
     z = x
     alpha_first = alpha_last = math.nan
@@ -216,100 +225,45 @@ def run_epoch(
             vs[r] = state.v if adaptive else math.nan
             zhats[r], ds[r], zrows[r] = zhat, d, z
 
-    if track_objective:
-        f_next = problem.full_value(z)
-        if grad_sq_start is None:
-            g = problem.full_direction(x)
-            grad_sq_start = float(g @ g)
-    else:
-        f_next = math.nan
-        grad_sq_start = math.nan if grad_sq_start is None else grad_sq_start
-
-    inner = {}
-    if full:
-        inner = dict(index=index, alpha=alphas, dnorm2=dnorm2s, v=vs, zhat=zhats, d=ds, z=zrows)
-    record = EpochRecord(
-        K=K,
-        x_start=x,
-        x_next=z,
-        f_next=f_next,
-        grad_sq_start=grad_sq_start,
-        alpha_first=alpha_first,
-        alpha_last=alpha_last,
-        alpha_sum=alpha_acc,
-        v_end=state.v if adaptive else math.nan,
-        **inner,
-    )
-    return z, record
+    trace.alpha_first[K], trace.alpha_last[K] = alpha_first, alpha_last
+    trace.alpha_sum[K] = alpha_acc
+    trace.v_end[K] = state.v if adaptive else math.nan
+    return z
 
 
 def run(config: RunConfig) -> RunTrace:
     """Execute the configured number of epochs; deterministic in the config.
 
-    On a non-finite abort the partial trace (completed epochs) is returned
-    with ``aborted_at`` set to the offending (K, i).
+    F and ||grad F||^2 are evaluated here, once per node x_0..x_N.  On a
+    non-finite abort the trace is cut to the completed epochs, with
+    ``aborted_at`` set to the offending (K, i).
     """
     problem = config.problem
+    trace = _new_trace(config, config.epochs)
     state = new_state(config.strategy)
     x = config.x0.copy()
-    xs = [x]
-    track = config.track_objective
-    if track:
-        g = problem.full_direction(x)
-        f_list = [problem.full_value(x)]
-        g_list = [float(g @ g)]
-    else:
-        f_list = [math.nan]
-        g_list = [math.nan]
-    records: list = []
-    aborted = None
-    bound_k = None
     radius = config.monitor_radius
-    if radius is not None and float(np.max(np.abs(x))) > radius:
-        bound_k = 0
-
-    for K in range(config.epochs):
-        try:
-            x, rec = run_epoch(
-                problem,
-                config.strategy,
-                state,
-                config.eval_policy,
-                config.perm_policy,
-                x,
-                K,
-                config.record_level,
-                grad_sq_start=g_list[-1],
-                track_objective=track,
-            )
-        except NonFiniteError as err:
-            aborted = (err.K, err.i)
-            break
-        records.append(rec)
-        xs.append(x)
-        f_list.append(rec.f_next)
-        if track:
+    for K in range(config.epochs + 1):
+        trace.xs[K] = x
+        if config.track_objective:
             g = problem.full_direction(x)
-            g_list.append(float(g @ g))
-        else:
-            g_list.append(math.nan)
-        if radius is not None and bound_k is None:
+            trace.f_vals[K] = problem.full_value(x)
+            trace.grad_sq[K] = float(g @ g)
+        if radius is not None and trace.bound_exceeded_at is None:
             if float(np.max(np.abs(x))) > radius:
-                bound_k = K + 1
-
-    return RunTrace(
-        config=config,
-        records=records,
-        xs=xs,
-        f_vals=np.array(f_list),
-        grad_sq=np.array(g_list),
-        alpha_first=np.array([r.alpha_first for r in records]),
-        alpha_last=np.array([r.alpha_last for r in records]),
-        alpha_sum=np.array([r.alpha_sum for r in records]),
-        v_end=np.array([r.v_end for r in records]),
-        aborted_at=aborted,
-        bound_exceeded_at=bound_k,
-    )
+                trace.bound_exceeded_at = K
+        if K == config.epochs:
+            break
+        try:
+            x = run_epoch(trace, state, x, K)
+        except NonFiniteError as err:
+            trace.aborted_at = (err.K, err.i)
+            for name in NODE_SERIES + EPOCH_SERIES + INNER_FIELDS:
+                column = getattr(trace, name)
+                if column is not None:
+                    setattr(trace, name, column[: K + 1 if name in NODE_SERIES else K])
+            break
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -326,63 +280,62 @@ class ReplayReport:
         return self.ok
 
 
-def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and bool(np.all(a == b))
+def _first_mismatch(new: np.ndarray, old: np.ndarray, lead: int) -> Optional[tuple]:
+    """Position in the first ``lead`` axes where two arrays first differ.
 
-
-def _first_bad_row(new: np.ndarray, old: np.ndarray) -> Optional[int]:
-    """First row where two arrays differ (NaN equals NaN), None if none."""
-    if new.shape != old.shape:
-        return 0
+    Compared over their common prefix, NaN equal to NaN; None if they agree.
+    """
+    m = min(len(new), len(old))
+    new, old = new[:m], old[:m]
     bad = (new != old) & ~(np.isnan(new) & np.isnan(old))
-    rows = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))
-    return int(rows[0]) if rows.size else None
+    hits = np.argwhere(bad.any(axis=tuple(range(lead, bad.ndim))))
+    return tuple(int(c) for c in hits[0]) if len(hits) else None
+
+
+def _node_location(k: int, n: int) -> tuple:
+    """(K, i) at which node x_k is produced: the end of epoch k-1, or (0, 0)."""
+    return (k - 1, n) if k else (0, 0)
 
 
 def replay(trace: RunTrace) -> ReplayReport:
-    """Recompute every stored quantity from the config; bitwise comparison.
+    """Re-run the trace's config and compare every array bitwise.
 
-    Requires a full-record trace.  The first mismatching (K, i, field) is
-    reported, which localizes trace corruption: by step i, then in the
-    order of INNER_FIELDS; the epoch's x_next and summaries (alpha_first,
-    alpha_last, alpha_sum, v_end of the trace's series) report i = n.
+    Works at both record levels.  The first mismatch in run order is
+    reported as (K, i, field), which localizes trace corruption: by epoch
+    K, then by step i in the order of INNER_FIELDS, then the epoch's end
+    at i = n in the order x_{K+1} (xs), f_vals, grad_sq, alpha_first,
+    alpha_last, alpha_sum, v_end.  Node 0 reports (0, 0, field).  A
+    differing ``aborted_at`` reports where the earlier abort happened, a
+    differing ``bound_exceeded_at`` the earlier node.
     """
-    if trace.config.record_level != "full":
-        raise ValueError("replay needs a full-record trace")
-    config = trace.config
-    problem = config.problem
-    state = new_state(config.strategy)
-    x = config.x0.copy()
-    for K, stored in enumerate(trace.records):
-        if not _same_array(x, stored.x_start):
-            return ReplayReport(False, (K, 0, "x_start"))
-        x, rec = run_epoch(
-            problem,
-            config.strategy,
-            state,
-            config.eval_policy,
-            config.perm_policy,
-            x,
-            K,
-            "full",
-            grad_sq_start=stored.grad_sq_start,
-            track_objective=False,
-        )
-        bad = [
-            (row, order, name)
-            for order, name in enumerate(INNER_FIELDS)
-            if (row := _first_bad_row(getattr(rec, name), getattr(stored, name))) is not None
-        ]
-        if bad:
-            row, _, name = min(bad)
-            return ReplayReport(False, (K, row + 1, name))
-        if not _same_array(x, stored.x_next):
-            return ReplayReport(False, (K, problem.n, "x_next"))
-        for name in ("alpha_first", "alpha_last", "alpha_sum", "v_end"):
-            new, old = getattr(rec, name), getattr(trace, name)[K]
-            if not (new == old or (math.isnan(new) and math.isnan(old))):
-                return ReplayReport(False, (K, problem.n, name))
-    return ReplayReport(True)
+    fresh = run(trace.config)
+    n = trace.problem.n
+    found = []
+    for rank, name in enumerate(INNER_FIELDS + NODE_SERIES + EPOCH_SERIES):
+        new, old = getattr(fresh, name), getattr(trace, name)
+        if new is None:
+            continue
+        at = _first_mismatch(new, old, 2 if name in INNER_FIELDS else 1)
+        if at is None:
+            continue
+        if name in INNER_FIELDS:
+            K, i = at[0], at[1] + 1  # step i of epoch K
+        elif name in EPOCH_SERIES:
+            K, i = at[0], n
+        else:
+            K, i = _node_location(at[0], n)
+        found.append((K, i, rank, name))
+    rank = len(INNER_FIELDS + NODE_SERIES + EPOCH_SERIES)
+    if fresh.aborted_at != trace.aborted_at:
+        K, i = min(a for a in (fresh.aborted_at, trace.aborted_at) if a is not None)
+        found.append((K, i, rank, "aborted_at"))
+    if fresh.bound_exceeded_at != trace.bound_exceeded_at:
+        k = min(b for b in (fresh.bound_exceeded_at, trace.bound_exceeded_at) if b is not None)
+        found.append((*_node_location(k, n), rank + 1, "bound_exceeded_at"))
+    if not found:
+        return ReplayReport(True)
+    K, i, _, name = min(found)
+    return ReplayReport(False, (K, i, name))
 
 
 # ---------------------------------------------------------------------------
@@ -467,19 +420,19 @@ def save_trace(trace: RunTrace, path) -> None:
             f"{K},{_fmt(trace.alpha_first[K])},{_fmt(trace.alpha_last[K])},"
             f"{_fmt(trace.alpha_sum[K])},{_fmt(trace.v_end[K])}"
         )
-    if trace.config.record_level == "full":
+    if trace.alpha is not None:
         columns = "i,index,alpha,dnorm2,v," + ",".join(
             f"{name}{k}" for name in ("zhat", "d", "z") for k in range(p)
         )
-        for rec in trace.records:
-            lines.append(f"#INNER {rec.K}")
+        for K in range(trace.epochs_completed):
+            lines.append(f"#INNER {K}")
             lines.append(columns)
             rows = zip(
-                rec.index.tolist(),
-                rec.alpha.tolist(),
-                rec.dnorm2.tolist(),
-                rec.v.tolist(),
-                np.hstack([rec.zhat, rec.d, rec.z]).tolist(),
+                trace.index[K].tolist(),
+                trace.alpha[K].tolist(),
+                trace.dnorm2[K].tolist(),
+                trace.v[K].tolist(),
+                np.hstack([trace.zhat[K], trace.d[K], trace.z[K]]).tolist(),
             )
             for i, (index, alpha, dnorm2, v, vectors) in enumerate(rows, start=1):
                 lines.append(f"{i},{index},{alpha!r},{dnorm2!r},{v!r}," + ",".join(map(repr, vectors)))
@@ -547,83 +500,47 @@ def load_trace(path) -> RunTrace:
     full = config.record_level == "full"
     nodes = _section_rows(sections, "#NODES", epochs + 1, 0)
     epoch_rows = _section_rows(sections, "#EPOCHS", epochs, 0)
-    blocks = [_section_rows(sections, f"#INNER {K}", n, 1) if full else [] for K in range(epochs)]
+    blocks = [_section_rows(sections, f"#INNER {K}", n, 1) for K in range(epochs)] if full else []
 
+    trace = _new_trace(config, epochs)
+    trace.aborted_at, trace.bound_exceeded_at = aborted, bound_exceeded_at
     section, r = "#NODES", 0
     try:
-        xs, f_list, g_list = [], [], []
         for r, row in enumerate(nodes, start=1):
             parts = row.split(",")
             if len(parts) != p + 3:
                 raise ValueError(f"{len(parts)} columns, expected {p + 3}")
-            xs.append(np.array([float(c) for c in parts[1 : 1 + p]]))
-            f_list.append(float(parts[1 + p]))
-            g_list.append(float(parts[2 + p]))
+            trace.xs[r - 1] = [float(c) for c in parts[1 : 1 + p]]
+            trace.f_vals[r - 1] = float(parts[1 + p])
+            trace.grad_sq[r - 1] = float(parts[2 + p])
 
         section = "#EPOCHS"
-        af, al, asum, vend = [], [], [], []
         for r, row in enumerate(epoch_rows, start=1):
             parts = row.split(",")
             if len(parts) != 5:
                 raise ValueError(f"{len(parts)} columns, expected 5")
-            af.append(float(parts[1]))
-            al.append(float(parts[2]))
-            asum.append(float(parts[3]))
-            vend.append(float(parts[4]))
+            for name, value in zip(EPOCH_SERIES, parts[1:]):
+                getattr(trace, name)[r - 1] = float(value)
 
-        records = []
         width = 5 + 3 * p
-        for K in range(epochs):
-            inner = {}
-            if full:
-                section = f"#INNER {K}"
-                index, values = [], []
-                for r, row in enumerate(blocks[K], start=1):
-                    parts = row.split(",")
-                    if len(parts) != width:
-                        raise ValueError(f"{len(parts)} columns, expected {width}")
-                    index.append(int(parts[1]))
-                    values.append([float(c) for c in parts[2:]])
-                cols = np.array(values)
-                inner = dict(
-                    index=np.array(index, dtype=int),
-                    alpha=cols[:, 0].copy(),
-                    dnorm2=cols[:, 1].copy(),
-                    v=cols[:, 2].copy(),
-                    zhat=cols[:, 3 : 3 + p].copy(),
-                    d=cols[:, 3 + p : 3 + 2 * p].copy(),
-                    z=cols[:, 3 + 2 * p :].copy(),
-                )
-            records.append(
-                EpochRecord(
-                    K=K,
-                    x_start=xs[K],
-                    x_next=xs[K + 1],
-                    f_next=f_list[K + 1],
-                    grad_sq_start=g_list[K],
-                    alpha_first=af[K],
-                    alpha_last=al[K],
-                    alpha_sum=asum[K],
-                    v_end=vend[K],
-                    **inner,
-                )
-            )
+        for K, block in enumerate(blocks):
+            section = f"#INNER {K}"
+            index, values = [], []
+            for r, row in enumerate(block, start=1):
+                parts = row.split(",")
+                if len(parts) != width:
+                    raise ValueError(f"{len(parts)} columns, expected {width}")
+                index.append(int(parts[1]))
+                values.append([float(c) for c in parts[2:]])
+            cols = np.array(values)
+            trace.index[K] = index
+            trace.alpha[K], trace.dnorm2[K], trace.v[K] = cols[:, 0], cols[:, 1], cols[:, 2]
+            trace.zhat[K] = cols[:, 3 : 3 + p]
+            trace.d[K] = cols[:, 3 + p : 3 + 2 * p]
+            trace.z[K] = cols[:, 3 + 2 * p :]
     except ValueError as err:
         raise ValueError(f"{section} row {r}: {err}") from None
-
-    return RunTrace(
-        config=config,
-        records=records,
-        xs=xs,
-        f_vals=np.array(f_list),
-        grad_sq=np.array(g_list),
-        alpha_first=np.array(af),
-        alpha_last=np.array(al),
-        alpha_sum=np.array(asum),
-        v_end=np.array(vend),
-        aborted_at=aborted,
-        bound_exceeded_at=bound_exceeded_at,
-    )
+    return trace
 
 
 def write_summary_csv(trace: RunTrace, path) -> None:

@@ -64,8 +64,7 @@ class Interpolant:
 
 def interpolant(trace: RunTrace) -> Interpolant:
     taus = np.concatenate([[0.0], np.cumsum(trace.alpha_sum)])
-    nodes = np.stack(trace.xs[: trace.epochs_completed + 1])
-    return Interpolant(taus=taus, nodes=nodes)
+    return Interpolant(taus=taus, nodes=trace.xs)
 
 
 @dataclass(frozen=True)
@@ -103,9 +102,8 @@ def gamma_trace(trace: RunTrace, M: Optional[float] = None) -> GammaTrace:
     taus = np.concatenate([[0.0], np.cumsum(trace.alpha_sum)])
     lambda_ok = None
     excess = None
-    if trace.config.record_level == "full" and trace.records:
-        alphas = np.stack([rec.alpha for rec in trace.records])
-        lam = n * alphas / trace.alpha_sum[:, None]
+    if trace.alpha is not None and trace.epochs_completed:
+        lam = n * trace.alpha / trace.alpha_sum[:, None]
         excess = float(np.max(lam - ratios[:, None]))
         lambda_ok = excess <= 1e-12
     return GammaTrace(

@@ -14,15 +14,15 @@ from test_engine import zero_problem
 class TestStepLengthBound:
     def test_zero_direction_epoch_zero_slack(self):
         trace = make_run(zero_problem(), wd.Constant(0.5, 2), epochs=2)
-        rep = wd.check_step_length_bound(trace.records[0])
+        rep = wd.check_step_length_bound(trace, 0)
         assert rep.lhs == 0.0 and rep.rhs == 0.0
         assert rep.ok and rep.rel_slack == 0.0
 
     def test_n1_single_term_equality(self):
         prob = wd.make_problem("logistic", 1, 2, 4)
         trace = make_run(prob, wd.Constant(0.3, 1), epochs=3)
-        for rec in trace.records:
-            rep = wd.check_step_length_bound(rec)
+        for K in range(trace.epochs_completed):
+            rep = wd.check_step_length_bound(trace, K)
             assert abs(rep.rel_slack) <= 1e-12  # LHS = alpha^2 ||d||^2 = RHS
 
     def test_convex_mix_epochs_hold(self):
@@ -98,7 +98,7 @@ class TestEpochDescent:
         assert not combined.ok
         K = int(combined.name.split("K=")[1].rstrip("]"))
         assert trace.epoch_anchor(K) < 1.0 / (prob.L * prob.n)
-        assert wd.check_step_length_bound(trace.records[K]).ok
+        assert wd.check_step_length_bound(trace, K).ok
         assert wd.check_descent_decomposition(trace, K).ok
         assert wd.check_epoch_descent_tight(trace, K).ok
 
@@ -114,7 +114,7 @@ class TestEpochDescent:
         trace = make_run(prob, s, epochs=5)
         assert trace.epoch_anchor(0) == approx(0.5)  # delta^(-1/3)
         for K in range(1, 5):
-            assert trace.epoch_anchor(K) == trace.records[K - 1].alpha[-1]
+            assert trace.epoch_anchor(K) == trace.alpha[K - 1][-1]
 
 
 class TestDescentDecomposition:

@@ -47,9 +47,9 @@ class TestRunEpoch:
         prob = zero_problem()
         x0 = np.array([0.3, -0.4])
         trace = make_run(prob, wd.Constant(0.5, 2), epochs=3, x0=x0)
-        for rec in trace.records:
-            assert np.array_equal(rec.x_next, x0)
-            for z in rec.z:
+        for K in range(trace.epochs_completed):
+            assert np.array_equal(trace.xs[K + 1], x0)
+            for z in trace.z[K]:
                 assert np.array_equal(z, x0)
 
     def test_n1_epoch_is_one_gradient_step(self):
@@ -75,7 +75,7 @@ class TestRunEpoch:
         z1 = z0 - mpmath.mpf("0.25") * d1
         d2 = sig(z1)  # b=1, a=-1
         z2 = z1 - mpmath.mpf("0.25") * d2
-        assert trace.records[0].z[0, 0] == approx(float(z1), rel=1e-15)
+        assert trace.z[0][0, 0] == approx(float(z1), rel=1e-15)
         assert trace.xs[1][0] == approx(float(z2), rel=1e-15)
 
     def test_each_component_queried_once_per_epoch(self):
@@ -83,20 +83,20 @@ class TestRunEpoch:
         trace = make_run(
             prob, wd.DecreasingSqrt(7), perm_policy=wd.ShuffledPerEpoch(3), epochs=5
         )
-        for rec in trace.records:
-            assert sorted(rec.index.tolist()) == list(range(7))
+        for K in range(trace.epochs_completed):
+            assert sorted(trace.index[K].tolist()) == list(range(7))
 
     def test_adversarial_order_follows_probe(self):
         prob = wd.make_problem("logistic", 5, 2, 11)
         trace = make_run(
             prob, wd.Constant(0.1, 5), perm_policy=wd.AdversarialMaxNorm(), epochs=2
         )
-        for rec in trace.records:
+        for K in range(trace.epochs_completed):
             norms = [
-                np.linalg.norm(c.direction(rec.x_start)) for c in prob.components
+                np.linalg.norm(c.direction(trace.xs[K])) for c in prob.components
             ]
             expected = np.argsort(-np.asarray(norms), kind="stable")
-            assert rec.index.tolist() == expected.tolist()
+            assert trace.index[K].tolist() == expected.tolist()
 
 
 class TestRun:
@@ -181,8 +181,8 @@ class TestRun:
         s = wd.Adaptive(delta=4.0, beta=1.5, n=5)
         trace = make_run(prob, s, epochs=15)
         v = s.delta
-        for rec in trace.records:
-            for v_rec, alpha, dnorm2 in zip(rec.v.tolist(), rec.alpha.tolist(), rec.dnorm2.tolist()):
+        for K in range(trace.epochs_completed):
+            for v_rec, alpha, dnorm2 in zip(trace.v[K].tolist(), trace.alpha[K].tolist(), trace.dnorm2[K].tolist()):
                 v = v + s.beta * dnorm2
                 assert v_rec == v
                 assert alpha == v ** (-1.0 / 3.0)
@@ -190,7 +190,7 @@ class TestRun:
     def test_epoch_only_skips_inner_records(self):
         prob = wd.make_problem("logistic", 4, 2, 7)
         trace = make_run(prob, wd.DecreasingSqrt(4), epochs=6, record_level="epoch_only")
-        assert all(getattr(rec, f) is None for rec in trace.records for f in INNER_FIELDS)
+        assert all(getattr(trace, f) is None for f in INNER_FIELDS)
         assert len(trace.xs) == 7
         assert len(trace.alpha_sum) == 6
 
@@ -210,7 +210,7 @@ class TestReplay:
     def test_perturbed_alpha_detected_at_position(self):
         prob = wd.make_problem("logistic", 4, 2, 8)
         trace = make_run(prob, wd.DecreasingSqrt(4), epochs=6)
-        trace.records[3].alpha[1] *= 1.0 + 1e-12
+        trace.alpha[3][1] *= 1.0 + 1e-12
         rep = wd.replay(trace)
         assert not rep.ok
         assert rep.first_mismatch == (3, 2, "alpha")
@@ -244,17 +244,100 @@ class TestReplay:
         prob = wd.make_problem("logistic", 6, 3, 12)
         policy = wd.ConvexMix(7)
         trace = make_run(prob, wd.Constant(0.4, 6), eval_policy=policy, epochs=5)
-        for rec in trace.records:
-            zs = [rec.x_start] + list(rec.z)
-            for i, zhat in enumerate(rec.zhat, start=1):
-                weights = wd.eval_point(policy, rec.K, i)
+        for K in range(trace.epochs_completed):
+            zs = [trace.xs[K]] + list(trace.z[K])
+            for i, zhat in enumerate(trace.zhat[K], start=1):
+                weights = wd.eval_point(policy, K, i)
                 assert np.array_equal(wd.hull_point(weights, zs[:i]), zhat)
 
-    def test_epoch_only_replay_rejected(self):
+    def test_epoch_only_trace_replays(self):
         prob = wd.make_problem("logistic", 4, 2, 3)
         trace = make_run(prob, wd.Constant(0.2, 4), epochs=3, record_level="epoch_only")
-        with pytest.raises(ValueError):
-            wd.replay(trace)
+        assert wd.replay(trace).ok
+
+    @pytest.mark.parametrize(
+        "field, row, where",
+        [
+            ("f_vals", 3, (2, 4, "f_vals")),
+            ("grad_sq", 2, (1, 4, "grad_sq")),
+            ("xs", 4, (3, 4, "xs")),
+            ("f_vals", 0, (0, 0, "f_vals")),
+            ("xs", 0, (0, 0, "xs")),
+        ],
+    )
+    @pytest.mark.parametrize("level", ["full", "epoch_only"])
+    def test_corrupted_node_series_detected(self, field, row, where, level):
+        prob = wd.make_problem("logistic", 4, 2, 8)
+        trace = make_run(prob, wd.Adaptive.recommended(4), epochs=6, record_level=level)
+        getattr(trace, field)[row] += 1.0
+        rep = wd.replay(trace)
+        assert not rep.ok
+        assert rep.first_mismatch == where
+
+    def test_first_mismatch_in_run_order(self):
+        # corrupt values latest first in run order; each one comes earlier
+        # than those before it and is the one reported
+        prob = wd.make_problem("logistic", 4, 2, 8)
+        trace = make_run(prob, wd.Adaptive.recommended(4), epochs=6)
+        at_epoch_end = [
+            ("v_end", 2, (2, 4)),
+            ("alpha_sum", 2, (2, 4)),
+            ("alpha_last", 2, (2, 4)),
+            ("alpha_first", 2, (2, 4)),
+            ("grad_sq", 3, (2, 4)),
+            ("f_vals", 3, (2, 4)),
+            ("xs", 3, (2, 4)),
+        ]
+        at_step_n = [(name, (2, 3), (2, 4)) for name in reversed(INNER_FIELDS)]
+        earlier = [("alpha", (2, 0), (2, 1)), ("v_end", 1, (1, 4)), ("f_vals", 0, (0, 0))]
+        for name, at, where in at_epoch_end + at_step_n + earlier:
+            getattr(trace, name)[at] += 1
+            assert wd.replay(trace).first_mismatch == where + (name,)
+
+    def test_corrupted_abort_detected(self):
+        cfg = wd.RunConfig(
+            problem=exploding_problem(scale=1e100),
+            strategy=wd.Constant(1.0, 1),
+            eval_policy=wd.Incremental(),
+            perm_policy=wd.Identity(),
+            x0=np.array([1.0]),
+            epochs=10,
+            track_objective=False,
+        )
+        with np.errstate(over="ignore"):
+            trace = wd.run(cfg)
+            assert wd.replay(trace).ok
+            trace.aborted_at = None
+            rep = wd.replay(trace)
+        assert rep.first_mismatch == (1, 1, "aborted_at")
+
+    def test_trace_cut_short_reported_at_its_abort(self):
+        # a full run made to look aborted: its arrays cover 3 epochs
+        prob = wd.make_problem("logistic", 4, 2, 8)
+        trace = make_run(prob, wd.DecreasingSqrt(4), epochs=6)
+        for name in ("xs", "f_vals", "grad_sq"):
+            setattr(trace, name, getattr(trace, name)[:4])
+        for name in ("alpha_first", "alpha_last", "alpha_sum", "v_end") + INNER_FIELDS:
+            setattr(trace, name, getattr(trace, name)[:3])
+        trace.aborted_at = (3, 2)
+        assert wd.replay(trace).first_mismatch == (3, 2, "aborted_at")
+
+    def test_corrupted_box_exit_detected(self):
+        cfg = wd.RunConfig(
+            problem=wd.make_problem("logistic", 4, 2, 9),
+            strategy=wd.Constant(5.0, 4),
+            eval_policy=wd.Incremental(),
+            perm_policy=wd.Identity(),
+            x0=np.zeros(2),
+            epochs=40,
+            record_level="epoch_only",
+            monitor_radius=0.5,
+        )
+        trace = wd.run(cfg)
+        k = trace.bound_exceeded_at
+        assert wd.replay(trace).ok
+        trace.bound_exceeded_at = None
+        assert wd.replay(trace).first_mismatch == (k - 1, 4, "bound_exceeded_at")
 
 
 EVAL_CASES = [
@@ -270,8 +353,10 @@ PERM_CASES = [
     wd.ShuffledPerEpoch(4),
     wd.AdversarialMaxNorm(),
 ]
-# column of an #INNER row -> field of the record: i,index,alpha,dnorm2,v,zhat0..,d0..,z0..
+# column of a trace row -> the RunTrace array it is read into
 INNER_COLUMNS = ["i", "index", "alpha", "dnorm2", "v"] + [f for f in ("zhat", "d", "z") for _ in range(2)]
+NODE_COLUMNS = ["K", "xs", "xs", "f_vals", "grad_sq"]
+EPOCH_COLUMNS = ["K", "alpha_first", "alpha_last", "alpha_sum", "v_end"]
 
 
 class TestTraceFileProperty:
@@ -281,20 +366,30 @@ class TestTraceFileProperty:
 
     @pytest.mark.parametrize("eval_policy", EVAL_CASES, ids=lambda c: c.VARIANT)
     @pytest.mark.parametrize("perm_policy", PERM_CASES, ids=lambda c: c.VARIANT)
-    @given(
-        level=st.sampled_from(["full", "epoch_only"]),
-        adaptive=st.booleans(),
-        K=st.integers(0, 2),
-        i=st.integers(1, 4),
-        column=st.integers(1, len(INNER_COLUMNS) - 1),
-    )
+    @given(level=st.sampled_from(["full", "epoch_only"]), adaptive=st.booleans(), data=st.data())
     @settings(max_examples=8)
     def test_round_trip_replay_and_located_perturbation(
-        self, eval_policy, perm_policy, level, adaptive, K, i, column
+        self, eval_policy, perm_policy, level, adaptive, data
     ):
         prob = wd.make_problem("logistic", 4, 2, 6)
         strategy = wd.Adaptive.recommended(4) if adaptive else wd.DecreasingSqrt(4)
         trace = make_run(prob, strategy, eval_policy, perm_policy, epochs=3, record_level=level)
+
+        # one number of one row: #INNER K row i -> (K, i), #NODES row K (x_K) ->
+        # (K-1, n) or (0, 0) for x_0, #EPOCHS row K -> (K, n)
+        sections = ["#NODES", "#EPOCHS"] + (["#INNER"] if level == "full" else [])
+        section = data.draw(st.sampled_from(sections), label="section")
+        K = data.draw(st.integers(0, 3 if section == "#NODES" else 2), label="K")
+        if section == "#INNER":
+            i = data.draw(st.integers(1, 4), label="i")
+            header, row, columns, where = f"#INNER {K}", i, INNER_COLUMNS, (K, i)
+        elif section == "#NODES":
+            header, row, columns = "#NODES", K + 1, NODE_COLUMNS
+            where = (K - 1, prob.n) if K else (0, 0)
+        else:
+            header, row, columns, where = "#EPOCHS", K + 1, EPOCH_COLUMNS, (K, prob.n)
+        column = data.draw(st.integers(1, len(columns) - 1), label="column")
+
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.txt"
             wd.save_trace(trace, path)
@@ -302,15 +397,13 @@ class TestTraceFileProperty:
             loaded = wd.load_trace(path)
             wd.save_trace(loaded, path)
             assert path.read_text() == text
-            if level != "full":
-                return
             assert wd.replay(loaded).ok
 
             lines = text.splitlines(keepends=True)
-            row = lines.index(f"#INNER {K}\n") + 1 + i
+            row = lines.index(header + "\n") + 1 + row
             parts = lines[row].rstrip("\n").split(",")
-            if column == 1:
-                parts[1] = str((int(parts[1]) + 1) % prob.n)
+            if columns[column] == "index":
+                parts[column] = str((int(parts[column]) + 1) % prob.n)
             else:
                 value = float(parts[column])
                 parts[column] = repr(1.0 if math.isnan(value) else float(np.nextafter(value, np.inf)))
@@ -318,7 +411,7 @@ class TestTraceFileProperty:
             path.write_text("".join(lines))
             rep = wd.replay(wd.load_trace(path))
         assert not rep.ok
-        assert rep.first_mismatch == (K, i, INNER_COLUMNS[column])
+        assert rep.first_mismatch == where + (columns[column],)
 
 
 class TestSummaryCsv:
@@ -364,6 +457,18 @@ class TestConfigValidation:
                 strategy=wd.Constant(0.1, 3),
                 eval_policy=wd.Incremental(),
                 perm_policy=wd.Identity(),
+                x0=np.zeros(3),
+                epochs=1,
+            )
+
+    def test_fixed_perm_length_must_match(self):
+        prob = wd.make_problem("logistic", 4, 3, 0)
+        with pytest.raises(ValueError, match="'perm_policy.perm' has 2 entries, the problem has n = 4"):
+            wd.RunConfig(
+                problem=prob,
+                strategy=wd.Constant(0.1, 4),
+                eval_policy=wd.Incremental(),
+                perm_policy=wd.FixedPermutation([1, 0]),
                 x0=np.zeros(3),
                 epochs=1,
             )
@@ -436,9 +541,11 @@ class TestVariantDicts:
     def test_run_config_round_trip(
         self, strategy, eval_policy, perm_policy, x0, epochs, level, radius, track
     ):
+        # a fixed perm must cover the problem's n components
+        n = len(perm_policy.perm) if isinstance(perm_policy, wd.FixedPermutation) else 3
         config = wd.RunConfig(
-            problem=wd.make_problem("logistic", 3, 2, 5),
-            strategy=dataclasses.replace(strategy, n=3),
+            problem=wd.make_problem("logistic", n, 2, 5),
+            strategy=dataclasses.replace(strategy, n=n),
             eval_policy=eval_policy,
             perm_policy=perm_policy,
             x0=np.array(x0),
