@@ -163,14 +163,23 @@ def _epoch_sums(trace: RunTrace, K: int, alpha_k: float):
     return _s2(trace, K), ratio_cube
 
 
-def check_epoch_descent(trace: RunTrace, K: int, *, tol: float = INEQ_RTOL) -> MarginReport:
-    """Per-epoch descent inequality (see module docstring) at epoch K."""
-    _require_full(trace)
-    problem = trace.problem
-    _require_smooth(problem)
+def _require_lex(trace: RunTrace):
     lex = check_lex_monotone(trace.alpha)
     if not lex.ok:
         raise ValueError(f"step sizes violate lexicographic monotonicity at {lex.violation}")
+
+
+def check_epoch_descent(trace: RunTrace, K: int, *, tol: float = INEQ_RTOL) -> MarginReport:
+    """Per-epoch descent inequality (see module docstring) at epoch K."""
+    _require_full(trace)
+    _require_smooth(trace.problem)
+    _require_lex(trace)
+    return _epoch_descent(trace, K, tol=tol)
+
+
+def _epoch_descent(trace: RunTrace, K: int, *, tol: float) -> MarginReport:
+    """check_epoch_descent at epoch K once its trace-wide requirements hold."""
+    problem = trace.problem
     n = problem.n
     alpha_k = trace.epoch_anchor(K)
     s2, ratio_cube = _epoch_sums(trace, K, alpha_k)
@@ -238,7 +247,10 @@ def check_epoch_descent_trace(
     trace: RunTrace, *, k_min: int = 1, k_max: Optional[int] = None, tol: float = INEQ_RTOL
 ) -> MarginReport:
     """Minimum combined-form slack over epochs K in [k_min, k_max]."""
-    return _worst_over_epochs(trace, check_epoch_descent, k_min, k_max, tol)
+    _require_full(trace)
+    _require_smooth(trace.problem)
+    _require_lex(trace)
+    return _worst_over_epochs(trace, _epoch_descent, k_min, k_max, tol)
 
 
 def check_epoch_descent_tight_trace(

@@ -175,6 +175,8 @@ def cmd_verify(args) -> int:
             status, detail, cert = _verify_one(trace, name)
         except (UnsupportedProblem, ValueError) as err:
             status, detail, cert = "skip", str(err), None
+        except OverflowError as err:
+            status, detail, cert = "skip", f"numeric overflow: {err.args[-1]}", None
         results[name] = {"status": status, "detail": detail}
         print(f"[{status.upper():4s}] {name}: {detail}")
         failed = failed or status == "fail"

@@ -14,9 +14,16 @@ one RunTrace of arrays indexed by epoch K:
   * epoch series: alpha_first, alpha_last, alpha_sum, v_end (N,);
   * record_level="full" only, the inner steps, [K, i-1] for step i:
     index, alpha, dnorm2, v of shape (N, n) and zhat, d, z of shape
-    (N, n, p).  Hull weights are not stored: they are a pure function of
-    (policy, K, i), see ``schedules.eval_point``.  At record_level
-    "epoch_only" these arrays are None.
+    (N, n, p).  At record_level "epoch_only" these arrays are None.
+
+A trace file stores each recorded primitive once: of the inner steps only
+index, alpha, dnorm2, v and d.  ``load_trace`` rebuilds z with the
+engine's own update from x_K, checks z_{K,n} = x_{K+1} bit for bit, and
+rebuilds zhat through the policy (``eval_support``, or ``hull_point`` of
+``eval_point``'s weights): hull weights and evaluation points are pure
+functions of (policy, K, i) and the epoch's iterates.  The file header
+carries the configuration, its SHA-256 and the provenance (wrdescent,
+NumPy, Python and BLAS versions) that bitwise replay depends on.
 
 Replay re-runs the configuration and compares the arrays one by one.
 Runs are deterministic functions of their configuration (all randomness is
@@ -30,7 +37,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+import platform
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -57,7 +65,7 @@ from .steps import (
     step_value,
 )
 
-TRACE_FORMAT = "wrdescent-trace/2"
+TRACE_FORMAT = "wrdescent-trace/3"
 
 
 class NonFiniteError(RuntimeError):
@@ -107,6 +115,23 @@ NODE_SERIES = ("xs", "f_vals", "grad_sq")
 EPOCH_SERIES = ("alpha_first", "alpha_last", "alpha_sum", "v_end")
 
 
+def provenance() -> dict:
+    """The wrdescent, NumPy, Python and BLAS versions of this process."""
+    from . import __version__
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # NumPy < 1.25 has no dict mode
+        blas = "unknown"
+    return {
+        "wrdescent": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "blas": blas,
+    }
+
+
 @dataclass
 class RunTrace:
     """The record of one run, one array per recorded quantity.
@@ -135,6 +160,8 @@ class RunTrace:
     z: Optional[np.ndarray] = None  # (N, n, p), [K, i-1] is z_{K,i}
     aborted_at: Optional[tuple] = None
     bound_exceeded_at: Optional[int] = None
+    # where the run was made; a loaded trace keeps its file's
+    provenance: dict = field(default_factory=provenance)
 
     @property
     def epochs_completed(self) -> int:
@@ -396,15 +423,24 @@ def config_from_dict(doc: dict) -> RunConfig:
     )
 
 
+def _sha256(text: str) -> str:
+    import hashlib  # loads OpenSSL: a few ms that commands without trace IO skip
+
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def save_trace(trace: RunTrace, path) -> None:
+    # canonical JSON: sorted keys, no spaces
+    config_text = json.dumps(config_to_dict(trace.config), sort_keys=True, separators=(",", ":"))
     header = {
         "format": TRACE_FORMAT,
-        "config": config_to_dict(trace.config),
+        "config_sha256": _sha256(config_text),
+        "provenance": trace.provenance,
         "aborted_at": list(trace.aborted_at) if trace.aborted_at else None,
         "bound_exceeded_at": trace.bound_exceeded_at,
     }
     p = trace.problem.p
-    lines = [json.dumps(header)]
+    lines = [json.dumps(header)[:-1] + ', "config": ' + config_text + "}"]
     lines.append("#NODES")
     lines.append("K," + ",".join(f"x{k}" for k in range(p)) + ",f,grad_sq")
     for K, x in enumerate(trace.xs):
@@ -421,9 +457,7 @@ def save_trace(trace: RunTrace, path) -> None:
             f"{_fmt(trace.alpha_sum[K])},{_fmt(trace.v_end[K])}"
         )
     if trace.alpha is not None:
-        columns = "i,index,alpha,dnorm2,v," + ",".join(
-            f"{name}{k}" for name in ("zhat", "d", "z") for k in range(p)
-        )
+        columns = "i,index,alpha,dnorm2,v," + ",".join(f"d{k}" for k in range(p))
         for K in range(trace.epochs_completed):
             lines.append(f"#INNER {K}")
             lines.append(columns)
@@ -432,12 +466,29 @@ def save_trace(trace: RunTrace, path) -> None:
                 trace.alpha[K].tolist(),
                 trace.dnorm2[K].tolist(),
                 trace.v[K].tolist(),
-                np.hstack([trace.zhat[K], trace.d[K], trace.z[K]]).tolist(),
+                trace.d[K].tolist(),
             )
-            for i, (index, alpha, dnorm2, v, vectors) in enumerate(rows, start=1):
-                lines.append(f"{i},{index},{alpha!r},{dnorm2!r},{v!r}," + ",".join(map(repr, vectors)))
+            for i, (index, alpha, dnorm2, v, d) in enumerate(rows, start=1):
+                lines.append(f"{i},{index},{alpha!r},{dnorm2!r},{v!r}," + ",".join(map(repr, d)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _read_header(line: str) -> dict:
+    """The header of a trace file, its config hash checked.
+
+    The hash covers the config as save_trace writes it: canonical JSON,
+    last on the line.
+    """
+    header = json.loads(line)
+    if header.get("format") != TRACE_FORMAT:
+        raise ValueError(f"not a {TRACE_FORMAT} file")
+    for key in ("config_sha256", "provenance", "aborted_at", "bound_exceeded_at", "config"):
+        if key not in header:
+            raise KeyError(key)
+    if _sha256(line.partition('"config": ')[2][:-1]) != header["config_sha256"]:
+        raise ValueError("config hash mismatch")
+    return header
 
 
 def _section_rows(sections: dict, name: str, count: int, first: int) -> list:
@@ -463,25 +514,54 @@ def _section_rows(sections: dict, name: str, count: int, first: int) -> list:
     return rows
 
 
+def _derive_iterates(trace: RunTrace) -> None:
+    """Rebuild z and zhat of a full trace from xs, alpha, d and the policy.
+
+    z_{K,i} = z_{K,i-1} - alpha_{K,i} d_{K,i} from z_{K,0} = x_K, the
+    engine's update, one step i at a time across all epochs; a z_{K,n}
+    that is not x_{K+1} bit for bit raises ValueError naming both rows.
+    zhat is z_{K,j} for the policy's support j or, in an epoch with a step
+    that has none, the hull point of the policy's weights over z_{K,0..i-1}
+    (which is z_{K,j} again for one-hot weights).
+    """
+    N, n = trace.alpha.shape
+    zs = np.empty((N, n + 1, trace.problem.p))  # z_{K,0..n} of every epoch
+    zs[:, 0] = trace.xs[:N]
+    for i in range(n):
+        zs[:, i + 1] = zs[:, i] - trace.alpha[:, i, None] * trace.d[:, i]
+    moved = np.flatnonzero((zs[:, n] != trace.xs[1:]).any(axis=1))
+    if moved.size:
+        K = int(moved[0])
+        raise ValueError(
+            f"#INNER {K}: the derived z_{{{K},n}} differs from x_{K + 1} (#NODES row {K + 2})"
+        )
+    trace.z = zs[:, 1:]
+    policy = trace.config.eval_policy
+    for K in range(N):
+        support = [eval_support(policy, K, i) for i in range(1, n + 1)]
+        if None in support:
+            trace.zhat[K] = [hull_point(eval_point(policy, K, i), zs[K, :i]) for i in range(1, n + 1)]
+        else:
+            trace.zhat[K] = zs[K, support]
+
+
 def load_trace(path) -> RunTrace:
-    """Read a trace file; a truncated or malformed one raises ValueError.
+    """Read a trace file; a truncated, malformed or inconsistent one raises ValueError.
 
     Row counts follow from the header: epochs + 1 #NODES rows, one #EPOCHS
     row per completed epoch and, at full level, n rows per #INNER block,
     labelled K = 0, 1, ... (#NODES, #EPOCHS) or i = 1..n (#INNER).  Errors
     name the section and the row, counted from 1 after the column header.
+    z and zhat are derived (see ``_derive_iterates``).
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError("empty trace file")
     try:
-        header = json.loads(lines[0])
-        if header.get("format") != TRACE_FORMAT:
-            raise ValueError(f"not a {TRACE_FORMAT} file")
+        header = _read_header(lines[0])
         config = config_from_dict(header["config"])
         aborted = tuple(header["aborted_at"]) if header["aborted_at"] else None
-        bound_exceeded_at = header["bound_exceeded_at"]
         epochs = int(aborted[0]) if aborted else config.epochs
     except (KeyError, TypeError, AttributeError, ValueError) as err:
         detail = f"missing key {err}" if isinstance(err, KeyError) else err
@@ -503,7 +583,8 @@ def load_trace(path) -> RunTrace:
     blocks = [_section_rows(sections, f"#INNER {K}", n, 1) for K in range(epochs)] if full else []
 
     trace = _new_trace(config, epochs)
-    trace.aborted_at, trace.bound_exceeded_at = aborted, bound_exceeded_at
+    trace.aborted_at, trace.bound_exceeded_at = aborted, header["bound_exceeded_at"]
+    trace.provenance = header["provenance"]
     section, r = "#NODES", 0
     try:
         for r, row in enumerate(nodes, start=1):
@@ -522,7 +603,7 @@ def load_trace(path) -> RunTrace:
             for name, value in zip(EPOCH_SERIES, parts[1:]):
                 getattr(trace, name)[r - 1] = float(value)
 
-        width = 5 + 3 * p
+        width = 5 + p
         for K, block in enumerate(blocks):
             section = f"#INNER {K}"
             index, values = [], []
@@ -531,15 +612,15 @@ def load_trace(path) -> RunTrace:
                 if len(parts) != width:
                     raise ValueError(f"{len(parts)} columns, expected {width}")
                 index.append(int(parts[1]))
-                values.append([float(c) for c in parts[2:]])
+                values.append(list(map(float, parts[2:])))
             cols = np.array(values)
             trace.index[K] = index
             trace.alpha[K], trace.dnorm2[K], trace.v[K] = cols[:, 0], cols[:, 1], cols[:, 2]
-            trace.zhat[K] = cols[:, 3 : 3 + p]
-            trace.d[K] = cols[:, 3 + p : 3 + 2 * p]
-            trace.z[K] = cols[:, 3 + 2 * p :]
+            trace.d[K] = cols[:, 3:]
     except ValueError as err:
         raise ValueError(f"{section} row {r}: {err}") from None
+    if full:
+        _derive_iterates(trace)
     return trace
 
 

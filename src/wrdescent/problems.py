@@ -165,7 +165,8 @@ class FiniteSumProblem:
                 )
             gens = np.asarray(c.generators(x), dtype=float).reshape(-1, self.p)
             sums = (sums[:, None, :] + gens[None, :, :]).reshape(-1, self.p)
-            sums = np.unique(sums, axis=0)
+            if len(sums) > 1:  # a single row is already deduplicated
+                sums = np.unique(sums, axis=0)
             if len(sums) > max_size:
                 raise UnsupportedProblem(
                     f"generator combinations exceed cap {max_size} at component {idx}"

@@ -122,21 +122,24 @@ def eval_point(policy: EvalPointPolicy, K: int, i: int) -> np.ndarray:
 
 
 def hull_point(weights: np.ndarray, points) -> np.ndarray:
-    """Combination sum_j weights[j] * points[j], in increasing index order.
+    """Combination sum_j weights[j] * points[j], accumulated in increasing j.
 
-    The engine calls this for policies without a single support point, so
-    a recorded zhat is reproduced bitwise from eval_point(policy, K, i) and
-    the recorded z_{K,0..i-1}; traces do not store the weights.
+    ``points`` is a sequence of vectors or an array with one row per point.
+    The terms weights[j] * points[j] of the nonzero weights are summed with
+    one cumulative sum, which adds them one at a time in index order, the
+    order of a left-to-right loop (``sum(axis=0)`` may pair them
+    differently).  A single unit weight returns a copy of its point.  The
+    engine calls this for policies without a single support point, and
+    ``load_trace`` calls it to rebuild zhat from eval_point(policy, K, i)
+    and z_{K,0..i-1}, bit for bit; traces do not store weights or zhat.
     """
     nz = np.flatnonzero(weights)
     if nz.size == 0:
         raise ValueError("weights must have at least one nonzero entry")
     if nz.size == 1 and weights[nz[0]] == 1.0:
         return points[nz[0]].copy()
-    acc = weights[nz[0]] * points[nz[0]]
-    for j in nz[1:]:
-        acc = acc + weights[j] * points[j]
-    return acc
+    # the last partial sum, copied so the (k, p) array of partial sums is freed
+    return np.cumsum(weights[nz, None] * np.asarray(points)[nz], axis=0)[-1].copy()
 
 
 # ---------------------------------------------------------------------------

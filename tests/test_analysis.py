@@ -8,6 +8,7 @@ from pytest import approx
 
 import wrdescent as wd
 from conftest import make_run
+from wrdescent import analysis
 from test_engine import zero_problem
 
 
@@ -40,6 +41,24 @@ class TestStepLengthBound:
 
 
 class TestEpochDescent:
+    def test_trace_check_scans_lex_once(self, logistic32, monkeypatch):
+        trace = make_run(logistic32, wd.Adaptive.recommended(32), epochs=8)
+        per_epoch = min(
+            (wd.check_epoch_descent(trace, K) for K in range(1, 8)), key=lambda r: r.rel_slack
+        )
+        calls = []
+        scan = analysis.check_lex_monotone
+        monkeypatch.setattr(analysis, "check_lex_monotone", lambda a: calls.append(1) or scan(a))
+        assert repr(wd.check_epoch_descent_trace(trace)) == repr(per_epoch)
+        assert len(calls) == 1
+
+    def test_lex_violation_rejected(self, logistic32):
+        trace = make_run(logistic32, wd.DecreasingSqrt(32), epochs=6)
+        trace.alpha[4][2] *= 2.0
+        for check in (lambda t: wd.check_epoch_descent(t, 1), wd.check_epoch_descent_trace):
+            with pytest.raises(ValueError, match=r"lexicographic monotonicity at \(4, 3\)"):
+                check(trace)
+
     def test_constant_steps_kill_ratio_term(self, logistic32):
         # alpha = 1/L keeps the S2 coefficient nonnegative, so the combined
         # form is provable here; the ratio term vanishes for equal steps

@@ -1,6 +1,7 @@
 import json
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ import wrdescent as wd
 from wrdescent.cli import fit_loglog_slope, main, sweep_checkpoints
 from wrdescent.config import ExperimentConfig, load_config, save_config
 from wrdescent.engine import VARIANT_SECTIONS
+
+
+# a two-epoch run written by the previous trace format, which stored zhat and z
+V2_TRACE = (Path(__file__).parent / "data" / "trace_v2.txt").read_text()
 
 
 def minimal_config(**overrides):
@@ -201,6 +206,21 @@ class TestCmdVerify:
         }
         assert codes == {0}
 
+    def test_overflowing_checks_skipped_others_run(self, tmp_path, capsys):
+        # alpha^2 overflows a float in the step-length and descent sums
+        with np.errstate(over="ignore"):
+            code, report, _ = self.run_and_verify(
+                tmp_path,
+                "step_length,epoch_descent,epoch_descent_tight,lex",
+                strategy={"variant": "constant", "alpha": 1e308},
+            )
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        for name in ("step_length", "epoch_descent", "epoch_descent_tight"):
+            assert report[name]["status"] == "skip"
+            assert any(line.startswith(f"[SKIP] {name}: numeric overflow") for line in out)
+        assert report["lex"]["status"] == "pass"
+
     def test_unknown_check_rejected(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -216,6 +236,22 @@ def _drop_node_row(text):
     return "".join(lines)
 
 
+def _shift_direction(text):
+    lines = text.splitlines(keepends=True)
+    at = lines.index("#INNER 2\n") + 2  # step 1 of epoch 2
+    parts = lines[at].rstrip("\n").split(",")
+    parts[-1] = repr(float(parts[-1]) + 1.0)
+    lines[at] = ",".join(parts) + "\n"
+    return "".join(lines)
+
+
+def _edit_header(text, edit):
+    first, _, rest = text.partition("\n")
+    header = json.loads(first)
+    edit(header)
+    return json.dumps(header) + "\n" + rest
+
+
 class TestTraceErrors:
     @pytest.mark.parametrize(
         "damage, where",
@@ -223,8 +259,29 @@ class TestTraceErrors:
             (lambda text: text[: 2 * len(text) // 3], "#"),
             (_drop_node_row, "#NODES row 3"),
             (lambda text: "".join(text.splitlines(keepends=True)[:-3]), "#INNER 5 row 2"),
+            (_shift_direction, "#INNER 2: the derived z_{2,n} differs from x_3 (#NODES row 4)"),
+            (
+                lambda text: _edit_header(text, lambda h: h["config"].update(epochs=5)),
+                "header: config hash mismatch",
+            ),
+            (
+                lambda text: _edit_header(text, lambda h: h.pop("provenance")),
+                "header: missing key 'provenance'",
+            ),
+            (
+                lambda text: _edit_header(text, lambda h: h.pop("config_sha256")),
+                "header: missing key 'config_sha256'",
+            ),
         ],
-        ids=["cut_at_two_thirds", "dropped_node_row", "last_three_inner_rows_missing"],
+        ids=[
+            "cut_at_two_thirds",
+            "dropped_node_row",
+            "last_three_inner_rows_missing",
+            "shifted_direction",
+            "edited_config",
+            "no_provenance",
+            "no_config_hash",
+        ],
     )
     def test_damaged_trace_exits_2_naming_the_section(self, tmp_path, capsys, damage, where):
         cfg = write_config(tmp_path, problem={"kind": "logistic", "n": 4, "p": 2, "seed": 3}, epochs=6)
@@ -245,10 +302,15 @@ class TestTraceErrors:
         "text, where",
         [
             (None, "trace error: "),
-            ('{"format": "wrdescent-trace/2"}\n', "trace error: header: missing key 'config'"),
-            ('{"format": "wrdescent-trace/1"}\n', "trace error: header: not a wrdescent-trace/2 file"),
+            (
+                '{"format": "wrdescent-trace/3", "config_sha256": "", "provenance": {},'
+                ' "aborted_at": null, "bound_exceeded_at": null}\n',
+                "trace error: header: missing key 'config'",
+            ),
+            ('{"format": "wrdescent-trace/1"}\n', "trace error: header: not a wrdescent-trace/3 file"),
+            (V2_TRACE, "trace error: header: not a wrdescent-trace/3 file"),
         ],
-        ids=["missing_file", "header_without_config", "format_v1"],
+        ids=["missing_file", "header_without_config", "format_v1", "format_v2"],
     )
     def test_unreadable_trace_exits_2(self, tmp_path, capsys, text, where):
         path = tmp_path / "trace.txt"

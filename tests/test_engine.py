@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import tempfile
@@ -18,6 +19,7 @@ from wrdescent.engine import (
     VARIANT_SECTIONS,
     config_from_dict,
     config_to_dict,
+    provenance,
     variant_from_dict,
     variant_to_dict,
 )
@@ -354,9 +356,20 @@ PERM_CASES = [
     wd.AdversarialMaxNorm(),
 ]
 # column of a trace row -> the RunTrace array it is read into
-INNER_COLUMNS = ["i", "index", "alpha", "dnorm2", "v"] + [f for f in ("zhat", "d", "z") for _ in range(2)]
+INNER_COLUMNS = ["i", "index", "alpha", "dnorm2", "v", "d", "d"]
 NODE_COLUMNS = ["K", "xs", "xs", "f_vals", "grad_sq"]
 EPOCH_COLUMNS = ["K", "alpha_first", "alpha_last", "alpha_sum", "v_end"]
+
+
+def first_moved_epoch_end(xs, alpha, d):
+    """First K whose z_{K,n}, stepped from x_K one update at a time, is not x_{K+1}."""
+    for K in range(len(alpha)):
+        z = xs[K]
+        for a, dk in zip(alpha[K], d[K]):
+            z = z - a * dk
+        if not np.array_equal(z, xs[K + 1]):
+            return K
+    return None
 
 
 class TestTraceFileProperty:
@@ -375,8 +388,9 @@ class TestTraceFileProperty:
         strategy = wd.Adaptive.recommended(4) if adaptive else wd.DecreasingSqrt(4)
         trace = make_run(prob, strategy, eval_policy, perm_policy, epochs=3, record_level=level)
 
-        # one number of one row: #INNER K row i -> (K, i), #NODES row K (x_K) ->
-        # (K-1, n) or (0, 0) for x_0, #EPOCHS row K -> (K, n)
+        # one number of one stored column: #INNER K row i -> (K, i), #NODES row
+        # K (x_K) -> (K-1, n) or (0, 0) for x_0, #EPOCHS row K -> (K, n); a
+        # number that moves a derived z_{K,n} is reported by load_trace instead
         sections = ["#NODES", "#EPOCHS"] + (["#INNER"] if level == "full" else [])
         section = data.draw(st.sampled_from(sections), label="section")
         K = data.draw(st.integers(0, 3 if section == "#NODES" else 2), label="K")
@@ -409,9 +423,45 @@ class TestTraceFileProperty:
                 parts[column] = repr(1.0 if math.isnan(value) else float(np.nextafter(value, np.inf)))
             lines[row] = ",".join(parts) + "\n"
             path.write_text("".join(lines))
+
+            name, moved = columns[column], None
+            if level == "full" and name in ("alpha", "d", "xs"):
+                stored = {"xs": trace.xs.copy(), "alpha": trace.alpha.copy(), "d": trace.d.copy()}
+                if name == "xs":
+                    stored["xs"][K, column - 1] = float(parts[column])
+                elif name == "alpha":
+                    stored["alpha"][K, i - 1] = float(parts[column])
+                else:
+                    stored["d"][K, i - 1, column - 5] = float(parts[column])
+                moved = first_moved_epoch_end(**stored)
+            if moved is not None:
+                pattern = rf"^#INNER {moved}: .* \(#NODES row {moved + 2}\)$"
+                with pytest.raises(ValueError, match=pattern):
+                    wd.load_trace(path)
+                return
             rep = wd.replay(wd.load_trace(path))
         assert not rep.ok
         assert rep.first_mismatch == where + (columns[column],)
+
+
+class TestTraceHeader:
+    def test_provenance_and_config_hash_round_trip(self, tmp_path):
+        prob = wd.make_problem("logistic", 4, 2, 8)
+        trace = make_run(prob, wd.DecreasingSqrt(4), epochs=3)
+        assert trace.provenance == provenance()
+        assert set(trace.provenance) == {"wrdescent", "numpy", "python", "blas"}
+        # a trace made on another machine keeps its provenance through a load
+        trace.provenance = dict(trace.provenance, numpy="1.0.0", blas="other 0.1")
+        path = tmp_path / "trace.txt"
+        wd.save_trace(trace, path)
+        header = json.loads(path.read_text().partition("\n")[0])
+        canonical = json.dumps(config_to_dict(trace.config), sort_keys=True, separators=(",", ":"))
+        assert header["config_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
+        assert header["provenance"] == trace.provenance
+        loaded = wd.load_trace(path)
+        assert loaded.provenance == trace.provenance
+        wd.save_trace(loaded, tmp_path / "resaved.txt")
+        assert (tmp_path / "resaved.txt").read_bytes() == path.read_bytes()
 
 
 class TestSummaryCsv:

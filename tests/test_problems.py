@@ -133,6 +133,20 @@ class TestGeneratorSets:
             gens = [g[0] for g in prob.generator_set(x)]
             assert min(gens) - 1e-10 <= d <= max(gens) + 1e-10
 
+    @pytest.mark.parametrize(
+        "prob",
+        [wd.make_problem("logistic", 40, 3, 5), wd.median_problem([0.5, 1.0, 0.0, 0.0, 0.0])],
+        ids=["logistic", "median"],
+    )
+    def test_matches_deduplicating_every_step(self, prob):
+        # skipping np.unique on a single row gives the same bits as calling it
+        x = np.zeros(prob.p)
+        sums = np.zeros((1, prob.p))
+        for c in prob.components:
+            gens = np.asarray(c.generators(x), dtype=float).reshape(-1, prob.p)
+            sums = np.unique((sums[:, None, :] + gens[None, :, :]).reshape(-1, prob.p), axis=0)
+        assert np.array_equal(np.array(prob.generator_set(x)), sums / prob.n)
+
     def test_unsupported_without_generators(self):
         prob = wd.make_problem("relu_net", 3, 2, 0)
         with pytest.raises(wd.UnsupportedProblem):

@@ -76,6 +76,20 @@ class TestHullPoint:
         zhat = hull_point(w, pts)
         assert np.linalg.norm(zhat - x) <= max(np.linalg.norm(p - x) for p in pts) + 1e-12
 
+    @pytest.mark.parametrize("p", [1, 2, 5, 50])
+    def test_matches_left_to_right_loop_bitwise(self, p):
+        rng = np.random.default_rng(p)
+        for m in range(1, 40):
+            pts = rng.standard_normal((m, p))
+            w = rng.dirichlet(np.ones(m))
+            acc = w[0] * pts[0]
+            for j in range(1, m):
+                acc = acc + w[j] * pts[j]
+            out = hull_point(w, pts)
+            assert np.array_equal(out, acc)
+            assert out.base is None  # holds no array of partial sums
+            assert np.array_equal(hull_point(w, list(pts)), acc)
+
 
 class TestPermutation:
     def test_identity(self):
