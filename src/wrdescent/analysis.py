@@ -434,7 +434,8 @@ def certify_run(
     the rule's epoch range (K = 0..N, or 1..N for the decreasing-step
     rules) must not exceed the closed-form bound.  F* is replaced by
     ``f_star`` (default: the problem's recorded lower bound), which can only
-    loosen the bound, so passes remain valid certificates.
+    loosen the bound, so passes remain valid certificates.  A bound that is
+    not finite at some horizon certifies nothing and raises OverflowError.
     """
     problem = trace.problem
     _require_smooth(problem)
@@ -476,6 +477,8 @@ def certify_run(
             else:
                 observed = float(running[N])
             bound = rate_bound(r, N=N, **params)
+            if not math.isfinite(bound):
+                raise OverflowError(f"the {r} bound is {bound} at N={N}")
             slack = bound - observed
             reports.append(
                 BoundReport(

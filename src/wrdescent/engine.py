@@ -17,13 +17,17 @@ one RunTrace of arrays indexed by epoch K:
     (N, n, p).  At record_level "epoch_only" these arrays are None.
 
 A trace file stores each recorded primitive once: of the inner steps only
-index, alpha, dnorm2, v and d.  ``load_trace`` rebuilds z with the
-engine's own update from x_K, checks z_{K,n} = x_{K+1} bit for bit, and
-rebuilds zhat through the policy (``eval_support``, or ``hull_point`` of
-``eval_point``'s weights): hull weights and evaluation points are pure
-functions of (policy, K, i) and the epoch's iterates.  The file header
-carries the configuration, its SHA-256 and the provenance (wrdescent,
-NumPy, Python and BLAS versions) that bitwise replay depends on.
+index, alpha, dnorm2, v and d.  After a JSON header line, each section
+line (#NODES, #EPOCHS and, at full level, #INDEX and #INNER) is followed
+by one line of base64 holding the raw little-endian float64 (int64 for
+#INDEX) bytes of its array, so a load decodes bits and parses no numbers.
+``load_trace`` rebuilds z with the engine's own update from x_K, checks
+z_{K,n} = x_{K+1} bit for bit, and rebuilds zhat through the policy
+(``eval_support``, or ``hull_point`` of ``eval_point``'s weights): hull
+weights and evaluation points are pure functions of (policy, K, i) and the
+epoch's iterates.  The file header carries the configuration, its SHA-256
+and the provenance (wrdescent, NumPy, Python and BLAS versions) that
+bitwise replay depends on.
 
 Replay re-runs the configuration and compares the arrays one by one.
 Runs are deterministic functions of their configuration (all randomness is
@@ -35,9 +39,11 @@ excursion (constants of box-local problems are only valid inside the box).
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 import platform
+import re
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -65,7 +71,7 @@ from .steps import (
     step_value,
 )
 
-TRACE_FORMAT = "wrdescent-trace/3"
+TRACE_FORMAT = "wrdescent-trace/4"
 
 
 class NonFiniteError(RuntimeError):
@@ -366,7 +372,7 @@ def replay(trace: RunTrace) -> ReplayReport:
 
 
 # ---------------------------------------------------------------------------
-# trace file IO: one JSON header line, then CSV blocks
+# trace file IO: one JSON header line, then a section line and a base64 line per section
 # ---------------------------------------------------------------------------
 
 
@@ -429,7 +435,32 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# section line -> dtype of its array.  #INDEX and #INNER, at the full record
+# level only, hold one row per inner step, epoch by epoch.
+SECTION_DTYPES = {"#NODES": "<f8", "#EPOCHS": "<f8", "#INDEX": "<i8", "#INNER": "<f8"}
+STEP_SECTIONS = ("#INDEX", "#INNER")
+
+
+def _section_arrays(trace: RunTrace) -> dict:
+    """The array each section of the trace's file stores, by section line."""
+    arrays = {
+        "#NODES": np.column_stack([trace.xs, trace.f_vals, trace.grad_sq]),
+        "#EPOCHS": np.column_stack([getattr(trace, name) for name in EPOCH_SERIES]),
+    }
+    if trace.alpha is not None:
+        arrays["#INDEX"] = trace.index
+        arrays["#INNER"] = np.concatenate(
+            [trace.alpha[..., None], trace.dnorm2[..., None], trace.v[..., None], trace.d], axis=2
+        )
+    return arrays
+
+
 def save_trace(trace: RunTrace, path) -> None:
+    """Write the trace file: the JSON header line, then per section two lines.
+
+    A section's second line is the base64 of its array's raw little-endian
+    bytes; ``load_trace`` gives each section's shape.
+    """
     # canonical JSON: sorted keys, no spaces
     config_text = json.dumps(config_to_dict(trace.config), sort_keys=True, separators=(",", ":"))
     header = {
@@ -439,39 +470,14 @@ def save_trace(trace: RunTrace, path) -> None:
         "aborted_at": list(trace.aborted_at) if trace.aborted_at else None,
         "bound_exceeded_at": trace.bound_exceeded_at,
     }
-    p = trace.problem.p
-    lines = [json.dumps(header)[:-1] + ', "config": ' + config_text + "}"]
-    lines.append("#NODES")
-    lines.append("K," + ",".join(f"x{k}" for k in range(p)) + ",f,grad_sq")
-    for K, x in enumerate(trace.xs):
-        lines.append(
-            f"{K},"
-            + ",".join(_fmt(c) for c in x)
-            + f",{_fmt(trace.f_vals[K])},{_fmt(trace.grad_sq[K])}"
-        )
-    lines.append("#EPOCHS")
-    lines.append("K,alpha_first,alpha_last,alpha_sum,v_end")
-    for K in range(trace.epochs_completed):
-        lines.append(
-            f"{K},{_fmt(trace.alpha_first[K])},{_fmt(trace.alpha_last[K])},"
-            f"{_fmt(trace.alpha_sum[K])},{_fmt(trace.v_end[K])}"
-        )
-    if trace.alpha is not None:
-        columns = "i,index,alpha,dnorm2,v," + ",".join(f"d{k}" for k in range(p))
-        for K in range(trace.epochs_completed):
-            lines.append(f"#INNER {K}")
-            lines.append(columns)
-            rows = zip(
-                trace.index[K].tolist(),
-                trace.alpha[K].tolist(),
-                trace.dnorm2[K].tolist(),
-                trace.v[K].tolist(),
-                trace.d[K].tolist(),
-            )
-            for i, (index, alpha, dnorm2, v, d) in enumerate(rows, start=1):
-                lines.append(f"{i},{index},{alpha!r},{dnorm2!r},{v!r}," + ",".join(map(repr, d)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = [(json.dumps(header)[:-1] + ', "config": ' + config_text + "}").encode()]
+    for name, array in _section_arrays(trace).items():
+        lines.append(name.encode())
+        raw = array.astype(SECTION_DTYPES[name], copy=False).tobytes()
+        lines.append(binascii.b2a_base64(raw, newline=False))
+    lines.append(b"")  # the file ends with a newline
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines))
 
 
 def _read_header(line: str) -> dict:
@@ -491,27 +497,71 @@ def _read_header(line: str) -> dict:
     return header
 
 
-def _section_rows(sections: dict, name: str, count: int, first: int) -> list:
-    """The data rows of a trace section, which must hold ``count`` of them.
+def _section_payloads(lines: list, names) -> dict:
+    """{section line: payload} of a trace file's lines after the header.
 
-    Row r (from 1) must carry the label first + r - 1 in its first column,
-    so a dropped or inserted row is reported where it happened.
+    Each section line is followed by its payload line, which is empty for
+    a section of zero rows.  A section line that is not one of ``names``,
+    or appears twice, and a line that is neither a section line nor the
+    payload after one raise ValueError.
     """
-    if name not in sections:
-        raise ValueError(f"{name}: section missing")
-    rows = sections[name][1:]
-    for r, row in enumerate(rows, start=1):
-        label = row.partition(",")[0]
-        if label != str(first + r - 1):
-            raise ValueError(
-                f"{name} row {r}: label {label!r}, expected {first + r - 1} (row missing or out of order)"
-            )
-    if len(rows) != count:
-        what = "missing" if len(rows) < count else "unexpected"
+    payloads: dict = {}
+    current = None
+    for r, line in enumerate(lines[1:], start=2):
+        if line.startswith(b"#"):
+            name = line.decode(errors="replace")
+            if name not in names:
+                raise ValueError(f"{name}: unknown section (line {r})")
+            if name in payloads:
+                raise ValueError(f"{name}: repeated section (line {r})")
+            payloads[name] = b""
+            current = name
+        elif current is not None:
+            payloads[current] = line
+            current = None
+        else:
+            raise ValueError(f"line {r}: neither a section line nor the payload after one")
+    for name in names:
+        if name not in payloads:
+            raise ValueError(f"{name}: section missing")
+    return payloads
+
+
+def _decode_section(name: str, payload: bytes, shape: tuple, n: int) -> np.ndarray:
+    """The array of a section's base64 payload, which must fill ``shape``.
+
+    A damaged, short or long payload raises ValueError naming the first row
+    it affects: ``#NODES row r`` and ``#EPOCHS row r`` count rows from 1,
+    ``#INDEX K row i`` and ``#INNER K row i`` name inner step i of epoch K.
+    """
+    lead = 2 if name in STEP_SECTIONS else 1
+    rows, row_bytes = math.prod(shape[:lead]), 8 * math.prod(shape[lead:])
+
+    def row(q: int) -> str:
+        return f"{name} {q // n} row {q % n + 1}" if lead == 2 else f"{name} row {q + 1}"
+
+    import base64  # imported on first use, like hashlib: commands without trace IO skip it
+
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except binascii.Error:
+        bad = re.search(rb"[^A-Za-z0-9+/]", payload)
+        if bad:
+            at = bad.start()  # character at encodes byte at * 3 // 4
+            raise ValueError(f"{row(at * 3 // 4 // row_bytes)}: not base64 (character {at + 1} of the payload)")
+        raw = base64.b64decode(payload[: len(payload) - len(payload) % 4])  # cut inside a quad
+    size = rows * row_bytes
+    if len(raw) < size:
+        what = "incomplete" if len(raw) % row_bytes else "missing"
         raise ValueError(
-            f"{name} row {min(len(rows), count) + 1}: {what}, the header implies {count} rows"
+            f"{row(len(raw) // row_bytes)}: {what}, the payload holds {len(raw)} of the"
+            f" {size} bytes the header implies"
         )
-    return rows
+    if len(raw) > size:
+        raise ValueError(
+            f"{row(rows)}: unexpected, the payload holds {len(raw)} bytes, the header implies {size}"
+        )
+    return np.frombuffer(raw, SECTION_DTYPES[name]).reshape(shape)
 
 
 def _derive_iterates(trace: RunTrace) -> None:
@@ -548,18 +598,19 @@ def _derive_iterates(trace: RunTrace) -> None:
 def load_trace(path) -> RunTrace:
     """Read a trace file; a truncated, malformed or inconsistent one raises ValueError.
 
-    Row counts follow from the header: epochs + 1 #NODES rows, one #EPOCHS
-    row per completed epoch and, at full level, n rows per #INNER block,
-    labelled K = 0, 1, ... (#NODES, #EPOCHS) or i = 1..n (#INNER).  Errors
-    name the section and the row, counted from 1 after the column header.
-    z and zhat are derived (see ``_derive_iterates``).
+    The header implies each section's shape: #NODES (N+1, p+2) holds x, f
+    and grad_sq of x_0..x_N, #EPOCHS (N, 4) the epoch series and, at full
+    level, #INDEX (N, n) the queried components and #INNER (N, n, 3+p)
+    alpha, dnorm2, v and d of every inner step.  Errors name the section
+    and the first row affected (see ``_decode_section``).  z and zhat are
+    derived (see ``_derive_iterates``).
     """
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError("empty trace file")
     try:
-        header = _read_header(lines[0])
+        header = _read_header(lines[0].decode())
         config = config_from_dict(header["config"])
         aborted = tuple(header["aborted_at"]) if header["aborted_at"] else None
         epochs = int(aborted[0]) if aborted else config.epochs
@@ -567,59 +618,26 @@ def load_trace(path) -> RunTrace:
         detail = f"missing key {err}" if isinstance(err, KeyError) else err
         raise ValueError(f"header: {detail}") from None
     n, p = config.problem.n, config.problem.p
-
-    sections: dict = {}
-    current = None
-    for line in lines[1:]:
-        if line.startswith("#"):
-            current = line
-            sections[current] = []
-        elif line:
-            sections[current].append(line)
-
     full = config.record_level == "full"
-    nodes = _section_rows(sections, "#NODES", epochs + 1, 0)
-    epoch_rows = _section_rows(sections, "#EPOCHS", epochs, 0)
-    blocks = [_section_rows(sections, f"#INNER {K}", n, 1) for K in range(epochs)] if full else []
+
+    shapes = {"#NODES": (epochs + 1, p + 2), "#EPOCHS": (epochs, len(EPOCH_SERIES))}
+    if full:
+        shapes.update({"#INDEX": (epochs, n), "#INNER": (epochs, n, 3 + p)})
+    payloads = _section_payloads(lines, shapes)
+    arrays = {name: _decode_section(name, payloads[name], shape, n) for name, shape in shapes.items()}
 
     trace = _new_trace(config, epochs)
     trace.aborted_at, trace.bound_exceeded_at = aborted, header["bound_exceeded_at"]
     trace.provenance = header["provenance"]
-    section, r = "#NODES", 0
-    try:
-        for r, row in enumerate(nodes, start=1):
-            parts = row.split(",")
-            if len(parts) != p + 3:
-                raise ValueError(f"{len(parts)} columns, expected {p + 3}")
-            trace.xs[r - 1] = [float(c) for c in parts[1 : 1 + p]]
-            trace.f_vals[r - 1] = float(parts[1 + p])
-            trace.grad_sq[r - 1] = float(parts[2 + p])
-
-        section = "#EPOCHS"
-        for r, row in enumerate(epoch_rows, start=1):
-            parts = row.split(",")
-            if len(parts) != 5:
-                raise ValueError(f"{len(parts)} columns, expected 5")
-            for name, value in zip(EPOCH_SERIES, parts[1:]):
-                getattr(trace, name)[r - 1] = float(value)
-
-        width = 5 + p
-        for K, block in enumerate(blocks):
-            section = f"#INNER {K}"
-            index, values = [], []
-            for r, row in enumerate(block, start=1):
-                parts = row.split(",")
-                if len(parts) != width:
-                    raise ValueError(f"{len(parts)} columns, expected {width}")
-                index.append(int(parts[1]))
-                values.append(list(map(float, parts[2:])))
-            cols = np.array(values)
-            trace.index[K] = index
-            trace.alpha[K], trace.dnorm2[K], trace.v[K] = cols[:, 0], cols[:, 1], cols[:, 2]
-            trace.d[K] = cols[:, 3:]
-    except ValueError as err:
-        raise ValueError(f"{section} row {r}: {err}") from None
+    nodes = arrays["#NODES"]
+    trace.xs[:], trace.f_vals[:], trace.grad_sq[:] = nodes[:, :p], nodes[:, p], nodes[:, p + 1]
+    for k, name in enumerate(EPOCH_SERIES):
+        getattr(trace, name)[:] = arrays["#EPOCHS"][:, k]
     if full:
+        steps = arrays["#INNER"]
+        trace.index[:] = arrays["#INDEX"]
+        trace.alpha[:], trace.dnorm2[:], trace.v[:] = steps[..., 0], steps[..., 1], steps[..., 2]
+        trace.d[:] = steps[..., 3:]
         _derive_iterates(trace)
     return trace
 

@@ -1,3 +1,5 @@
+import base64
+
 import hypothesis
 import numpy as np
 import pytest
@@ -64,3 +66,25 @@ def make_run(
 @pytest.fixture
 def run_factory():
     return make_run
+
+
+def decode_payload(payload: str, dtype: str = "<f8") -> np.ndarray:
+    """The array a trace section's base64 payload holds, flat and writable."""
+    return np.frombuffer(base64.b64decode(payload), dtype).copy()
+
+
+def encode_payload(array: np.ndarray) -> str:
+    return base64.b64encode(np.ascontiguousarray(array).tobytes()).decode()
+
+
+def section_payload(text: str, section: str) -> str:
+    """The payload line that follows a section line of a trace file's text."""
+    lines = text.splitlines()
+    return lines[lines.index(section) + 1]
+
+
+def with_payload(text: str, section: str, payload: str) -> str:
+    """A trace file's text with the payload line after ``section`` replaced."""
+    lines = text.splitlines(keepends=True)
+    lines[lines.index(section + "\n") + 1] = payload + "\n"
+    return "".join(lines)

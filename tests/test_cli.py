@@ -8,13 +8,17 @@ import pytest
 from pytest import approx
 
 import wrdescent as wd
+from conftest import decode_payload, encode_payload, section_payload, with_payload
 from wrdescent.cli import fit_loglog_slope, main, sweep_checkpoints
 from wrdescent.config import ExperimentConfig, load_config, save_config
 from wrdescent.engine import VARIANT_SECTIONS
 
 
-# a two-epoch run written by the previous trace format, which stored zhat and z
-V2_TRACE = (Path(__file__).parent / "data" / "trace_v2.txt").read_text()
+DATA = Path(__file__).parent / "data"
+# two-epoch runs written by earlier trace formats: v2 stored zhat and z, v3
+# stored every number as decimal text
+V2_TRACE = (DATA / "trace_v2.txt").read_text()
+V3_TRACE = (DATA / "trace_v3.txt").read_text()
 
 
 def minimal_config(**overrides):
@@ -221,6 +225,25 @@ class TestCmdVerify:
             assert any(line.startswith(f"[SKIP] {name}: numeric overflow") for line in out)
         assert report["lex"]["status"] == "pass"
 
+    def test_non_finite_rate_bound_skipped(self, tmp_path, capsys):
+        # alpha = 1e308 takes the constant rule's bound to inf at every horizon
+        config = str(Path(__file__).parents[1] / "scripts" / "configs" / "logistic_small.json")
+        strategy = 'strategy={"variant": "constant", "alpha": 1e308}'
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            assert main(["run", "--config", config, "--out", str(out), "--set", strategy]) == 0
+            code = main(["verify", "--trace", str(out / "trace.txt"), "--checks", "bound_constant"])
+            sweep = ["sweep", "--config", config, "--out", str(tmp_path / "sweep"), "--set", strategy]
+            sweep += ["--set", "epochs=20", "--grid", "strategy.alpha=1e308,0.1"]
+            assert main(sweep) == 0
+        assert code == 0
+        out_lines = capsys.readouterr().out.splitlines()
+        assert "[SKIP] bound_constant: numeric overflow: the constant bound is inf at N=0" in out_lines
+        assert json.loads((out / "certificate.json").read_text())["bound_constant"]["status"] == "skip"
+        cells = (tmp_path / "sweep" / "cells.csv").read_text().splitlines()[1:]
+        assert cells[0].endswith(',"constant=skip",')
+        assert cells[1].endswith(',"constant=pass;constant_with_l=pass",')
+
     def test_unknown_check_rejected(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -230,19 +253,28 @@ class TestCmdVerify:
         )
 
 
-def _drop_node_row(text):
-    lines = text.splitlines(keepends=True)
-    del lines[lines.index("#NODES\n") + 4]  # the row of x_2
-    return "".join(lines)
+# the damaged traces below come from a run with n = 4, p = 2 and 6 epochs:
+# #NODES rows are 32 bytes, #INNER rows (alpha, dnorm2, v, d) 40 bytes
+
+
+def _edit_section(text, section, edit):
+    return with_payload(text, section, encode_payload(edit(decode_payload(section_payload(text, section)))))
 
 
 def _shift_direction(text):
-    lines = text.splitlines(keepends=True)
-    at = lines.index("#INNER 2\n") + 2  # step 1 of epoch 2
-    parts = lines[at].rstrip("\n").split(",")
-    parts[-1] = repr(float(parts[-1]) + 1.0)
-    lines[at] = ",".join(parts) + "\n"
-    return "".join(lines)
+    def edit(steps):
+        steps = steps.reshape(6, 4, 5)
+        steps[2, 0, -1] += 1.0  # the last component of d at step 1 of epoch 2
+        return steps
+
+    return _edit_section(text, "#INNER", edit)
+
+
+def _insert_character(text):
+    payload = section_payload(text, "#INNER")
+    # character 501 encodes byte 375, inside row 10 (bytes 360..399): step 2 of
+    # epoch 2; a decoder that skips foreign characters would load this trace
+    return with_payload(text, "#INNER", payload[:500] + "*" + payload[500:])
 
 
 def _edit_header(text, edit):
@@ -256,10 +288,22 @@ class TestTraceErrors:
     @pytest.mark.parametrize(
         "damage, where",
         [
-            (lambda text: text[: 2 * len(text) // 3], "#"),
-            (_drop_node_row, "#NODES row 3"),
-            (lambda text: "".join(text.splitlines(keepends=True)[:-3]), "#INNER 5 row 2"),
+            # where the cut lands depends on the header's length (its provenance)
+            (lambda text: text[: 2 * len(text) // 3], "#INNER "),
+            (lambda text: _edit_section(text, "#NODES", lambda a: a[:-4]), "#NODES row 7: missing"),
+            (lambda text: _edit_section(text, "#INNER", lambda a: a[:-15]), "#INNER 5 row 2: missing"),
+            (
+                lambda text: _edit_section(text, "#INNER", lambda a: np.append(a, a[:5])),
+                "#INNER 6 row 1: unexpected",
+            ),
+            (_insert_character, "#INNER 2 row 2: not base64 (character 501 of the payload)"),
             (_shift_direction, "#INNER 2: the derived z_{2,n} differs from x_3 (#NODES row 4)"),
+            (lambda text: text.replace("#EPOCHS\n", "#EPOCH\n"), "#EPOCH: unknown section (line 4)"),
+            (
+                lambda text: text.replace("#INDEX\n", "#NODES\n"),
+                "#NODES: repeated section (line 6)",
+            ),
+            (lambda text: "".join(text.splitlines(keepends=True)[:5]), "#INDEX: section missing"),
             (
                 lambda text: _edit_header(text, lambda h: h["config"].update(epochs=5)),
                 "header: config hash mismatch",
@@ -277,7 +321,12 @@ class TestTraceErrors:
             "cut_at_two_thirds",
             "dropped_node_row",
             "last_three_inner_rows_missing",
+            "inner_row_added",
+            "non_base64_character",
             "shifted_direction",
+            "unknown_section",
+            "repeated_section",
+            "missing_section",
             "edited_config",
             "no_provenance",
             "no_config_hash",
@@ -303,14 +352,15 @@ class TestTraceErrors:
         [
             (None, "trace error: "),
             (
-                '{"format": "wrdescent-trace/3", "config_sha256": "", "provenance": {},'
+                '{"format": "wrdescent-trace/4", "config_sha256": "", "provenance": {},'
                 ' "aborted_at": null, "bound_exceeded_at": null}\n',
                 "trace error: header: missing key 'config'",
             ),
-            ('{"format": "wrdescent-trace/1"}\n', "trace error: header: not a wrdescent-trace/3 file"),
-            (V2_TRACE, "trace error: header: not a wrdescent-trace/3 file"),
+            ('{"format": "wrdescent-trace/1"}\n', "trace error: header: not a wrdescent-trace/4 file"),
+            (V2_TRACE, "trace error: header: not a wrdescent-trace/4 file"),
+            (V3_TRACE, "trace error: header: not a wrdescent-trace/4 file"),
         ],
-        ids=["missing_file", "header_without_config", "format_v1", "format_v2"],
+        ids=["missing_file", "header_without_config", "format_v1", "format_v2", "format_v3"],
     )
     def test_unreadable_trace_exits_2(self, tmp_path, capsys, text, where):
         path = tmp_path / "trace.txt"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import wrdescent as wd
-from conftest import make_run
+from conftest import decode_payload, encode_payload, make_run, section_payload, with_payload
 from wrdescent.engine import (
     INNER_FIELDS,
     VARIANT_SECTIONS,
@@ -355,10 +355,11 @@ PERM_CASES = [
     wd.ShuffledPerEpoch(4),
     wd.AdversarialMaxNorm(),
 ]
-# column of a trace row -> the RunTrace array it is read into
-INNER_COLUMNS = ["i", "index", "alpha", "dnorm2", "v", "d", "d"]
-NODE_COLUMNS = ["K", "xs", "xs", "f_vals", "grad_sq"]
-EPOCH_COLUMNS = ["K", "alpha_first", "alpha_last", "alpha_sum", "v_end"]
+# column of a trace section's rows -> the RunTrace array it is read into; the
+# index of an inner step is stored in #INDEX, the rest of the step in #INNER
+INNER_COLUMNS = ["index", "alpha", "dnorm2", "v", "d", "d"]
+NODE_COLUMNS = ["xs", "xs", "f_vals", "grad_sq"]
+EPOCH_COLUMNS = ["alpha_first", "alpha_last", "alpha_sum", "v_end"]
 
 
 def first_moved_epoch_end(xs, alpha, d):
@@ -388,21 +389,22 @@ class TestTraceFileProperty:
         strategy = wd.Adaptive.recommended(4) if adaptive else wd.DecreasingSqrt(4)
         trace = make_run(prob, strategy, eval_policy, perm_policy, epochs=3, record_level=level)
 
-        # one number of one stored column: #INNER K row i -> (K, i), #NODES row
-        # K (x_K) -> (K-1, n) or (0, 0) for x_0, #EPOCHS row K -> (K, n); a
-        # number that moves a derived z_{K,n} is reported by load_trace instead
+        # one stored value: inner step (K, i) -> (K, i), #NODES row of x_K ->
+        # (K-1, n) or (0, 0) for x_0, #EPOCHS row K -> (K, n); a value that
+        # moves a derived z_{K,n} is reported by load_trace instead
         sections = ["#NODES", "#EPOCHS"] + (["#INNER"] if level == "full" else [])
         section = data.draw(st.sampled_from(sections), label="section")
         K = data.draw(st.integers(0, 3 if section == "#NODES" else 2), label="K")
         if section == "#INNER":
             i = data.draw(st.integers(1, 4), label="i")
-            header, row, columns, where = f"#INNER {K}", i, INNER_COLUMNS, (K, i)
+            row, columns, where = K * prob.n + i - 1, INNER_COLUMNS, (K, i)
         elif section == "#NODES":
-            header, row, columns = "#NODES", K + 1, NODE_COLUMNS
+            row, columns = K, NODE_COLUMNS
             where = (K - 1, prob.n) if K else (0, 0)
         else:
-            header, row, columns, where = "#EPOCHS", K + 1, EPOCH_COLUMNS, (K, prob.n)
-        column = data.draw(st.integers(1, len(columns) - 1), label="column")
+            row, columns, where = K, EPOCH_COLUMNS, (K, prob.n)
+        column = data.draw(st.integers(0, len(columns) - 1), label="column")
+        name = columns[column]
 
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.txt"
@@ -413,26 +415,26 @@ class TestTraceFileProperty:
             assert path.read_text() == text
             assert wd.replay(loaded).ok
 
-            lines = text.splitlines(keepends=True)
-            row = lines.index(header + "\n") + 1 + row
-            parts = lines[row].rstrip("\n").split(",")
-            if columns[column] == "index":
-                parts[column] = str((int(parts[column]) + 1) % prob.n)
+            target = "#INDEX" if name == "index" else section
+            if name == "index":
+                stored = decode_payload(section_payload(text, target), "<i8")
+                stored[row] = (stored[row] + 1) % prob.n
             else:
-                value = float(parts[column])
-                parts[column] = repr(1.0 if math.isnan(value) else float(np.nextafter(value, np.inf)))
-            lines[row] = ",".join(parts) + "\n"
-            path.write_text("".join(lines))
+                skip = section == "#INNER"  # #INNER holds no index column
+                stored = decode_payload(section_payload(text, target)).reshape(-1, len(columns) - skip)
+                value = stored[row, column - skip]
+                value = stored[row, column - skip] = 1.0 if math.isnan(value) else np.nextafter(value, np.inf)
+            path.write_text(with_payload(text, target, encode_payload(stored)))
 
-            name, moved = columns[column], None
+            moved = None
             if level == "full" and name in ("alpha", "d", "xs"):
                 stored = {"xs": trace.xs.copy(), "alpha": trace.alpha.copy(), "d": trace.d.copy()}
                 if name == "xs":
-                    stored["xs"][K, column - 1] = float(parts[column])
+                    stored["xs"][K, column] = value
                 elif name == "alpha":
-                    stored["alpha"][K, i - 1] = float(parts[column])
+                    stored["alpha"][K, i - 1] = value
                 else:
-                    stored["d"][K, i - 1, column - 5] = float(parts[column])
+                    stored["d"][K, i - 1, column - 4] = value
                 moved = first_moved_epoch_end(**stored)
             if moved is not None:
                 pattern = rf"^#INNER {moved}: .* \(#NODES row {moved + 2}\)$"
@@ -441,7 +443,7 @@ class TestTraceFileProperty:
                 return
             rep = wd.replay(wd.load_trace(path))
         assert not rep.ok
-        assert rep.first_mismatch == where + (columns[column],)
+        assert rep.first_mismatch == where + (name,)
 
 
 class TestTraceHeader:
