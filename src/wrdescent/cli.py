@@ -138,6 +138,11 @@ def _verify_one(trace, name: str):
         return ("pass" if rep.ok else "fail"), f"rel slack {rep.rel_slack:.3e}", None
     if name == "gamma":
         gt = flows.gamma_trace(trace)
+        for what in ("taus", "gammas", "ratios"):
+            values = getattr(gt, what)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise OverflowError(f"{what}[{bad[0]}] is {values[bad[0]]}")
         if gt.lambda_bound_ok is None:
             ok = bool(np.all(gt.ratios >= 1.0 - 1e-12))
             return ("pass" if ok else "fail"), "epoch-level ratios only", None

@@ -31,10 +31,17 @@ bitwise replay depends on.
 
 Replay re-runs the configuration and compares the arrays one by one.
 Runs are deterministic functions of their configuration (all randomness is
-counter-based off explicit seeds).  A non-finite value aborts the run with
-the offending (K, i); completed epochs are retained.  The engine also
-monitors ||x_K||_inf against an optional radius and flags the first
-excursion (constants of box-local problems are only valid inside the box).
+counter-based off explicit seeds).  A non-finite value aborts the run at
+the first step (K, i) where ||d||^2, or the sum of the entries of z_{K,i},
+is not finite; completed epochs are retained.  ||d||^2 is tested at each
+step, before the step rule reads it.  The iterates are tested once per
+epoch, after its last step, or earlier when a non-finite ||d||^2 makes the
+engine look back for a non-finite iterate before it.  The adversarial
+order probes ||d_i(x_K)|| with one ``FiniteSumProblem.direction_norms``
+call per epoch, vectorized over the data matrix for the logistic, sigmoid
+and median problems.  The engine also monitors ||x_K||_inf against an
+optional radius and flags the first excursion (constants of box-local
+problems are only valid inside the box).
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ import json
 import math
 import platform
 import re
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -205,13 +213,37 @@ def _new_trace(config: RunConfig, N: int) -> RunTrace:
     )
 
 
+def _first_non_finite(rows) -> Optional[int]:
+    """1-based position of the first row whose sum is not finite, or None.
+
+    ``rows`` holds z_{K,1}, z_{K,2}, ... of one epoch, as a list of vectors
+    or an array.  Rows whose entries are all at most DBL_MAX / (2p) in
+    magnitude cannot sum to inf in any order, so one min and one max over
+    the epoch (NaN fails both tests) settle the common case without a
+    temporary array; otherwise each row's own ``sum`` decides.
+    """
+    if not len(rows):
+        return None
+    rows = np.asarray(rows)
+    limit = sys.float_info.max / (2 * rows.shape[1])
+    if -limit <= rows.min() and rows.max() <= limit:
+        return None
+    for i, row in enumerate(rows, start=1):
+        if not math.isfinite(float(row.sum())):
+            return i
+    return None
+
+
 def run_epoch(trace: RunTrace, state: StepState, x: np.ndarray, K: int) -> np.ndarray:
     """Epoch K of the trace's run, from x = x_K; returns x_{K+1}.
 
     Writes row K of the trace's epoch series and, at the full record level,
     of its inner arrays.  ``state`` must be consistent with epochs 0..K-1
-    and is advanced in place.  Raises NonFiniteError on overflow/NaN at the
-    offending step.
+    and is advanced in place.  Raises NonFiniteError at the first step i
+    where ||d||^2 or the sum of z_{K,i} is not finite.  ||d||^2 is tested
+    at each step, the iterates once at the end of the epoch (see
+    ``_first_non_finite``); a non-finite ||d||^2 first looks back for an
+    earlier non-finite iterate.
     """
     config = trace.config
     problem, strategy, eval_policy = config.problem, config.strategy, config.eval_policy
@@ -220,10 +252,8 @@ def run_epoch(trace: RunTrace, state: StepState, x: np.ndarray, K: int) -> np.nd
     full = trace.alpha is not None
     adaptive = is_adaptive(strategy)
 
-    probe = None
-    if config.perm_policy.needs_probe:
-        probe = np.array([math.sqrt(float(d @ d)) for d in (c.direction(x) for c in comps)])
-    perm = permutation(config.perm_policy, K, n, probe=probe)
+    probe = problem.direction_norms(x) if config.perm_policy.needs_probe else None
+    perm = permutation(config.perm_policy, K, n, probe=probe).tolist()
 
     if full:
         index, alphas, dnorm2s, vs = trace.index[K], trace.alpha[K], trace.dnorm2[K], trace.v[K]
@@ -232,21 +262,18 @@ def run_epoch(trace: RunTrace, state: StepState, x: np.ndarray, K: int) -> np.nd
     z = x
     alpha_first = alpha_last = math.nan
     alpha_acc = 0.0
-    for i in range(1, n + 1):
+    for i, idx in enumerate(perm, start=1):
         j = eval_support(eval_policy, K, i)
         if j is None:
             zhat = hull_point(eval_point(eval_policy, K, i), zs)
         else:
             zhat = zs[j]
-        idx = int(perm[i - 1])
         d = comps[idx].direction(zhat)
         dnorm2 = float(d @ d)
         if not math.isfinite(dnorm2):
-            raise NonFiniteError(K, i)
+            raise NonFiniteError(K, _first_non_finite(zs[1:]) or i)
         alpha = step_value(strategy, state, K, i, dnorm2)
         z = z - alpha * d
-        if not math.isfinite(float(z.sum())):
-            raise NonFiniteError(K, i)
         zs.append(z)
         if i == 1:
             alpha_first = alpha
@@ -257,6 +284,9 @@ def run_epoch(trace: RunTrace, state: StepState, x: np.ndarray, K: int) -> np.nd
             index[r], alphas[r], dnorm2s[r] = idx, alpha, dnorm2
             vs[r] = state.v if adaptive else math.nan
             zhats[r], ds[r], zrows[r] = zhat, d, z
+    bad = _first_non_finite(zrows if full else zs[1:])
+    if bad:
+        raise NonFiniteError(K, bad)
 
     trace.alpha_first[K], trace.alpha_last[K] = alpha_first, alpha_last
     trace.alpha_sum[K] = alpha_acc

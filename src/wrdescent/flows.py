@@ -92,20 +92,22 @@ def gamma_trace(trace: RunTrace, M: Optional[float] = None) -> GammaTrace:
 
     With full inner records the weights lambda_i = n alpha_{K,i} / alpha_sum
     are verified against alpha_{K,1}/alpha_{K,n}; the maximum excess over
-    the bound is reported (nonpositive excess passes).
+    the bound is reported (nonpositive excess passes).  Step sizes near the
+    float range overflow silently to inf or nan, which callers test for.
     """
     if M is None:
         M = trace.problem.M
     n = trace.problem.n
-    ratios = trace.alpha_first / trace.alpha_last
-    gammas = np.maximum(n * trace.alpha_first * M, np.abs(1.0 - ratios))
-    taus = np.concatenate([[0.0], np.cumsum(trace.alpha_sum)])
     lambda_ok = None
     excess = None
-    if trace.alpha is not None and trace.epochs_completed:
-        lam = n * trace.alpha / trace.alpha_sum[:, None]
-        excess = float(np.max(lam - ratios[:, None]))
-        lambda_ok = excess <= 1e-12
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = trace.alpha_first / trace.alpha_last
+        gammas = np.maximum(n * trace.alpha_first * M, np.abs(1.0 - ratios))
+        taus = np.concatenate([[0.0], np.cumsum(trace.alpha_sum)])
+        if trace.alpha is not None and trace.epochs_completed:
+            lam = n * trace.alpha / trace.alpha_sum[:, None]
+            excess = float(np.max(lam - ratios[:, None]))
+            lambda_ok = excess <= 1e-12
     return GammaTrace(
         taus=taus,
         gammas=gammas,

@@ -42,6 +42,12 @@ def _expit(t: float) -> float:
     return e / (1.0 + e)
 
 
+def _expit_rows(t: np.ndarray) -> np.ndarray:
+    # _expit of each entry, with the same two branches
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 @dataclass(frozen=True)
 class ComponentOracle:
     """One summand f_i with its direction oracle and constants.
@@ -108,6 +114,7 @@ class FiniteSumProblem:
     meta: dict = field(default_factory=dict)
     full_value_fn: Optional[Callable[[np.ndarray], float]] = None
     full_direction_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    direction_norms_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @classmethod
     def assemble(cls, components, p, **kwargs) -> "FiniteSumProblem":
@@ -147,6 +154,13 @@ class FiniteSumProblem:
         for c in self.components:
             acc += c.direction(x)
         return acc / self.n
+
+    def direction_norms(self, x: np.ndarray) -> np.ndarray:
+        """(||d_1(x)||, ..., ||d_n(x)||), one vectorized call when the problem has one."""
+        x = self.check_point(x)
+        if self.direction_norms_fn is not None:
+            return np.asarray(self.direction_norms_fn(x), dtype=float)
+        return np.array([math.sqrt(float(d @ d)) for d in (c.direction(x) for c in self.components)])
 
     def generator_set(self, x: np.ndarray, max_size: int = 4096) -> list[np.ndarray]:
         """Distinct elements {(1/n) sum_i g_i : g_i in generators_i(x)}.
@@ -214,10 +228,11 @@ def logistic_problem(A, b, *, seed=None) -> FiniteSumProblem:
     if not np.all(np.abs(b) == 1.0):
         raise ValueError("labels must be +-1")
 
-    comps = []
+    comps, norms = [], []
     for i in range(n):
         a = A[i]
         bi = float(b[i])
+        norms.append(float(np.linalg.norm(a)))
 
         def value(x, a=a, bi=bi):
             return float(np.logaddexp(0.0, -bi * float(a @ x)))
@@ -229,7 +244,7 @@ def logistic_problem(A, b, *, seed=None) -> FiniteSumProblem:
             ComponentOracle(
                 value=value,
                 direction=direction,
-                lipschitz_value=float(np.linalg.norm(a)),
+                lipschitz_value=norms[i],
                 lipschitz_gradient=float(a @ a) / 4.0,
                 generators=lambda x, d=direction: [d(x)],
             )
@@ -242,6 +257,12 @@ def logistic_problem(A, b, *, seed=None) -> FiniteSumProblem:
         coef = -b / (1.0 + np.exp(b * (A @ x)))
         return (coef @ A) / n
 
+    row_norms = np.array(norms)
+
+    def direction_norms(x):
+        # ||d_i(x)|| = expit(-b_i <a_i, x>) ||a_i||
+        return _expit_rows(-b * (A @ x)) * row_norms
+
     return FiniteSumProblem.assemble(
         comps,
         p,
@@ -249,6 +270,7 @@ def logistic_problem(A, b, *, seed=None) -> FiniteSumProblem:
         meta={"kind": "logistic", "seed": seed, "data": {"A": A, "b": b}},
         full_value_fn=full_value,
         full_direction_fn=full_direction,
+        direction_norms_fn=direction_norms,
     )
 
 
@@ -263,10 +285,11 @@ def sigmoid_problem(A, c, *, seed=None) -> FiniteSumProblem:
     if c.shape != (n,):
         raise ValueError("offset vector length must match row count of A")
 
-    comps = []
+    comps, norms = [], []
     for i in range(n):
         a = A[i]
         ci = float(c[i])
+        norms.append(float(np.linalg.norm(a)))
 
         def value(x, a=a, ci=ci):
             return _expit(float(a @ x) - ci)
@@ -279,7 +302,7 @@ def sigmoid_problem(A, c, *, seed=None) -> FiniteSumProblem:
             ComponentOracle(
                 value=value,
                 direction=direction,
-                lipschitz_value=float(np.linalg.norm(a)) / 4.0,
+                lipschitz_value=norms[i] / 4.0,
                 lipschitz_gradient=float(a @ a) * _SIGMOID_HESS_BOUND,
                 generators=lambda x, d=direction: [d(x)],
             )
@@ -293,6 +316,13 @@ def sigmoid_problem(A, c, *, seed=None) -> FiniteSumProblem:
         s = 1.0 / (1.0 + np.exp(-(A @ x - c)))
         return ((s * (1.0 - s)) @ A) / n
 
+    row_norms = np.array(norms)
+
+    def direction_norms(x):
+        # ||d_i(x)|| = s (1 - s) ||a_i||, s = expit(<a_i, x> - c_i)
+        s = _expit_rows(A @ x - c)
+        return (s * (1.0 - s)) * row_norms
+
     return FiniteSumProblem.assemble(
         comps,
         p,
@@ -300,6 +330,7 @@ def sigmoid_problem(A, c, *, seed=None) -> FiniteSumProblem:
         meta={"kind": "sigmoid_nonconvex", "seed": seed, "data": {"A": A, "c": c}},
         full_value_fn=full_value,
         full_direction_fn=full_direction,
+        direction_norms_fn=direction_norms,
     )
 
 
@@ -361,13 +392,20 @@ def median_problem(B, *, seed=None) -> FiniteSumProblem:
     def full_value(x):
         return float(np.mean(np.max(np.abs(x[None, :] - B), axis=1)))
 
-    def full_direction(x):
+    def _signs(x):
+        # sign of each component's first maximizing deviation, and its coordinate
         dev = x[None, :] - B
         j = np.argmax(np.abs(dev), axis=1)
-        s = np.sign(dev[np.arange(n), j])
+        return np.sign(dev[np.arange(n), j]), j
+
+    def full_direction(x):
+        s, j = _signs(x)
         acc = np.zeros(p)
         np.add.at(acc, j, s)
         return acc / n
+
+    def direction_norms(x):
+        return np.abs(_signs(x)[0])
 
     known = float(np.median(B[:, 0])) if p == 1 else None
     return FiniteSumProblem.assemble(
@@ -378,6 +416,7 @@ def median_problem(B, *, seed=None) -> FiniteSumProblem:
         meta={"kind": "median", "seed": seed, "data": {"B": B}},
         full_value_fn=full_value,
         full_direction_fn=full_direction,
+        direction_norms_fn=direction_norms,
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -243,6 +244,20 @@ class TestCmdVerify:
         cells = (tmp_path / "sweep" / "cells.csv").read_text().splitlines()[1:]
         assert cells[0].endswith(',"constant=skip",')
         assert cells[1].endswith(',"constant=pass;constant_with_l=pass",')
+
+    def test_non_finite_gamma_skipped(self, tmp_path, capsys):
+        # alpha = 1e308 takes the cumulative step mass tau to inf at K = 2
+        config = str(Path(__file__).parents[1] / "scripts" / "configs" / "logistic_small.json")
+        strategy = 'strategy={"variant": "constant", "alpha": 1e308}'
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            assert main(["run", "--config", config, "--out", str(out), "--set", strategy]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would end verify here
+            code = main(["verify", "--trace", str(out / "trace.txt"), "--checks", "gamma"])
+        assert code == 0
+        assert "[SKIP] gamma: numeric overflow: taus[2] is inf" in capsys.readouterr().out.splitlines()
+        assert json.loads((out / "certificate.json").read_text())["gamma"]["status"] == "skip"
 
     def test_unknown_check_rejected(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -23,6 +23,7 @@ from wrdescent.engine import (
     variant_from_dict,
     variant_to_dict,
 )
+from wrdescent.problems import PROBLEM_KINDS
 
 
 def zero_problem(p=2):
@@ -35,13 +36,87 @@ def zero_problem(p=2):
     return wd.FiniteSumProblem.assemble([comp, comp], p, f_star_lower=0.0)
 
 
-def exploding_problem(scale=1e160):
+def counting_directions(problem, calls):
+    """The problem with each component direction call appended to ``calls``."""
+    comps = tuple(
+        dataclasses.replace(c, direction=lambda x, f=c.direction: calls.append(1) or f(x))
+        for c in problem.components
+    )
+    return dataclasses.replace(problem, components=comps)
+
+
+def exploding_problem(scale=1e160, n=1):
     comp = wd.ComponentOracle(
         value=lambda x: float(x[0]),
         direction=lambda x, s=scale: s * x,
         lipschitz_value=1.0,
     )
-    return wd.FiniteSumProblem.assemble([comp], 1)
+    return wd.FiniteSumProblem.assemble([comp] * n, 1)
+
+
+def overflow_config(case: str, record_level: str) -> wd.RunConfig:
+    """A run whose iterates or step sizes overflow, named by ``case``.
+
+    "exploding": ||d||^2 overflows at step 1 of epoch 1.  "exploding_down"
+    and "exploding_up": z_{0,1} overflows to -inf or +inf, then ||d||^2 at
+    step 2.  "<problem>/<eval policy>", under
+    Constant(1e308): "logistic" is the problem of
+    scripts/configs/logistic_small.json, shuffled; "logistic_wide" (20x50)
+    and "relu_net" query in the adversarial order.  On logistic_wide the sum
+    of z_{0,6} overflows though its entries are finite.
+    """
+    if case.startswith("exploding"):
+        n = 1 if case == "exploding" else 2
+        problem = exploding_problem(scale=1e100 if n == 1 else 10.0, n=n)
+        strategy = wd.Constant(1.0 if n == 1 else 1e308, n)
+        return wd.RunConfig(
+            problem=problem,
+            strategy=strategy,
+            eval_policy=wd.Incremental(),
+            perm_policy=wd.Identity(),
+            x0=np.array([-1.0 if case == "exploding_up" else 1.0]),
+            epochs=10,
+            record_level=record_level,
+            track_objective=False,
+        )
+    kind, policy = case.split("/")
+    eval_policies = {
+        "full_gradient": wd.FullGradient(),
+        "incremental": wd.Incremental(),
+        "mini_batch": wd.MiniBatch(3),
+        "delayed_async": wd.DelayedAsync(2, 3),
+        "convex_mix": wd.ConvexMix(5),
+    }
+    problem = {
+        "logistic": lambda: wd.make_problem("logistic", 8, 3, 7),
+        "logistic_wide": lambda: wd.make_problem("logistic", 20, 50, 1),
+        "relu_net": lambda: wd.make_problem("relu_net", 6, 2, 3),
+    }[kind]()
+    return wd.RunConfig(
+        problem=problem,
+        strategy=wd.Constant(1e308, problem.n),
+        eval_policy=eval_policies[policy],
+        perm_policy=wd.ShuffledPerEpoch(11) if kind == "logistic" else wd.AdversarialMaxNorm(),
+        x0=np.full(problem.p, 0.1),
+        epochs=6,
+        record_level=record_level,
+        monitor_radius=None,
+    )
+
+
+# (aborted_at, epochs_completed) of each overflow_config run at either record
+# level, recorded when the engine still tested each iterate at its own step
+ABORT_PINS = {
+    "exploding": ((1, 1), 1),
+    "exploding_down": ((0, 1), 0),
+    "exploding_up": ((0, 1), 0),
+    "logistic/incremental": (None, 6),
+    "logistic/mini_batch": (None, 6),
+    "logistic/delayed_async": (None, 6),
+    "logistic/convex_mix": (None, 6),
+    "logistic_wide/full_gradient": ((0, 6), 0),
+    "relu_net/full_gradient": ((0, 5), 0),
+}
 
 
 class TestRunEpoch:
@@ -89,16 +164,38 @@ class TestRunEpoch:
             assert sorted(trace.index[K].tolist()) == list(range(7))
 
     def test_adversarial_order_follows_probe(self):
-        prob = wd.make_problem("logistic", 5, 2, 11)
-        trace = make_run(
-            prob, wd.Constant(0.1, 5), perm_policy=wd.AdversarialMaxNorm(), epochs=2
-        )
-        for K in range(trace.epochs_completed):
-            norms = [
-                np.linalg.norm(c.direction(trace.xs[K])) for c in prob.components
-            ]
-            expected = np.argsort(-np.asarray(norms), kind="stable")
-            assert trace.index[K].tolist() == expected.tolist()
+        for kind in PROBLEM_KINDS:
+            prob = wd.make_problem(kind, 5, 2, 11)
+            trace = make_run(
+                prob, wd.Constant(0.1, 5), perm_policy=wd.AdversarialMaxNorm(), epochs=2
+            )
+            calls = []
+            counted = counting_directions(prob, calls)
+            for K in range(trace.epochs_completed):
+                norms = [
+                    np.linalg.norm(c.direction(trace.xs[K])) for c in prob.components
+                ]
+                expected = np.argsort(-np.asarray(norms), kind="stable")
+                probe = counted.direction_norms(trace.xs[K])
+                # the vectorized norms reorder the arithmetic: a few ulps of 1e-16
+                np.testing.assert_allclose(probe, norms, rtol=1e-12, atol=0)
+                assert np.argsort(-probe, kind="stable").tolist() == expected.tolist()
+                assert trace.index[K].tolist() == expected.tolist()
+            # relu_net has no vectorized probe: it asks each component
+            assert len(calls) == (2 * prob.n if kind == "relu_net" else 0), kind
+
+    def test_median_probe_ties_are_exact(self):
+        # components 0, 1 and 3 sit at x: norm 0.0; component 2 has norm 1.0
+        prob = wd.median_problem([[0.0, 1.0], [0.0, 1.0], [2.0, 2.0], [0.0, 1.0]])
+        for x in ([0.0, 1.0], [1.0, 1.5], [5.0, 5.0]):
+            x = np.array(x)
+            norms = prob.direction_norms(x)
+            expected = [np.linalg.norm(c.direction(x)) for c in prob.components]
+            assert set(norms.tolist()) <= {0.0, 1.0}
+            assert norms.tolist() == expected
+            assert wd.permutation(wd.AdversarialMaxNorm(), 0, 4, probe=norms).tolist() == (
+                np.argsort(-np.asarray(expected), kind="stable").tolist()
+            )
 
 
 class TestRun:
@@ -160,6 +257,13 @@ class TestRun:
             trace = wd.run(cfg)
         assert trace.aborted_at == (1, 1)
         assert trace.epochs_completed == 1  # partial trace retained
+
+    @pytest.mark.parametrize("record_level", ["full", "epoch_only"])
+    @pytest.mark.parametrize("case", sorted(ABORT_PINS))
+    def test_abort_location_pinned(self, case, record_level):
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = wd.run(overflow_config(case, record_level))
+        assert (trace.aborted_at, trace.epochs_completed) == ABORT_PINS[case]
 
     def test_box_monitor_flags_exit(self):
         prob = wd.make_problem("logistic", 4, 2, 9)
