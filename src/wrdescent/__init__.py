@@ -35,7 +35,6 @@ from .analysis import (
     lemma_log_sum_check,
     lemma_norm_sum_check,
     lipschitz_gradient_check,
-    matching_rate_rules,
 )
 from .config import ConfigError, ExperimentConfig, load_config, save_config
 from .engine import (

@@ -54,13 +54,7 @@ import numpy as np
 
 from .engine import RunTrace
 from .problems import FiniteSumProblem, UnsupportedProblem
-from .steps import (
-    Adaptive,
-    Constant,
-    DecreasingCbrtWithL,
-    DecreasingSqrt,
-    check_lex_monotone,
-)
+from .steps import Adaptive, check_lex_monotone
 
 EXACT_RTOL = 1e-12
 INEQ_RTOL = 1e-9
@@ -316,8 +310,15 @@ def rate_bound(
     rule = "constant":         step alpha/n, no condition on alpha
            "decreasing_sqrt":  alpha_{K,i} = 1/(n sqrt(K+1)), min over K = 1..N
            "constant_with_l":  step alpha/n with alpha <= 1/L (tighter bound)
-           "decreasing_cbrt":  alpha_{K,i} = 1/(L n (K+1)^(1/3)), min over K = 1..N
-           "adaptive":         accumulator rule with beta = n^2, delta = n^3
+           "decreasing_cbrt":  alpha_{K,i} = 1/(L n (K+1)^(1/3)), min over K = 1..N,
+                               with L any upper bound on the gradient Lipschitz
+                               constant
+           "adaptive":         accumulator rule with the parameters of
+                               Adaptive.recommended(n), beta = n^2 and
+                               delta = n^3 (checked when n is given)
+
+    The rules a run earns, with their alpha, L, beta and delta, are those of
+    its strategy's ``rate_params(problem)``; ``certify_run`` reads them there.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -351,9 +352,10 @@ def rate_bound(
     if rule == "adaptive":
         _need(rule, L=L, M=M)
         if n is not None:
-            if beta is not None and beta != float(n) ** 2:
+            recommended = Adaptive.recommended(n)
+            if beta is not None and beta != recommended.beta:
                 raise ValueError("adaptive bound assumes beta = n^2")
-            if delta is not None and delta != float(n) ** 3:
+            if delta is not None and delta != recommended.delta:
                 raise ValueError("adaptive bound assumes delta = n^3")
         return (
             2.0
@@ -400,27 +402,6 @@ class RateCertificate:
 _RULES_FROM_K1 = ("decreasing_sqrt", "decreasing_cbrt")
 
 
-def matching_rate_rules(trace: RunTrace) -> list[str]:
-    """Rate rules whose step schedule matches the trace's strategy."""
-    s = trace.config.strategy
-    problem = trace.problem
-    if isinstance(s, Constant):
-        out = ["constant"]
-        if problem.is_smooth and s.alpha <= 1.0 / problem.L:
-            out.append("constant_with_l")
-        return out
-    if isinstance(s, DecreasingSqrt):
-        return ["decreasing_sqrt"]
-    if isinstance(s, DecreasingCbrtWithL):
-        return ["decreasing_cbrt"]
-    if isinstance(s, Adaptive):
-        n = float(s.n)
-        if s.beta == n**2 and s.delta == n**3:
-            return ["adaptive"]
-        return []
-    return []
-
-
 def certify_run(
     trace: RunTrace,
     rule: Optional[str] = None,
@@ -430,7 +411,9 @@ def certify_run(
 ) -> list[RateCertificate]:
     """Compare observed min squared gradient norms against matched bounds.
 
-    For every horizon N up to the trace length, the observed minimum over
+    The matched rules, and the step parameters their bounds read, are the
+    strategy's ``rate_params(problem)``; ``rule`` selects one of them.  For
+    every horizon N up to the trace length, the observed minimum over
     the rule's epoch range (K = 0..N, or 1..N for the decreasing-step
     rules) must not exceed the closed-form bound.  F* is replaced by
     ``f_star`` (default: the problem's recorded lower bound), which can only
@@ -443,18 +426,15 @@ def certify_run(
         f_star = problem.f_star_lower
     if f_star is None:
         raise ValueError("no F* lower bound available")
-    rules = matching_rate_rules(trace) if rule is None else [rule]
+    matched = trace.config.strategy.rate_params(problem)
+    if rule is not None and rule not in matched:
+        raise ValueError(f"rule {rule!r} does not match the trace strategy")
+    rules = list(matched) if rule is None else [rule]
     if not rules:
         raise ValueError("trace strategy matches no rate rule")
-    allowed = matching_rate_rules(trace)
-    for r in rules:
-        if r not in allowed:
-            raise ValueError(f"rule {r!r} does not match the trace strategy")
 
-    s = trace.config.strategy
     f0 = float(trace.f_vals[0])
     grad = trace.grad_sq[: trace.epochs_completed + 1]
-    running = np.minimum.accumulate(grad)
     n_total = trace.epochs_completed
     out = []
     for r in rules:
@@ -463,19 +443,13 @@ def certify_run(
             "L": problem.L,
             "M": problem.M,
             "n": problem.n,
+            **matched[r],
         }
-        if isinstance(s, Constant):
-            params["alpha"] = s.alpha
-        if isinstance(s, Adaptive):
-            params["beta"] = s.beta
-            params["delta"] = s.delta
         start = 1 if r in _RULES_FROM_K1 else 0
+        running = np.minimum.accumulate(grad[start:])
         reports = []
         for N in range(start, n_total + 1):
-            if r in _RULES_FROM_K1:
-                observed = float(np.min(grad[1 : N + 1]))
-            else:
-                observed = float(running[N])
+            observed = float(running[N - start])
             bound = rate_bound(r, N=N, **params)
             if not math.isfinite(bound):
                 raise OverflowError(f"the {r} bound is {bound} at N={N}")

@@ -35,11 +35,7 @@ KNOWN_CHECKS = (
     "epoch_descent",
     "epoch_descent_tight",
     "lex",
-    "bound_constant",
-    "bound_decreasing_sqrt",
-    "bound_constant_with_l",
-    "bound_decreasing_cbrt",
-    "bound_adaptive",
+    *(f"bound_{rule}" for rule in analysis.RATE_RULES),
     "summability",
     "gamma",
 )
@@ -119,7 +115,7 @@ def _verify_one(trace, name: str):
         rule = name[len("bound_"):]
         if not problem.is_smooth:
             return "skip", "needs a smooth problem", None
-        if rule not in analysis.matching_rate_rules(trace):
+        if rule not in trace.config.strategy.rate_params(problem):
             return "skip", "strategy does not match this rate rule", None
         cert = analysis.certify_run(trace, rule)[0]
         worst = min(cert.reports, key=lambda r: r.slack)
@@ -234,16 +230,13 @@ def _sweep_cell(payload):
     running = trace.running_min_grad_sq()
     curve = [(int(N), float(running[N])) for N in checkpoints if N <= trace.epochs_completed]
     certs = []
-    try:
-        if trace.problem.is_smooth:
-            for rule in analysis.matching_rate_rules(trace):
-                try:
-                    ok = analysis.certify_run(trace, rule)[0].ok
-                    certs.append((rule, "pass" if ok else "fail"))
-                except OverflowError:  # a non-finite bound certifies nothing
-                    certs.append((rule, "skip"))
-    except ValueError:
-        certs = []
+    if trace.problem.is_smooth:
+        for rule in trace.config.strategy.rate_params(trace.problem):
+            try:
+                ok = analysis.certify_run(trace, rule)[0].ok
+                certs.append((rule, "pass" if ok else "fail"))
+            except OverflowError:  # a non-finite bound certifies nothing
+                certs.append((rule, "skip"))
     return {
         "overrides": overrides,
         "curve": curve,
@@ -251,6 +244,11 @@ def _sweep_cell(payload):
         "final_min_grad_sq": float(running[trace.epochs_completed]),
         "certificates": certs,
     }
+
+
+def _quote(text: str) -> str:
+    """``text`` as a quoted CSV field, embedded quotes doubled (RFC 4180)."""
+    return '"' + text.replace('"', '""') + '"'
 
 
 def cmd_sweep(args) -> int:
@@ -290,13 +288,13 @@ def cmd_sweep(args) -> int:
     cell_rows = ["cell,overrides,slope,final_min_grad_sq,certificates,error"]
     curve_rows = ["cell,N,min_grad_sq"]
     for idx, res in enumerate(results):
-        ov = " ".join(res["overrides"])
+        ov = _quote(" ".join(res["overrides"]))
         if "error" in res:
-            cell_rows.append(f'{idx},"{ov}",,,,"{res["error"]}"')
+            cell_rows.append(f'{idx},{ov},,,,{_quote(res["error"])}')
             continue
-        certs = ";".join(f"{rule}={status}" for rule, status in res["certificates"])
+        certs = _quote(";".join(f"{rule}={status}" for rule, status in res["certificates"]))
         cell_rows.append(
-            f'{idx},"{ov}",{_fmt(res["slope"])},{_fmt(res["final_min_grad_sq"])},"{certs}",'
+            f'{idx},{ov},{_fmt(res["slope"])},{_fmt(res["final_min_grad_sq"])},{certs},'
         )
         for N, v in res["curve"]:
             curve_rows.append(f"{idx},{N},{_fmt(v)}")

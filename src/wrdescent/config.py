@@ -24,8 +24,8 @@ Schema (JSON object):
     output_dir:  str                      (default "out")
 
 "auto" (the default for L, beta and delta) resolves against the
-instantiated problem (L, or beta = n^2 and delta = n^3 for the adaptive
-rule); the strategy's n is the problem's.  Keys of a strategy or policy
+instantiated problem (L, or Adaptive.recommended's beta = n^2 and delta =
+n^3); the strategy's n is the problem's.  Keys of a strategy or policy
 that its variant does not use are ignored.
 """
 
@@ -40,13 +40,14 @@ import numpy as np
 from .engine import VARIANT_SECTIONS, RunConfig, variant_from_dict
 from .problems import PROBLEM_KINDS, FiniteSumProblem, make_problem
 from .schedules import counter_rng
+from .steps import Adaptive
 
 _X0_TAG = 11
 # strategy fields that default to "auto", resolved against the problem
 _AUTO = {
     "L": lambda problem: problem.L,
-    "beta": lambda problem: float(problem.n) ** 2,
-    "delta": lambda problem: float(problem.n) ** 3,
+    "beta": lambda problem: Adaptive.recommended(problem.n).beta,
+    "delta": lambda problem: Adaptive.recommended(problem.n).delta,
 }
 _COERCE = {"float": float, "int": int}
 

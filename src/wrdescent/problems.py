@@ -254,7 +254,9 @@ def logistic_problem(A, b, *, seed=None) -> FiniteSumProblem:
         return float(np.mean(np.logaddexp(0.0, -b * (A @ x))))
 
     def full_direction(x):
-        coef = -b / (1.0 + np.exp(b * (A @ x)))
+        # exp overflows to inf where the coefficient saturates to 0
+        with np.errstate(over="ignore"):
+            coef = -b / (1.0 + np.exp(b * (A @ x)))
         return (coef @ A) / n
 
     row_norms = np.array(norms)
@@ -308,12 +310,14 @@ def sigmoid_problem(A, c, *, seed=None) -> FiniteSumProblem:
             )
         )
 
+    # exp overflows to inf where the sigmoid saturates to 0
     def full_value(x):
-        t = A @ x - c
-        return float(np.mean(1.0 / (1.0 + np.exp(-t))))
+        with np.errstate(over="ignore"):
+            return float(np.mean(1.0 / (1.0 + np.exp(-(A @ x - c)))))
 
     def full_direction(x):
-        s = 1.0 / (1.0 + np.exp(-(A @ x - c)))
+        with np.errstate(over="ignore"):
+            s = 1.0 / (1.0 + np.exp(-(A @ x - c)))
         return ((s * (1.0 - s)) @ A) / n
 
     row_norms = np.array(norms)

@@ -19,7 +19,7 @@ The epoch anchor alpha_K is the previous epoch's last step size
 (alpha_{K-1,n}); for K = 0 it is delta^(-1/3) for the adaptive rule and
 alpha_{0,1} for prescribed rules (which satisfies alpha_0 >= alpha_{0,1}
 with equality).  Each strategy class names its serialized form in
-``VARIANT``.
+``VARIANT`` and the rate rules it meets in ``rate_params(problem)``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,14 @@ class Constant:
     def prescribed_value(self, K: int) -> float:
         return self.alpha / self.n
 
+    def rate_params(self, problem) -> dict:
+        """{rule: step parameters} of the ``analysis.rate_bound`` rules whose
+        step assumptions this strategy meets on ``problem``."""
+        rules = {"constant": {"alpha": self.alpha}}
+        if problem.is_smooth and self.alpha <= 1.0 / problem.L:
+            rules["constant_with_l"] = {"alpha": self.alpha}
+        return rules
+
 
 @dataclass(frozen=True)
 class DecreasingSqrt:
@@ -56,6 +64,9 @@ class DecreasingSqrt:
 
     def prescribed_value(self, K: int) -> float:
         return 1.0 / (self.n * math.sqrt(K + 1.0))
+
+    def rate_params(self, problem) -> dict:
+        return {"decreasing_sqrt": {}}
 
 
 @dataclass(frozen=True)
@@ -71,6 +82,13 @@ class DecreasingCbrtWithL:
 
     def prescribed_value(self, K: int) -> float:
         return 1.0 / (self.L * self.n * (K + 1.0) ** (1.0 / 3.0))
+
+    def rate_params(self, problem) -> dict:
+        # any upper bound on the problem's gradient Lipschitz constant is
+        # itself one, so the bound reads the L the steps were built from
+        if problem.is_smooth and self.L >= problem.L:
+            return {"decreasing_cbrt": {"L": self.L}}
+        return {}
 
 
 @dataclass(frozen=True)
@@ -90,6 +108,11 @@ class Adaptive:
         # beta = n^2, delta = n^3 are the defaults backing the adaptive
         # rate certificate; both are overridable.
         return cls(delta=float(n) ** 3, beta=float(n) ** 2, n=n)
+
+    def rate_params(self, problem) -> dict:
+        if self == Adaptive.recommended(self.n):
+            return {"adaptive": {"beta": self.beta, "delta": self.delta}}
+        return {}
 
 
 StepStrategy = Union[Constant, DecreasingSqrt, DecreasingCbrtWithL, Adaptive]

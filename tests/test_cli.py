@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 import warnings
@@ -10,7 +12,7 @@ from pytest import approx
 
 import wrdescent as wd
 from conftest import decode_payload, encode_payload, section_payload, with_payload
-from wrdescent.cli import fit_loglog_slope, main, sweep_checkpoints
+from wrdescent.cli import KNOWN_CHECKS, fit_loglog_slope, main, sweep_checkpoints
 from wrdescent.config import ExperimentConfig, load_config, save_config
 from wrdescent.engine import VARIANT_SECTIONS
 
@@ -78,8 +80,7 @@ class TestConfig:
     def test_auto_strategy_parameters(self):
         doc = minimal_config(strategy={"variant": "adaptive"})
         run_config = ExperimentConfig.from_dict(doc).build()
-        assert run_config.strategy.beta == approx(4.0)
-        assert run_config.strategy.delta == approx(8.0)
+        assert run_config.strategy == wd.Adaptive.recommended(2)
 
     def test_missing_field_cases_cover_every_variant(self):
         # n comes from the problem; L, beta and delta default to "auto"
@@ -187,6 +188,29 @@ class TestCmdVerify:
         assert code == 0
         assert report["bound_constant_with_l"]["status"] == "skip"
 
+    @pytest.mark.parametrize(
+        "L, status, detail",
+        [(330.0, "pass", "500 horizons"), (0.15, "skip", "strategy does not match this rate rule")],
+    )
+    def test_cbrt_bound_reads_the_strategys_l(self, tmp_path, L, status, detail):
+        # the problem's L is 0.33; any larger L is also a Lipschitz constant
+        # of its gradient, and the steps 1/(L n (K+1)^(1/3)) are certified
+        # with the L they were built from
+        problem = {"kind": "logistic", "n": 16, "p": 2, "seed": 0}
+        assert 0.15 < wd.make_problem(**problem).L < 330.0
+        code, report, _ = self.run_and_verify(
+            tmp_path,
+            "bound_decreasing_cbrt",
+            problem=problem,
+            strategy={"variant": "decreasing_cbrt", "L": L},
+            x0={"kind": "ball", "radius": 50.0, "seed": 1},
+            epochs=500,
+            record_level="epoch_only",
+        )
+        assert code == 0
+        assert report["bound_decreasing_cbrt"]["status"] == status
+        assert report["bound_decreasing_cbrt"]["detail"].startswith(detail)
+
     def test_certificate_csv_written(self, tmp_path):
         code, report, out = self.run_and_verify(
             tmp_path,
@@ -258,6 +282,21 @@ class TestCmdVerify:
         assert code == 0
         assert "[SKIP] gamma: numeric overflow: taus[2] is inf" in capsys.readouterr().out.splitlines()
         assert json.loads((out / "certificate.json").read_text())["gamma"]["status"] == "skip"
+
+    def test_known_checks_pinned(self):
+        assert KNOWN_CHECKS == (
+            "step_length",
+            "epoch_descent",
+            "epoch_descent_tight",
+            "lex",
+            "bound_constant",
+            "bound_decreasing_sqrt",
+            "bound_constant_with_l",
+            "bound_decreasing_cbrt",
+            "bound_adaptive",
+            "summability",
+            "gamma",
+        )
 
     def test_unknown_check_rejected(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -410,24 +449,24 @@ class TestCmdSweep:
         assert curves[0] == "cell,N,min_grad_sq"
         assert len(curves) > 4
 
-    def test_strategy_grid_routes_certificates(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_strategy_grid_routes_certificates(self, tmp_path, jobs):
         cfg = write_config(tmp_path, epochs=60, record_level="epoch_only")
-        out = tmp_path / "sweep"
-        code = main(
-            [
-                "sweep",
-                "--config",
-                str(cfg),
-                "--grid",
-                'strategy.variant="decreasing_sqrt","adaptive"',
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        rows = (out / "cells.csv").read_text().splitlines()[1:]
-        assert "decreasing_sqrt=pass" in rows[0]
-        assert "adaptive=pass" in rows[1]
+
+        def sweep(out, jobs):
+            grid = 'strategy.variant="decreasing_sqrt","adaptive"'
+            argv = ["sweep", "--config", str(cfg), "--grid", grid, "--jobs", str(jobs)]
+            assert main(argv + ["--out", str(out)]) == 0
+            return [(out / name).read_bytes() for name in ("cells.csv", "curves.csv")]
+
+        # a parallel sweep writes the bytes of a serial one
+        assert sweep(tmp_path / "sweep", jobs) == sweep(tmp_path / "serial", 1)
+        rows = list(csv.reader(io.StringIO((tmp_path / "sweep" / "cells.csv").read_text())))[1:]
+        assert [row[1] for row in rows] == [
+            'strategy.variant="decreasing_sqrt"',
+            'strategy.variant="adaptive"',
+        ]
+        assert [row[4] for row in rows] == ["decreasing_sqrt=pass", "adaptive=pass"]
 
     def test_empty_grid_rejected(self, tmp_path):
         cfg = write_config(tmp_path)

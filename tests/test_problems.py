@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import wrdescent as wd
-from wrdescent.problems import _expit
+from wrdescent.problems import PROBLEM_KINDS, _expit
 
 
 def logistic_pair():
@@ -222,6 +223,21 @@ class TestBoundednessInvariants:
             (rng.standard_normal(3) * 2, rng.standard_normal(3) * 2) for _ in range(200)
         ]
         assert wd.lipschitz_gradient_check(prob, pairs) <= prob.L + 1e-12
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+@pytest.mark.parametrize("scale", [1e3, -1e3])
+def test_vectorized_oracles_saturate_without_warnings(kind, scale):
+    # exp overflows far out; the oracles saturate instead of warning
+    prob = wd.make_problem(kind, 6, 3, 8)
+    x = np.full(prob.p, scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = prob.full_value(x)
+        direction = prob.full_direction(x)
+        norms = prob.direction_norms(x)
+    assert np.isfinite(value)
+    assert np.all(np.isfinite(direction)) and np.all(np.isfinite(norms))
 
 
 class TestSerialization:

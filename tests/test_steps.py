@@ -83,6 +83,41 @@ class TestStepValue:
         assert s.delta == approx(64.0)
 
 
+class TestRateParams:
+    """The rate rules each strategy meets, at the edges of their assumptions."""
+
+    def test_constant_with_l_up_to_one_over_l(self):
+        prob = wd.make_problem("logistic", 8, 3, 5)
+        edge = 1.0 / prob.L
+        assert wd.Constant(edge, 8).rate_params(prob) == {
+            "constant": {"alpha": edge},
+            "constant_with_l": {"alpha": edge},
+        }
+        above = float(np.nextafter(edge, math.inf))
+        assert wd.Constant(above, 8).rate_params(prob) == {"constant": {"alpha": above}}
+
+    def test_constant_on_nonsmooth_problem(self):
+        prob = wd.make_problem("median", 5, 1, 3)
+        assert wd.Constant(1e-6, 5).rate_params(prob) == {"constant": {"alpha": 1e-6}}
+
+    def test_decreasing_sqrt(self):
+        prob = wd.make_problem("logistic", 8, 3, 5)
+        assert wd.DecreasingSqrt(8).rate_params(prob) == {"decreasing_sqrt": {}}
+
+    def test_adaptive_only_with_recommended_parameters(self):
+        prob = wd.make_problem("logistic", 8, 3, 5)
+        rec = wd.Adaptive.recommended(8)
+        assert rec.rate_params(prob) == {"adaptive": {"beta": 64.0, "delta": 512.0}}
+        doubled = wd.Adaptive(delta=2.0 * rec.delta, beta=rec.beta, n=8)
+        assert doubled.rate_params(prob) == {}
+
+    def test_cbrt_needs_l_at_least_the_problems(self):
+        prob = wd.make_problem("logistic", 8, 3, 5)
+        for L in (prob.L, 2.0 * prob.L):
+            assert wd.DecreasingCbrtWithL(L, 8).rate_params(prob) == {"decreasing_cbrt": {"L": L}}
+        assert wd.DecreasingCbrtWithL(prob.L / 2.0, 8).rate_params(prob) == {}
+
+
 class TestEpochAnchor:
     def test_constant_any_epoch(self):
         s = wd.Constant(alpha=0.5, n=5)
