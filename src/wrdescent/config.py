@@ -94,6 +94,8 @@ class ExperimentConfig:
                 raise ConfigError(f"'problem.{key}' must be an integer")
         if self.problem["n"] < 1 or self.problem["p"] < 1:
             raise ConfigError("'problem.n' and 'problem.p' must be at least 1")
+        if self.problem["seed"] < 0:
+            raise ConfigError(f"'problem.seed' must be nonnegative, got {self.problem['seed']}")
         if not isinstance(self.epochs, int) or self.epochs < 1:
             raise ConfigError("'epochs' must be an integer >= 1")
         if self.record_level not in ("full", "epoch_only"):
@@ -104,6 +106,8 @@ class ExperimentConfig:
             for key in ("radius", "seed"):
                 if key not in self.x0:
                     raise ConfigError(f"missing config key 'x0.{key}'")
+            if not isinstance(self.x0["seed"], int) or self.x0["seed"] < 0:
+                raise ConfigError(f"'x0.seed' must be a nonnegative integer, got {self.x0['seed']!r}")
 
     def build(self) -> RunConfig:
         self.validate()

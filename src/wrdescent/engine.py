@@ -25,9 +25,12 @@ by one line of base64 holding the raw little-endian float64 (int64 for
 z_{K,n} = x_{K+1} bit for bit, and rebuilds zhat through the policy
 (``eval_support``, or ``hull_point`` of ``eval_point``'s weights): hull
 weights and evaluation points are pure functions of (policy, K, i) and the
-epoch's iterates.  The file header carries the configuration, its SHA-256
-and the provenance (wrdescent, NumPy, Python and BLAS versions) that
-bitwise replay depends on.
+epoch's iterates.  Both the engine and the loader ask ``eval_support`` once
+per epoch for the supports of all n steps; DelayedAsync draws the epoch's
+delays in one vectorized pass with the bits of one Generator per step,
+while ConvexMix weights still take a Generator per step.  The file header
+carries the configuration, its SHA-256 and the provenance (wrdescent,
+NumPy, Python and BLAS versions) that bitwise replay depends on.
 
 Replay re-runs the configuration and compares the arrays one by one.
 Runs are deterministic functions of their configuration (all randomness is
@@ -258,12 +261,13 @@ def run_epoch(trace: RunTrace, state: StepState, x: np.ndarray, K: int) -> np.nd
     if full:
         index, alphas, dnorm2s, vs = trace.index[K], trace.alpha[K], trace.dnorm2[K], trace.v[K]
         zhats, ds, zrows = trace.zhat[K], trace.d[K], trace.z[K]
+    support = eval_support(eval_policy, K, n)
     zs = [x]
     z = x
     alpha_first = alpha_last = math.nan
     alpha_acc = 0.0
     for i, idx in enumerate(perm, start=1):
-        j = eval_support(eval_policy, K, i)
+        j = support[i - 1]
         if j is None:
             zhat = hull_point(eval_point(eval_policy, K, i), zs)
         else:
@@ -618,7 +622,7 @@ def _derive_iterates(trace: RunTrace) -> None:
     trace.z = zs[:, 1:]
     policy = trace.config.eval_policy
     for K in range(N):
-        support = [eval_support(policy, K, i) for i in range(1, n + 1)]
+        support = eval_support(policy, K, n)
         if None in support:
             trace.zhat[K] = [hull_point(eval_point(policy, K, i), zs[K, :i]) for i in range(1, n + 1)]
         else:

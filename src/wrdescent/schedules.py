@@ -12,10 +12,18 @@ variants model the classical schemes:
     ConvexMix      strictly positive Dirichlet weights (general hull case)
 
 Draw-based policies use counter-based generators keyed on (seed, K, i), so
-runs replay exactly without storing the draws.  Permutation policies decide
-the order components are queried in; every epoch visits each component
-exactly once.  Component indices are 0-based; inner positions are 1-based.
-Each policy class names its serialized form in ``VARIANT``.
+runs replay exactly without storing the draws.  A policy answers for a
+whole epoch at once: ``supports(K, n)`` lists the support points of steps
+1..n, and since each draw is keyed by its own (K, i), a shorter epoch's
+list is a prefix of a longer one's.  DelayedAsync draws an epoch's delays
+in one vectorized pass (``counter_integers``) that reproduces, bit for
+bit, what one NumPy Generator per step gives; ConvexMix still builds a
+Generator per step, as its Dirichlet draw costs more than the
+construction, and so do shuffled orders, one per epoch.  Permutation
+policies decide the order components are queried in; every epoch visits
+each component exactly once.  Component indices are 0-based; inner
+positions are 1-based.  Each policy class names its serialized form in
+``VARIANT``.
 """
 
 from __future__ import annotations
@@ -31,11 +39,100 @@ _TAG_MIX = 2
 _TAG_PERM = 3
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
 def counter_rng(seed: int, *counters: int) -> np.random.Generator:
     """Deterministic generator for the given (seed, counters...) key."""
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    _check_seed(seed)
     return np.random.default_rng((int(seed),) + tuple(int(c) for c in counters))
+
+
+# NumPy's SeedSequence: hash constants of its 4-word pool (numpy/random/bit_generator.pyx)
+_U32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_U128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list:
+    """The running hash constant before each of ``count`` hash calls, then after the last."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _U32)
+    return out
+
+
+# a 4-word entropy takes 4 + 12 hashmix calls; generate_state(4, uint64) 8 words
+_MIX_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, 16)
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _seed_state(words: list) -> list:
+    """SeedSequence(words).generate_state(4, uint64), one key per array entry.
+
+    ``words`` holds the 4 entropy words, each a uint32 scalar or array; the
+    result is the 4 state words as Python-int lists.  uint32 arithmetic
+    wraps as NumPy's C code does.
+    """
+    consts = iter(zip(_MIX_CONSTANTS, _MIX_CONSTANTS[1:]))
+
+    def hashmix(value):
+        before, after = next(consts)
+        value = (value ^ np.uint32(before)) * np.uint32(after)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    with np.errstate(over="ignore"):
+        pool = [hashmix(np.asarray(w, dtype=np.uint32)) for w in words]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        state = []
+        for k in range(8):
+            value = (pool[k % 4] ^ np.uint32(_STATE_CONSTANTS[k])) * np.uint32(_STATE_CONSTANTS[k + 1])
+            state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    # the mixing spreads every entropy word to every pool word, so each is full size
+    return [(state[2 * k] | state[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
+
+
+def counter_integers(seed: int, tag: int, K: int, n: int, high: int) -> np.ndarray:
+    """``counter_rng(seed, tag, K, i).integers(0, high)`` for i = 1..n, as int64.
+
+    One vectorized pass instead of n Generators: NumPy's SeedSequence
+    mixing of the key (seed, tag, K, i) in uint32 arithmetic, PCG64's
+    seeding and first XSL-RR output in 128-bit Python ints (O'Neill, 2014),
+    and NumPy's 32-bit bounded draw (Lemire, 2019) on its low half.  A key
+    takes ``counter_rng`` itself where that draw would be rejected and
+    redrawn; the whole epoch does when a key word is 2**32 or more (the
+    seed sequence then splits it into several words) or when
+    high >= 2**32 - 1 (NumPy then draws 32 or 64 bits another way).
+    """
+    if max(seed, tag, K, n) > _U32 or high >= _U32:
+        return np.array([int(counter_rng(seed, tag, K, i).integers(0, high)) for i in range(1, n + 1)])
+    words = _seed_state([seed, tag, K, np.arange(1, n + 1, dtype=np.uint32)])
+    low = []
+    for s_hi, s_lo, inc_hi, inc_lo in zip(*words):
+        # set_seed steps from state 0, adds s and steps again; the first output steps once more
+        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _U128
+        state = (((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) * _PCG_MULT + inc) & _U128
+        xored, rot = (state >> 64 ^ state) & 0xFFFFFFFFFFFFFFFF, state >> 122
+        low.append((xored >> rot | xored << (64 - rot)) & _U32)
+    scaled = np.array(low, dtype=np.uint64) * np.uint64(high)
+    draws = (scaled >> np.uint64(32)).astype(np.int64)
+    threshold = (_U32 - (high - 1)) % high
+    for r in np.flatnonzero((scaled & np.uint64(_U32)) < threshold).tolist():
+        draws[r] = counter_rng(seed, tag, K, r + 1).integers(0, high)
+    return draws
 
 
 # ---------------------------------------------------------------------------
@@ -47,16 +144,16 @@ def counter_rng(seed: int, *counters: int) -> np.random.Generator:
 class FullGradient:
     VARIANT = "full_gradient"
 
-    def support(self, K: int, i: int) -> Optional[int]:
-        return 0
+    def supports(self, K: int, n: int) -> list:
+        return [0] * n
 
 
 @dataclass(frozen=True)
 class Incremental:
     VARIANT = "incremental"
 
-    def support(self, K: int, i: int) -> Optional[int]:
-        return i - 1
+    def supports(self, K: int, n: int) -> list:
+        return list(range(n))
 
 
 @dataclass(frozen=True)
@@ -68,8 +165,8 @@ class MiniBatch:
         if self.b < 1:
             raise ValueError("batch size must be at least 1")
 
-    def support(self, K: int, i: int) -> Optional[int]:
-        return ((i - 1) // self.b) * self.b
+    def supports(self, K: int, n: int) -> list:
+        return [r // self.b * self.b for r in range(n)]
 
 
 @dataclass(frozen=True)
@@ -81,10 +178,11 @@ class DelayedAsync:
     def __post_init__(self):
         if self.max_delay < 0:
             raise ValueError("max_delay must be nonnegative")
+        _check_seed(self.seed)
 
-    def support(self, K: int, i: int) -> Optional[int]:
-        delay = int(counter_rng(self.seed, _TAG_DELAY, K, i).integers(0, self.max_delay + 1))
-        return max(0, i - 1 - delay)
+    def supports(self, K: int, n: int) -> list:
+        delays = counter_integers(self.seed, _TAG_DELAY, K, n, self.max_delay + 1)
+        return np.maximum(np.arange(n) - delays, 0).tolist()
 
 
 @dataclass(frozen=True)
@@ -92,8 +190,11 @@ class ConvexMix:
     seed: int
     VARIANT = "convex_mix"
 
-    def support(self, K: int, i: int) -> Optional[int]:
-        return None
+    def __post_init__(self):
+        _check_seed(self.seed)
+
+    def supports(self, K: int, n: int) -> list:
+        return [None] * n
 
     def weights(self, K: int, i: int) -> np.ndarray:
         """Strictly positive Dirichlet hull weights for step (K, i)."""
@@ -104,16 +205,21 @@ EvalPointPolicy = Union[FullGradient, Incremental, MiniBatch, DelayedAsync, Conv
 EVAL_POLICIES = {cls.VARIANT: cls for cls in get_args(EvalPointPolicy)}
 
 
-def eval_support(policy: EvalPointPolicy, K: int, i: int) -> Optional[int]:
-    """Index j with zhat = z_{K,j} for single-point policies, None otherwise."""
-    if i < 1:
-        raise ValueError("inner index i must be at least 1")
-    return policy.support(K, i)
+def eval_support(policy: EvalPointPolicy, K: int, n: int) -> list:
+    """Supports of steps i = 1..n of epoch K, entry i-1 for step i.
+
+    Entry i-1 is the index j with zhat_{K,i-1} = z_{K,j}, or None where the
+    policy has no single support point (ConvexMix).  The list for n is a
+    prefix of the list for any larger n.
+    """
+    if n < 1:
+        raise ValueError("the step count n must be at least 1")
+    return policy.supports(K, n)
 
 
 def eval_point(policy: EvalPointPolicy, K: int, i: int) -> np.ndarray:
     """Hull weights over (z_{K,0}, ..., z_{K,i-1}): nonnegative, summing to 1."""
-    j = eval_support(policy, K, i)
+    j = eval_support(policy, K, i)[-1]
     if j is not None:
         w = np.zeros(i)
         w[j] = 1.0
@@ -179,6 +285,9 @@ class ShuffledPerEpoch:
     seed: int
     VARIANT = "shuffled"
     needs_probe = False
+
+    def __post_init__(self):
+        _check_seed(self.seed)
 
     def order(self, K: int, n: int, probe: Optional[np.ndarray]) -> np.ndarray:
         return counter_rng(self.seed, _TAG_PERM, K).permutation(n)

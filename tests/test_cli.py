@@ -153,6 +153,23 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and section in err
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"eval_policy": {"variant": "delayed_async", "max_delay": 2, "seed": -1}}, "'eval_policy'"),
+            ({"eval_policy": {"variant": "convex_mix", "seed": -1}}, "'eval_policy'"),
+            ({"perm_policy": {"variant": "shuffled", "seed": -1}}, "'perm_policy'"),
+            ({"problem": {"kind": "logistic", "n": 2, "p": 1, "seed": -1}}, "'problem.seed'"),
+            ({"x0": {"kind": "ball", "radius": 1.0, "seed": -1}}, "'x0.seed'"),
+        ],
+        ids=["delayed_async", "convex_mix", "shuffled", "problem", "x0_ball"],
+    )
+    def test_negative_seed_exits_2_naming_the_key(self, tmp_path, capsys, overrides, key):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err and "nonnegative" in err
+
     def test_set_overrides_file_keys(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

@@ -215,6 +215,42 @@ class TestRun:
             traces.append(path.read_bytes())
         assert traces[0] == traces[1]
 
+    @pytest.mark.parametrize(
+        "policy",
+        [wd.Incremental(), wd.DelayedAsync(3, 2), wd.ConvexMix(5)],
+        ids=["incremental", "delayed_async", "convex_mix"],
+    )
+    def test_eval_support_called_once_per_epoch(self, monkeypatch, tmp_path, policy):
+        calls = []
+        real = wd.engine.eval_support
+        monkeypatch.setattr(wd.engine, "eval_support", lambda *a: calls.append(a[1:]) or real(*a))
+        prob = wd.make_problem("logistic", 5, 2, 4)
+        trace = make_run(prob, wd.Constant(0.3, 5), eval_policy=policy, epochs=7)
+        assert calls == [(K, 5) for K in range(7)]
+        wd.save_trace(trace, tmp_path / "trace.txt")
+        calls.clear()
+        wd.load_trace(tmp_path / "trace.txt")
+        assert calls == [(K, 5) for K in range(7)]
+
+    @pytest.mark.parametrize("max_delay", [0, 2, 8, 2**31])
+    def test_delayed_async_zhat_is_the_drawn_iterate(self, max_delay):
+        n, seed = 9, 5
+        prob = wd.make_problem("logistic", n, 3, 6)
+        trace = make_run(
+            prob,
+            wd.Adaptive.recommended(n),
+            eval_policy=wd.DelayedAsync(max_delay, seed),
+            perm_policy=wd.ShuffledPerEpoch(1),
+            epochs=6,
+            x0=np.full(3, 0.4),
+        )
+        for K in range(6):
+            zs = np.vstack([trace.xs[K], trace.z[K]])
+            for i in range(1, n + 1):
+                delay = int(wd.counter_rng(seed, 1, K, i).integers(0, max_delay + 1))
+                j = max(0, i - 1 - delay)
+                assert np.array_equal(trace.zhat[K, i - 1], zs[j])
+
     def test_constant_half_over_l_monotone_after_first_epoch(self, logistic32):
         # regression on the seeded instance, not a theorem
         trace = make_run(

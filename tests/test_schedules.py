@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import wrdescent as wd
-from wrdescent.schedules import eval_point, eval_support, hull_point, permutation
+from wrdescent import schedules
+from wrdescent.schedules import counter_rng, eval_point, eval_support, hull_point, permutation
 
 
 class TestEvalPoint:
@@ -18,11 +19,11 @@ class TestEvalPoint:
     def test_minibatch_pairwise(self):
         # b = 2 evaluates steps {1,2} at z_0, {3,4} at z_2, ...
         pol = wd.MiniBatch(b=2)
-        assert [eval_support(pol, 0, i) for i in (1, 2, 3, 4, 5)] == [0, 0, 2, 2, 4]
+        assert eval_support(pol, 0, 5) == [0, 0, 2, 2, 4]
 
     def test_minibatch_general_b(self):
         pol = wd.MiniBatch(b=3)
-        assert [eval_support(pol, 0, i) for i in range(1, 8)] == [0, 0, 0, 3, 3, 3, 6]
+        assert eval_support(pol, 0, 7) == [0, 0, 0, 3, 3, 3, 6]
 
     def test_delayed_clamped_at_epoch_start(self):
         pol = wd.DelayedAsync(max_delay=2, seed=0)
@@ -32,10 +33,10 @@ class TestEvalPoint:
     def test_delayed_within_bound_and_deterministic(self):
         pol = wd.DelayedAsync(max_delay=3, seed=42)
         for K in range(5):
-            for i in range(1, 9):
-                j = eval_support(pol, K, i)
+            support = eval_support(pol, K, 8)
+            for i, j in enumerate(support, start=1):
                 assert max(0, i - 1 - 3) <= j <= i - 1
-                assert j == eval_support(pol, K, i)
+            assert support == eval_support(pol, K, 8)
 
     def test_convex_mix_weights_are_hull_weights(self):
         pol = wd.ConvexMix(seed=9)
@@ -52,6 +53,83 @@ class TestEvalPoint:
     def test_batch_size_validated(self):
         with pytest.raises(ValueError):
             wd.MiniBatch(b=0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: wd.DelayedAsync(max_delay=2, seed=-1),
+            lambda: wd.ConvexMix(seed=-1),
+            lambda: wd.ShuffledPerEpoch(seed=-1),
+        ],
+        ids=["delayed_async", "convex_mix", "shuffled"],
+    )
+    def test_negative_seed_rejected(self, make):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            make()
+
+    def test_convex_mix_has_no_single_support(self):
+        assert eval_support(wd.ConvexMix(seed=1), 2, 4) == [None] * 4
+
+
+def delay_reference(max_delay, seed, K, n):
+    """Supports of epoch K drawn the per-step way: one Generator per (K, i)."""
+    return [
+        max(0, i - 1 - int(counter_rng(seed, 1, K, i).integers(0, max_delay + 1)))
+        for i in range(1, n + 1)
+    ]
+
+
+# seeds and epochs on both sides of 2**32, where a key word splits in two
+WORDS = st.one_of(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2**32 - 3, max_value=2**32 + 3),
+    st.integers(min_value=2**32, max_value=2**64),
+)
+
+
+class TestEpochDraws:
+    @given(
+        # max_delay 2**32 - 3 is the largest drawn without the fallback
+        st.sampled_from([0, 1, 8, 2**31, 2**32 - 3, 2**32 - 2, 2**32 - 1, 2**32, 2**40]),
+        WORDS,
+        WORDS,
+        st.integers(min_value=1, max_value=300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_supports_match_one_generator_per_step(self, max_delay, seed, K, n):
+        pol = wd.DelayedAsync(max_delay=max_delay, seed=seed)
+        assert pol.supports(K, n) == delay_reference(max_delay, seed, K, n)
+
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=10**6),
+           st.integers(min_value=1, max_value=200), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_shorter_epoch_is_a_prefix(self, seed, K, n, data):
+        m = data.draw(st.integers(min_value=1, max_value=n))
+        pol = wd.DelayedAsync(max_delay=5, seed=seed)
+        assert eval_support(pol, K, m) == eval_support(pol, K, n)[:m]
+
+    @pytest.mark.parametrize("max_delay, constructions", [(8, 0), (2**31, (60, 140))])
+    def test_rejected_draws_fall_back_per_key(self, monkeypatch, max_delay, constructions):
+        # 2**31 + 1 values: a 32-bit draw is rejected when its low product
+        # half is below 2**31 - 1, about half the time; 9 values almost never
+        calls = []
+        real = schedules.counter_rng
+        monkeypatch.setattr(schedules, "counter_rng", lambda *key: calls.append(key) or real(*key))
+        support = wd.DelayedAsync(max_delay=max_delay, seed=3).supports(4, 200)
+        if constructions:
+            assert constructions[0] <= len(calls) <= constructions[1]
+            assert all(key[:3] == (3, 1, 4) for key in calls)
+        else:
+            assert calls == []
+        monkeypatch.undo()
+        assert support == delay_reference(max_delay, 3, 4, 200)
+
+    @pytest.mark.parametrize("high", [1, 2**31 + 1, 2**32 - 2, 2**32, 2**32 + 1, 2**40])
+    def test_draws_match_generators_near_the_32_bit_bound(self, high):
+        # above 2**32 NumPy draws 64 bits; the supports clamp such delays to
+        # 0, so compare the draws themselves
+        expected = [int(counter_rng(7, 2, 9, i).integers(0, high)) for i in range(1, 101)]
+        assert schedules.counter_integers(7, 2, 9, 100, high).tolist() == expected
 
 
 class TestHullPoint:
