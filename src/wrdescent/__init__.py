@@ -71,9 +71,7 @@ from .problems import (
     make_problem,
     median_problem,
     problem_from_dict,
-    problem_from_json,
     problem_to_dict,
-    problem_to_json,
     relu_net_problem,
     sigmoid_problem,
 )

@@ -18,21 +18,23 @@ Schema (JSON object):
                | {"variant": "convex_mix", "seed": int}
     perm_policy: {"variant": "identity"} | {"variant": "fixed", "perm": [..]}
                | {"variant": "shuffled", "seed": int} | {"variant": "adversarial"}
-    x0:          {"kind": "zero"} | {"kind": "ball", "radius": float, "seed": int}
+    x0:          {"kind": "zero"} | {"kind": "ball", "radius": float >= 0, "seed": int}
     epochs:      int >= 1
     record_level: "full" | "epoch_only"   (default "epoch_only")
     output_dir:  str                      (default "out")
 
-"auto" (the default for L, beta and delta) resolves against the
-instantiated problem (L, or Adaptive.recommended's beta = n^2 and delta =
-n^3); the strategy's n is the problem's.  Keys of a strategy or policy
-that its variant does not use are ignored.
+An int is a JSON integer, not a float (1.0 included) or a bool; the ball
+radius is a finite number.  "auto" (the default for L, beta and delta)
+resolves against the instantiated problem (L, or Adaptive.recommended's
+beta = n^2 and delta = n^3); the strategy's n is the problem's.  Keys of
+a strategy or policy that its variant does not use are ignored.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -49,11 +51,17 @@ _AUTO = {
     "beta": lambda problem: Adaptive.recommended(problem.n).beta,
     "delta": lambda problem: Adaptive.recommended(problem.n).delta,
 }
-_COERCE = {"float": float, "int": int}
 
 
 class ConfigError(ValueError):
     """Malformed experiment configuration; the message names the key."""
+
+
+def _check_int(value, key: str, least=None) -> None:
+    """Require a JSON integer, not a float or a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
+        what = {None: "an integer", 0: "a nonnegative integer"}.get(least, f"an integer >= {least}")
+        raise ConfigError(f"'{key}' must be {what}, got {value!r}")
 
 
 @dataclass
@@ -87,17 +95,11 @@ class ExperimentConfig:
         kind = self.problem.get("kind")
         if kind not in PROBLEM_KINDS:
             raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}, got {kind!r}")
-        for key in ("n", "p", "seed"):
+        for key, least in (("n", 1), ("p", 1), ("seed", 0)):
             if key not in self.problem:
                 raise ConfigError(f"missing config key 'problem.{key}'")
-            if not isinstance(self.problem[key], int):
-                raise ConfigError(f"'problem.{key}' must be an integer")
-        if self.problem["n"] < 1 or self.problem["p"] < 1:
-            raise ConfigError("'problem.n' and 'problem.p' must be at least 1")
-        if self.problem["seed"] < 0:
-            raise ConfigError(f"'problem.seed' must be nonnegative, got {self.problem['seed']}")
-        if not isinstance(self.epochs, int) or self.epochs < 1:
-            raise ConfigError("'epochs' must be an integer >= 1")
+            _check_int(self.problem[key], f"problem.{key}", least)
+        _check_int(self.epochs, "epochs", 1)
         if self.record_level not in ("full", "epoch_only"):
             raise ConfigError("'record_level' must be 'full' or 'epoch_only'")
         if self.x0.get("kind") not in ("zero", "ball"):
@@ -106,8 +108,11 @@ class ExperimentConfig:
             for key in ("radius", "seed"):
                 if key not in self.x0:
                     raise ConfigError(f"missing config key 'x0.{key}'")
-            if not isinstance(self.x0["seed"], int) or self.x0["seed"] < 0:
-                raise ConfigError(f"'x0.seed' must be a nonnegative integer, got {self.x0['seed']!r}")
+            _check_int(self.x0["seed"], "x0.seed", 0)
+            radius = self.x0["radius"]
+            real = isinstance(radius, (int, float)) and not isinstance(radius, bool)
+            if not real or not 0 <= radius <= sys.float_info.max:
+                raise ConfigError(f"'x0.radius' must be a finite nonnegative number, got {radius!r}")
 
     def build(self) -> RunConfig:
         self.validate()
@@ -149,7 +154,9 @@ def _build_variant(section: str, spec: dict, table: dict, problem: FiniteSumProb
             value = _AUTO[f.name](problem)
             if value is None:
                 raise ConfigError(f"'{section}.{f.name}' = auto needs a smooth problem")
-        return _COERCE.get(f.type, lambda v: v)(value)
+        if f.type == "int":
+            _check_int(value, f"{section}.{f.name}")
+        return float(value) if f.type == "float" else value
 
     try:
         return variant_from_dict(spec, table, read)

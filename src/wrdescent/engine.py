@@ -16,35 +16,32 @@ one RunTrace of arrays indexed by epoch K:
     index, alpha, dnorm2, v of shape (N, n) and zhat, d, z of shape
     (N, n, p).  At record_level "epoch_only" these arrays are None.
 
-A trace file stores each recorded primitive once: of the inner steps only
-index, alpha, dnorm2, v and d.  After a JSON header line, each section
-line (#NODES, #EPOCHS and, at full level, #INDEX and #INNER) is followed
-by one line of base64 holding the raw little-endian float64 (int64 for
-#INDEX) bytes of its array, so a load decodes bits and parses no numbers.
-``load_trace`` rebuilds z with the engine's own update from x_K, checks
-z_{K,n} = x_{K+1} bit for bit, and rebuilds zhat through the policy
-(``eval_support``, or ``hull_point`` of ``eval_point``'s weights): hull
-weights and evaluation points are pure functions of (policy, K, i) and the
-epoch's iterates.  Both the engine and the loader ask ``eval_support`` once
-per epoch for the supports of all n steps; DelayedAsync draws the epoch's
-delays in one vectorized pass with the bits of one Generator per step,
-while ConvexMix weights still take a Generator per step.  The file header
-carries the configuration, its SHA-256 and the provenance (wrdescent,
-NumPy, Python and BLAS versions) that bitwise replay depends on.
+A trace file stores the problem's data matrix and each recorded primitive
+once: of the inner steps only index, alpha, dnorm2, v and d.  After a JSON
+header line (configuration, provenance, and a SHA-256 over the config and
+the #DATA payload), each section line (#DATA, #NODES, #EPOCHS and, at full
+level, #INDEX and #INNER) is followed by one line of base64 holding the
+raw little-endian float64 (int64 for #INDEX) bytes of its array, so a load
+decodes bits and parses no numbers.  ``load_trace`` rebuilds z with the
+engine's own update from x_K, checks z_{K,n} = x_{K+1} bit for bit, and
+rebuilds zhat through the policy (``eval_support``, or ``hull_point`` of
+``eval_point``'s weights, pure functions of (policy, K, i)).  The engine
+and the loader ask ``eval_support`` once per epoch for all n supports;
+DelayedAsync draws an epoch's delays in one vectorized pass with the bits
+of one Generator per step, ConvexMix weights take a Generator per step.
 
-Replay re-runs the configuration and compares the arrays one by one.
-Runs are deterministic functions of their configuration (all randomness is
+Replay re-runs the configuration and compares the arrays one by one.  Runs
+are deterministic functions of their configuration (all randomness is
 counter-based off explicit seeds).  A non-finite value aborts the run at
-the first step (K, i) where ||d||^2, or the sum of the entries of z_{K,i},
-is not finite; completed epochs are retained.  ||d||^2 is tested at each
-step, before the step rule reads it.  The iterates are tested once per
-epoch, after its last step, or earlier when a non-finite ||d||^2 makes the
-engine look back for a non-finite iterate before it.  The adversarial
-order probes ||d_i(x_K)|| with one ``FiniteSumProblem.direction_norms``
-call per epoch, vectorized over the data matrix for the logistic, sigmoid
-and median problems.  The engine also monitors ||x_K||_inf against an
-optional radius and flags the first excursion (constants of box-local
-problems are only valid inside the box).
+the first step (K, i) where ||d||^2, or an entry of z_{K,i}, is not
+finite; completed epochs are retained.  ||d||^2 is tested at each step,
+before the step rule reads it, the iterates once per epoch, or earlier
+when a non-finite ||d||^2 makes the engine look back for one.  The
+adversarial order probes ||d_i(x_K)|| with one direction_norms call per
+epoch, vectorized over the data matrix for the logistic, sigmoid and
+median problems.  The engine also monitors ||x_K||_inf against an optional
+radius and flags the first excursion (constants of box-local problems
+are only valid inside the box).
 """
 
 from __future__ import annotations
@@ -54,13 +51,13 @@ import json
 import math
 import platform
 import re
-import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .problems import FiniteSumProblem, problem_from_dict, problem_to_dict
+from .problems import FiniteSumProblem, data_shape, problem_from_dict, problem_to_dict
 from .schedules import (
     EVAL_POLICIES,
     PERM_POLICIES,
@@ -82,7 +79,7 @@ from .steps import (
     step_value,
 )
 
-TRACE_FORMAT = "wrdescent-trace/4"
+TRACE_FORMAT = "wrdescent-trace/5"
 
 
 class NonFiniteError(RuntimeError):
@@ -217,24 +214,11 @@ def _new_trace(config: RunConfig, N: int) -> RunTrace:
 
 
 def _first_non_finite(rows) -> Optional[int]:
-    """1-based position of the first row whose sum is not finite, or None.
-
-    ``rows`` holds z_{K,1}, z_{K,2}, ... of one epoch, as a list of vectors
-    or an array.  Rows whose entries are all at most DBL_MAX / (2p) in
-    magnitude cannot sum to inf in any order, so one min and one max over
-    the epoch (NaN fails both tests) settle the common case without a
-    temporary array; otherwise each row's own ``sum`` decides.
-    """
+    """The first i at which ``rows`` (an epoch's z_{K,1}, z_{K,2}, ...) has a non-finite entry, or None."""
     if not len(rows):
         return None
-    rows = np.asarray(rows)
-    limit = sys.float_info.max / (2 * rows.shape[1])
-    if -limit <= rows.min() and rows.max() <= limit:
-        return None
-    for i, row in enumerate(rows, start=1):
-        if not math.isfinite(float(row.sum())):
-            return i
-    return None
+    finite = np.isfinite(rows).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite)) + 1
 
 
 def run_epoch(trace: RunTrace, state: StepState, x: np.ndarray, K: int) -> np.ndarray:
@@ -243,7 +227,7 @@ def run_epoch(trace: RunTrace, state: StepState, x: np.ndarray, K: int) -> np.nd
     Writes row K of the trace's epoch series and, at the full record level,
     of its inner arrays.  ``state`` must be consistent with epochs 0..K-1
     and is advanced in place.  Raises NonFiniteError at the first step i
-    where ||d||^2 or the sum of z_{K,i} is not finite.  ||d||^2 is tested
+    where ||d||^2 or an entry of z_{K,i} is not finite.  ||d||^2 is tested
     at each step, the iterates once at the end of the epoch (see
     ``_first_non_finite``); a non-finite ||d||^2 first looks back for an
     earlier non-finite iterate.
@@ -451,9 +435,9 @@ def config_to_dict(config: RunConfig) -> dict:
     }
 
 
-def config_from_dict(doc: dict) -> RunConfig:
+def config_from_dict(doc: dict, data: np.ndarray) -> RunConfig:
     return RunConfig(
-        problem=problem_from_dict(doc["problem"]),
+        problem=problem_from_dict(doc["problem"], data),
         **{key: variant_from_dict(doc[key], table) for key, table in VARIANT_SECTIONS.items()},
         x0=np.array(doc["x0"], dtype=float),
         epochs=doc["epochs"],
@@ -463,21 +447,24 @@ def config_from_dict(doc: dict) -> RunConfig:
     )
 
 
-def _sha256(text: str) -> str:
+def _config_hash(config_text: str, data_payload: bytes) -> str:
+    """SHA-256 of the canonical config JSON, a newline and the #DATA payload line."""
     import hashlib  # loads OpenSSL: a few ms that commands without trace IO skip
 
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(config_text.encode() + b"\n" + data_payload).hexdigest()
 
 
-# section line -> dtype of its array.  #INDEX and #INNER, at the full record
-# level only, hold one row per inner step, epoch by epoch.
-SECTION_DTYPES = {"#NODES": "<f8", "#EPOCHS": "<f8", "#INDEX": "<i8", "#INNER": "<f8"}
+# section line -> dtype of its array, in file order.  #DATA holds the
+# problem's data matrix; #INDEX and #INNER, at the full record level only,
+# hold one row per inner step, epoch by epoch.
+SECTION_DTYPES = {"#DATA": "<f8", "#NODES": "<f8", "#EPOCHS": "<f8", "#INDEX": "<i8", "#INNER": "<f8"}
 STEP_SECTIONS = ("#INDEX", "#INNER")
 
 
 def _section_arrays(trace: RunTrace) -> dict:
     """The array each section of the trace's file stores, by section line."""
     arrays = {
+        "#DATA": trace.problem.kind.data,
         "#NODES": np.column_stack([trace.xs, trace.f_vals, trace.grad_sq]),
         "#EPOCHS": np.column_stack([getattr(trace, name) for name in EPOCH_SERIES]),
     }
@@ -497,38 +484,44 @@ def save_trace(trace: RunTrace, path) -> None:
     """
     # canonical JSON: sorted keys, no spaces
     config_text = json.dumps(config_to_dict(trace.config), sort_keys=True, separators=(",", ":"))
+    payloads = {
+        name: binascii.b2a_base64(array.astype(SECTION_DTYPES[name], copy=False).tobytes(), newline=False)
+        for name, array in _section_arrays(trace).items()
+    }
     header = {
         "format": TRACE_FORMAT,
-        "config_sha256": _sha256(config_text),
+        "config_sha256": _config_hash(config_text, payloads["#DATA"]),
         "provenance": trace.provenance,
         "aborted_at": list(trace.aborted_at) if trace.aborted_at else None,
         "bound_exceeded_at": trace.bound_exceeded_at,
     }
     lines = [(json.dumps(header)[:-1] + ', "config": ' + config_text + "}").encode()]
-    for name, array in _section_arrays(trace).items():
-        lines.append(name.encode())
-        raw = array.astype(SECTION_DTYPES[name], copy=False).tobytes()
-        lines.append(binascii.b2a_base64(raw, newline=False))
+    for name, payload in payloads.items():
+        lines += [name.encode(), payload]
     lines.append(b"")  # the file ends with a newline
     with open(path, "wb") as fh:
         fh.write(b"\n".join(lines))
 
 
-def _read_header(line: str) -> dict:
-    """The header of a trace file, its config hash checked.
-
-    The hash covers the config as save_trace writes it: canonical JSON,
-    last on the line.
-    """
+def _read_header(line: str) -> tuple:
+    """The header of a trace file, and its config text: canonical JSON, last on the line."""
     header = json.loads(line)
     if header.get("format") != TRACE_FORMAT:
         raise ValueError(f"not a {TRACE_FORMAT} file")
     for key in ("config_sha256", "provenance", "aborted_at", "bound_exceeded_at", "config"):
         if key not in header:
             raise KeyError(key)
-    if _sha256(line.partition('"config": ')[2][:-1]) != header["config_sha256"]:
-        raise ValueError("config hash mismatch")
-    return header
+    return header, line.partition('"config": ')[2][:-1]
+
+
+@contextmanager
+def _header_errors():
+    """Report a malformed header as ValueError("header: ...")."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError, ValueError, ArithmeticError) as err:
+        detail = f"missing key {err}" if isinstance(err, KeyError) else err
+        raise ValueError(f"header: {detail}") from None
 
 
 def _section_payloads(lines: list, names) -> dict:
@@ -632,32 +625,38 @@ def _derive_iterates(trace: RunTrace) -> None:
 def load_trace(path) -> RunTrace:
     """Read a trace file; a truncated, malformed or inconsistent one raises ValueError.
 
-    The header implies each section's shape: #NODES (N+1, p+2) holds x, f
-    and grad_sq of x_0..x_N, #EPOCHS (N, 4) the epoch series and, at full
-    level, #INDEX (N, n) the queried components and #INNER (N, n, 3+p)
-    alpha, dnorm2, v and d of every inner step.  Errors name the section
-    and the first row affected (see ``_decode_section``).  z and zhat are
-    derived (see ``_derive_iterates``).
+    The header implies each section's shape: #DATA (n, columns) the
+    problem's data matrix, #NODES (N+1, p+2) x, f and grad_sq of x_0..x_N,
+    #EPOCHS (N, 4) the epoch series and, at full level, #INDEX (N, n) the
+    queried components and #INNER (N, n, 3+p) alpha, dnorm2, v and d of
+    every inner step.  Errors name the section and the first row affected
+    (see ``_decode_section``).  #DATA is decoded before the config hash,
+    which covers it, is checked, and the other sections after.  z and zhat
+    are derived (see ``_derive_iterates``).
     """
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError("empty trace file")
-    try:
-        header = _read_header(lines[0].decode())
-        config = config_from_dict(header["config"])
+    with _header_errors():
+        header, config_text = _read_header(lines[0].decode())
+        doc = header["config"]
+        full = doc["record_level"] == "full"
+        names = [name for name in SECTION_DTYPES if full or name not in STEP_SECTIONS]
+        data_dims = data_shape(doc["problem"])
+    payloads = _section_payloads(lines, names)
+    data = _decode_section("#DATA", payloads["#DATA"], data_dims, data_dims[0])
+    with _header_errors():
+        if _config_hash(config_text, payloads["#DATA"]) != header["config_sha256"]:
+            raise ValueError("config hash mismatch")
+        config = config_from_dict(doc, data)
         aborted = tuple(header["aborted_at"]) if header["aborted_at"] else None
         epochs = int(aborted[0]) if aborted else config.epochs
-    except (KeyError, TypeError, AttributeError, ValueError) as err:
-        detail = f"missing key {err}" if isinstance(err, KeyError) else err
-        raise ValueError(f"header: {detail}") from None
     n, p = config.problem.n, config.problem.p
-    full = config.record_level == "full"
 
     shapes = {"#NODES": (epochs + 1, p + 2), "#EPOCHS": (epochs, len(EPOCH_SERIES))}
     if full:
         shapes.update({"#INDEX": (epochs, n), "#INNER": (epochs, n, 3 + p)})
-    payloads = _section_payloads(lines, shapes)
     arrays = {name: _decode_section(name, payloads[name], shape, n) for name, shape in shapes.items()}
 
     trace = _new_trace(config, epochs)

@@ -9,6 +9,14 @@ generator list spanning their generalized derivative at a point.
 
 Aggregate constants: M = sqrt(mean(M_i^2)), L = mean(L_i) (smooth only).
 
+The zoo has one class per kind (``ZOO_KINDS``), holding one data matrix
+with a row per component (logistic [a_i, b_i], sigmoid [a_i, c_i], median
+b_i, relu_net [x_i, y_i]) and its scalars.  It is the one place for the
+kind's row oracles, closed-form constants, full oracles and norms
+vectorized over the matrix (relu_net has none), random instance and
+serialization.  A component's oracles are ``functools.partial`` views of
+the row oracles with the row bound at build time.
+
 Conventions used by the built-in problem zoo:
   * sign(0) = 0 and relu'(0) = 0 (the usual autodiff selections);
   * constants are exact closed forms, never estimates;
@@ -17,14 +25,12 @@ Conventions used by the built-in problem zoo:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-
-PROBLEM_KINDS = ("logistic", "sigmoid_nonconvex", "median", "relu_net")
 
 # sup |sigma''| over R, attained at sigma = (3 +- sqrt(3))/6
 _SIGMOID_HESS_BOUND = 1.0 / (6.0 * math.sqrt(3.0))
@@ -100,8 +106,12 @@ class FiniteSumProblem:
     ``f_star_lower`` is a valid lower bound on inf F (used by bound
     certificates).  ``box_radius``, when set, marks that the constants are
     only valid on the box ||x||_inf <= box_radius; runs monitor excursions.
-    ``meta`` carries construction data (kind, seed, raw arrays) so that zoo
-    problems serialize exactly.
+    ``kind``, set on zoo problems, is the ZooKind the components were built
+    from: it serializes the problem and, when VECTORIZED, answers the full
+    oracles over its data matrix.  Those agree with the per-component
+    definitions (the fsum mean of the values, the mean of the directions
+    and their norms) to rounding: within 1e-12 relative, and for the
+    vectors 1e-12 M absolute.  Other problems loop over the components.
     """
 
     components: tuple[ComponentOracle, ...]
@@ -111,10 +121,7 @@ class FiniteSumProblem:
     f_star_lower: Optional[float] = None
     known_solution: Optional[float] = None
     box_radius: Optional[float] = None
-    meta: dict = field(default_factory=dict)
-    full_value_fn: Optional[Callable[[np.ndarray], float]] = None
-    full_direction_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    direction_norms_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    kind: Optional["ZooKind"] = None
 
     @classmethod
     def assemble(cls, components, p, **kwargs) -> "FiniteSumProblem":
@@ -141,15 +148,15 @@ class FiniteSumProblem:
     def full_value(self, x: np.ndarray) -> float:
         """F(x) = (1/n) sum_i f_i(x)."""
         x = self.check_point(x)
-        if self.full_value_fn is not None:
-            return float(self.full_value_fn(x))
+        if getattr(self.kind, "VECTORIZED", False):
+            return self.kind.full_value(x)
         return math.fsum(c.value(x) for c in self.components) / self.n
 
     def full_direction(self, x: np.ndarray) -> np.ndarray:
         """(1/n) sum_i d_i(x); equals grad F(x) on smooth problems."""
         x = self.check_point(x)
-        if self.full_direction_fn is not None:
-            return np.asarray(self.full_direction_fn(x), dtype=float)
+        if getattr(self.kind, "VECTORIZED", False):
+            return self.kind.full_direction(x)
         acc = np.zeros(self.p)
         for c in self.components:
             acc += c.direction(x)
@@ -158,8 +165,8 @@ class FiniteSumProblem:
     def direction_norms(self, x: np.ndarray) -> np.ndarray:
         """(||d_1(x)||, ..., ||d_n(x)||), one vectorized call when the problem has one."""
         x = self.check_point(x)
-        if self.direction_norms_fn is not None:
-            return np.asarray(self.direction_norms_fn(x), dtype=float)
+        if getattr(self.kind, "VECTORIZED", False):
+            return self.kind.direction_norms(x)
         return np.array([math.sqrt(float(d @ d)) for d in (c.direction(x) for c in self.components)])
 
     def generator_set(self, x: np.ndarray, max_size: int = 4096) -> list[np.ndarray]:
@@ -211,293 +218,321 @@ def finite_diff_check(problem: FiniteSumProblem, x: np.ndarray, h: float) -> flo
 
 
 # ---------------------------------------------------------------------------
-# problem zoo
+# problem zoo: one class per kind over its data matrix
 # ---------------------------------------------------------------------------
 
 
-def logistic_problem(A, b, *, seed=None) -> FiniteSumProblem:
+class ZooKind:
+    """One kind of the problem zoo: a data matrix with a row per component.
+
+    A subclass names its KIND and SCALARS (constructor parameters stored
+    with the seed), sets ``lipschitz_values`` and, if smooth,
+    ``lipschitz_gradients``, and gives the row oracles ``value(*row, x)``,
+    ``direction(*row, x)`` and ``generators(*row, x)`` of each ``rows()``
+    entry, and ``draw(n, p, rng)``, the data of make_problem's instance.
+    VECTORIZED kinds also answer the full oracles over the whole matrix.
+    """
+
+    KIND = ""
+    SCALARS: tuple = ()
+    LABELS = 1  # data columns after the vector in R^p
+    VECTORIZED = True
+    known_solution = box_radius = lipschitz_gradients = None
+
+    def __init__(self, data, seed=None):
+        self.data = np.array(data, dtype=float, ndmin=2)
+        self.n, self.seed = len(self.data), seed
+
+    @property
+    def p(self) -> int:
+        return self.data.shape[1] - self.LABELS
+
+    @classmethod
+    def columns(cls, doc: dict) -> int:
+        """The data matrix's column count, from a problem_to_dict document."""
+        return doc["p"] + cls.LABELS
+
+    def rows(self):
+        return zip(self.data)
+
+    def generators(self, *row_and_x) -> list:
+        # a smooth component's one generator is its gradient
+        return [self.direction(*row_and_x)]
+
+    def problem(self) -> FiniteSumProblem:
+        gens, gradients = self.generators, self.lipschitz_gradients or [None] * self.n
+        comps = []
+        for row, m, lip in zip(self.rows(), self.lipschitz_values, gradients):
+            value, direction = partial(self.value, *row), partial(self.direction, *row)
+            comps.append(ComponentOracle(value, direction, m, lip, gens and partial(gens, *row)))
+        extras = {"known_solution": self.known_solution, "box_radius": self.box_radius}
+        return FiniteSumProblem.assemble(comps, self.p, f_star_lower=0.0, kind=self, **extras)
+
+
+def _labelled(M, v) -> np.ndarray:
+    """The data matrix [M, v]: the rows of M, each with its number v_i appended."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if v.shape != (len(M),):
+        raise ValueError(f"{len(v)} labels, targets or offsets for {len(M)} data rows")
+    return np.column_stack([M, v])
+
+
+class _Labelled(ZooKind):
+    """Data rows [a_i, v_i], a vector and one number.
+
+    A and v are contiguous copies, so a_i @ x is a BLAS ddot of a contiguous row.
+    """
+
+    def __init__(self, data, seed=None):
+        super().__init__(data, seed)
+        self.A = np.ascontiguousarray(self.data[:, :-1])
+        self.v = np.ascontiguousarray(self.data[:, -1])
+        self.sq = [float(a @ a) for a in self.A]  # ||a_i||^2
+        self.norms = np.sqrt(self.sq)
+
+    def rows(self):
+        return zip(self.A, self.v.tolist())
+
+
+class Logistic(_Labelled):
     """Binary logistic loss f_i(x) = log(1 + exp(-b_i <a_i, x>)), b_i in {-1,+1}.
 
-    Exact constants: M_i = ||a_i||, L_i = ||a_i||^2 / 4.
+    Data row i is [a_i, b_i].  Exact constants: M_i = ||a_i||, L_i = ||a_i||^2 / 4.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float).reshape(-1)
-    n, p = A.shape
-    if b.shape != (n,):
-        raise ValueError("label vector length must match row count of A")
-    if not np.all(np.abs(b) == 1.0):
-        raise ValueError("labels must be +-1")
 
-    comps, norms = [], []
-    for i in range(n):
-        a = A[i]
-        bi = float(b[i])
-        norms.append(float(np.linalg.norm(a)))
+    KIND = "logistic"
 
-        def value(x, a=a, bi=bi):
-            return float(np.logaddexp(0.0, -bi * float(a @ x)))
+    def __init__(self, data, seed=None):
+        super().__init__(data, seed)
+        if not np.all(np.abs(self.v) == 1.0):
+            raise ValueError("labels must be +-1")
+        self.lipschitz_values = self.norms.tolist()
+        self.lipschitz_gradients = [q / 4.0 for q in self.sq]
 
-        def direction(x, a=a, bi=bi):
-            return (-bi * _expit(-bi * float(a @ x))) * a
+    @staticmethod
+    def draw(n, p, rng) -> np.ndarray:
+        return np.column_stack([rng.standard_normal((n, p)), np.where(rng.random(n) < 0.5, -1.0, 1.0)])
 
-        comps.append(
-            ComponentOracle(
-                value=value,
-                direction=direction,
-                lipschitz_value=norms[i],
-                lipschitz_gradient=float(a @ a) / 4.0,
-                generators=lambda x, d=direction: [d(x)],
-            )
-        )
+    @staticmethod
+    def value(a, b, x) -> float:
+        return float(np.logaddexp(0.0, -b * float(a @ x)))
 
-    def full_value(x):
-        return float(np.mean(np.logaddexp(0.0, -b * (A @ x))))
+    @staticmethod
+    def direction(a, b, x) -> np.ndarray:
+        return (-b * _expit(-b * float(a @ x))) * a
 
-    def full_direction(x):
+    def full_value(self, x) -> float:
+        return float(np.mean(np.logaddexp(0.0, -self.v * (self.A @ x))))
+
+    def full_direction(self, x) -> np.ndarray:
         # exp overflows to inf where the coefficient saturates to 0
         with np.errstate(over="ignore"):
-            coef = -b / (1.0 + np.exp(b * (A @ x)))
-        return (coef @ A) / n
+            coef = -self.v / (1.0 + np.exp(self.v * (self.A @ x)))
+        return (coef @ self.A) / self.n
 
-    row_norms = np.array(norms)
-
-    def direction_norms(x):
+    def direction_norms(self, x) -> np.ndarray:
         # ||d_i(x)|| = expit(-b_i <a_i, x>) ||a_i||
-        return _expit_rows(-b * (A @ x)) * row_norms
-
-    return FiniteSumProblem.assemble(
-        comps,
-        p,
-        f_star_lower=0.0,
-        meta={"kind": "logistic", "seed": seed, "data": {"A": A, "b": b}},
-        full_value_fn=full_value,
-        full_direction_fn=full_direction,
-        direction_norms_fn=direction_norms,
-    )
+        return _expit_rows(-self.v * (self.A @ x)) * self.norms
 
 
-def sigmoid_problem(A, c, *, seed=None) -> FiniteSumProblem:
+class Sigmoid(_Labelled):
     """Nonconvex smooth components f_i(x) = sigma(<a_i, x> - c_i).
 
-    Exact constants: M_i = ||a_i||/4, L_i = ||a_i||^2 / (6 sqrt 3).
+    Data row i is [a_i, c_i].  Exact constants: M_i = ||a_i||/4,
+    L_i = ||a_i||^2 / (6 sqrt 3).
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    c = np.asarray(c, dtype=float).reshape(-1)
-    n, p = A.shape
-    if c.shape != (n,):
-        raise ValueError("offset vector length must match row count of A")
 
-    comps, norms = [], []
-    for i in range(n):
-        a = A[i]
-        ci = float(c[i])
-        norms.append(float(np.linalg.norm(a)))
+    KIND = "sigmoid_nonconvex"
 
-        def value(x, a=a, ci=ci):
-            return _expit(float(a @ x) - ci)
+    def __init__(self, data, seed=None):
+        super().__init__(data, seed)
+        self.lipschitz_values = (self.norms / 4.0).tolist()
+        self.lipschitz_gradients = [q * _SIGMOID_HESS_BOUND for q in self.sq]
 
-        def direction(x, a=a, ci=ci):
-            s = _expit(float(a @ x) - ci)
-            return (s * (1.0 - s)) * a
+    @staticmethod
+    def draw(n, p, rng) -> np.ndarray:
+        return np.column_stack([rng.standard_normal((n, p)), rng.standard_normal(n)])
 
-        comps.append(
-            ComponentOracle(
-                value=value,
-                direction=direction,
-                lipschitz_value=norms[i] / 4.0,
-                lipschitz_gradient=float(a @ a) * _SIGMOID_HESS_BOUND,
-                generators=lambda x, d=direction: [d(x)],
-            )
-        )
+    @staticmethod
+    def value(a, c, x) -> float:
+        return _expit(float(a @ x) - c)
+
+    @staticmethod
+    def direction(a, c, x) -> np.ndarray:
+        s = _expit(float(a @ x) - c)
+        return (s * (1.0 - s)) * a
 
     # exp overflows to inf where the sigmoid saturates to 0
-    def full_value(x):
+    def full_value(self, x) -> float:
         with np.errstate(over="ignore"):
-            return float(np.mean(1.0 / (1.0 + np.exp(-(A @ x - c)))))
+            return float(np.mean(1.0 / (1.0 + np.exp(-(self.A @ x - self.v)))))
 
-    def full_direction(x):
+    def full_direction(self, x) -> np.ndarray:
         with np.errstate(over="ignore"):
-            s = 1.0 / (1.0 + np.exp(-(A @ x - c)))
-        return ((s * (1.0 - s)) @ A) / n
+            s = 1.0 / (1.0 + np.exp(-(self.A @ x - self.v)))
+        return ((s * (1.0 - s)) @ self.A) / self.n
 
-    row_norms = np.array(norms)
-
-    def direction_norms(x):
+    def direction_norms(self, x) -> np.ndarray:
         # ||d_i(x)|| = s (1 - s) ||a_i||, s = expit(<a_i, x> - c_i)
-        s = _expit_rows(A @ x - c)
-        return (s * (1.0 - s)) * row_norms
-
-    return FiniteSumProblem.assemble(
-        comps,
-        p,
-        f_star_lower=0.0,
-        meta={"kind": "sigmoid_nonconvex", "seed": seed, "data": {"A": A, "c": c}},
-        full_value_fn=full_value,
-        full_direction_fn=full_direction,
-        direction_norms_fn=direction_norms,
-    )
+        s = _expit_rows(self.A @ x - self.v)
+        return (s * (1.0 - s)) * self.norms
 
 
-def median_problem(B, *, seed=None) -> FiniteSumProblem:
+class Median(ZooKind):
     """Nonsmooth components f_i(x) = ||x - b_i||_inf (|x - b_i| when p = 1).
 
-    M_i = 1 exactly.  Directions pick the first maximizing coordinate with
-    sign(0) = 0.  Generators are the extreme points of the generalized
-    derivative: {sign * e_j} over maximizing coordinates, the full {+-e_j}
-    set at x = b_i.  For p = 1 the minimizer is the sample median, recorded
-    as known_solution.
+    Data row i is b_i.  M_i = 1 exactly.  Directions pick the first
+    maximizing coordinate with sign(0) = 0.  Generators are the extreme
+    points of the generalized derivative: {sign * e_j} over maximizing
+    coordinates, the full {+-e_j} set at x = b_i.  For p = 1 the minimizer
+    is the sample median, recorded as known_solution.
     """
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    n, p = B.shape
 
-    comps = []
-    for i in range(n):
-        bi = B[i]
+    KIND = "median"
+    LABELS = 0
 
-        def value(x, bi=bi):
-            return float(np.max(np.abs(x - bi)))
+    def __init__(self, data, seed=None):
+        super().__init__(data, seed)
+        self.lipschitz_values = [1.0] * self.n
+        if self.p == 1:
+            self.known_solution = float(np.median(self.data[:, 0]))
 
-        def direction(x, bi=bi):
-            dev = x - bi
-            j = int(np.argmax(np.abs(dev)))
-            d = np.zeros(p)
-            d[j] = np.sign(dev[j])
-            return d
+    @staticmethod
+    def draw(n, p, rng) -> np.ndarray:
+        return rng.standard_normal((n, p))
 
-        def generators(x, bi=bi):
-            dev = x - bi
-            adev = np.abs(dev)
-            m = float(adev.max())
-            out = []
-            if m == 0.0:
-                for j in range(p):
-                    for s in (-1.0, 1.0):
-                        e = np.zeros(p)
-                        e[j] = s
-                        out.append(e)
-                return out
-            for j in np.flatnonzero(adev == m):
-                e = np.zeros(p)
-                e[j] = np.sign(dev[j])
-                out.append(e)
-            return out
+    @staticmethod
+    def value(b, x) -> float:
+        return float(np.max(np.abs(x - b)))
 
-        comps.append(
-            ComponentOracle(
-                value=value,
-                direction=direction,
-                lipschitz_value=1.0,
-                generators=generators,
-            )
-        )
+    @staticmethod
+    def direction(b, x) -> np.ndarray:
+        dev = x - b
+        j = int(np.argmax(np.abs(dev)))
+        d = np.zeros(len(b))
+        d[j] = np.sign(dev[j])
+        return d
 
-    def full_value(x):
-        return float(np.mean(np.max(np.abs(x[None, :] - B), axis=1)))
+    @staticmethod
+    def generators(b, x) -> list:
+        dev = x - b
+        top = np.flatnonzero(np.abs(dev) == np.abs(dev).max())  # the maximizing coordinates
+        if dev.any():
+            pairs = [(j, np.sign(dev[j])) for j in top]
+        else:  # at x = b_i every coordinate maximizes, and every +-e_j is a generator
+            pairs = [(j, s) for j in top for s in (-1.0, 1.0)]
+        return [np.where(np.arange(len(b)) == j, s, 0.0) for j, s in pairs]
 
-    def _signs(x):
+    def full_value(self, x) -> float:
+        return float(np.mean(np.max(np.abs(x[None, :] - self.data), axis=1)))
+
+    def _signs(self, x):
         # sign of each component's first maximizing deviation, and its coordinate
-        dev = x[None, :] - B
+        dev = x[None, :] - self.data
         j = np.argmax(np.abs(dev), axis=1)
-        return np.sign(dev[np.arange(n), j]), j
+        return np.sign(dev[np.arange(self.n), j]), j
 
-    def full_direction(x):
-        s, j = _signs(x)
-        acc = np.zeros(p)
+    def full_direction(self, x) -> np.ndarray:
+        s, j = self._signs(x)
+        acc = np.zeros(self.p)
         np.add.at(acc, j, s)
-        return acc / n
+        return acc / self.n
 
-    def direction_norms(x):
-        return np.abs(_signs(x)[0])
-
-    known = float(np.median(B[:, 0])) if p == 1 else None
-    return FiniteSumProblem.assemble(
-        comps,
-        p,
-        f_star_lower=0.0,
-        known_solution=known,
-        meta={"kind": "median", "seed": seed, "data": {"B": B}},
-        full_value_fn=full_value,
-        full_direction_fn=full_direction,
-        direction_norms_fn=direction_norms,
-    )
+    def direction_norms(self, x) -> np.ndarray:
+        return np.abs(self._signs(x)[0])
 
 
-def _relu_unpack(theta: np.ndarray, hidden: int, p_in: int):
-    w1 = theta[: hidden * p_in].reshape(hidden, p_in)
-    b1 = theta[hidden * p_in : hidden * p_in + hidden]
-    w2 = theta[hidden * p_in + hidden : hidden * p_in + 2 * hidden]
-    b2 = theta[-1]
-    return w1, b1, w2, b2
-
-
-def relu_net_problem(X, y, *, hidden=8, box_radius=2.0, seed=None) -> FiniteSumProblem:
+class ReluNet(_Labelled):
     """Absolute-error loss of a two-layer scalar-output ReLU network.
 
     Parameters are theta = (W1, b1, w2, b2) flattened; f_i(theta) =
-    |w2^T relu(W1 x_i + b1) + b2 - y_i|.  Directions are reverse-mode
-    selections with relu'(0) = 0 and sign(0) = 0.  M_i is a valid bound on
-    the box ||theta||_inf <= box_radius only; runs should monitor box exit.
+    |w2^T relu(W1 x_i + b1) + b2 - y_i|, and data row i is [x_i, y_i].
+    Directions are reverse-mode selections with relu'(0) = 0 and sign(0) =
+    0.  M_i is a valid bound on the box ||theta||_inf <= box_radius only;
+    runs should monitor box exit.  No generators and no vectorized oracles.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).reshape(-1)
-    n, p_in = X.shape
-    if y.shape != (n,):
-        raise ValueError("target vector length must match sample count")
-    if not (1 <= hidden <= 16):
-        raise ValueError("hidden must be in [1, 16]")
-    h = int(hidden)
-    p = h * p_in + 2 * h + 1
-    r = float(box_radius)
 
-    comps = []
-    for i in range(n):
-        xi = X[i]
-        yi = float(y[i])
+    KIND = "relu_net"
+    SCALARS = ("hidden", "box_radius")
+    VECTORIZED = False
+    HIDDEN = 8
+    generators = None
 
-        def value(theta, xi=xi, yi=yi):
-            w1, b1, w2, b2 = _relu_unpack(theta, h, p_in)
-            pre = w1 @ xi + b1
-            return abs(float(w2 @ np.maximum(pre, 0.0) + b2) - yi)
-
-        def direction(theta, xi=xi, yi=yi):
-            w1, b1, w2, b2 = _relu_unpack(theta, h, p_in)
-            pre = w1 @ xi + b1
-            act = np.maximum(pre, 0.0)
-            mask = (pre > 0.0).astype(float)
-            s = float(np.sign(w2 @ act + b2 - yi))
-            gw2 = w2 * mask
-            return s * np.concatenate(
-                [np.outer(gw2, xi).ravel(), gw2, act, [1.0]]
+    def __init__(self, data, seed=None, hidden=HIDDEN, box_radius=2.0):
+        if not (1 <= hidden <= 16):
+            raise ValueError("hidden must be in [1, 16]")
+        super().__init__(data, seed)
+        self.hidden, self.box_radius = h, r = int(hidden), float(box_radius)
+        self.lipschitz_values = [
+            math.sqrt(
+                h * r**2 * (float(np.sum(np.abs(xi))) + 1.0) ** 2  # dL/dw2 via activations
+                + 1.0  # dL/db2
+                + h * r**2 * sq  # dL/dW1
+                + h * r**2  # dL/db1
             )
+            for xi, sq in zip(self.A, self.sq)
+        ]
 
-        a1 = float(np.sum(np.abs(xi)))
-        m_sq = (
-            h * r**2 * (a1 + 1.0) ** 2  # dL/dw2 via activations
-            + 1.0  # dL/db2
-            + h * r**2 * float(xi @ xi)  # dL/dW1
-            + h * r**2  # dL/db1
-        )
-        comps.append(
-            ComponentOracle(
-                value=value,
-                direction=direction,
-                lipschitz_value=math.sqrt(m_sq),
-            )
-        )
+    @property
+    def p(self) -> int:
+        return self.hidden * self.A.shape[1] + 2 * self.hidden + 1
 
-    return FiniteSumProblem.assemble(
-        comps,
-        p,
-        f_star_lower=0.0,
-        box_radius=r,
-        meta={
-            "kind": "relu_net",
-            "seed": seed,
-            "data": {"X": X, "y": y, "hidden": h, "box_radius": r},
-        },
-    )
+    @classmethod
+    def columns(cls, doc: dict) -> int:
+        # p = hidden * p_in + 2 hidden + 1 and a row is [x_i, y_i]
+        return (doc["p"] - 1) // doc["hidden"] - 1
+
+    @classmethod
+    def draw(cls, n, p, rng) -> np.ndarray:
+        h = cls.HIDDEN
+        X = rng.standard_normal((n, p))
+        teacher = rng.uniform(-1.0, 1.0, size=h * p + 2 * h + 1)
+        pre = X @ teacher[: h * p].reshape(h, p).T + teacher[h * p : h * p + h]
+        y = np.maximum(pre, 0.0) @ teacher[h * p + h : h * p + 2 * h] + teacher[-1]
+        return np.column_stack([X, y])
+
+    def _forward(self, xi, theta):
+        # theta = (W1, b1, w2, b2): the pre-activations W1 x_i + b1, w2 and b2
+        h, k = self.hidden, self.hidden * len(xi)
+        return theta[:k].reshape(h, len(xi)) @ xi + theta[k : k + h], theta[k + h : k + 2 * h], theta[-1]
+
+    def value(self, xi, yi, theta) -> float:
+        pre, w2, b2 = self._forward(xi, theta)
+        return abs(float(w2 @ np.maximum(pre, 0.0) + b2) - yi)
+
+    def direction(self, xi, yi, theta) -> np.ndarray:
+        pre, w2, b2 = self._forward(xi, theta)
+        act = np.maximum(pre, 0.0)
+        s = float(np.sign(w2 @ act + b2 - yi))
+        gw2 = w2 * (pre > 0.0).astype(float)
+        return s * np.concatenate([np.outer(gw2, xi).ravel(), gw2, act, [1.0]])
+
+
+ZOO_KINDS = {cls.KIND: cls for cls in (Logistic, Sigmoid, Median, ReluNet)}
+PROBLEM_KINDS = tuple(ZOO_KINDS)
+
+
+def _zoo_kind(kind: str) -> type:
+    if kind not in ZOO_KINDS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    return ZOO_KINDS[kind]
+
+
+def logistic_problem(A, b, *, seed=None) -> FiniteSumProblem:
+    return Logistic(_labelled(A, b), seed).problem()
+
+
+def sigmoid_problem(A, c, *, seed=None) -> FiniteSumProblem:
+    return Sigmoid(_labelled(A, c), seed).problem()
+
+
+def median_problem(B, *, seed=None) -> FiniteSumProblem:
+    return Median(np.asarray(B, dtype=float).reshape(len(B), -1), seed).problem()
+
+
+def relu_net_problem(X, y, *, hidden=ReluNet.HIDDEN, box_radius=2.0, seed=None) -> FiniteSumProblem:
+    return ReluNet(_labelled(X, y), seed, hidden, box_radius).problem()
 
 
 def make_problem(kind: str, n: int, p: int, seed: int) -> FiniteSumProblem:
@@ -506,73 +541,32 @@ def make_problem(kind: str, n: int, p: int, seed: int) -> FiniteSumProblem:
     For relu_net, ``p`` is the network input dimension; the optimization
     dimension is the derived parameter count.
     """
-    if kind not in PROBLEM_KINDS:
-        raise ValueError(f"unknown problem kind {kind!r}")
+    cls = _zoo_kind(kind)
     if n < 1 or p < 1:
         raise ValueError("n and p must be at least 1")
-    rng = np.random.default_rng(seed)
-    if kind == "logistic":
-        A = rng.standard_normal((n, p))
-        b = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        return logistic_problem(A, b, seed=seed)
-    if kind == "sigmoid_nonconvex":
-        A = rng.standard_normal((n, p))
-        c = rng.standard_normal(n)
-        return sigmoid_problem(A, c, seed=seed)
-    if kind == "median":
-        B = rng.standard_normal((n, p))
-        return median_problem(B, seed=seed)
-    h = 8
-    X = rng.standard_normal((n, p))
-    teacher = rng.uniform(-1.0, 1.0, size=h * p + 2 * h + 1)
-    pre = X @ teacher[: h * p].reshape(h, p).T + teacher[h * p : h * p + h]
-    y = np.maximum(pre, 0.0) @ teacher[h * p + h : h * p + 2 * h] + teacher[-1]
-    return relu_net_problem(X, y, hidden=h, seed=seed)
+    return cls(cls.draw(n, p, np.random.default_rng(seed)), seed).problem()
 
 
 # ---------------------------------------------------------------------------
-# serialization (zoo problems only; raw arrays, exact replay)
+# serialization (zoo problems only): a JSON document and the data matrix
 # ---------------------------------------------------------------------------
 
 
 def problem_to_dict(problem: FiniteSumProblem) -> dict:
-    if "kind" not in problem.meta:
+    """Kind, n, p, seed and the kind's SCALARS of a zoo problem; its data is ``problem.kind.data``."""
+    kind = problem.kind
+    if kind is None:
         raise UnsupportedProblem("only zoo problems are serializable")
-    data = {k: np.asarray(v).tolist() if isinstance(v, np.ndarray) else v
-            for k, v in problem.meta["data"].items()}
-    return {
-        "kind": problem.meta["kind"],
-        "n": problem.n,
-        "p": problem.p,
-        "seed": problem.meta.get("seed"),
-        "data": data,
-    }
+    scalars = {name: getattr(kind, name) for name in kind.SCALARS}
+    return {"kind": kind.KIND, "n": problem.n, "p": problem.p, "seed": kind.seed, **scalars}
 
 
-def problem_from_dict(doc: dict) -> FiniteSumProblem:
-    kind = doc["kind"]
-    data = doc["data"]
-    seed = doc.get("seed")
-    if kind == "logistic":
-        return logistic_problem(np.array(data["A"]), np.array(data["b"]), seed=seed)
-    if kind == "sigmoid_nonconvex":
-        return sigmoid_problem(np.array(data["A"]), np.array(data["c"]), seed=seed)
-    if kind == "median":
-        return median_problem(np.array(data["B"]), seed=seed)
-    if kind == "relu_net":
-        return relu_net_problem(
-            np.array(data["X"]),
-            np.array(data["y"]),
-            hidden=data["hidden"],
-            box_radius=data["box_radius"],
-            seed=seed,
-        )
-    raise ValueError(f"unknown problem kind {kind!r}")
+def data_shape(doc: dict) -> tuple:
+    """(n, columns) of the data matrix of a problem_to_dict document."""
+    return int(doc["n"]), int(_zoo_kind(doc["kind"]).columns(doc))
 
 
-def problem_to_json(problem: FiniteSumProblem) -> str:
-    return json.dumps(problem_to_dict(problem))
-
-
-def problem_from_json(text: str) -> FiniteSumProblem:
-    return problem_from_dict(json.loads(text))
+def problem_from_dict(doc: dict, data: np.ndarray) -> FiniteSumProblem:
+    """Inverse of problem_to_dict, over the data matrix of shape data_shape(doc)."""
+    cls = _zoo_kind(doc["kind"])
+    return cls(data, doc.get("seed"), **{name: doc[name] for name in cls.SCALARS}).problem()

@@ -87,18 +87,26 @@ def test_criterion_step_length_grid(grid_problem):
     assert slowest < 30.0
 
 
-def _epoch_descent_grid_worst(problem, checker, epochs=501):
+@pytest.fixture(scope="module")
+def epoch_descent_grid_runs(grid_problem):
+    """The 20 policy x strategy runs of 501 epochs that both epoch-descent forms check."""
+    return [
+        make_run(grid_problem, strategy, eval_policy=policy, epochs=501)
+        for policy in POLICIES.values()
+        for strategy in grid_strategies(grid_problem).values()
+    ]
+
+
+def _epoch_descent_grid_worst(traces, checker):
     worst = None
-    for policy in POLICIES.values():
-        for strategy in grid_strategies(problem).values():
-            trace = make_run(problem, strategy, eval_policy=policy, epochs=epochs)
-            rep = checker(trace, k_min=1, k_max=500)
-            if worst is None or rep.rel_slack < worst.rel_slack:
-                worst = rep
+    for trace in traces:
+        rep = checker(trace, k_min=1, k_max=500)
+        if worst is None or rep.rel_slack < worst.rel_slack:
+            worst = rep
     return worst
 
 
-def test_criterion_epoch_descent_grid_substituted_form(grid_problem):
+def test_criterion_epoch_descent_grid_substituted_form(epoch_descent_grid_runs):
     """Per-epoch descent inequality, substituted form, K in [1, 500].
 
     Expected red: the substituted form is falsified on this grid (worst
@@ -106,7 +114,7 @@ def test_criterion_epoch_descent_grid_substituted_form(grid_problem):
     even though all of its proof ingredients hold; the repaired form is
     certified green by the companion test below.
     """
-    worst = _epoch_descent_grid_worst(grid_problem, wd.check_epoch_descent_trace)
+    worst = _epoch_descent_grid_worst(epoch_descent_grid_runs, wd.check_epoch_descent_trace)
     ok = worst.rel_slack >= -1e-9
     record_criterion(
         "epoch descent grid, substituted form (K in [1,500])",
@@ -123,9 +131,9 @@ def test_criterion_epoch_descent_grid_substituted_form(grid_problem):
     )
 
 
-def test_criterion_epoch_descent_grid_displacement_form(grid_problem):
+def test_criterion_epoch_descent_grid_displacement_form(epoch_descent_grid_runs):
     """Repaired per-epoch inequality over the same grid and range."""
-    worst = _epoch_descent_grid_worst(grid_problem, wd.check_epoch_descent_tight_trace)
+    worst = _epoch_descent_grid_worst(epoch_descent_grid_runs, wd.check_epoch_descent_tight_trace)
     ok = worst.rel_slack >= -1e-9
     record_criterion(
         "epoch descent grid, displacement form (K in [1,500])",

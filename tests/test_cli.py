@@ -19,9 +19,10 @@ from wrdescent.engine import VARIANT_SECTIONS
 
 DATA = Path(__file__).parent / "data"
 # two-epoch runs written by earlier trace formats: v2 stored zhat and z, v3
-# stored every number as decimal text
+# stored every number as decimal text, v4 the data matrix as JSON in the header
 V2_TRACE = (DATA / "trace_v2.txt").read_text()
 V3_TRACE = (DATA / "trace_v3.txt").read_text()
+V4_TRACE = (DATA / "trace_v4.txt").read_text()
 
 
 def minimal_config(**overrides):
@@ -169,6 +170,37 @@ class TestCmdRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err and "nonnegative" in err
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ('eval_policy={"variant": "delayed_async", "max_delay": 2, "seed": 1.5}', "'eval_policy.seed'"),
+            ('eval_policy={"variant": "delayed_async", "max_delay": 2.0, "seed": 1}', "'eval_policy.max_delay'"),
+            ('eval_policy={"variant": "mini_batch", "b": true}', "'eval_policy.b'"),
+            ('perm_policy={"variant": "shuffled", "seed": false}', "'perm_policy.seed'"),
+            ('problem={"kind": "logistic", "n": 2, "p": 1, "seed": true}', "'problem.seed'"),
+            ('problem={"kind": "logistic", "n": true, "p": 1, "seed": 3}', "'problem.n'"),
+            ("epochs=true", "'epochs'"),
+            ('x0={"kind": "ball", "radius": 1.0, "seed": 1.0}', "'x0.seed'"),
+        ],
+        ids=["float_seed", "float_max_delay", "bool_b", "bool_perm_seed", "bool_problem_seed", "bool_n",
+             "bool_epochs", "float_x0_seed"],
+    )
+    def test_non_integer_exits_2_naming_the_key(self, tmp_path, capsys, override, key):
+        # JSON integers only: a float (1.0 too) or a bool is not truncated or read as 0/1
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err and "integer" in err
+
+    @pytest.mark.parametrize("radius", ['"abc"', "1e400", "true", "-1", "null"])
+    def test_bad_ball_radius_exits_2(self, tmp_path, capsys, radius):
+        # 1e400 reads as inf in JSON
+        cfg = write_config(tmp_path)
+        override = f'x0={{"kind": "ball", "radius": {radius}, "seed": 1}}'
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: 'x0.radius' must be a finite nonnegative number")
 
     def test_set_overrides_file_keys(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -325,7 +357,8 @@ class TestCmdVerify:
 
 
 # the damaged traces below come from a run with n = 4, p = 2 and 6 epochs:
-# #NODES rows are 32 bytes, #INNER rows (alpha, dnorm2, v, d) 40 bytes
+# #DATA rows [a_i, b_i] are 24 bytes, #NODES rows 32 bytes, #INNER rows
+# (alpha, dnorm2, v, d) 40 bytes
 
 
 def _edit_section(text, section, edit):
@@ -369,12 +402,17 @@ class TestTraceErrors:
             ),
             (_insert_character, "#INNER 2 row 2: not base64 (character 501 of the payload)"),
             (_shift_direction, "#INNER 2: the derived z_{2,n} differs from x_3 (#NODES row 4)"),
-            (lambda text: text.replace("#EPOCHS\n", "#EPOCH\n"), "#EPOCH: unknown section (line 4)"),
+            (lambda text: text.replace("#EPOCHS\n", "#EPOCH\n"), "#EPOCH: unknown section (line 6)"),
             (
                 lambda text: text.replace("#INDEX\n", "#NODES\n"),
-                "#NODES: repeated section (line 6)",
+                "#NODES: repeated section (line 8)",
             ),
-            (lambda text: "".join(text.splitlines(keepends=True)[:5]), "#INDEX: section missing"),
+            (lambda text: "".join(text.splitlines(keepends=True)[:7]), "#INDEX: section missing"),
+            (lambda text: _edit_section(text, "#DATA", lambda a: a[:-3]), "#DATA row 4: missing"),
+            (
+                lambda text: _edit_section(text, "#DATA", lambda a: a * np.array([1.0, 1.0, -1.0] * 4)),
+                "header: config hash mismatch",
+            ),
             (
                 lambda text: _edit_header(text, lambda h: h["config"].update(epochs=5)),
                 "header: config hash mismatch",
@@ -398,6 +436,8 @@ class TestTraceErrors:
             "unknown_section",
             "repeated_section",
             "missing_section",
+            "data_row_missing",
+            "data_label_flipped",
             "edited_config",
             "no_provenance",
             "no_config_hash",
@@ -423,15 +463,16 @@ class TestTraceErrors:
         [
             (None, "trace error: "),
             (
-                '{"format": "wrdescent-trace/4", "config_sha256": "", "provenance": {},'
+                '{"format": "wrdescent-trace/5", "config_sha256": "", "provenance": {},'
                 ' "aborted_at": null, "bound_exceeded_at": null}\n',
                 "trace error: header: missing key 'config'",
             ),
-            ('{"format": "wrdescent-trace/1"}\n', "trace error: header: not a wrdescent-trace/4 file"),
-            (V2_TRACE, "trace error: header: not a wrdescent-trace/4 file"),
-            (V3_TRACE, "trace error: header: not a wrdescent-trace/4 file"),
+            ('{"format": "wrdescent-trace/1"}\n', "trace error: header: not a wrdescent-trace/5 file"),
+            (V2_TRACE, "trace error: header: not a wrdescent-trace/5 file"),
+            (V3_TRACE, "trace error: header: not a wrdescent-trace/5 file"),
+            (V4_TRACE, "trace error: header: not a wrdescent-trace/5 file"),
         ],
-        ids=["missing_file", "header_without_config", "format_v1", "format_v2", "format_v3"],
+        ids=["missing_file", "header_without_config", "format_v1", "format_v2", "format_v3", "format_v4"],
     )
     def test_unreadable_trace_exits_2(self, tmp_path, capsys, text, where):
         path = tmp_path / "trace.txt"

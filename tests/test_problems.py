@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -42,8 +43,7 @@ class TestFullValue:
 class TestFullDirection:
     def test_logistic_at_zero_closed_form(self):
         prob = wd.make_problem("logistic", 8, 3, 11)
-        A = prob.meta["data"]["A"]
-        b = prob.meta["data"]["b"]
+        A, b = prob.kind.data[:, :-1], prob.kind.data[:, -1]  # rows [a_i, b_i]
         expected = -(b[:, None] * A).sum(axis=0) / (2.0 * prob.n)
         assert prob.full_direction(np.zeros(3)) == approx(expected, rel=1e-12)
 
@@ -168,8 +168,7 @@ class TestMakeProblem:
     def test_deterministic_in_seed(self):
         a = wd.make_problem("logistic", 6, 3, 42)
         b = wd.make_problem("logistic", 6, 3, 42)
-        assert np.array_equal(a.meta["data"]["A"], b.meta["data"]["A"])
-        assert np.array_equal(a.meta["data"]["b"], b.meta["data"]["b"])
+        assert np.array_equal(a.kind.data, b.kind.data)
         x = np.array([0.1, 0.2, -0.4])
         assert np.array_equal(a.full_direction(x), b.full_direction(x))
 
@@ -240,6 +239,74 @@ def test_vectorized_oracles_saturate_without_warnings(kind, scale):
     assert np.all(np.isfinite(direction)) and np.all(np.isfinite(norms))
 
 
+def _reference_relu(row, theta, hidden=8):
+    # (value, direction) of f_i(theta) = |w2^T relu(W1 x_i + b1) + b2 - y_i|
+    xi, yi = row[:-1].copy(), float(row[-1])
+    k = hidden * len(xi)
+    w1, b1 = theta[:k].reshape(hidden, len(xi)), theta[k : k + hidden]
+    w2, b2 = theta[k + hidden : k + 2 * hidden], theta[-1]
+    pre = w1 @ xi + b1
+    act = np.maximum(pre, 0.0)
+    gw2 = w2 * (pre > 0.0).astype(float)
+    s = float(np.sign(w2 @ act + b2 - yi))
+    value = abs(float(w2 @ act + b2) - yi)
+    return value, s * np.concatenate([np.outer(gw2, xi).ravel(), gw2, act, [1.0]])
+
+
+def _reference_median(row, x):
+    dev = x - row
+    j = int(np.argmax(np.abs(dev)))
+    d = np.zeros(len(row))
+    d[j] = np.sign(dev[j])
+    return float(np.max(np.abs(dev))), d
+
+
+def _reference_linear(row, x, value, coefficient):
+    a, v = row[:-1].copy(), float(row[-1])
+    t = float(a @ x)
+    return value(t, v), coefficient(t, v) * a
+
+
+# (f_i(x), d_i(x)) of each zoo kind from its data row, written out apart from the kind classes
+REFERENCE_ORACLES = {
+    "logistic": lambda row, x: _reference_linear(
+        row, x, lambda t, b: float(np.logaddexp(0.0, -b * t)), lambda t, b: -b * _expit(-b * t)
+    ),
+    "sigmoid_nonconvex": lambda row, x: _reference_linear(
+        row, x, lambda t, c: _expit(t - c), lambda t, c: _expit(t - c) * (1.0 - _expit(t - c))
+    ),
+    "median": _reference_median,
+    "relu_net": _reference_relu,
+}
+
+
+@given(
+    st.sampled_from(PROBLEM_KINDS),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([0.0, 0.1, 1.0, 10.0]),
+)
+@settings(max_examples=60)
+def test_kind_oracles_match_their_definitions(kind, n, p, seed, scale):
+    # each component's oracles are its row's formula bit for bit; the
+    # vectorized full oracles are the per-component means and norms up to
+    # rounding (FiniteSumProblem's documented tolerance)
+    prob = wd.make_problem(kind, n, p, seed)
+    x = scale * np.random.default_rng(seed).standard_normal(prob.p)
+    values, directions = [], []
+    for c, row in zip(prob.components, prob.kind.data):
+        value, direction = REFERENCE_ORACLES[kind](row, x)
+        assert type(c.value(x)) is float and c.value(x) == value
+        assert c.direction(x).tobytes() == direction.tobytes()
+        values.append(value)
+        directions.append(direction)
+    tol = {"rtol": 1e-12, "atol": 1e-12 * prob.M}
+    assert prob.full_value(x) == approx(math.fsum(values) / n, rel=1e-12)
+    np.testing.assert_allclose(prob.full_direction(x), np.mean(directions, axis=0), **tol)
+    np.testing.assert_allclose(prob.direction_norms(x), np.linalg.norm(directions, axis=1), **tol)
+
+
 class TestSerialization:
     @pytest.mark.parametrize(
         "kind,n,p",
@@ -247,7 +314,8 @@ class TestSerialization:
     )
     def test_json_round_trip_is_exact(self, kind, n, p):
         prob = wd.make_problem(kind, n, p, 55)
-        clone = wd.problem_from_json(wd.problem_to_json(prob))
+        doc = json.loads(json.dumps(wd.problem_to_dict(prob)))
+        clone = wd.problem_from_dict(doc, prob.kind.data)
         assert clone.n == prob.n and clone.p == prob.p
         assert clone.M == prob.M
         rng = np.random.default_rng(6)
