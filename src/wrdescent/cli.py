@@ -133,6 +133,8 @@ def _verify_one(trace, name: str):
             return "skip", str(err), None
         return ("pass" if rep.ok else "fail"), f"rel slack {rep.rel_slack:.3e}", None
     if name == "gamma":
+        if not trace.epochs_completed:
+            return "skip", "no completed epoch", None
         gt = flows.gamma_trace(trace)
         for what in ("taus", "gammas", "ratios"):
             values = getattr(gt, what)
@@ -206,7 +208,10 @@ def fit_loglog_slope(ns, values) -> float:
 
 
 def sweep_checkpoints(epochs: int, count: int = 13) -> np.ndarray:
-    # log-spaced horizons over roughly the last two decades of the run
+    # log-spaced horizons over roughly the last two decades of the run; a
+    # run with no completed epoch has the one horizon 0
+    if epochs < 1:
+        return np.zeros(1, dtype=int)
     lo = max(1, epochs // 100)
     grid = np.unique(
         np.round(np.logspace(math.log10(lo), math.log10(epochs), count)).astype(int)
@@ -334,7 +339,10 @@ def cmd_report(args) -> int:
     print(f"epochs: {trace.epochs_completed}  (record level {trace.config.record_level})")
     print(f"final F: {_fmt(trace.f_vals[trace.epochs_completed])}")
     print(f"min grad_sq: {_fmt(running[trace.epochs_completed])}")
-    print(f"gamma: initial {_fmt(gt.gammas[0])}, final {_fmt(gt.gammas[-1])}")
+    if trace.epochs_completed:
+        print(f"gamma: initial {_fmt(gt.gammas[0])}, final {_fmt(gt.gammas[-1])}")
+    else:
+        print("gamma: no completed epoch")
     if trace.bound_exceeded_at is not None:
         print(f"box exit at epoch {trace.bound_exceeded_at}")
     print(f"wrote {out / 'gamma.csv'} and {out / 'criticality.csv'}")

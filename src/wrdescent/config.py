@@ -23,8 +23,9 @@ Schema (JSON object):
     record_level: "full" | "epoch_only"   (default "epoch_only")
     output_dir:  str                      (default "out")
 
-An int is a JSON integer, not a float (1.0 included) or a bool; the ball
-radius is a finite number.  "auto" (the default for L, beta and delta)
+An int is a JSON integer, not a float (1.0 included) or a bool; a float
+is a finite JSON number, not a bool or a string, and so is the ball
+radius.  "auto" (the default for L, beta and delta)
 resolves against the instantiated problem (L, or Adaptive.recommended's
 beta = n^2 and delta = n^3); the strategy's n is the problem's.  Keys of
 a strategy or policy that its variant does not use are ignored.
@@ -62,6 +63,21 @@ def _check_int(value, key: str, least=None) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
         what = {None: "an integer", 0: "a nonnegative integer"}.get(least, f"an integer >= {least}")
         raise ConfigError(f"'{key}' must be {what}, got {value!r}")
+
+
+def _check_float(value, key: str, least=None) -> float:
+    """Require a finite JSON number, not a bool or a string, of at least
+    ``least`` (None or 0); its value as a float.
+
+    JSON reads 1e400 as inf, and an integer past the float range does not
+    convert.
+    """
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    low = -sys.float_info.max if least is None else least
+    if not real or not low <= value <= sys.float_info.max:
+        what = "a finite number" if least is None else "a finite nonnegative number"
+        raise ConfigError(f"'{key}' must be {what}, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -109,10 +125,7 @@ class ExperimentConfig:
                 if key not in self.x0:
                     raise ConfigError(f"missing config key 'x0.{key}'")
             _check_int(self.x0["seed"], "x0.seed", 0)
-            radius = self.x0["radius"]
-            real = isinstance(radius, (int, float)) and not isinstance(radius, bool)
-            if not real or not 0 <= radius <= sys.float_info.max:
-                raise ConfigError(f"'x0.radius' must be a finite nonnegative number, got {radius!r}")
+            _check_float(self.x0["radius"], "x0.radius", 0)
 
     def build(self) -> RunConfig:
         self.validate()
@@ -156,7 +169,9 @@ def _build_variant(section: str, spec: dict, table: dict, problem: FiniteSumProb
                 raise ConfigError(f"'{section}.{f.name}' = auto needs a smooth problem")
         if f.type == "int":
             _check_int(value, f"{section}.{f.name}")
-        return float(value) if f.type == "float" else value
+        elif f.type == "float":
+            value = _check_float(value, f"{section}.{f.name}")
+        return value
 
     try:
         return variant_from_dict(spec, table, read)

@@ -30,13 +30,22 @@ and the loader ask ``eval_support`` once per epoch for all n supports;
 DelayedAsync draws an epoch's delays in one vectorized pass with the bits
 of one Generator per step, ConvexMix weights take a Generator per step.
 
+A run advances in blocks of EPOCH_BLOCK epochs.  Per block, the query
+orders of a policy that needs no probe are drawn in one call (one
+Generator for all shuffled orders), and F and ||grad F||^2 of the block's
+nodes come from one stacked full_value and one full_direction call, each
+row with the bits of a call at that node alone.  Per epoch, a prescribed
+step rule gives its one step size once (``epoch_step``); only the
+adaptive rule is asked at each step.
+
 Replay re-runs the configuration and compares the arrays one by one.  Runs
 are deterministic functions of their configuration (all randomness is
 counter-based off explicit seeds).  A non-finite value aborts the run at
 the first step (K, i) where ||d||^2, or an entry of z_{K,i}, is not
 finite; completed epochs are retained.  ||d||^2 is tested at each step,
-before the step rule reads it, the iterates once per epoch, or earlier
-when a non-finite ||d||^2 makes the engine look back for one.  The
+before the step rule reads it; the iterates once per epoch, through
+z_{K,n}, which a non-finite entry of an earlier iterate reaches, or
+earlier when a non-finite ||d||^2 makes the engine look back for one.  The
 adversarial order probes ||d_i(x_K)|| with one direction_norms call per
 epoch, vectorized over the data matrix for the logistic, sigmoid and
 median problems.  The engine also monitors ||x_K||_inf against an optional
@@ -74,12 +83,15 @@ from .steps import (
     StepState,
     StepStrategy,
     epoch_anchor,
-    is_adaptive,
+    epoch_step,
     new_state,
     step_value,
 )
 
 TRACE_FORMAT = "wrdescent-trace/5"
+# epochs per block of run: the unit of the query orders drawn and of the
+# nodes evaluated together, which bounds those temporaries at EPOCH_BLOCK x n
+EPOCH_BLOCK = 64
 
 
 class NonFiniteError(RuntimeError):
@@ -221,48 +233,63 @@ def _first_non_finite(rows) -> Optional[int]:
     return None if finite.all() else int(np.argmin(finite)) + 1
 
 
-def run_epoch(trace: RunTrace, state: StepState, x: np.ndarray, K: int) -> np.ndarray:
+def run_epoch(
+    trace: RunTrace, state: StepState, x: np.ndarray, K: int, order: Optional[list] = None
+) -> np.ndarray:
     """Epoch K of the trace's run, from x = x_K; returns x_{K+1}.
 
+    ``order`` is the epoch's query order as ints; without it, it is asked
+    of the permutation policy (probing x_K for an adversarial order).
     Writes row K of the trace's epoch series and, at the full record level,
     of its inner arrays.  ``state`` must be consistent with epochs 0..K-1
     and is advanced in place.  Raises NonFiniteError at the first step i
     where ||d||^2 or an entry of z_{K,i} is not finite.  ||d||^2 is tested
-    at each step, the iterates once at the end of the epoch (see
-    ``_first_non_finite``); a non-finite ||d||^2 first looks back for an
-    earlier non-finite iterate.
+    at each step.  A non-finite entry of z stays non-finite to the end of
+    the epoch, so only z_{K,n} is tested, and the epoch's iterates are
+    scanned (``_first_non_finite``) when it fails or when a non-finite
+    ||d||^2 looks back for an earlier non-finite iterate.
     """
     config = trace.config
     problem, strategy, eval_policy = config.problem, config.strategy, config.eval_policy
     n = problem.n
     comps = problem.components
     full = trace.alpha is not None
-    adaptive = is_adaptive(strategy)
 
-    probe = problem.direction_norms(x) if config.perm_policy.needs_probe else None
-    perm = permutation(config.perm_policy, K, n, probe=probe).tolist()
+    if order is None:
+        probe = problem.direction_norms(x) if config.perm_policy.needs_probe else None
+        order = permutation(config.perm_policy, K, n, probe=probe).tolist()
+    alpha = epoch_step(strategy, state, K)  # None: the adaptive rule, one step_value per step
+    adaptive = alpha is None
 
     if full:
         index, alphas, dnorm2s, vs = trace.index[K], trace.alpha[K], trace.dnorm2[K], trace.v[K]
         zhats, ds, zrows = trace.zhat[K], trace.d[K], trace.z[K]
     support = eval_support(eval_policy, K, n)
     zs = [x]
+    # a step without a single support point (ConvexMix) takes its hull point over z_{K,0..i-1}
+    hull = None
+    if None in support:
+        hull = np.empty((n + 1, len(x)))
+        hull[0] = x
     z = x
     alpha_first = alpha_last = math.nan
     alpha_acc = 0.0
-    for i, idx in enumerate(perm, start=1):
+    for i, idx in enumerate(order, start=1):
         j = support[i - 1]
         if j is None:
-            zhat = hull_point(eval_point(eval_policy, K, i), zs)
+            zhat = hull_point(eval_point(eval_policy, K, i), hull[:i])
         else:
             zhat = zs[j]
         d = comps[idx].direction(zhat)
         dnorm2 = float(d @ d)
         if not math.isfinite(dnorm2):
             raise NonFiniteError(K, _first_non_finite(zs[1:]) or i)
-        alpha = step_value(strategy, state, K, i, dnorm2)
+        if adaptive:
+            alpha = step_value(strategy, state, K, i, dnorm2)
         z = z - alpha * d
         zs.append(z)
+        if hull is not None:
+            hull[i] = z
         if i == 1:
             alpha_first = alpha
         alpha_last = alpha
@@ -272,9 +299,8 @@ def run_epoch(trace: RunTrace, state: StepState, x: np.ndarray, K: int) -> np.nd
             index[r], alphas[r], dnorm2s[r] = idx, alpha, dnorm2
             vs[r] = state.v if adaptive else math.nan
             zhats[r], ds[r], zrows[r] = zhat, d, z
-    bad = _first_non_finite(zrows if full else zs[1:])
-    if bad:
-        raise NonFiniteError(K, bad)
+    if not np.isfinite(z).all():
+        raise NonFiniteError(K, _first_non_finite(zrows if full else zs[1:]))
 
     trace.alpha_first[K], trace.alpha_last[K] = alpha_first, alpha_last
     trace.alpha_sum[K] = alpha_acc
@@ -282,38 +308,59 @@ def run_epoch(trace: RunTrace, state: StepState, x: np.ndarray, K: int) -> np.nd
     return z
 
 
+def _track_nodes(trace: RunTrace, lo: int, hi: int) -> None:
+    """F, ||full direction||^2 and the box monitor at the nodes x_lo..x_hi.
+
+    One stacked full_value and one full_direction call over the nodes; each
+    row's squared norm is a stacked matmul, one BLAS ddot per row, the bits
+    of g @ g.
+    """
+    config = trace.config
+    X = trace.xs[lo : hi + 1]
+    if config.track_objective:
+        trace.f_vals[lo : hi + 1] = config.problem.full_value(X)
+        G = config.problem.full_direction(X)
+        trace.grad_sq[lo : hi + 1] = (G[:, None, :] @ G[:, :, None])[:, 0, 0]
+    radius = config.monitor_radius
+    if radius is not None and trace.bound_exceeded_at is None:
+        out = np.flatnonzero(np.max(np.abs(X), axis=1) > radius)
+        if out.size:
+            trace.bound_exceeded_at = lo + int(out[0])
+
+
 def run(config: RunConfig) -> RunTrace:
     """Execute the configured number of epochs; deterministic in the config.
 
-    F and ||grad F||^2 are evaluated here, once per node x_0..x_N.  On a
-    non-finite abort the trace is cut to the completed epochs, with
-    ``aborted_at`` set to the offending (K, i).
+    Blocks of EPOCH_BLOCK epochs share one draw of query orders (when the
+    policy needs no probe) and one evaluation of their nodes
+    (``_track_nodes``).  On a non-finite abort the trace is cut to the
+    completed epochs, with ``aborted_at`` set to the offending (K, i).
     """
-    problem = config.problem
+    n = config.problem.n
     trace = _new_trace(config, config.epochs)
     state = new_state(config.strategy)
     x = config.x0.copy()
-    radius = config.monitor_radius
-    for K in range(config.epochs + 1):
-        trace.xs[K] = x
-        if config.track_objective:
-            g = problem.full_direction(x)
-            trace.f_vals[K] = problem.full_value(x)
-            trace.grad_sq[K] = float(g @ g)
-        if radius is not None and trace.bound_exceeded_at is None:
-            if float(np.max(np.abs(x))) > radius:
-                trace.bound_exceeded_at = K
-        if K == config.epochs:
-            break
-        try:
-            x = run_epoch(trace, state, x, K)
-        except NonFiniteError as err:
-            trace.aborted_at = (err.K, err.i)
-            for name in NODE_SERIES + EPOCH_SERIES + INNER_FIELDS:
-                column = getattr(trace, name)
-                if column is not None:
-                    setattr(trace, name, column[: K + 1 if name in NODE_SERIES else K])
-            break
+    trace.xs[0] = x
+    tracked = 0  # nodes x_0..x_{tracked-1} are evaluated
+    for start in range(0, config.epochs, EPOCH_BLOCK):
+        block = range(start, min(start + EPOCH_BLOCK, config.epochs))
+        orders = [None] * len(block)
+        if not config.perm_policy.needs_probe:
+            orders = permutation(config.perm_policy, block, n).tolist()
+        for K, order in zip(block, orders):
+            try:
+                x = run_epoch(trace, state, x, K, order)
+            except NonFiniteError as err:
+                trace.aborted_at = (err.K, err.i)
+                _track_nodes(trace, tracked, K)
+                for name in NODE_SERIES + EPOCH_SERIES + INNER_FIELDS:
+                    column = getattr(trace, name)
+                    if column is not None:
+                        setattr(trace, name, column[: K + 1 if name in NODE_SERIES else K])
+                return trace
+            trace.xs[K + 1] = x
+        _track_nodes(trace, tracked, block[-1] + 1)
+        tracked = block[-1] + 2
     return trace
 
 

@@ -112,6 +112,9 @@ class FiniteSumProblem:
     definitions (the fsum mean of the values, the mean of the directions
     and their norms) to rounding: within 1e-12 relative, and for the
     vectors 1e-12 M absolute.  Other problems loop over the components.
+    ``full_value`` and ``full_direction`` take a point (p,) or a stack of
+    points (m, p); a point is the stack with m = 1, and each row of a
+    stack has the bits of the point call.
     """
 
     components: tuple[ComponentOracle, ...]
@@ -145,22 +148,34 @@ class FiniteSumProblem:
             )
         return x
 
-    def full_value(self, x: np.ndarray) -> float:
-        """F(x) = (1/n) sum_i f_i(x)."""
-        x = self.check_point(x)
+    def _check_points(self, x) -> np.ndarray:
+        """A point (p,) or a stack of points (m, p), as a stack (m, p)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.p:
+            raise ValueError(f"points have shape {x.shape}, expected ({self.p},) or (m, {self.p})")
+        return x.reshape(-1, self.p)
+
+    def full_value(self, x: np.ndarray):
+        """F(x) = (1/n) sum_i f_i(x): a float for a point (p,), one per row of a stack (m, p)."""
+        X = self._check_points(x)
         if getattr(self.kind, "VECTORIZED", False):
-            return self.kind.full_value(x)
-        return math.fsum(c.value(x) for c in self.components) / self.n
+            values = self.kind.full_values(X)
+        else:
+            values = np.array([math.fsum(c.value(row) for c in self.components) / self.n for row in X])
+        return float(values[0]) if np.ndim(x) == 1 else values
 
     def full_direction(self, x: np.ndarray) -> np.ndarray:
-        """(1/n) sum_i d_i(x); equals grad F(x) on smooth problems."""
-        x = self.check_point(x)
+        """(1/n) sum_i d_i(x), equal to grad F(x) on smooth problems: (p,) for a point, (m, p) for a stack."""
+        X = self._check_points(x)
         if getattr(self.kind, "VECTORIZED", False):
-            return self.kind.full_direction(x)
-        acc = np.zeros(self.p)
-        for c in self.components:
-            acc += c.direction(x)
-        return acc / self.n
+            directions = self.kind.full_directions(X)
+        else:
+            directions = np.zeros(X.shape)
+            for acc, row in zip(directions, X):
+                for c in self.components:
+                    acc += c.direction(row)
+            directions /= self.n
+        return directions[0] if np.ndim(x) == 1 else directions
 
     def direction_norms(self, x: np.ndarray) -> np.ndarray:
         """(||d_1(x)||, ..., ||d_n(x)||), one vectorized call when the problem has one."""
@@ -230,7 +245,9 @@ class ZooKind:
     ``lipschitz_gradients``, and gives the row oracles ``value(*row, x)``,
     ``direction(*row, x)`` and ``generators(*row, x)`` of each ``rows()``
     entry, and ``draw(n, p, rng)``, the data of make_problem's instance.
-    VECTORIZED kinds also answer the full oracles over the whole matrix.
+    VECTORIZED kinds also answer the full oracles over the whole matrix:
+    ``full_values(X)`` and ``full_directions(X)`` for each row of a stack
+    X (m, p) of points, and ``direction_norms(x)``.
     """
 
     KIND = ""
@@ -294,6 +311,15 @@ class _Labelled(ZooKind):
     def rows(self):
         return zip(self.A, self.v.tolist())
 
+    def _products(self, X) -> np.ndarray:
+        # (m, n) of a_i @ x for each row x of X: a stack of m BLAS gemv
+        # calls, each the bits of A @ x (X @ A.T is one gemm, with other bits)
+        return (self.A[None] @ X[:, :, None])[:, :, 0]
+
+    def _combine(self, C) -> np.ndarray:
+        # (m, p) of c @ A / n for each row c of C, one BLAS gemv per row like c @ A
+        return (C[:, None, :] @ self.A[None])[:, 0, :] / self.n
+
 
 class Logistic(_Labelled):
     """Binary logistic loss f_i(x) = log(1 + exp(-b_i <a_i, x>)), b_i in {-1,+1}.
@@ -322,14 +348,14 @@ class Logistic(_Labelled):
     def direction(a, b, x) -> np.ndarray:
         return (-b * _expit(-b * float(a @ x))) * a
 
-    def full_value(self, x) -> float:
-        return float(np.mean(np.logaddexp(0.0, -self.v * (self.A @ x))))
+    def full_values(self, X) -> np.ndarray:
+        return np.mean(np.logaddexp(0.0, -self.v * self._products(X)), axis=1)
 
-    def full_direction(self, x) -> np.ndarray:
+    def full_directions(self, X) -> np.ndarray:
         # exp overflows to inf where the coefficient saturates to 0
         with np.errstate(over="ignore"):
-            coef = -self.v / (1.0 + np.exp(self.v * (self.A @ x)))
-        return (coef @ self.A) / self.n
+            coef = -self.v / (1.0 + np.exp(self.v * self._products(X)))
+        return self._combine(coef)
 
     def direction_norms(self, x) -> np.ndarray:
         # ||d_i(x)|| = expit(-b_i <a_i, x>) ||a_i||
@@ -364,14 +390,14 @@ class Sigmoid(_Labelled):
         return (s * (1.0 - s)) * a
 
     # exp overflows to inf where the sigmoid saturates to 0
-    def full_value(self, x) -> float:
+    def full_values(self, X) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return float(np.mean(1.0 / (1.0 + np.exp(-(self.A @ x - self.v)))))
+            return np.mean(1.0 / (1.0 + np.exp(-(self._products(X) - self.v))), axis=1)
 
-    def full_direction(self, x) -> np.ndarray:
+    def full_directions(self, X) -> np.ndarray:
         with np.errstate(over="ignore"):
-            s = 1.0 / (1.0 + np.exp(-(self.A @ x - self.v)))
-        return ((s * (1.0 - s)) @ self.A) / self.n
+            s = 1.0 / (1.0 + np.exp(-(self._products(X) - self.v)))
+        return self._combine(s * (1.0 - s))
 
     def direction_norms(self, x) -> np.ndarray:
         # ||d_i(x)|| = s (1 - s) ||a_i||, s = expit(<a_i, x> - c_i)
@@ -424,23 +450,23 @@ class Median(ZooKind):
             pairs = [(j, s) for j in top for s in (-1.0, 1.0)]
         return [np.where(np.arange(len(b)) == j, s, 0.0) for j, s in pairs]
 
-    def full_value(self, x) -> float:
-        return float(np.mean(np.max(np.abs(x[None, :] - self.data), axis=1)))
+    def full_values(self, X) -> np.ndarray:
+        return np.mean(np.max(np.abs(X[:, None, :] - self.data), axis=2), axis=1)
 
-    def _signs(self, x):
-        # sign of each component's first maximizing deviation, and its coordinate
-        dev = x[None, :] - self.data
-        j = np.argmax(np.abs(dev), axis=1)
-        return np.sign(dev[np.arange(self.n), j]), j
+    def _signs(self, X):
+        # (m, n) of each component's sign of its first maximizing deviation, and its coordinate
+        dev = X[:, None, :] - self.data
+        j = np.argmax(np.abs(dev), axis=2)
+        return np.sign(np.take_along_axis(dev, j[..., None], axis=2)[..., 0]), j
 
-    def full_direction(self, x) -> np.ndarray:
-        s, j = self._signs(x)
-        acc = np.zeros(self.p)
-        np.add.at(acc, j, s)
+    def full_directions(self, X) -> np.ndarray:
+        s, j = self._signs(X)
+        acc = np.zeros((len(X), self.p))
+        np.add.at(acc, (np.arange(len(X))[:, None], j), s)
         return acc / self.n
 
     def direction_norms(self, x) -> np.ndarray:
-        return np.abs(self._signs(x)[0])
+        return np.abs(self._signs(x[None])[0][0])
 
 
 class ReluNet(_Labelled):

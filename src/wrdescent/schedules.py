@@ -19,11 +19,14 @@ list is a prefix of a longer one's.  DelayedAsync draws an epoch's delays
 in one vectorized pass (``counter_integers``) that reproduces, bit for
 bit, what one NumPy Generator per step gives; ConvexMix still builds a
 Generator per step, as its Dirichlet draw costs more than the
-construction, and so do shuffled orders, one per epoch.  Permutation
-policies decide the order components are queried in; every epoch visits
-each component exactly once.  Component indices are 0-based; inner
-positions are 1-based.  Each policy class names its serialized form in
-``VARIANT``.
+construction.  Permutation policies decide the order components are
+queried in; every epoch visits each component exactly once.  A policy
+that needs no probe answers for a range of epochs at once
+(``orders(Ks, n)``); shuffled orders then come from one Generator whose
+PCG64 is set, epoch by epoch, to the state its own key (seed, K) seeds
+(``counter_permutations``), with the bits of one Generator per epoch.
+Component indices are 0-based; inner positions are 1-based.  Each policy
+class names its serialized form in ``VARIANT``.
 """
 
 from __future__ import annotations
@@ -121,10 +124,10 @@ def counter_integers(seed: int, tag: int, K: int, n: int, high: int) -> np.ndarr
         return np.array([int(counter_rng(seed, tag, K, i).integers(0, high)) for i in range(1, n + 1)])
     words = _seed_state([seed, tag, K, np.arange(1, n + 1, dtype=np.uint32)])
     low = []
-    for s_hi, s_lo, inc_hi, inc_lo in zip(*words):
-        # set_seed steps from state 0, adds s and steps again; the first output steps once more
-        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _U128
-        state = (((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) * _PCG_MULT + inc) & _U128
+    for key_words in zip(*words):
+        # the first output steps the seeded state once more
+        state, inc = _pcg_seeded(key_words)
+        state = (state * _PCG_MULT + inc) & _U128
         xored, rot = (state >> 64 ^ state) & 0xFFFFFFFFFFFFFFFF, state >> 122
         low.append((xored >> rot | xored << (64 - rot)) & _U32)
     scaled = np.array(low, dtype=np.uint64) * np.uint64(high)
@@ -133,6 +136,49 @@ def counter_integers(seed: int, tag: int, K: int, n: int, high: int) -> np.ndarr
     for r in np.flatnonzero((scaled & np.uint64(_U32)) < threshold).tolist():
         draws[r] = counter_rng(seed, tag, K, r + 1).integers(0, high)
     return draws
+
+
+def _pcg_seeded(words: tuple) -> tuple:
+    """PCG64's (state, inc) right after seeding from the 4 SeedSequence state words.
+
+    set_seed steps from state 0, adds the seed's state half and steps again.
+    """
+    s_hi, s_lo, inc_hi, inc_lo = words
+    inc = (inc_hi << 65 | inc_lo << 1 | 1) & _U128
+    return ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _U128, inc
+
+
+def counter_permutations(seed: int, tag: int, Ks, n: int) -> np.ndarray:
+    """``counter_rng(seed, tag, K).permutation(n)`` for each K of ``Ks``, one row each.
+
+    One Generator instead of one per key: it is built for the first key,
+    and for each later key its PCG64 is set to the state that seeding from
+    that key gives (the SeedSequence words of every key in one vectorized
+    pass, a 3-word entropy being the 4 words ending in 0).  Keys with a
+    word of 2**32 or more, which the seed sequence splits into several
+    words, take ``counter_rng`` per key.
+    """
+    Ks = [int(K) for K in Ks]
+    out = np.empty((len(Ks), n), dtype=np.int64)
+    if not Ks:
+        return out
+    if max(seed, tag, *Ks) > _U32:
+        for r, K in enumerate(Ks):
+            out[r] = counter_rng(seed, tag, K).permutation(n)
+        return out
+    rng = counter_rng(seed, tag, Ks[0])
+    out[0] = rng.permutation(n)
+    words = _seed_state([seed, tag, np.array(Ks[1:], dtype=np.uint32), 0])
+    for r, key_words in enumerate(zip(*words), start=1):
+        state, inc = _pcg_seeded(key_words)
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        out[r] = rng.permutation(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +304,8 @@ class Identity:
     VARIANT = "identity"
     needs_probe = False
 
-    def order(self, K: int, n: int, probe: Optional[np.ndarray]) -> np.ndarray:
-        return np.arange(n)
+    def orders(self, Ks: range, n: int) -> np.ndarray:
+        return np.tile(np.arange(n), (len(Ks), 1))
 
 
 @dataclass(frozen=True)
@@ -274,10 +320,10 @@ class FixedPermutation:
         if sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError("perm must be a 0-based permutation of range(n)")
 
-    def order(self, K: int, n: int, probe: Optional[np.ndarray]) -> np.ndarray:
+    def orders(self, Ks: range, n: int) -> np.ndarray:
         if len(self.perm) != n:
             raise ValueError("fixed permutation length does not match n")
-        return np.asarray(self.perm, dtype=int)
+        return np.tile(np.asarray(self.perm, dtype=int), (len(Ks), 1))
 
 
 @dataclass(frozen=True)
@@ -289,8 +335,8 @@ class ShuffledPerEpoch:
     def __post_init__(self):
         _check_seed(self.seed)
 
-    def order(self, K: int, n: int, probe: Optional[np.ndarray]) -> np.ndarray:
-        return counter_rng(self.seed, _TAG_PERM, K).permutation(n)
+    def orders(self, Ks: range, n: int) -> np.ndarray:
+        return counter_permutations(self.seed, _TAG_PERM, Ks, n)
 
 
 @dataclass(frozen=True)
@@ -315,11 +361,22 @@ PERM_POLICIES = {cls.VARIANT: cls for cls in get_args(PermutationPolicy)}
 
 def permutation(
     policy: PermutationPolicy,
-    K: int,
+    K,
     n: int,
     probe: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """0-based query order for epoch K; always a bijection on range(n)."""
+    """0-based query order for epoch K; always a bijection on range(n).
+
+    A policy that needs no probe also takes a range of epochs K and then
+    returns one row per epoch, each the order of that epoch alone.  An
+    adversarial order probes x_K, so it is asked one epoch at a time.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return policy.order(K, n, probe)
+    if policy.needs_probe:
+        if isinstance(K, range):
+            raise ValueError(f"{policy.VARIANT} orders are asked one epoch at a time")
+        return policy.order(K, n, probe)
+    if isinstance(K, range):
+        return policy.orders(K, n)
+    return policy.orders(range(K, K + 1), n)[0]

@@ -180,6 +180,22 @@ def step_value(
     return alpha
 
 
+def epoch_step(strategy: StepStrategy, state: StepState, K: int) -> Optional[float]:
+    """The one step size of every inner step of epoch K, or None when steps vary.
+
+    A prescribed strategy's alpha_{K,i} is ``prescribed_value(K)`` for each
+    i; the call advances ``state`` past epoch K, to (K + 1, 0), as n
+    step_value calls would.  The adaptive rule gives None and leaves
+    ``state`` to its step_value call at each step.
+    """
+    if is_adaptive(strategy):
+        return None
+    if (K, 0) != (state.K, state.i):
+        raise ValueError(f"epoch_step called at epoch {K}, state is at ({state.K}, {state.i})")
+    state.K = K + 1
+    return strategy.prescribed_value(K)
+
+
 def epoch_anchor(strategy: StepStrategy, K: int, alpha_last=None) -> float:
     """Anchor alpha_K = alpha_{K-1,n} (K >= 1); see module docstring for K = 0.
 

@@ -193,6 +193,39 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err and "integer" in err
 
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ('strategy={"variant": "constant", "alpha": true}', "'strategy.alpha'"),
+            ('strategy={"variant": "constant", "alpha": "0.5"}', "'strategy.alpha'"),
+            ('strategy={"variant": "constant", "alpha": [0.5]}', "'strategy.alpha'"),
+            ('strategy={"variant": "constant", "alpha": 1' + "0" * 400 + "}", "'strategy.alpha'"),
+            ('strategy={"variant": "constant", "alpha": 1e400}', "'strategy.alpha'"),
+            ('strategy={"variant": "constant", "alpha": NaN}', "'strategy.alpha'"),
+            ('strategy={"variant": "decreasing_cbrt", "L": "2"}', "'strategy.L'"),
+            ('strategy={"variant": "adaptive", "beta": false}', "'strategy.beta'"),
+            ('strategy={"variant": "adaptive", "delta": null}', "'strategy.delta'"),
+        ],
+        ids=["bool_alpha", "string_alpha", "list_alpha", "huge_int_alpha", "inf_alpha", "nan_alpha", "string_L",
+             "bool_beta", "null_delta"],
+    )
+    def test_non_number_exits_2_naming_the_key(self, tmp_path, capsys, override, key):
+        # a float field takes a finite JSON number only: true is not read as
+        # 1.0, nor "0.5" as 0.5; JSON reads 1e400 as inf
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+
+    @pytest.mark.parametrize("alpha", ["1e308", "2", "0.25"])
+    def test_float_fields_take_json_numbers(self, tmp_path, alpha):
+        cfg = write_config(tmp_path, epochs=2)
+        override = f'strategy={{"variant": "constant", "alpha": {alpha}}}'
+        with np.errstate(over="ignore"):
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--set", override])
+        header = json.loads((tmp_path / "o" / "trace.txt").read_text().splitlines()[0])
+        assert header["config"]["strategy"]["alpha"] == float(alpha)
+
     @pytest.mark.parametrize("radius", ['"abc"', "1e400", "true", "-1", "null"])
     def test_bad_ball_radius_exits_2(self, tmp_path, capsys, radius):
         # 1e400 reads as inf in JSON
@@ -588,6 +621,32 @@ class TestCmdReport:
         crit = (out / "criticality.csv").read_text().splitlines()
         assert crit[0] == "K,criticality,surrogate_grad_norm"
         assert "min grad_sq" in capsys.readouterr().out
+
+
+    def test_trace_without_a_completed_epoch(self, tmp_path, capsys):
+        # relu_net whose step overflows at (0, 2): report writes the header
+        # of gamma.csv and x_0's criticality row, verify skips gamma
+        cfg = write_config(
+            tmp_path,
+            problem={"kind": "relu_net", "n": 6, "p": 2, "seed": 1},
+            strategy={"variant": "constant", "alpha": 1e308},
+            perm_policy={"variant": "adversarial"},
+            x0={"kind": "ball", "radius": 0.5, "seed": 1},
+        )
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        trace = str(out / "trace.txt")
+        assert wd.load_trace(trace).aborted_at == (0, 2)
+        capsys.readouterr()
+        assert main(["report", "--trace", trace]) == 0
+        assert "gamma: no completed epoch" in capsys.readouterr().out
+        assert (out / "gamma.csv").read_text() == "K,tau,gamma,ratio\n"
+        crit = (out / "criticality.csv").read_text().splitlines()
+        assert len(crit) == 2 and crit[1].startswith("0,")
+        assert main(["verify", "--trace", trace, "--checks", "gamma"]) == 0
+        assert "[SKIP] gamma: no completed epoch" in capsys.readouterr().out.splitlines()
+        assert sweep_checkpoints(0).tolist() == [0]
 
 
 class TestHelpers:

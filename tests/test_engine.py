@@ -14,8 +14,12 @@ from pytest import approx
 
 import wrdescent as wd
 from conftest import decode_payload, encode_payload, make_run, section_payload, with_payload
+from wrdescent import engine
 from wrdescent.engine import (
+    EPOCH_BLOCK,
+    EPOCH_SERIES,
     INNER_FIELDS,
+    NODE_SERIES,
     VARIANT_SECTIONS,
     config_from_dict,
     config_to_dict,
@@ -645,6 +649,100 @@ class TestSummaryCsv:
         grads = [float(r[2]) for r in rows]
         expected = np.minimum.accumulate([trace.grad_sq[0]] + grads)[1:]
         assert mins == approx(expected.tolist())
+
+
+class TestEpochBlocks:
+    @pytest.mark.parametrize("eval_policy", EVAL_CASES, ids=lambda c: c.VARIANT)
+    @given(
+        E=st.sampled_from([1, EPOCH_BLOCK - 1, EPOCH_BLOCK, EPOCH_BLOCK + 1, 2 * EPOCH_BLOCK + 2]),
+        more=st.integers(1, EPOCH_BLOCK + 2),
+        level=st.sampled_from(["full", "epoch_only"]),
+        perm_policy=st.sampled_from(PERM_CASES),
+        adaptive=st.booleans(),
+        radius=st.sampled_from([None, 0.3, 0.6]),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_shorter_run_is_a_bitwise_prefix(
+        self, eval_policy, E, more, level, perm_policy, adaptive, radius
+    ):
+        # runs advance in blocks of EPOCH_BLOCK epochs; where a block ends
+        # must not show in the record
+        prob = wd.make_problem("logistic", 4, 2, 6)
+        strategy = wd.Adaptive.recommended(4) if adaptive else wd.DecreasingSqrt(4)
+
+        def run(epochs):
+            return wd.run(wd.RunConfig(
+                problem=prob, strategy=strategy, eval_policy=eval_policy, perm_policy=perm_policy,
+                x0=np.full(2, 0.2), epochs=epochs, record_level=level, monitor_radius=radius,
+            ))
+
+        short, long = run(E), run(E + more)
+        for name in NODE_SERIES + EPOCH_SERIES + INNER_FIELDS:
+            if getattr(short, name) is not None:
+                rows = E + 1 if name in NODE_SERIES else E
+                assert getattr(short, name).tobytes() == getattr(long, name)[:rows].tobytes(), name
+        exit_long = long.bound_exceeded_at
+        assert short.bound_exceeded_at == (exit_long if exit_long is not None and exit_long <= E else None)
+
+    @pytest.mark.parametrize("level", ["full", "epoch_only"])
+    @pytest.mark.parametrize(
+        "alpha, aborted_at, box_exit", [(1e204, (77, 1), 63), (6.0257e204, (64, 1), 53)], ids=["K77", "K64"]
+    )
+    def test_abort_in_a_later_block(self, level, alpha, aborted_at, box_exit):
+        # x grows about 1e4-fold (1e204) or 6e4-fold per epoch and z_{K,1}
+        # overflows in the second block, inside it or at its first epoch;
+        # the nodes up to x_K are evaluated, as in a run of K epochs
+        comp = wd.ComponentOracle(
+            value=lambda x: float(x[0]), direction=lambda x: 1e-200 * x, lipschitz_value=1.0
+        )
+        prob = wd.FiniteSumProblem.assemble([comp], 1)
+
+        def run(epochs):
+            return wd.run(wd.RunConfig(
+                problem=prob, strategy=wd.Constant(alpha, 1), eval_policy=wd.Incremental(),
+                perm_policy=wd.Identity(), x0=np.ones(1), epochs=epochs, record_level=level,
+                monitor_radius=1e250,
+            ))
+
+        K = aborted_at[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            aborted, complete = run(2 * EPOCH_BLOCK), run(K)
+        assert (aborted.aborted_at, aborted.epochs_completed, aborted.bound_exceeded_at) == (aborted_at, K, box_exit)
+        assert complete.aborted_at is None and complete.bound_exceeded_at == box_exit
+        for name in NODE_SERIES + EPOCH_SERIES + INNER_FIELDS:
+            if getattr(aborted, name) is not None:
+                assert getattr(aborted, name).tobytes() == getattr(complete, name).tobytes(), name
+        assert aborted.f_vals.tolist() == aborted.xs[:, 0].tolist()
+
+    @pytest.mark.parametrize("kind", PROBLEM_KINDS)
+    def test_node_series_are_the_one_point_calls(self, kind):
+        # F and ||grad F||^2 of every node come from stacked calls, with the
+        # bits of full_value(x_K) and g @ g of g = full_direction(x_K)
+        prob = wd.make_problem(kind, 5, 2, 4)
+        trace = make_run(prob, wd.DecreasingSqrt(5), epochs=EPOCH_BLOCK + 3, record_level="epoch_only",
+                         x0=np.full(prob.p, 0.1))
+        for x, f, g2 in zip(trace.xs, trace.f_vals.tolist(), trace.grad_sq.tolist()):
+            g = prob.full_direction(x)
+            assert f == prob.full_value(x) and g2 == float(g @ g)
+
+    def test_one_objective_pass_and_one_order_draw_per_block(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            # fn with each call's name and the length of its second argument appended to calls
+            return lambda *args, **kwargs: calls.append((name, len(args[1]))) or fn(*args, **kwargs)
+
+        for name in ("full_value", "full_direction"):
+            monkeypatch.setattr(wd.FiniteSumProblem, name, counted(name, getattr(wd.FiniteSumProblem, name)))
+        monkeypatch.setattr(engine, "permutation", counted("order", engine.permutation))
+        prob = wd.make_problem("logistic", 4, 2, 6)
+        make_run(prob, wd.DecreasingSqrt(4), perm_policy=wd.ShuffledPerEpoch(3), epochs=2 * EPOCH_BLOCK + 1)
+        blocks = [EPOCH_BLOCK, EPOCH_BLOCK, 1]
+        nodes = [EPOCH_BLOCK + 1, EPOCH_BLOCK, 1]
+        expected = []
+        for b, m in zip(blocks, nodes):
+            expected += [("order", b), ("full_value", m), ("full_direction", m)]
+        assert calls == expected
 
 
 class TestConfigValidation:

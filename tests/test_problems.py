@@ -355,3 +355,64 @@ def test_zoo_value_direction_consistency(n, p, seed):
     if np.linalg.norm(g) > 1e-9:
         step = 1e-6 / max(1.0, np.linalg.norm(g))
         assert prob.full_value(x - step * g) < prob.full_value(x) + 1e-15
+
+
+def _point_full_oracles(kind, x):
+    """(F(x), full direction at x) of a vectorized kind by its one-point
+    formulas: A @ x and coef @ A, one BLAS gemv each, written out apart
+    from the kind classes."""
+    A, v, n = kind.data[:, :-1].copy(), kind.data[:, -1].copy(), kind.n
+    with np.errstate(over="ignore"):
+        if kind.KIND == "logistic":
+            t = A @ x
+            coef = -v / (1.0 + np.exp(v * t))
+            return float(np.mean(np.logaddexp(0.0, -v * t))), (coef @ A) / n
+        if kind.KIND == "sigmoid_nonconvex":
+            s = 1.0 / (1.0 + np.exp(-(A @ x - v)))
+            return float(np.mean(s)), ((s * (1.0 - s)) @ A) / n
+    dev = x[None, :] - kind.data
+    j = np.argmax(np.abs(dev), axis=1)
+    acc = np.zeros(len(x))
+    np.add.at(acc, j, np.sign(dev[np.arange(n), j]))
+    return float(np.mean(np.max(np.abs(dev), axis=1))), acc / n
+
+
+@given(
+    st.sampled_from([k for k in PROBLEM_KINDS if wd.problems.ZOO_KINDS[k].VECTORIZED]),
+    st.sampled_from([(1, 1), (4, 3), (32, 5), (300, 50)]),
+    st.integers(min_value=1, max_value=70),
+    st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_full_oracles_match_the_point_formulas(kind, shape, m, seed):
+    # each row of a stack has the bits of the one-point formulas, and so
+    # does g @ g of each row by a stacked matmul: NumPy hands every product
+    # of the stack to BLAS gemv or ddot, as it does the one-point products
+    n, p = shape
+    prob = wd.make_problem(kind, n, p, seed)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((m, p)) * 10.0 ** rng.integers(-3, 4, size=(m, 1))
+    values, directions = prob.full_value(X), prob.full_direction(X)
+    assert values.shape == (m,) and directions.shape == (m, p)
+    squares = (directions[:, None, :] @ directions[:, :, None])[:, 0, 0]
+    for x, value, direction, square in zip(X, values, directions, squares):
+        point_value, point_direction = _point_full_oracles(prob.kind, x)
+        assert value == point_value and direction.tobytes() == point_direction.tobytes()
+        assert square == float(point_direction @ point_direction)
+        assert prob.full_value(x) == point_value and type(prob.full_value(x)) is float
+        assert prob.full_direction(x).tobytes() == point_direction.tobytes()
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_stacked_full_oracles_of_every_kind_match_point_calls(kind):
+    # relu_net and custom problems loop over the rows of a stack
+    prob = wd.make_problem(kind, 5, 2, 8)
+    X = np.random.default_rng(8).standard_normal((6, prob.p))
+    values, directions = prob.full_value(X), prob.full_direction(X)
+    for x, value, direction in zip(X, values, directions):
+        assert value == prob.full_value(x)
+        assert direction.tobytes() == prob.full_direction(x).tobytes()
+    with pytest.raises(ValueError):
+        prob.full_value(X[:, :, None])
+    with pytest.raises(ValueError):
+        prob.full_direction(X[:, :-1])

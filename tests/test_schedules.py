@@ -199,6 +199,39 @@ class TestPermutation:
         with pytest.raises(ValueError):
             permutation(wd.AdversarialMaxNorm(), 0, 3)
 
+    def test_adversarial_orders_one_epoch_at_a_time(self):
+        with pytest.raises(ValueError, match="one epoch at a time"):
+            permutation(wd.AdversarialMaxNorm(), range(0, 2), 3, probe=np.ones(3))
+
+    @pytest.mark.parametrize(
+        "policy", [wd.Identity(), wd.FixedPermutation([2, 0, 1])], ids=lambda p: p.VARIANT
+    )
+    def test_fixed_orders_repeat_per_epoch(self, policy):
+        rows = permutation(policy, range(4, 9), 3)
+        assert rows.shape == (5, 3)
+        assert all(row.tolist() == permutation(policy, 7, 3).tolist() for row in rows)
+
+
+# epochs and seeds below, at and above 2**32, where the seed sequence splits a key word
+_KEYS = st.one_of(st.integers(0, 10**6), st.integers(2**32 - 70, 2**32 + 5))
+
+
+@given(_KEYS, _KEYS, st.integers(0, 70), st.one_of(st.just(1), st.integers(2, 40)))
+@settings(max_examples=60, deadline=None)
+def test_shuffled_orders_of_a_range_are_one_generator_per_epoch(seed, K0, count, n):
+    rows = permutation(wd.ShuffledPerEpoch(seed=seed), range(K0, K0 + count), n)
+    assert rows.shape == (count, n)
+    for K, row in zip(range(K0, K0 + count), rows):
+        assert row.tolist() == counter_rng(seed, 3, K).permutation(n).tolist()
+
+
+def test_shuffled_orders_build_one_generator_per_range(monkeypatch):
+    calls = []
+    real = schedules.counter_rng
+    monkeypatch.setattr(schedules, "counter_rng", lambda *key: calls.append(key) or real(*key))
+    permutation(wd.ShuffledPerEpoch(seed=9), range(10, 74), 32)
+    assert calls == [(9, 3, 10)]
+
 
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=1000),
        st.integers(min_value=0, max_value=2**31))

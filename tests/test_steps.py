@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import wrdescent as wd
-from wrdescent.steps import new_state, step_value
+from wrdescent.steps import epoch_step, new_state, step_value
 
 
 def drive(strategy, dnorm2_epochs):
@@ -66,6 +66,27 @@ class TestStepValue:
         step_value(s, state, 0, 1)
         with pytest.raises(ValueError):
             step_value(s, state, 0, 1)
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [wd.Constant(alpha=0.5, n=3), wd.DecreasingSqrt(n=3), wd.DecreasingCbrtWithL(L=2.0, n=3)],
+        ids=lambda s: s.VARIANT,
+    )
+    def test_epoch_step_is_the_epochs_step_values(self, strategy):
+        # one call per epoch: the step size of each of its n steps, and the state after them
+        per_step, per_epoch = new_state(strategy), new_state(strategy)
+        for K in range(5):
+            alphas = [step_value(strategy, per_step, K, i) for i in range(1, 4)]
+            assert [epoch_step(strategy, per_epoch, K)] * 3 == alphas
+            assert per_epoch == per_step
+        with pytest.raises(ValueError):
+            epoch_step(strategy, per_epoch, 4)
+
+    def test_epoch_step_of_the_adaptive_rule_is_per_step(self):
+        s = wd.Adaptive(delta=8.0, beta=1.0, n=2)
+        state = new_state(s)
+        assert epoch_step(s, state, 0) is None
+        assert (state.K, state.i, state.v) == (0, 0, 8.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
