@@ -117,16 +117,16 @@ def check_step_length_bound(trace: RunTrace, K: int, *, tol: float = EXACT_RTOL)
     worst = -math.inf
     arg = None
     xdiff = trace.xs[K + 1] - x
-    cand = float(xdiff @ xdiff)
+    cand = float(xdiff.dot(xdiff))
     if cand > worst:
         worst, arg = cand, ("x_next", n)
     for i, (z, zhat) in enumerate(zip(trace.z[K], trace.zhat[K]), start=1):
         zdiff = z - x
-        cand = float(zdiff @ zdiff)
+        cand = float(zdiff.dot(zdiff))
         if cand > worst:
             worst, arg = cand, ("z", i)
         hdiff = zhat - x
-        cand = float(hdiff @ hdiff)
+        cand = float(hdiff.dot(hdiff))
         if cand > worst:
             worst, arg = cand, ("zhat", i)
     if rhs == 0.0 and worst == 0.0:

@@ -26,9 +26,9 @@ decodes bits and parses no numbers.  ``load_trace`` rebuilds z with the
 engine's own update from x_K, checks z_{K,n} = x_{K+1} bit for bit, and
 rebuilds zhat through the policy (``eval_support``, or ``hull_point`` of
 ``eval_point``'s weights, pure functions of (policy, K, i)).  The engine
-and the loader ask ``eval_support`` once per epoch for all n supports;
-DelayedAsync draws an epoch's delays in one vectorized pass with the bits
-of one Generator per step, ConvexMix weights take a Generator per step.
+and the loader ask ``eval_support`` once per epoch for all n supports and
+``eval_point`` once for a ConvexMix epoch's n weight vectors; DelayedAsync
+delays and ConvexMix weights keep the bits of one Generator per step.
 
 A run advances in blocks of EPOCH_BLOCK epochs.  Per block, the query
 orders of a policy that needs no probe are drawn in one call (one
@@ -269,6 +269,7 @@ def run_epoch(
     # a step without a single support point (ConvexMix) takes its hull point over z_{K,0..i-1}
     hull = None
     if None in support:
+        weights = eval_point(eval_policy, K, range(1, n + 1))
         hull = np.empty((n + 1, len(x)))
         hull[0] = x
     z = x
@@ -277,11 +278,11 @@ def run_epoch(
     for i, idx in enumerate(order, start=1):
         j = support[i - 1]
         if j is None:
-            zhat = hull_point(eval_point(eval_policy, K, i), hull[:i])
+            zhat = hull_point(weights[i - 1], hull[:i])
         else:
             zhat = zs[j]
         d = comps[idx].direction(zhat)
-        dnorm2 = float(d @ d)
+        dnorm2 = float(d.dot(d))  # the bits of d @ d, with less dispatch
         if not math.isfinite(dnorm2):
             raise NonFiniteError(K, _first_non_finite(zs[1:]) or i)
         if adaptive:
@@ -664,7 +665,8 @@ def _derive_iterates(trace: RunTrace) -> None:
     for K in range(N):
         support = eval_support(policy, K, n)
         if None in support:
-            trace.zhat[K] = [hull_point(eval_point(policy, K, i), zs[K, :i]) for i in range(1, n + 1)]
+            weights = eval_point(policy, K, range(1, n + 1))
+            trace.zhat[K] = [hull_point(w, zs[K, :i]) for i, w in enumerate(weights, start=1)]
         else:
             trace.zhat[K] = zs[K, support]
 

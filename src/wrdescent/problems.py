@@ -298,7 +298,8 @@ def _labelled(M, v) -> np.ndarray:
 class _Labelled(ZooKind):
     """Data rows [a_i, v_i], a vector and one number.
 
-    A and v are contiguous copies, so a_i @ x is a BLAS ddot of a contiguous row.
+    A and v are contiguous copies, so a_i.dot(x) is one BLAS ddot with the
+    bits of a_i @ x; a point x of negative stride would change those bits.
     """
 
     def __init__(self, data, seed=None):
@@ -342,11 +343,11 @@ class Logistic(_Labelled):
 
     @staticmethod
     def value(a, b, x) -> float:
-        return float(np.logaddexp(0.0, -b * float(a @ x)))
+        return float(np.logaddexp(0.0, -b * float(a.dot(x))))
 
     @staticmethod
     def direction(a, b, x) -> np.ndarray:
-        return (-b * _expit(-b * float(a @ x))) * a
+        return (-b * _expit(-b * float(a.dot(x)))) * a
 
     def full_values(self, X) -> np.ndarray:
         return np.mean(np.logaddexp(0.0, -self.v * self._products(X)), axis=1)
@@ -382,11 +383,11 @@ class Sigmoid(_Labelled):
 
     @staticmethod
     def value(a, c, x) -> float:
-        return _expit(float(a @ x) - c)
+        return _expit(float(a.dot(x)) - c)
 
     @staticmethod
     def direction(a, c, x) -> np.ndarray:
-        s = _expit(float(a @ x) - c)
+        s = _expit(float(a.dot(x)) - c)
         return (s * (1.0 - s)) * a
 
     # exp overflows to inf where the sigmoid saturates to 0

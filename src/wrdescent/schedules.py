@@ -17,14 +17,15 @@ whole epoch at once: ``supports(K, n)`` lists the support points of steps
 1..n, and since each draw is keyed by its own (K, i), a shorter epoch's
 list is a prefix of a longer one's.  DelayedAsync draws an epoch's delays
 in one vectorized pass (``counter_integers``) that reproduces, bit for
-bit, what one NumPy Generator per step gives; ConvexMix still builds a
-Generator per step, as its Dirichlet draw costs more than the
-construction.  Permutation policies decide the order components are
+bit, what one NumPy Generator per step gives.  ConvexMix weights for a
+range of steps (``eval_point``) come from one Generator whose PCG64 is
+set, step by step, to the state its own key (seed, K, i) seeds
+(``counter_rngs``).  Permutation policies decide the order components are
 queried in; every epoch visits each component exactly once.  A policy
 that needs no probe answers for a range of epochs at once
-(``orders(Ks, n)``); shuffled orders then come from one Generator whose
-PCG64 is set, epoch by epoch, to the state its own key (seed, K) seeds
-(``counter_permutations``), with the bits of one Generator per epoch.
+(``orders(Ks, n)``); shuffled orders then come from one Generator
+reseeded likewise for each key (seed, K).  Both keep the bits of one
+Generator per key.
 Component indices are 0-based; inner positions are 1-based.  Each policy
 class names its serialized form in ``VARIANT``.
 """
@@ -61,6 +62,8 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier
 _PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
 _U128 = (1 << 128) - 1
+# a PCG64 state with no buffered 32-bit half, as seeding leaves it
+_PCG_STATE = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list:
@@ -148,37 +151,30 @@ def _pcg_seeded(words: tuple) -> tuple:
     return ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _U128, inc
 
 
-def counter_permutations(seed: int, tag: int, Ks, n: int) -> np.ndarray:
-    """``counter_rng(seed, tag, K).permutation(n)`` for each K of ``Ks``, one row each.
+def counter_rngs(seed: int, keys: list):
+    """Yield for each key (at most 3 counters) a Generator as ``counter_rng(seed, *key)`` builds it.
 
     One Generator instead of one per key: it is built for the first key,
     and for each later key its PCG64 is set to the state that seeding from
     that key gives (the SeedSequence words of every key in one vectorized
-    pass, a 3-word entropy being the 4 words ending in 0).  Keys with a
-    word of 2**32 or more, which the seed sequence splits into several
-    words, take ``counter_rng`` per key.
+    pass, a shorter entropy being the 4 words ending in 0s).  It is the
+    same object each time, so draw from it before asking for the next key.
+    Keys with a word of 2**32 or more, which the seed sequence splits into
+    several words, take ``counter_rng`` per key.
     """
-    Ks = [int(K) for K in Ks]
-    out = np.empty((len(Ks), n), dtype=np.int64)
-    if not Ks:
-        return out
-    if max(seed, tag, *Ks) > _U32:
-        for r, K in enumerate(Ks):
-            out[r] = counter_rng(seed, tag, K).permutation(n)
-        return out
-    rng = counter_rng(seed, tag, Ks[0])
-    out[0] = rng.permutation(n)
-    words = _seed_state([seed, tag, np.array(Ks[1:], dtype=np.uint32), 0])
-    for r, key_words in enumerate(zip(*words), start=1):
+    if not keys:
+        return
+    if max(seed, *(max(key) for key in keys)) > _U32:
+        yield from (counter_rng(seed, *key) for key in keys)
+        return
+    rng = counter_rng(seed, *keys[0])
+    yield rng
+    columns = np.array(keys[1:], dtype=np.uint32).reshape(-1, len(keys[0])).T
+    words = _seed_state([seed, *columns, *[0] * (3 - len(columns))])
+    for key_words in zip(*words):
         state, inc = _pcg_seeded(key_words)
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        out[r] = rng.permutation(n)
-    return out
+        rng.bit_generator.state = dict(_PCG_STATE, state={"state": state, "inc": inc})
+        yield rng
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +238,10 @@ class ConvexMix:
     def supports(self, K: int, n: int) -> list:
         return [None] * n
 
-    def weights(self, K: int, i: int) -> np.ndarray:
-        """Strictly positive Dirichlet hull weights for step (K, i)."""
-        return counter_rng(self.seed, _TAG_MIX, K, i).dirichlet(np.ones(i))
+    def weights(self, K: int, steps: range) -> list:
+        """Strictly positive Dirichlet hull weights for each step (K, i), i in ``steps``."""
+        keys = [(_TAG_MIX, K, i) for i in steps]
+        return [rng.dirichlet(np.ones(i)) for i, rng in zip(steps, counter_rngs(self.seed, keys))]
 
 
 EvalPointPolicy = Union[FullGradient, Incremental, MiniBatch, DelayedAsync, ConvexMix]
@@ -263,14 +260,21 @@ def eval_support(policy: EvalPointPolicy, K: int, n: int) -> list:
     return policy.supports(K, n)
 
 
-def eval_point(policy: EvalPointPolicy, K: int, i: int) -> np.ndarray:
-    """Hull weights over (z_{K,0}, ..., z_{K,i-1}): nonnegative, summing to 1."""
-    j = eval_support(policy, K, i)[-1]
-    if j is not None:
-        w = np.zeros(i)
-        w[j] = 1.0
-        return w
-    return policy.weights(K, i)
+def eval_point(policy: EvalPointPolicy, K: int, i):
+    """Hull weights over (z_{K,0}, ..., z_{K,i-1}): nonnegative, summing to 1.
+
+    A range of steps 1 <= i <= n (such as range(1, n + 1)) gives a list of
+    each step's weights, as one call per step would.
+    """
+    steps = i if isinstance(i, range) else range(i, i + 1)
+    support = eval_support(policy, K, steps[-1])
+    if None in support:
+        weights = policy.weights(K, steps)
+    else:
+        weights = [np.zeros(s) for s in steps]
+        for s, w in zip(steps, weights):
+            w[support[s - 1]] = 1.0
+    return weights if isinstance(i, range) else weights[0]
 
 
 def hull_point(weights: np.ndarray, points) -> np.ndarray:
@@ -336,7 +340,10 @@ class ShuffledPerEpoch:
         _check_seed(self.seed)
 
     def orders(self, Ks: range, n: int) -> np.ndarray:
-        return counter_permutations(self.seed, _TAG_PERM, Ks, n)
+        out = np.empty((len(Ks), n), dtype=np.int64)
+        for row, rng in zip(out, counter_rngs(self.seed, [(_TAG_PERM, K) for K in Ks])):
+            row[:] = rng.permutation(n)
+        return out
 
 
 @dataclass(frozen=True)

@@ -124,10 +124,6 @@ def _check_n(n):
         raise ValueError("n must be a positive integer")
 
 
-def is_adaptive(strategy: StepStrategy) -> bool:
-    return isinstance(strategy, Adaptive)
-
-
 @dataclass
 class StepState:
     """Mutable per-run bookkeeping owned by a single run.
@@ -145,7 +141,7 @@ class StepState:
 
 
 def new_state(strategy: StepStrategy) -> StepState:
-    v = strategy.delta if is_adaptive(strategy) else None
+    v = strategy.delta if isinstance(strategy, Adaptive) else None
     return StepState(n=strategy.n, v=v)
 
 
@@ -162,13 +158,13 @@ def step_value(
     before the returned v^(-1/3); prescribed rules ignore ``dnorm2``.
     Calls must follow the run order: (K, i) = (state.K, state.i + 1).
     """
-    if K != state.K:
-        raise ValueError(f"step_value called at epoch {K}, state is at epoch {state.K}")
-    if i != state.i + 1 or not (1 <= i <= state.n):
+    if K != state.K or i != state.i + 1 or not 1 <= i <= state.n:
+        if K != state.K:
+            raise ValueError(f"step_value called at epoch {K}, state is at epoch {state.K}")
         raise ValueError(f"step_value called at inner index {i}, expected {state.i + 1}")
     if dnorm2 < 0:
         raise ValueError("dnorm2 must be nonnegative")
-    if is_adaptive(strategy):
+    if isinstance(strategy, Adaptive):
         state.v = state.v + strategy.beta * dnorm2
         alpha = state.v ** (-1.0 / 3.0)
     else:
@@ -188,7 +184,7 @@ def epoch_step(strategy: StepStrategy, state: StepState, K: int) -> Optional[flo
     step_value calls would.  The adaptive rule gives None and leaves
     ``state`` to its step_value call at each step.
     """
-    if is_adaptive(strategy):
+    if isinstance(strategy, Adaptive):
         return None
     if (K, 0) != (state.K, state.i):
         raise ValueError(f"epoch_step called at epoch {K}, state is at ({state.K}, {state.i})")
@@ -207,12 +203,12 @@ def epoch_anchor(strategy: StepStrategy, K: int, alpha_last=None) -> float:
     if alpha_last is not None and len(alpha_last) < K:
         raise ValueError(f"epoch_anchor({K}) called with only {len(alpha_last)} complete epochs")
     if K == 0:
-        if is_adaptive(strategy):
+        if isinstance(strategy, Adaptive):
             return strategy.delta ** (-1.0 / 3.0)
         return strategy.prescribed_value(0)
     if alpha_last is not None:
         return float(alpha_last[K - 1])
-    if is_adaptive(strategy):
+    if isinstance(strategy, Adaptive):
         raise ValueError("adaptive anchor needs the recorded alpha_last")
     return strategy.prescribed_value(K - 1)
 

@@ -648,6 +648,27 @@ class TestCmdReport:
         assert "[SKIP] gamma: no completed epoch" in capsys.readouterr().out.splitlines()
         assert sweep_checkpoints(0).tolist() == [0]
 
+    @pytest.mark.parametrize(
+        "record_level, reason", [("full", "no completed epoch"), ("epoch_only", "needs full records")]
+    )
+    def test_lex_skip_names_what_is_missing(self, tmp_path, capsys, record_level, reason):
+        # the relu_net run above aborts at (0, 2): a full record of no
+        # completed epoch lacks an epoch, an epoch-level one the inner steps
+        cfg = write_config(
+            tmp_path,
+            problem={"kind": "relu_net", "n": 6, "p": 2, "seed": 1},
+            strategy={"variant": "constant", "alpha": 1e308},
+            perm_policy={"variant": "adversarial"},
+            x0={"kind": "ball", "radius": 0.5, "seed": 1},
+            record_level=record_level,
+        )
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(out / "trace.txt"), "--checks", "lex"]) == 0
+        assert f"[SKIP] lex: {reason}" in capsys.readouterr().out.splitlines()
+
 
 class TestHelpers:
     def test_loglog_slope_recovers_power_law(self):

@@ -238,6 +238,19 @@ class TestRun:
         wd.load_trace(tmp_path / "trace.txt")
         assert calls == [(K, 5) for K in range(7)]
 
+    def test_convex_mix_builds_one_generator_per_epoch(self, monkeypatch, tmp_path):
+        # the epoch's weights come from one Generator, reseeded for each step
+        calls = []
+        real = wd.schedules.counter_rng
+        monkeypatch.setattr(wd.schedules, "counter_rng", lambda *key: calls.append(key) or real(*key))
+        prob = wd.make_problem("logistic", 6, 2, 4)
+        trace = make_run(prob, wd.Constant(0.3, 6), eval_policy=wd.ConvexMix(5), epochs=7)
+        assert calls == [(5, 2, K, 1) for K in range(7)]
+        wd.save_trace(trace, tmp_path / "trace.txt")
+        calls.clear()
+        wd.load_trace(tmp_path / "trace.txt")
+        assert calls == [(5, 2, K, 1) for K in range(7)]
+
     @pytest.mark.parametrize("max_delay", [0, 2, 8, 2**31])
     def test_delayed_async_zhat_is_the_drawn_iterate(self, max_delay):
         n, seed = 9, 5

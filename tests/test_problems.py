@@ -416,3 +416,57 @@ def test_stacked_full_oracles_of_every_kind_match_point_calls(kind):
         prob.full_value(X[:, :, None])
     with pytest.raises(ValueError):
         prob.full_direction(X[:, :-1])
+
+
+def _views(rng, p, stride, offset, lo, hi):
+    """A float64 vector of p entries, +-10**e with e uniform in [lo, hi],
+    as a view of stride ``stride`` starting ``offset`` into a larger buffer."""
+    buf = rng.choice([-1.0, 1.0], size=offset + p * stride) * 10.0 ** rng.uniform(lo, hi, size=offset + p * stride)
+    return buf[offset::stride][:p]
+
+
+@given(
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=-150, max_value=150),
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=200, deadline=None)
+def test_row_dot_has_the_bits_of_matmul(p, stride, offset, lo, span, seed):
+    # the row oracles and the engine's ||d||^2 take a.dot(x); like a @ x it
+    # is one BLAS ddot, on contiguous and positive-stride vectors alike
+    rng = np.random.default_rng(seed)
+    hi = min(lo + span, 150)
+    for a, x in [(_views(rng, p, 1, 0, lo, hi), _views(rng, p, 1, 0, lo, hi)),
+                 (_views(rng, p, stride, offset, lo, hi), _views(rng, p, stride, offset, lo, hi))]:
+        assert a.dot(x).tobytes() == (a @ x).tobytes()
+        assert x.dot(x).tobytes() == (x @ x).tobytes()
+
+
+def _matmul_row_oracles(kind, a, v, x):
+    """(value, direction) of row [a, v] at x by the formulas written with a @ x."""
+    if kind == "logistic":
+        return float(np.logaddexp(0.0, -v * float(a @ x))), (-v * _expit(-v * float(a @ x))) * a
+    s = _expit(float(a @ x) - v)
+    return _expit(float(a @ x) - v), (s * (1.0 - s)) * a
+
+
+@given(
+    st.sampled_from(["logistic", "sigmoid_nonconvex"]),
+    st.sampled_from([(1, 1), (4, 3), (32, 5), (20, 50)]),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_row_oracles_have_the_bits_of_the_matmul_formulas(kind, shape, scale, stride, seed):
+    n, p = shape
+    prob = wd.make_problem(kind, n, p, seed)
+    rng = np.random.default_rng(seed)
+    for x in (rng.standard_normal(p) * 10.0**scale, (rng.standard_normal(p * stride) * 10.0**scale)[::stride]):
+        for comp, a, v in zip(prob.components, prob.kind.A, prob.kind.v.tolist()):
+            value, direction = _matmul_row_oracles(kind, a, v, x)
+            assert comp.value(x).hex() == value.hex()
+            assert comp.direction(x).tobytes() == direction.tobytes()

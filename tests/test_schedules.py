@@ -249,3 +249,14 @@ def test_convex_mix_weights_valid(i, K, seed):
     assert len(w) == i
     assert np.all(w >= 0)
     assert abs(w.sum() - 1.0) <= 1e-12
+
+
+@given(_KEYS, _KEYS, st.one_of(st.just(1), st.integers(2, 60)))
+@settings(max_examples=40, deadline=None)
+def test_convex_mix_epoch_weights_are_one_generator_per_step(seed, K, n):
+    policy = wd.ConvexMix(seed=seed)
+    weights = eval_point(policy, K, range(1, n + 1))
+    assert len(weights) == n
+    for i, w in enumerate(weights, start=1):
+        assert w.tobytes() == counter_rng(seed, 2, K, i).dirichlet(np.ones(i)).tobytes()
+    assert eval_point(policy, K, n).tobytes() == weights[-1].tobytes()
