@@ -42,6 +42,15 @@ which follows from the smoothness quadratic upper bound plus the
 inner-product form alone and holds in every regime.  The downstream rate
 bounds only ever use coefficient upper bounds that are valid for the
 repaired form, so they are unaffected.
+
+Each per-epoch inequality has one computation over an epoch range
+0 <= k_min <= k_max < N, array by array, reported at the first epoch of
+least slack; the ``*_trace`` functions run it over their range and the
+per-K functions are its one-epoch case.  Step sums are ``math.fsum`` over
+Python floats and squared norms stacked matmuls (one ddot per row), so a
+range has the bits of the per-epoch formulas.  The preconditions, in this
+order, raise the reasons ``verify`` skips a check for: full records, a
+smooth problem, the range's epochs.
 """
 
 from __future__ import annotations
@@ -52,9 +61,9 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import RunTrace
+from .engine import EPOCH_BLOCK, RunTrace
 from .problems import FiniteSumProblem, UnsupportedProblem
-from .steps import Adaptive, check_lex_monotone
+from .steps import Adaptive, check_lex_monotone, epoch_anchor
 
 EXACT_RTOL = 1e-12
 INEQ_RTOL = 1e-9
@@ -90,12 +99,48 @@ def _report(name, lhs, rhs, tol, denom, detail=None) -> MarginReport:
 
 def _require_full(trace: RunTrace):
     if trace.config.record_level != "full":
-        raise ValueError("this check needs a full-record trace")
+        raise ValueError("needs full records")
 
 
 def _require_smooth(problem: FiniteSumProblem):
     if not problem.is_smooth:
-        raise UnsupportedProblem("this check needs a smooth problem")
+        raise UnsupportedProblem("needs a smooth problem")
+
+
+def _epoch_range(trace: RunTrace, k_min: int, k_max: Optional[int]) -> range:
+    """Epochs k_min..k_max (None: the last completed one), 0 <= k_min <= k_max < N."""
+    N = trace.epochs_completed
+    if k_max is None:
+        if N <= k_min:
+            raise ValueError(f"needs at least {k_min + 1} epochs" if k_min else "no completed epoch")
+        k_max = N - 1
+    if not 0 <= k_min <= k_max < N:
+        raise ValueError(f"epochs {k_min}..{k_max} are outside the completed epochs 0..{N - 1}")
+    return range(k_min, k_max + 1)
+
+
+def _dots(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """<a, b> (b defaults to a) along the last axis as a stacked matmul: one
+    BLAS ddot per row, the bits of a @ b."""
+    b = a if b is None else b
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _least_slack(name, epochs, lhs, rhs, denom, tol, detail) -> MarginReport:
+    """The report at the first epoch of least relative slack, the one a scan
+    keeping the least so far picks (so a NaN slack only as the first epoch's).
+    lhs, rhs and denom hold one entry per epoch; ``detail(k)`` is the detail at entry k."""
+    rel = (rhs - lhs) / denom
+    k = 0 if np.isnan(rel[0]) else int(np.argmin(np.where(np.isnan(rel), np.inf, rel)))
+    lhs, rhs, denom = float(lhs[k]), float(rhs[k]), float(denom[k])
+    return _report(f"{name}[K={epochs[k]}]", lhs, rhs, tol, denom, detail(k))
+
+
+def _s2(trace: RunTrace, epochs: range) -> np.ndarray:
+    """S2 = sum_j alpha_{K,j}^2 ||d_j||^2 of each epoch K, term by term in Python floats."""
+    at = slice(epochs.start, epochs.stop)
+    rows = zip(trace.alpha[at], trace.dnorm2[at])
+    return np.array([math.fsum([a**2 * d2 for a, d2 in zip(al.tolist(), dl.tolist())]) for al, dl in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -110,36 +155,41 @@ def check_step_length_bound(trace: RunTrace, K: int, *, tol: float = EXACT_RTOL)
     <= n * sum_j alpha_{K,j}^2 ||d_j||^2, reported as the minimum slack
     over i.  Relative to the (nonnegative) right-hand side.
     """
-    _require_full(trace)
-    n = trace.problem.n
-    x = trace.xs[K]
-    rhs = n * _s2(trace, K)
-    worst = -math.inf
-    arg = None
-    xdiff = trace.xs[K + 1] - x
-    cand = float(xdiff.dot(xdiff))
-    if cand > worst:
-        worst, arg = cand, ("x_next", n)
-    for i, (z, zhat) in enumerate(zip(trace.z[K], trace.zhat[K]), start=1):
-        zdiff = z - x
-        cand = float(zdiff.dot(zdiff))
-        if cand > worst:
-            worst, arg = cand, ("z", i)
-        hdiff = zhat - x
-        cand = float(hdiff.dot(hdiff))
-        if cand > worst:
-            worst, arg = cand, ("zhat", i)
-    if rhs == 0.0 and worst == 0.0:
-        denom = 1.0
-    else:
-        denom = max(rhs, 1e-300)
-    return _report(f"step_length[K={K}]", worst, rhs, tol, denom, {"argmax": arg})
+    return _step_length(trace, K, K, tol)
 
 
 def check_step_length_bound_trace(trace: RunTrace, *, tol: float = EXACT_RTOL) -> MarginReport:
     """Minimum step-length-bound slack over all epochs of a full trace."""
+    return _step_length(trace, 0, None, tol)
+
+
+def _step_length(trace: RunTrace, k_min: int, k_max: Optional[int], tol: float) -> MarginReport:
     _require_full(trace)
-    return _worst_over_epochs(trace, check_step_length_bound, 0, None, tol)
+    epochs = _epoch_range(trace, k_min, k_max)
+    n = trace.problem.n
+    lhs = np.empty(len(epochs))
+    argmax = np.empty(len(epochs), dtype=int)
+    # an epoch's squares in the order whose first maximum is reported:
+    # x_{K+1}, then z_{K,i} and zhat_{K,i-1} for i = 1..n; one block of
+    # epochs at a time, so the temporaries do not grow with N
+    for lo in range(epochs.start, epochs.stop, EPOCH_BLOCK):
+        hi = min(lo + EPOCH_BLOCK, epochs.stop)
+        sq = np.empty((hi - lo, 2 * n + 1))
+        for cols, points in (
+            (slice(0, 1), trace.xs[lo + 1 : hi + 1, None, :]),
+            (slice(1, None, 2), trace.z[lo:hi]),
+            (slice(2, None, 2), trace.zhat[lo:hi]),
+        ):
+            sq[:, cols] = _dots(points - trace.xs[lo:hi, None, :])
+        at = slice(lo - epochs.start, hi - epochs.start)
+        argmax[at] = sq.argmax(axis=1)
+        lhs[at] = sq.max(axis=1)
+    rhs = n * _s2(trace, epochs)
+    denom = np.where((rhs == 0.0) & (lhs == 0.0), 1.0, np.maximum(rhs, 1e-300))
+    where = [("x_next", n)] + [(label, i) for i in range(1, n + 1) for label in ("z", "zhat")]
+    return _least_slack(
+        "step_length", epochs, lhs, rhs, denom, tol, lambda k: {"argmax": where[argmax[k]]}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -147,135 +197,94 @@ def check_step_length_bound_trace(trace: RunTrace, *, tol: float = EXACT_RTOL) -
 # ---------------------------------------------------------------------------
 
 
-def _s2(trace: RunTrace, K: int) -> float:
-    """S2 = sum_j alpha_{K,j}^2 ||d_j||^2 of epoch K, term by term in Python floats."""
-    return math.fsum(a**2 * d2 for a, d2 in zip(trace.alpha[K].tolist(), trace.dnorm2[K].tolist()))
+def _descent_terms(trace: RunTrace, k_min: int, k_max: Optional[int], lex: bool = False):
+    """The epochs k_min..k_max, once the preconditions hold, with alpha_K and
+    S2 of each; alpha_K is alpha_{K-1,n}, and epoch_anchor's value at K = 0."""
+    _require_full(trace)
+    _require_smooth(trace.problem)
+    epochs = _epoch_range(trace, k_min, k_max)
+    if lex:
+        scan = check_lex_monotone(trace.alpha)
+        if not scan.ok:
+            raise ValueError(f"step sizes violate lexicographic monotonicity at {scan.violation}")
+    alpha = np.concatenate([[epoch_anchor(trace.config.strategy, 0)], trace.alpha_last])
+    return epochs, alpha[epochs.start : epochs.stop], _s2(trace, epochs)
 
 
-def _epoch_sums(trace: RunTrace, K: int, alpha_k: float):
-    ratio_cube = math.fsum(1.0 - (a / alpha_k) ** 3 for a in trace.alpha[K].tolist())
-    return _s2(trace, K), ratio_cube
-
-
-def _require_lex(trace: RunTrace):
-    lex = check_lex_monotone(trace.alpha)
-    if not lex.ok:
-        raise ValueError(f"step sizes violate lexicographic monotonicity at {lex.violation}")
+def _descent_form(trace: RunTrace, k_min: int, k_max: Optional[int], tol: float, tight: bool):
+    """The combined form, or with ``tight`` the repaired one, over epochs k_min..k_max."""
+    epochs, alpha, s2 = _descent_terms(trace, k_min, k_max, lex=not tight)
+    problem, lo, hi = trace.problem, epochs.start, epochs.stop
+    n, L, M = problem.n, problem.L, problem.M
+    f, g = trace.f_vals, trace.grad_sq
+    lhs = f[lo + 1 : hi + 1] - f[lo:hi] + 0.5 * n * alpha * g[lo:hi]
+    rows = zip(trace.alpha[lo:hi], alpha.tolist())
+    ratio_cube = np.array([math.fsum([1.0 - (a / ak) ** 3 for a in row.tolist()]) for row, ak in rows])
+    if tight:
+        d2 = _dots(trace.xs[lo + 1 : hi + 1] - trace.xs[lo:hi])
+        rhs = (
+            alpha * L**2 * n**2 * s2
+            + alpha * M**2 * ratio_cube
+            + (L / 2.0 - 1.0 / (2.0 * n * alpha)) * d2
+        )
+        name, last = "epoch_descent_tight", ("displacement_sq", d2)
+    else:
+        coeff = alpha * L**2 * n**2 + L * n / 2.0 - 1.0 / (2.0 * alpha)
+        rhs = coeff * s2 + alpha * M**2 * ratio_cube
+        name, last = "epoch_descent", ("ratio_term", ratio_cube)
+    return _least_slack(
+        name, epochs, lhs, rhs, 1.0 + abs(rhs), tol,
+        lambda k: {"alpha_K": float(alpha[k]), "S2": float(s2[k]), last[0]: float(last[1][k])},
+    )
 
 
 def check_epoch_descent(trace: RunTrace, K: int, *, tol: float = INEQ_RTOL) -> MarginReport:
     """Per-epoch descent inequality (see module docstring) at epoch K."""
-    _require_full(trace)
-    _require_smooth(trace.problem)
-    _require_lex(trace)
-    return _epoch_descent(trace, K, tol=tol)
-
-
-def _epoch_descent(trace: RunTrace, K: int, *, tol: float) -> MarginReport:
-    """check_epoch_descent at epoch K once its trace-wide requirements hold."""
-    problem = trace.problem
-    n = problem.n
-    alpha_k = trace.epoch_anchor(K)
-    s2, ratio_cube = _epoch_sums(trace, K, alpha_k)
-    lhs = (
-        trace.f_vals[K + 1]
-        - trace.f_vals[K]
-        + 0.5 * n * alpha_k * trace.grad_sq[K]
-    )
-    rhs = (
-        alpha_k * problem.L**2 * n**2 + problem.L * n / 2.0 - 1.0 / (2.0 * alpha_k)
-    ) * s2 + alpha_k * problem.M**2 * ratio_cube
-    return _report(
-        f"epoch_descent[K={K}]", float(lhs), float(rhs), tol, 1.0 + abs(rhs),
-        {"alpha_K": alpha_k, "S2": s2, "ratio_term": ratio_cube},
-    )
-
-
-def check_epoch_descent_tight(
-    trace: RunTrace, K: int, *, tol: float = INEQ_RTOL
-) -> MarginReport:
-    """Repaired per-epoch inequality keeping ||x_{K+1} - x_K||^2 exactly.
-
-    Valid in every step-size regime (see the module docstring); coincides
-    with the combined form when within-epoch displacements are not
-    cancelling.
-    """
-    _require_full(trace)
-    problem = trace.problem
-    _require_smooth(problem)
-    n = problem.n
-    alpha_k = trace.epoch_anchor(K)
-    s2, ratio_cube = _epoch_sums(trace, K, alpha_k)
-    diff = trace.xs[K + 1] - trace.xs[K]
-    d2 = float(diff @ diff)
-    lhs = (
-        trace.f_vals[K + 1]
-        - trace.f_vals[K]
-        + 0.5 * n * alpha_k * trace.grad_sq[K]
-    )
-    rhs = (
-        alpha_k * problem.L**2 * n**2 * s2
-        + alpha_k * problem.M**2 * ratio_cube
-        + (problem.L / 2.0 - 1.0 / (2.0 * n * alpha_k)) * d2
-    )
-    return _report(
-        f"epoch_descent_tight[K={K}]", float(lhs), float(rhs), tol, 1.0 + abs(rhs),
-        {"alpha_K": alpha_k, "S2": s2, "displacement_sq": d2},
-    )
-
-
-def _worst_over_epochs(trace, check, k_min, k_max, tol):
-    if k_max is None:
-        k_max = trace.epochs_completed - 1
-    worst = None
-    for K in range(k_min, k_max + 1):
-        rep = check(trace, K, tol=tol)
-        if worst is None or rep.rel_slack < worst.rel_slack:
-            worst = rep
-    if worst is None:
-        raise ValueError("empty epoch range")
-    return worst
+    return _descent_form(trace, K, K, tol, tight=False)
 
 
 def check_epoch_descent_trace(
     trace: RunTrace, *, k_min: int = 1, k_max: Optional[int] = None, tol: float = INEQ_RTOL
 ) -> MarginReport:
     """Minimum combined-form slack over epochs K in [k_min, k_max]."""
-    _require_full(trace)
-    _require_smooth(trace.problem)
-    _require_lex(trace)
-    return _worst_over_epochs(trace, _epoch_descent, k_min, k_max, tol)
+    return _descent_form(trace, k_min, k_max, tol, tight=False)
+
+
+def check_epoch_descent_tight(trace: RunTrace, K: int, *, tol: float = INEQ_RTOL) -> MarginReport:
+    """Repaired per-epoch inequality keeping ||x_{K+1} - x_K||^2 exactly.
+
+    Valid in every step-size regime (see the module docstring); coincides
+    with the combined form when within-epoch displacements are not
+    cancelling.
+    """
+    return _descent_form(trace, K, K, tol, tight=True)
 
 
 def check_epoch_descent_tight_trace(
     trace: RunTrace, *, k_min: int = 1, k_max: Optional[int] = None, tol: float = INEQ_RTOL
 ) -> MarginReport:
     """Minimum repaired-form slack over epochs K in [k_min, k_max]."""
-    return _worst_over_epochs(trace, check_epoch_descent_tight, k_min, k_max, tol)
+    return _descent_form(trace, k_min, k_max, tol, tight=True)
 
 
-def check_descent_decomposition(
-    trace: RunTrace, K: int, *, tol: float = INEQ_RTOL
-) -> MarginReport:
+def check_descent_decomposition(trace: RunTrace, K: int, *, tol: float = INEQ_RTOL) -> MarginReport:
     """Inner-product form of the per-epoch bound (no objective values)."""
-    _require_full(trace)
-    problem = trace.problem
-    _require_smooth(problem)
-    n = problem.n
-    alpha_k = trace.epoch_anchor(K)
-    s2 = _s2(trace, K)
-    ratio_sq = math.fsum((a / alpha_k - 1.0) ** 2 for a in trace.alpha[K].tolist())
-    g = problem.full_direction(trace.xs[K])
-    diff = trace.xs[K + 1] - trace.xs[K]
-    lhs = float(g @ diff) + float(diff @ diff) / (2.0 * n * alpha_k)
-    rhs = (
-        -0.5 * n * alpha_k * float(g @ g)
-        + alpha_k * problem.L**2 * n**2 * s2
-        + alpha_k * problem.M**2 * ratio_sq
-    )
-    return _report(
-        f"descent_decomposition[K={K}]", lhs, rhs, tol, 1.0 + abs(rhs),
-        {"alpha_K": alpha_k},
+    return _descent_inner(trace, K, K, tol)
+
+
+def _descent_inner(trace: RunTrace, k_min: int, k_max: Optional[int], tol: float) -> MarginReport:
+    epochs, alpha, s2 = _descent_terms(trace, k_min, k_max)
+    problem, lo, hi = trace.problem, epochs.start, epochs.stop
+    n, L, M = problem.n, problem.L, problem.M
+    rows = zip(trace.alpha[lo:hi], alpha.tolist())
+    ratio_sq = np.array([math.fsum([(a / ak - 1.0) ** 2 for a in row.tolist()]) for row, ak in rows])
+    g = problem.full_direction(trace.xs[lo:hi])
+    diff = trace.xs[lo + 1 : hi + 1] - trace.xs[lo:hi]
+    lhs = _dots(g, diff) + _dots(diff) / (2.0 * n * alpha)
+    rhs = -0.5 * n * alpha * _dots(g) + alpha * L**2 * n**2 * s2 + alpha * M**2 * ratio_sq
+    return _least_slack(
+        "descent_decomposition", epochs, lhs, rhs, 1.0 + abs(rhs), tol,
+        lambda k: {"alpha_K": float(alpha[k])},
     )
 
 

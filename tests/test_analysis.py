@@ -9,7 +9,8 @@ from pytest import approx
 import wrdescent as wd
 from conftest import make_run
 from wrdescent import analysis
-from test_engine import zero_problem
+from wrdescent.engine import EPOCH_BLOCK
+from test_engine import EVAL_CASES, PERM_CASES, zero_problem
 
 
 class TestStepLengthBound:
@@ -159,6 +160,223 @@ class TestDescentDecomposition:
         )
         for K in range(1, 50):
             assert wd.check_descent_decomposition(trace, K).rel_slack >= -1e-9
+
+
+# The per-epoch formulas one epoch K at a time, and the scan that keeps the
+# least slack so far: the reference that the range computations of
+# ``analysis`` must reproduce report for report.
+
+
+def _ref_report(name, lhs, rhs, tol, denom, detail):
+    slack = rhs - lhs
+    rel = slack / denom
+    return wd.MarginReport(name, lhs, rhs, slack, rel, rel >= -tol, detail)
+
+
+def _ref_s2(trace, K):
+    return math.fsum(a**2 * d2 for a, d2 in zip(trace.alpha[K].tolist(), trace.dnorm2[K].tolist()))
+
+
+def _ref_step_length(trace, K, tol=analysis.EXACT_RTOL):
+    n = trace.problem.n
+    x = trace.xs[K]
+    rhs = n * _ref_s2(trace, K)
+    worst, arg = -math.inf, None
+    xdiff = trace.xs[K + 1] - x
+    cand = float(xdiff.dot(xdiff))
+    if cand > worst:
+        worst, arg = cand, ("x_next", n)
+    for i, (z, zhat) in enumerate(zip(trace.z[K], trace.zhat[K]), start=1):
+        for label, point in (("z", z), ("zhat", zhat)):
+            diff = point - x
+            cand = float(diff.dot(diff))
+            if cand > worst:
+                worst, arg = cand, (label, i)
+    denom = 1.0 if rhs == 0.0 and worst == 0.0 else max(rhs, 1e-300)
+    return _ref_report(f"step_length[K={K}]", worst, rhs, tol, denom, {"argmax": arg})
+
+
+def _ref_epoch_descent(trace, K, tight, tol=analysis.INEQ_RTOL):
+    problem = trace.problem
+    n, L, M = problem.n, problem.L, problem.M
+    alpha_k = trace.epoch_anchor(K)
+    s2 = _ref_s2(trace, K)
+    ratio_cube = math.fsum(1.0 - (a / alpha_k) ** 3 for a in trace.alpha[K].tolist())
+    lhs = trace.f_vals[K + 1] - trace.f_vals[K] + 0.5 * n * alpha_k * trace.grad_sq[K]
+    if not tight:
+        rhs = (
+            alpha_k * L**2 * n**2 + L * n / 2.0 - 1.0 / (2.0 * alpha_k)
+        ) * s2 + alpha_k * M**2 * ratio_cube
+        detail = {"alpha_K": alpha_k, "S2": s2, "ratio_term": ratio_cube}
+        name = f"epoch_descent[K={K}]"
+        return _ref_report(name, float(lhs), float(rhs), tol, 1.0 + abs(rhs), detail)
+    diff = trace.xs[K + 1] - trace.xs[K]
+    d2 = float(diff @ diff)
+    rhs = (
+        alpha_k * L**2 * n**2 * s2
+        + alpha_k * M**2 * ratio_cube
+        + (L / 2.0 - 1.0 / (2.0 * n * alpha_k)) * d2
+    )
+    detail = {"alpha_K": alpha_k, "S2": s2, "displacement_sq": d2}
+    name = f"epoch_descent_tight[K={K}]"
+    return _ref_report(name, float(lhs), float(rhs), tol, 1.0 + abs(rhs), detail)
+
+
+def _ref_decomposition(trace, K, tol=analysis.INEQ_RTOL):
+    problem = trace.problem
+    n, L, M = problem.n, problem.L, problem.M
+    alpha_k = trace.epoch_anchor(K)
+    ratio_sq = math.fsum((a / alpha_k - 1.0) ** 2 for a in trace.alpha[K].tolist())
+    g = problem.full_direction(trace.xs[K])
+    diff = trace.xs[K + 1] - trace.xs[K]
+    lhs = float(g @ diff) + float(diff @ diff) / (2.0 * n * alpha_k)
+    rhs = (
+        -0.5 * n * alpha_k * float(g @ g)
+        + alpha_k * L**2 * n**2 * _ref_s2(trace, K)
+        + alpha_k * M**2 * ratio_sq
+    )
+    name = f"descent_decomposition[K={K}]"
+    return _ref_report(name, lhs, rhs, tol, 1.0 + abs(rhs), {"alpha_K": alpha_k})
+
+
+def _ref_worst(check, trace, k_min, k_max):
+    worst = None
+    for K in range(k_min, k_max + 1):
+        rep = check(trace, K)
+        if worst is None or rep.rel_slack < worst.rel_slack:
+            worst = rep
+    return worst
+
+
+def _growing_problem(n=4, p=2):
+    """Smooth components -||x||^2 / 2: descent steps grow the iterate until it overflows."""
+    comp = wd.ComponentOracle(
+        value=lambda x: -0.5 * float(x @ x),
+        direction=lambda x: -x,
+        lipschitz_value=1.0,
+        lipschitz_gradient=1.0,
+    )
+    return wd.FiniteSumProblem.assemble([comp] * n, p, f_star_lower=0.0)
+
+
+def _property_run(strategy, eval_policy, perm_policy, epochs, track):
+    """A run on logistic 4x2 under ``strategy``, or with "aborted" one of at
+    most 60 epochs whose iterates overflow (F reaches -inf, ||d||^2 inf)."""
+    if strategy == "aborted":
+        problem, rule, x0, epochs = _growing_problem(), wd.Constant(1e5, 4), np.ones(2), 60
+    else:
+        problem, x0 = wd.make_problem("logistic", 4, 2, 6), np.full(2, 0.2)
+        rule = {
+            "constant": wd.Constant(0.5 / problem.L, 4),
+            "sqrt": wd.DecreasingSqrt(4),
+            "cbrt": wd.DecreasingCbrtWithL(problem.L, 4),
+            "adaptive": wd.Adaptive.recommended(4),
+        }[strategy]
+    with np.errstate(all="ignore"):
+        return make_run(
+            problem, rule, eval_policy, perm_policy, epochs, x0=x0, track_objective=track
+        )
+
+
+_PROPERTY_STRATEGIES = ["constant", "sqrt", "cbrt", "adaptive", "aborted"]
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("eval_policy", EVAL_CASES, ids=lambda c: c.VARIANT)
+    @given(
+        strategy=st.sampled_from(_PROPERTY_STRATEGIES),
+        perm_policy=st.sampled_from(PERM_CASES),
+        epochs=st.integers(1, EPOCH_BLOCK + 6),
+        track=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=12)
+    def test_range_checks_match_the_per_epoch_scan(
+        self, eval_policy, strategy, perm_policy, epochs, track, data
+    ):
+        trace = _property_run(strategy, eval_policy, perm_policy, epochs, track)
+        N = trace.epochs_completed
+        if strategy == "aborted":
+            assert trace.aborted_at is not None
+        k_min = data.draw(st.integers(0, N - 1), label="k_min")
+        k_max = data.draw(st.integers(k_min, N - 1), label="k_max")
+        # F missing at some nodes, as where the objective is not tracked:
+        # a NaN slack is chosen only as the first epoch's
+        holes = data.draw(st.lists(st.integers(0, N), max_size=2), label="nan_nodes")
+        trace.f_vals[holes] = np.nan
+        with np.errstate(all="ignore"):
+            assert repr(wd.check_step_length_bound_trace(trace)) == repr(
+                _ref_worst(_ref_step_length, trace, 0, N - 1)
+            )
+            for tight, check in (
+                (False, wd.check_epoch_descent_trace),
+                (True, wd.check_epoch_descent_tight_trace),
+            ):
+                assert repr(check(trace, k_min=k_min, k_max=k_max)) == repr(
+                    _ref_worst(lambda t, K: _ref_epoch_descent(t, K, tight), trace, k_min, k_max)
+                )
+            for K in (k_min, k_max):
+                for check, ref in (
+                    (wd.check_step_length_bound, _ref_step_length),
+                    (wd.check_epoch_descent, lambda t, K: _ref_epoch_descent(t, K, False)),
+                    (wd.check_epoch_descent_tight, lambda t, K: _ref_epoch_descent(t, K, True)),
+                ):
+                    assert repr(check(trace, K)) == repr(ref(trace, K))
+
+    @pytest.mark.parametrize("eval_policy", EVAL_CASES, ids=lambda c: c.VARIANT)
+    @given(
+        strategy=st.sampled_from(_PROPERTY_STRATEGIES),
+        perm_policy=st.sampled_from(PERM_CASES),
+        epochs=st.integers(1, 12),
+        data=st.data(),
+    )
+    @settings(max_examples=8)
+    def test_decomposition_matches_the_per_epoch_formula(
+        self, eval_policy, strategy, perm_policy, epochs, data
+    ):
+        trace = _property_run(strategy, eval_policy, perm_policy, epochs, True)
+        K = data.draw(st.integers(0, trace.epochs_completed - 1), label="K")
+        with np.errstate(all="ignore"):
+            rep = wd.check_descent_decomposition(trace, K)
+            assert repr(rep) == repr(_ref_decomposition(trace, K))
+
+    @pytest.mark.parametrize(
+        "check, epochs",
+        [
+            (wd.check_step_length_bound, -1),
+            (wd.check_step_length_bound, 3),
+            (wd.check_epoch_descent, 3),
+            (wd.check_epoch_descent_tight, -1),
+            (wd.check_descent_decomposition, 3),
+            (wd.check_epoch_descent_trace, (2, 1)),
+            (wd.check_epoch_descent_tight_trace, (1, 7)),
+            (wd.check_epoch_descent_tight_trace, (-1, None)),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_epochs_outside_the_trace_rejected(self, check, epochs):
+        trace = make_run(wd.make_problem("logistic", 4, 2, 6), wd.DecreasingSqrt(4), epochs=3)
+        with pytest.raises(ValueError, match=r"outside the completed epochs 0\.\.2"):
+            if isinstance(epochs, tuple):
+                check(trace, k_min=epochs[0], k_max=epochs[1])
+            else:
+                check(trace, epochs)
+
+    @pytest.mark.parametrize(
+        "check, reason",
+        [
+            (wd.check_step_length_bound_trace, "no completed epoch"),
+            (wd.check_epoch_descent_trace, "needs at least 2 epochs"),
+            (wd.check_epoch_descent_tight_trace, "needs at least 2 epochs"),
+        ],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_default_range_names_the_epochs_it_needs(self, check, reason):
+        with np.errstate(all="ignore"):
+            trace = make_run(_growing_problem(), wd.Constant(1e300, 4), x0=np.ones(2), epochs=2)
+        assert trace.epochs_completed == 0
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            check(trace)
 
 
 class TestRateBound:

@@ -625,7 +625,8 @@ class TestCmdReport:
 
     def test_trace_without_a_completed_epoch(self, tmp_path, capsys):
         # relu_net whose step overflows at (0, 2): report writes the header
-        # of gamma.csv and x_0's criticality row, verify skips gamma
+        # of gamma.csv and x_0's criticality row, verify skips gamma and
+        # step_length
         cfg = write_config(
             tmp_path,
             problem={"kind": "relu_net", "n": 6, "p": 2, "seed": 1},
@@ -644,8 +645,10 @@ class TestCmdReport:
         assert (out / "gamma.csv").read_text() == "K,tau,gamma,ratio\n"
         crit = (out / "criticality.csv").read_text().splitlines()
         assert len(crit) == 2 and crit[1].startswith("0,")
-        assert main(["verify", "--trace", trace, "--checks", "gamma"]) == 0
-        assert "[SKIP] gamma: no completed epoch" in capsys.readouterr().out.splitlines()
+        assert main(["verify", "--trace", trace, "--checks", "gamma,step_length"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "[SKIP] gamma: no completed epoch" in lines
+        assert "[SKIP] step_length: no completed epoch" in lines
         assert sweep_checkpoints(0).tolist() == [0]
 
     @pytest.mark.parametrize(
