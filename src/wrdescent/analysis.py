@@ -50,13 +50,16 @@ per-K functions are its one-epoch case.  Step sums are ``math.fsum`` over
 Python floats and squared norms stacked matmuls (one ddot per row), so a
 range has the bits of the per-epoch formulas.  The preconditions, in this
 order, raise the reasons ``verify`` skips a check for: full records, a
-smooth problem, the range's epochs.
+smooth problem, the range's epochs.  A step-length range in which an
+epoch's lhs or rhs is not finite still reports its least slack, and names
+that epoch in the report's ``non_finite``, which ``verify`` skips as a
+numeric overflow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -78,6 +81,10 @@ class MarginReport:
     rel_slack: float
     ok: bool
     detail: dict = field(default_factory=dict)
+    # the first epoch of a range whose lhs or rhs is not finite, where no
+    # slack certifies anything (``verify`` skips the check as an overflow);
+    # set by the step-length check, and not part of repr or ==
+    non_finite: Optional[str] = field(default=None, repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -130,7 +137,8 @@ def _least_slack(name, epochs, lhs, rhs, denom, tol, detail) -> MarginReport:
     """The report at the first epoch of least relative slack, the one a scan
     keeping the least so far picks (so a NaN slack only as the first epoch's).
     lhs, rhs and denom hold one entry per epoch; ``detail(k)`` is the detail at entry k."""
-    rel = (rhs - lhs) / denom
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN slack, handled below
+        rel = (rhs - lhs) / denom
     k = 0 if np.isnan(rel[0]) else int(np.argmin(np.where(np.isnan(rel), np.inf, rel)))
     lhs, rhs, denom = float(lhs[k]), float(rhs[k]), float(denom[k])
     return _report(f"{name}[K={epochs[k]}]", lhs, rhs, tol, denom, detail(k))
@@ -180,16 +188,22 @@ def _step_length(trace: RunTrace, k_min: int, k_max: Optional[int], tol: float) 
             (slice(1, None, 2), trace.z[lo:hi]),
             (slice(2, None, 2), trace.zhat[lo:hi]),
         ):
-            sq[:, cols] = _dots(points - trace.xs[lo:hi, None, :])
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                sq[:, cols] = _dots(points - trace.xs[lo:hi, None, :])
         at = slice(lo - epochs.start, hi - epochs.start)
         argmax[at] = sq.argmax(axis=1)
         lhs[at] = sq.max(axis=1)
     rhs = n * _s2(trace, epochs)
     denom = np.where((rhs == 0.0) & (lhs == 0.0), 1.0, np.maximum(rhs, 1e-300))
     where = [("x_next", n)] + [(label, i) for i in range(1, n + 1) for label in ("z", "zhat")]
-    return _least_slack(
+    rep = _least_slack(
         "step_length", epochs, lhs, rhs, denom, tol, lambda k: {"argmax": where[argmax[k]]}
     )
+    bad = np.flatnonzero(~np.isfinite(lhs) | ~np.isfinite(rhs))
+    if bad.size:
+        k = bad[0]
+        rep = replace(rep, non_finite=f"lhs {lhs[k]}, rhs {rhs[k]} at K={epochs[k]}")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +445,16 @@ def certify_run(
     """
     problem = trace.problem
     _require_smooth(problem)
+    matched = trace.config.strategy.rate_params(problem)
+    if rule is not None and rule not in matched:
+        raise ValueError("strategy does not match this rate rule")
+    rules = list(matched) if rule is None else [rule]
+    if not rules:
+        raise ValueError("trace strategy matches no rate rule")
     if f_star is None:
         f_star = problem.f_star_lower
     if f_star is None:
         raise ValueError("no F* lower bound available")
-    matched = trace.config.strategy.rate_params(problem)
-    if rule is not None and rule not in matched:
-        raise ValueError(f"rule {rule!r} does not match the trace strategy")
-    rules = list(matched) if rule is None else [rule]
-    if not rules:
-        raise ValueError("trace strategy matches no rate rule")
 
     f0 = float(trace.f_vals[0])
     grad = trace.grad_sq[: trace.epochs_completed + 1]

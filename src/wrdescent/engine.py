@@ -28,7 +28,12 @@ rebuilds zhat through the policy (``eval_support``, or ``hull_point`` of
 ``eval_point``'s weights, pure functions of (policy, K, i)).  The engine
 and the loader ask ``eval_support`` once per epoch for all n supports and
 ``eval_point`` once for a ConvexMix epoch's n weight vectors; DelayedAsync
-delays and ConvexMix weights keep the bits of one Generator per step.
+delays and ConvexMix weights keep the bits of one Generator per step.  A
+ConvexMix epoch's weights form one lower-triangular (n, n) matrix, and
+its hull points the rows of one (n, p) accumulator: the engine adds each
+z_{K,j} to the rows of the later steps as soon as it is known
+(``hull_accumulate``), the loader the whole epoch in one stacked
+``hull_point`` call.
 
 A run advances in blocks of EPOCH_BLOCK epochs.  Per block, the query
 orders of a policy that needs no probe are drawn in one call (one
@@ -75,6 +80,7 @@ from .schedules import (
     PermutationPolicy,
     eval_point,
     eval_support,
+    hull_accumulate,
     hull_point,
     permutation,
 )
@@ -233,6 +239,13 @@ def _first_non_finite(rows) -> Optional[int]:
     return None if finite.all() else int(np.argmin(finite)) + 1
 
 
+def _hull_weights(policy: EvalPointPolicy, K: int, n: int) -> np.ndarray:
+    """Epoch K's hull weights as the lower-triangular (n, n) matrix whose
+    rows ``eval_point``'s weight vectors view: row i-1 holds step i's
+    weights over z_{K,0..i-1}."""
+    return eval_point(policy, K, range(1, n + 1))[0].base
+
+
 def run_epoch(
     trace: RunTrace, state: StepState, x: np.ndarray, K: int, order: Optional[list] = None
 ) -> np.ndarray:
@@ -266,21 +279,20 @@ def run_epoch(
         zhats, ds, zrows = trace.zhat[K], trace.d[K], trace.z[K]
     support = eval_support(eval_policy, K, n)
     zs = [x]
-    # a step without a single support point (ConvexMix) takes its hull point over z_{K,0..i-1}
+    # a step without a single support point (ConvexMix) takes its hull point
+    # over z_{K,0..i-1}: row i-1 of ``hull``, to which z_{K,j} is added as
+    # soon as it is known, with the weight of every later step
     hull = None
     if None in support:
-        weights = eval_point(eval_policy, K, range(1, n + 1))
-        hull = np.empty((n + 1, len(x)))
-        hull[0] = x
+        W = _hull_weights(eval_policy, K, n)
+        hull = np.full((n, len(x)), -0.0)
+        hull_accumulate(hull, W[:, 0], x)
     z = x
     alpha_first = alpha_last = math.nan
     alpha_acc = 0.0
     for i, idx in enumerate(order, start=1):
         j = support[i - 1]
-        if j is None:
-            zhat = hull_point(weights[i - 1], hull[:i])
-        else:
-            zhat = zs[j]
+        zhat = hull[i - 1] if j is None else zs[j]
         d = comps[idx].direction(zhat)
         dnorm2 = float(d.dot(d))  # the bits of d @ d, with less dispatch
         if not math.isfinite(dnorm2):
@@ -289,8 +301,8 @@ def run_epoch(
             alpha = step_value(strategy, state, K, i, dnorm2)
         z = z - alpha * d
         zs.append(z)
-        if hull is not None:
-            hull[i] = z
+        if hull is not None and i < n:
+            hull_accumulate(hull[i:], W[i:, i], z)
         if i == 1:
             alpha_first = alpha
         alpha_last = alpha
@@ -665,8 +677,7 @@ def _derive_iterates(trace: RunTrace) -> None:
     for K in range(N):
         support = eval_support(policy, K, n)
         if None in support:
-            weights = eval_point(policy, K, range(1, n + 1))
-            trace.zhat[K] = [hull_point(w, zs[K, :i]) for i, w in enumerate(weights, start=1)]
+            trace.zhat[K] = hull_point(_hull_weights(policy, K, n), zs[K, :n])
         else:
             trace.zhat[K] = zs[K, support]
 

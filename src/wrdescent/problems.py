@@ -13,9 +13,11 @@ The zoo has one class per kind (``ZOO_KINDS``), holding one data matrix
 with a row per component (logistic [a_i, b_i], sigmoid [a_i, c_i], median
 b_i, relu_net [x_i, y_i]) and its scalars.  It is the one place for the
 kind's row oracles, closed-form constants, full oracles and norms
-vectorized over the matrix (relu_net has none), random instance and
-serialization.  A component's oracles are ``functools.partial`` views of
-the row oracles with the row bound at build time.
+vectorized over the matrix (relu_net has none), row kernels (every
+component's value or direction at one point, with the bits of the row
+oracles), random instance and serialization.  A component's oracles are
+``functools.partial`` views of the row oracles with the row bound at build
+time.
 
 Conventions used by the built-in problem zoo:
   * sign(0) = 0 and relu'(0) = 0 (the usual autodiff selections);
@@ -34,6 +36,9 @@ import numpy as np
 
 # sup |sigma''| over R, attained at sigma = (3 +- sqrt(3))/6
 _SIGMOID_HESS_BOUND = 1.0 / (6.0 * math.sqrt(3.0))
+# components per row-kernel call of a direction sum, which bounds its
+# temporary at ROW_BLOCK x p
+ROW_BLOCK = 256
 
 
 class UnsupportedProblem(RuntimeError):
@@ -111,10 +116,15 @@ class FiniteSumProblem:
     oracles over its data matrix.  Those agree with the per-component
     definitions (the fsum mean of the values, the mean of the directions
     and their norms) to rounding: within 1e-12 relative, and for the
-    vectors 1e-12 M absolute.  Other problems loop over the components.
-    ``full_value`` and ``full_direction`` take a point (p,) or a stack of
-    points (m, p); a point is the stack with m = 1, and each row of a
-    stack has the bits of the point call.
+    vectors 1e-12 M absolute.  Otherwise ``full_value`` is exactly the
+    ``math.fsum`` of the component values over n, and ``full_direction``
+    the component directions added one at a time to 0.0 in index order,
+    over n; the rows come from the kind's row kernels (``row_values``,
+    ``row_directions``) when it has them, else from each component.
+    ``generator_set`` of a kind whose one generator per component is its
+    direction is that same sum.  ``full_value`` and ``full_direction``
+    take a point (p,) or a stack of points (m, p); a point is the stack
+    with m = 1, and each row of a stack has the bits of the point call.
     """
 
     components: tuple[ComponentOracle, ...]
@@ -155,13 +165,35 @@ class FiniteSumProblem:
             raise ValueError(f"points have shape {x.shape}, expected ({self.p},) or (m, {self.p})")
         return x.reshape(-1, self.p)
 
+    def _rows(self, oracle: str, x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """The ``oracle`` ("value" or "direction") of the components ``rows`` at x,
+        one row each, from the kind's row kernel when it has one."""
+        kernel = getattr(self.kind, f"row_{oracle}s", None)
+        if kernel is not None:
+            return kernel(x, rows)
+        return np.array([getattr(c, oracle)(x) for c in self.components[rows]], dtype=float)
+
+    def _direction_sum(self, x: np.ndarray) -> np.ndarray:
+        """d_1(x) + ... + d_n(x), added one at a time to 0.0 in index order.
+
+        ROW_BLOCK rows at a time, each block summed by one in-place
+        cumulative sum that starts from the sum so far, so the temporary
+        is one block of rows, not all n.
+        """
+        acc = np.zeros(self.p)  # the sum starts at 0.0, which makes a -0.0 of d_1 +0.0
+        for lo in range(0, self.n, ROW_BLOCK):
+            D = self._rows("direction", x, slice(lo, lo + ROW_BLOCK))
+            np.add(acc, D[0], out=D[0])
+            acc = np.cumsum(D, axis=0, out=D)[-1]
+        return acc
+
     def full_value(self, x: np.ndarray):
         """F(x) = (1/n) sum_i f_i(x): a float for a point (p,), one per row of a stack (m, p)."""
         X = self._check_points(x)
         if getattr(self.kind, "VECTORIZED", False):
             values = self.kind.full_values(X)
         else:
-            values = np.array([math.fsum(c.value(row) for c in self.components) / self.n for row in X])
+            values = np.array([math.fsum(self._rows("value", row)) / self.n for row in X])
         return float(values[0]) if np.ndim(x) == 1 else values
 
     def full_direction(self, x: np.ndarray) -> np.ndarray:
@@ -170,10 +202,9 @@ class FiniteSumProblem:
         if getattr(self.kind, "VECTORIZED", False):
             directions = self.kind.full_directions(X)
         else:
-            directions = np.zeros(X.shape)
+            directions = np.empty(X.shape)
             for acc, row in zip(directions, X):
-                for c in self.components:
-                    acc += c.direction(row)
+                acc[:] = self._direction_sum(row)
             directions /= self.n
         return directions[0] if np.ndim(x) == 1 else directions
 
@@ -193,6 +224,9 @@ class FiniteSumProblem:
         generators or the intermediate set exceeds ``max_size``.
         """
         x = self.check_point(x)
+        if self.kind is not None and type(self.kind).generators is ZooKind.generators:
+            # each component's one generator is its direction: the sum has one element
+            return [self._direction_sum(x) / self.n]
         sums = np.zeros((1, self.p))
         for idx, c in enumerate(self.components):
             if c.generators is None:
@@ -247,7 +281,10 @@ class ZooKind:
     entry, and ``draw(n, p, rng)``, the data of make_problem's instance.
     VECTORIZED kinds also answer the full oracles over the whole matrix:
     ``full_values(X)`` and ``full_directions(X)`` for each row of a stack
-    X (m, p) of points, and ``direction_norms(x)``.
+    X (m, p) of points, and ``direction_norms(x)``.  A kind may give row
+    kernels ``row_values(x, rows)`` and ``row_directions(x, rows)``, one
+    row per component of the slice ``rows`` (default all n), each with the
+    bits of that component's oracle at x.
     """
 
     KIND = ""
@@ -321,6 +358,11 @@ class _Labelled(ZooKind):
         # (m, p) of c @ A / n for each row c of C, one BLAS gemv per row like c @ A
         return (C[:, None, :] @ self.A[None])[:, 0, :] / self.n
 
+    def _row_products(self, x, rows: slice) -> list:
+        # a_i @ x of the rows as Python floats: a stack of BLAS ddot calls,
+        # each the bits of the row oracles' a_i.dot(x)
+        return (self.A[rows, None, :] @ x[None, :, None])[:, 0, 0].tolist()
+
 
 class Logistic(_Labelled):
     """Binary logistic loss f_i(x) = log(1 + exp(-b_i <a_i, x>)), b_i in {-1,+1}.
@@ -348,6 +390,10 @@ class Logistic(_Labelled):
     @staticmethod
     def direction(a, b, x) -> np.ndarray:
         return (-b * _expit(-b * float(a.dot(x)))) * a
+
+    def row_directions(self, x, rows: slice = slice(None)) -> np.ndarray:
+        coef = [-b * _expit(-b * t) for b, t in zip(self.v[rows].tolist(), self._row_products(x, rows))]
+        return np.array(coef)[:, None] * self.A[rows]
 
     def full_values(self, X) -> np.ndarray:
         return np.mean(np.logaddexp(0.0, -self.v * self._products(X)), axis=1)
@@ -389,6 +435,10 @@ class Sigmoid(_Labelled):
     def direction(a, c, x) -> np.ndarray:
         s = _expit(float(a.dot(x)) - c)
         return (s * (1.0 - s)) * a
+
+    def row_directions(self, x, rows: slice = slice(None)) -> np.ndarray:
+        s = [_expit(t - c) for c, t in zip(self.v[rows].tolist(), self._row_products(x, rows))]
+        return np.array([q * (1.0 - q) for q in s])[:, None] * self.A[rows]
 
     # exp overflows to inf where the sigmoid saturates to 0
     def full_values(self, X) -> np.ndarray:
@@ -477,7 +527,9 @@ class ReluNet(_Labelled):
     |w2^T relu(W1 x_i + b1) + b2 - y_i|, and data row i is [x_i, y_i].
     Directions are reverse-mode selections with relu'(0) = 0 and sign(0) =
     0.  M_i is a valid bound on the box ||theta||_inf <= box_radius only;
-    runs should monitor box exit.  No generators and no vectorized oracles.
+    runs should monitor box exit.  No generators.  The full oracles are
+    the exact per-component sums over the row kernels ``row_values`` and
+    ``row_directions``, which keep both selections bit for bit.
     """
 
     KIND = "relu_net"
@@ -519,10 +571,15 @@ class ReluNet(_Labelled):
         y = np.maximum(pre, 0.0) @ teacher[h * p + h : h * p + 2 * h] + teacher[-1]
         return np.column_stack([X, y])
 
+    def _params(self, theta):
+        # theta = (W1, b1, w2, b2) flattened
+        h, k = self.hidden, self.hidden * self.A.shape[1]
+        return theta[:k].reshape(h, -1), theta[k : k + h], theta[k + h : k + 2 * h], theta[-1]
+
     def _forward(self, xi, theta):
-        # theta = (W1, b1, w2, b2): the pre-activations W1 x_i + b1, w2 and b2
-        h, k = self.hidden, self.hidden * len(xi)
-        return theta[:k].reshape(h, len(xi)) @ xi + theta[k : k + h], theta[k + h : k + 2 * h], theta[-1]
+        # the pre-activations W1 x_i + b1, w2 and b2
+        W1, b1, w2, b2 = self._params(theta)
+        return W1 @ xi + b1, w2, b2
 
     def value(self, xi, yi, theta) -> float:
         pre, w2, b2 = self._forward(xi, theta)
@@ -534,6 +591,29 @@ class ReluNet(_Labelled):
         s = float(np.sign(w2 @ act + b2 - yi))
         gw2 = w2 * (pre > 0.0).astype(float)
         return s * np.concatenate([np.outer(gw2, xi).ravel(), gw2, act, [1.0]])
+
+    def _row_forward(self, theta, rows: slice):
+        # the pre-activations (m, hidden), activations, residuals and w2 of
+        # the rows: stacks of one BLAS gemv (W1 x_i) and one ddot
+        # (act_i . w2) per row, the bits of the row oracles' W1 @ x_i and w2 @ act
+        W1, b1, w2, b2 = self._params(theta)
+        pre = (W1[None] @ self.A[rows, :, None])[:, :, 0] + b1
+        act = np.maximum(pre, 0.0)
+        return pre, act, (act[:, None, :] @ w2[None, :, None])[:, 0, 0] + b2 - self.v[rows], w2
+
+    def row_values(self, theta, rows: slice = slice(None)) -> np.ndarray:
+        return np.abs(self._row_forward(theta, rows)[2])
+
+    def row_directions(self, theta, rows: slice = slice(None)) -> np.ndarray:
+        h, k = self.hidden, self.hidden * self.A.shape[1]
+        pre, act, residual, w2 = self._row_forward(theta, rows)
+        gw2 = w2 * (pre > 0.0)
+        m = len(pre)
+        D = np.empty((m, self.p))
+        D[:, :k] = (gw2[:, :, None] * self.A[rows, None, :]).reshape(m, k)
+        D[:, k : k + h], D[:, k + h : k + 2 * h], D[:, -1] = gw2, act, 1.0
+        D *= np.sign(residual)[:, None]
+        return D
 
 
 ZOO_KINDS = {cls.KIND: cls for cls in (Logistic, Sigmoid, Median, ReluNet)}

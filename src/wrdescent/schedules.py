@@ -238,10 +238,17 @@ class ConvexMix:
     def supports(self, K: int, n: int) -> list:
         return [None] * n
 
-    def weights(self, K: int, steps: range) -> list:
-        """Strictly positive Dirichlet hull weights for each step (K, i), i in ``steps``."""
+    def weights(self, K: int, steps: range) -> np.ndarray:
+        """Strictly positive Dirichlet hull weights of the steps (K, i), i in ``steps``.
+
+        Row r of the lower-triangular (len(steps), steps[-1]) result holds
+        the i = steps[r] weights of step i in its first i columns.
+        """
         keys = [(_TAG_MIX, K, i) for i in steps]
-        return [rng.dirichlet(np.ones(i)) for i, rng in zip(steps, counter_rngs(self.seed, keys))]
+        W = np.zeros((len(steps), steps[-1]))
+        for row, i, rng in zip(W, steps, counter_rngs(self.seed, keys)):
+            row[:i] = rng.dirichlet(np.ones(i))
+        return W
 
 
 EvalPointPolicy = Union[FullGradient, Incremental, MiniBatch, DelayedAsync, ConvexMix]
@@ -264,12 +271,14 @@ def eval_point(policy: EvalPointPolicy, K: int, i):
     """Hull weights over (z_{K,0}, ..., z_{K,i-1}): nonnegative, summing to 1.
 
     A range of steps 1 <= i <= n (such as range(1, n + 1)) gives a list of
-    each step's weights, as one call per step would.
+    each step's weights, as one call per step would.  A policy without
+    single support points (ConvexMix) gives them as views of the rows of
+    one lower-triangular matrix, their common ``base``.
     """
     steps = i if isinstance(i, range) else range(i, i + 1)
     support = eval_support(policy, K, steps[-1])
     if None in support:
-        weights = policy.weights(K, steps)
+        weights = [row[:s] for row, s in zip(policy.weights(K, steps), steps)]
     else:
         weights = [np.zeros(s) for s in steps]
         for s, w in zip(steps, weights):
@@ -277,25 +286,48 @@ def eval_point(policy: EvalPointPolicy, K: int, i):
     return weights if isinstance(i, range) else weights[0]
 
 
+def hull_accumulate(acc: np.ndarray, column: np.ndarray, point: np.ndarray) -> None:
+    """acc[r] += column[r] * point for every r whose weight column[r] is nonzero.
+
+    One pass over the rows of ``acc`` (m, p); zero weights are skipped, not
+    multiplied, so an inf or NaN point they weigh changes nothing.
+    """
+    nonzero = column != 0.0
+    if nonzero.all():  # strictly positive weights (ConvexMix) need no mask
+        acc += column[:, None] * point
+        return
+    # the products left out are never read: the add skips the same entries
+    mask = nonzero[:, None]
+    np.add(acc, np.multiply(column[:, None], point, out=None, where=mask), out=acc, where=mask)
+
+
 def hull_point(weights: np.ndarray, points) -> np.ndarray:
     """Combination sum_j weights[j] * points[j], accumulated in increasing j.
 
     ``points`` is a sequence of vectors or an array with one row per point.
-    The terms weights[j] * points[j] of the nonzero weights are summed with
-    one cumulative sum, which adds them one at a time in index order, the
-    order of a left-to-right loop (``sum(axis=0)`` may pair them
-    differently).  A single unit weight returns a copy of its point.  The
-    engine calls this for policies without a single support point, and
-    ``load_trace`` calls it to rebuild zhat from eval_point(policy, K, i)
-    and z_{K,0..i-1}, bit for bit; traces do not store weights or zhat.
+    A 2-D ``weights`` (m, k) gives one combination per row, (m, p).  The
+    sum starts at -0.0, and the terms of the nonzero weights are added to
+    it column by column (``hull_accumulate``), one at a time in index
+    order, the order of a left-to-right loop (``sum(axis=0)`` may pair
+    them differently).  Since -0.0 + t = t for every t, the first term
+    enters unrounded, and a single unit weight gives its point's bits.
+    The engine accumulates an epoch's hull points this way as its iterates
+    appear, and ``load_trace`` calls this with the epoch's lower-triangular
+    weight matrix to rebuild zhat from eval_point(policy, K, i) and
+    z_{K,0..i-1}, bit for bit; traces do not store weights or zhat.
     """
-    nz = np.flatnonzero(weights)
-    if nz.size == 0:
+    W = np.asarray(weights, dtype=float)
+    rows = W.reshape(-1, W.shape[-1])
+    if not rows.any(axis=1).all():
         raise ValueError("weights must have at least one nonzero entry")
-    if nz.size == 1 and weights[nz[0]] == 1.0:
-        return points[nz[0]].copy()
-    # the last partial sum, copied so the (k, p) array of partial sums is freed
-    return np.cumsum(weights[nz, None] * np.asarray(points)[nz], axis=0)[-1].copy()
+    acc = np.full(W.shape[:-1] + np.shape(points[0]), -0.0)
+    stacked = acc.reshape(len(rows), -1)
+    for j in range(rows.shape[1]):
+        nonzero = np.flatnonzero(rows[:, j])
+        if nonzero.size:  # the rows above a column's first nonzero weight skip it
+            lo = nonzero[0]
+            hull_accumulate(stacked[lo:], rows[lo:, j], points[j])
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,21 @@ _PROPERTY_STRATEGIES = ["constant", "sqrt", "cbrt", "adaptive", "aborted"]
 
 
 class TestRangeChecks:
+    def test_step_length_names_the_first_non_finite_epoch(self):
+        # the growing run's squares overflow in its last epochs: the report
+        # stays the per-epoch scan's, at an earlier epoch, and non_finite
+        # names the first epoch whose lhs or rhs is not finite
+        trace = _property_run("aborted", wd.Incremental(), wd.Identity(), 60, False)
+        with np.errstate(all="ignore"):
+            refs = [_ref_step_length(trace, K) for K in range(trace.epochs_completed)]
+            rep = wd.check_step_length_bound_trace(trace)
+        bad = [K for K, r in enumerate(refs) if not (math.isfinite(r.lhs) and math.isfinite(r.rhs))]
+        assert bad and rep.name != f"step_length[K={bad[0]}]"
+        assert rep.non_finite == f"lhs {refs[bad[0]].lhs}, rhs {refs[bad[0]].rhs} at K={bad[0]}"
+        assert "non_finite" not in repr(rep)
+        finite = make_run(wd.make_problem("logistic", 4, 2, 6), wd.Constant(0.1, 4), epochs=3)
+        assert wd.check_step_length_bound_trace(finite).non_finite is None
+
     @pytest.mark.parametrize("eval_policy", EVAL_CASES, ids=lambda c: c.VARIANT)
     @given(
         strategy=st.sampled_from(_PROPERTY_STRATEGIES),

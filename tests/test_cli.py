@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -12,7 +13,7 @@ from pytest import approx
 
 import wrdescent as wd
 from conftest import decode_payload, encode_payload, section_payload, with_payload
-from wrdescent.cli import KNOWN_CHECKS, fit_loglog_slope, main, sweep_checkpoints
+from wrdescent.cli import KNOWN_CHECKS, _verify_one, fit_loglog_slope, main, sweep_checkpoints
 from wrdescent.config import ExperimentConfig, load_config, save_config
 from wrdescent.engine import VARIANT_SECTIONS
 
@@ -364,6 +365,49 @@ class TestCmdVerify:
         assert code == 0
         assert "[SKIP] gamma: numeric overflow: taus[2] is inf" in capsys.readouterr().out.splitlines()
         assert json.loads((out / "certificate.json").read_text())["gamma"]["status"] == "skip"
+
+    def test_overflowing_step_length_squares_skipped(self, tmp_path, capsys):
+        # relu_net under alpha = 1e100 leaves the box at once: the squared
+        # step lengths and n * S2 are inf from epoch 0, where inf - inf
+        # would give a NaN slack
+        cfg = write_config(
+            tmp_path,
+            problem={"kind": "relu_net", "n": 6, "p": 2, "seed": 1},
+            strategy={"variant": "constant", "alpha": 1e100},
+            perm_policy={"variant": "adversarial"},
+            x0={"kind": "ball", "radius": 0.5, "seed": 1},
+            epochs=4,
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would end verify here
+            code = main(["verify", "--trace", str(out / "trace.txt"), "--checks", "step_length"])
+        assert code == 0
+        reason = "numeric overflow: lhs inf, rhs inf at K=0"
+        assert capsys.readouterr().out.splitlines() == [f"[SKIP] step_length: {reason}"]
+        report = json.loads((out / "certificate.json").read_text())
+        assert report == {"step_length": {"status": "skip", "detail": reason}}
+
+    @pytest.mark.parametrize(
+        "kind, f_star, check, reason",
+        [
+            ("median", 0.0, "bound_constant", "needs a smooth problem"),
+            ("logistic", None, "bound_adaptive", "strategy does not match this rate rule"),
+            ("logistic", None, "bound_constant", "no F* lower bound available"),
+        ],
+    )
+    def test_bound_skip_reasons_come_from_certify_run(self, kind, f_star, check, reason):
+        # certify_run raises verify's reasons in verify's order: a smooth
+        # problem, a matching rate rule, then an F* lower bound
+        problem = dataclasses.replace(wd.make_problem(kind, 2, 1, 3), f_star_lower=f_star)
+        config = wd.RunConfig(problem, wd.Constant(0.5, 2), wd.Incremental(), wd.Identity(), np.zeros(1), 3)
+        trace = wd.run(config)
+        for call in (lambda: wd.certify_run(trace, check[len("bound_"):]), lambda: _verify_one(trace, check)):
+            with pytest.raises((ValueError, wd.UnsupportedProblem)) as err:
+                call()
+            assert str(err.value) == reason
 
     def test_known_checks_pinned(self):
         assert KNOWN_CHECKS == (

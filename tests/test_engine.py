@@ -28,6 +28,7 @@ from wrdescent.engine import (
     variant_to_dict,
 )
 from wrdescent.problems import PROBLEM_KINDS
+from test_schedules import reference_hull_point
 
 
 def zero_problem(p=2):
@@ -410,6 +411,35 @@ class TestReplay:
             for i, zhat in enumerate(trace.zhat[K], start=1):
                 weights = wd.eval_point(policy, K, i)
                 assert np.array_equal(wd.hull_point(weights, zs[:i]), zhat)
+
+    @pytest.mark.parametrize("kind, n, p", [("logistic", 40, 3), ("relu_net", 12, 2), ("median", 7, 2)])
+    def test_convex_mix_zhat_is_the_cumulative_sum(self, kind, n, p):
+        # each step's evaluation point, as the direction oracle receives it
+        # at either record level and as a full record holds it, has the bits
+        # of the cumulative-sum hull point of eval_point's weights over
+        # z_{K,0..i-1}
+        prob = wd.make_problem(kind, n, p, 4)
+        policy = wd.ConvexMix(9)
+        x0 = np.random.default_rng(4).standard_normal(prob.p)
+        x0[0] = -0.0  # zhat_{0,0} = x_0 keeps its sign of zero
+        full = make_run(prob, wd.Adaptive.recommended(n), eval_policy=policy, epochs=3, x0=x0)
+        expected = []
+        for K in range(full.epochs_completed):
+            zs = np.concatenate([full.xs[K : K + 1], full.z[K]])
+            for i in range(1, n + 1):
+                expected.append(reference_hull_point(wd.eval_point(policy, K, i), zs[:i]))
+        assert np.concatenate(full.zhat).tobytes() == np.array(expected).tobytes()
+        for level in ("full", "epoch_only"):
+            queried = []
+            comps = tuple(
+                dataclasses.replace(c, direction=lambda x, f=c.direction: queried.append(x.copy()) or f(x))
+                for c in prob.components
+            )
+            recorded = dataclasses.replace(prob, components=comps)
+            trace = make_run(recorded, wd.Adaptive.recommended(n), eval_policy=policy, epochs=3,
+                             record_level=level, x0=x0, track_objective=False)
+            assert trace.xs.tobytes() == full.xs.tobytes()
+            assert np.array(queried).tobytes() == np.array(expected).tobytes(), level
 
     def test_epoch_only_trace_replays(self):
         prob = wd.make_problem("logistic", 4, 2, 3)

@@ -1,15 +1,16 @@
 import json
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
 import wrdescent as wd
-from wrdescent.problems import PROBLEM_KINDS, _expit
+from wrdescent.problems import PROBLEM_KINDS, ReluNet, _expit, _labelled
 
 
 def logistic_pair():
@@ -305,6 +306,115 @@ def test_kind_oracles_match_their_definitions(kind, n, p, seed, scale):
     assert prob.full_value(x) == approx(math.fsum(values) / n, rel=1e-12)
     np.testing.assert_allclose(prob.full_direction(x), np.mean(directions, axis=0), **tol)
     np.testing.assert_allclose(prob.direction_norms(x), np.linalg.norm(directions, axis=1), **tol)
+
+
+def _relu_instance(rng, n, p_in, hidden, scale):
+    """A ReluNet and a parameter point at which some pre-activations and
+    some residuals are exactly 0: zero data entries, zero rows of W1 with
+    zero biases, and targets y_i set to the network's output."""
+    X = rng.standard_normal((n, p_in))
+    X[rng.random((n, p_in)) < 0.2] = 0.0
+    kind = ReluNet(_labelled(X, rng.standard_normal(n)), 1, hidden)
+    theta = scale * rng.standard_normal(kind.p)
+    k = hidden * p_in
+    dead = rng.random(hidden) < 0.3
+    theta[:k].reshape(hidden, p_in)[dead] = 0.0
+    theta[k : k + hidden][dead] = 0.0
+    # targets on the network: the residual of those rows is exactly 0
+    w1, b1 = theta[:k].reshape(hidden, p_in), theta[k : k + hidden]
+    w2, b2 = theta[k + hidden : k + 2 * hidden], theta[-1]
+    outputs = [float(w2 @ np.maximum(w1 @ x + b1, 0.0) + b2) for x in X]
+    y = np.where(rng.random(n) < 0.3, outputs, kind.v)
+    return ReluNet(_labelled(X, y), 1, hidden), theta
+
+
+@given(
+    st.sampled_from(["logistic", "sigmoid_nonconvex", "relu_net"]),
+    st.sampled_from([(1, 1), (7, 2), (32, 5), (300, 4)]),
+    st.sampled_from([1, 2, 3, 8, 16]),
+    st.sampled_from([0.0, 1e-3, 1.0, 30.0]),
+    st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_row_kernels_have_the_bits_of_the_reference_oracles(kind, shape, hidden, scale, seed):
+    # row i of each kernel is REFERENCE_ORACLES' f_i(x) or d_i(x) bit for
+    # bit, relu'(0) = 0 at zero pre-activations and sign(0) = 0 at zero
+    # residuals included: each product is one BLAS ddot or gemv per row
+    n, p = shape
+    rng = np.random.default_rng(seed)
+    if kind == "relu_net":
+        zoo, x = _relu_instance(rng, n, p, hidden, scale)
+        reference = partial(_reference_relu, hidden=hidden)
+    else:
+        zoo = wd.make_problem(kind, n, p, seed).kind
+        x, reference = scale * rng.standard_normal(p), REFERENCE_ORACLES[kind]
+    rows = [reference(row, x) for row in zoo.data]
+    directions = np.array([d for _, d in rows])
+    assert zoo.row_directions(x).tobytes() == directions.tobytes()
+    block = slice(n // 3, n // 3 + 5)  # the rows of a block are those rows of the whole
+    assert zoo.row_directions(x, block).tobytes() == directions[block].tobytes()
+    if kind == "relu_net":
+        values = np.array([v for v, _ in rows])
+        assert zoo.row_values(x).tobytes() == values.tobytes()
+        assert zoo.row_values(x, block).tobytes() == values[block].tobytes()
+
+
+@given(
+    st.sampled_from([(1, 1), (7, 2), (40, 3), (300, 2)]),
+    st.sampled_from([1, 3, 8]),
+    st.sampled_from([0.0, 1e-3, 1.0, 30.0]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=40, deadline=None)
+def test_relu_full_oracles_are_the_component_sums(shape, hidden, scale, m, seed):
+    # F is the fsum of the component values over n and the full direction
+    # the component directions added to 0.0 in index order, over n, bit
+    # for bit, at a point and at every row of a stack (n = 300 spans two
+    # ROW_BLOCKs of the direction sum)
+    n, p = shape
+    rng = np.random.default_rng(seed)
+    zoo, theta = _relu_instance(rng, n, p, hidden, scale)
+    prob = zoo.problem()
+    stack = np.concatenate([theta[None], scale * rng.standard_normal((m - 1, prob.p))])
+    values, directions = prob.full_value(stack), prob.full_direction(stack)
+    for x, value, direction in zip(stack, values, directions):
+        acc = 0.0
+        for c in prob.components:
+            acc = acc + c.direction(x)
+        expected = acc / n
+        assert value == math.fsum(c.value(x) for c in prob.components) / n
+        assert direction.tobytes() == expected.tobytes()
+        assert prob.full_value(x) == value and prob.full_direction(x).tobytes() == expected.tobytes()
+
+
+def _reference_generator_set(problem, x):
+    """The enumerated generator set: sums of one generator per component,
+    deduplicated with np.unique after every component, over n."""
+    sums = np.zeros((1, problem.p))
+    for c in problem.components:
+        gens = np.asarray(c.generators(x), dtype=float).reshape(-1, problem.p)
+        sums = np.unique((sums[:, None, :] + gens[None, :, :]).reshape(-1, problem.p), axis=0)
+    return sums / problem.n
+
+
+@given(
+    st.sampled_from(["logistic", "sigmoid_nonconvex", "median"]),
+    st.sampled_from([(1, 1), (4, 3), (32, 5), (300, 50)]),
+    st.sampled_from([0.0, 1e-3, 1.0, 100.0]),
+    st.integers(min_value=0, max_value=10_000),
+)
+# no shrinking: a failure is already small in its four draws, and shrinking
+# one at n = 300 reruns the enumeration for minutes
+@settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_generator_sets_are_the_enumerated_sums(kind, shape, scale, seed):
+    # smooth kinds sum their row kernel's directions; median enumerates
+    n, p = shape
+    if kind == "median":
+        n = min(n, 32)
+    prob = wd.make_problem(kind, n, p, seed)
+    x = scale * np.random.default_rng(seed).standard_normal(p)
+    assert np.array(prob.generator_set(x)).tobytes() == _reference_generator_set(prob, x).tobytes()
 
 
 class TestSerialization:

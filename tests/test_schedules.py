@@ -169,6 +169,94 @@ class TestHullPoint:
             assert np.array_equal(hull_point(w, list(pts)), acc)
 
 
+def reference_hull_point(weights, points):
+    """The cumulative-sum definition of a hull point: the terms of the
+    nonzero weights summed in index order, a single unit weight's point
+    copied."""
+    nz = np.flatnonzero(weights)
+    if nz.size == 0:
+        raise ValueError("weights must have at least one nonzero entry")
+    if nz.size == 1 and weights[nz[0]] == 1.0:
+        return points[nz[0]].copy()
+    return np.cumsum(weights[nz, None] * np.asarray(points)[nz], axis=0)[-1].copy()
+
+
+_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e-308]
+
+
+@st.composite
+def _hull_cases(draw):
+    """(W, points): an (n, n) lower-triangular weight matrix, row r over
+    points 0..r, and n points of p entries, with exact zero weights, rows
+    of one unit weight and points holding +-0.0, infinities and NaN."""
+    n, p = draw(st.integers(1, 64)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-5, 6, size=(n, p))
+    special = rng.random((n, p)) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    points[special] = rng.choice(_SPECIALS, size=int(special.sum()))
+    W = np.zeros((n, n))
+    zero_share = draw(st.sampled_from([0.0, 0.2, 0.6]))
+    for r in range(n):
+        if rng.random() < 0.2:
+            W[r, rng.integers(r + 1)] = 1.0
+            continue
+        w = rng.dirichlet(np.ones(r + 1))
+        w[rng.random(r + 1) < zero_share] = 0.0
+        if not w.any():
+            w[r] = rng.random() + 0.5
+        W[r, : r + 1] = w
+    return W, points
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit for bit, signed zeros and infinities included, except that
+    any NaN equals any NaN: IEEE 754 leaves open which NaN a sum of two NaNs
+    keeps, and NumPy's add loops differ there."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@given(_hull_cases())
+@settings(max_examples=80, deadline=None)
+def test_hull_points_match_the_cumulative_sum(case):
+    # the stacked call, one row at a time and the engine's interleaved
+    # accumulation (each point added to the later rows as it appears) all
+    # have the bits of the cumulative sum
+    W, points = case
+    n = len(W)
+    with np.errstate(all="ignore"):
+        expected = np.array([reference_hull_point(W[r, : r + 1], points[: r + 1]) for r in range(n)])
+        assert same_bits(hull_point(W, points), expected)
+        assert same_bits(hull_point(W, list(points)), expected)
+        for r in range(n):
+            assert same_bits(hull_point(W[r, : r + 1], points[: r + 1]), expected[r])
+        acc = np.full(points.shape, -0.0)
+        for j in range(n):
+            schedules.hull_accumulate(acc[j:], W[j:, j], points[j])
+            # rows 0..j are complete once point j is in
+            assert same_bits(acc[: j + 1], expected[: j + 1])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_hull_point_rejects_all_zero_weights(n):
+    points = np.ones((n, 2))
+    with pytest.raises(ValueError, match="at least one nonzero"):
+        hull_point(np.zeros(n), points)
+    W = np.tril(np.ones((n, n)))
+    W[n - 1] = 0.0
+    with pytest.raises(ValueError, match="at least one nonzero"):
+        hull_point(W, points)
+
+
+def test_zero_weights_skip_non_finite_points():
+    points = np.array([[np.inf, np.nan], [-0.0, 2.0], [3.0, -0.0]])
+    w = np.array([0.0, 1.0, 0.0])
+    assert hull_point(w, points).tobytes() == np.array([-0.0, 2.0]).tobytes()
+    w = np.array([0.0, 0.25, 0.75])
+    assert hull_point(w, points).tobytes() == reference_hull_point(w, points).tobytes()
+
+
 class TestPermutation:
     def test_identity(self):
         assert permutation(wd.Identity(), 0, 3).tolist() == [0, 1, 2]
