@@ -43,17 +43,23 @@ row with the bits of a call at that node alone.  Per epoch, a prescribed
 step rule gives its one step size once (``epoch_step``); only the
 adaptive rule is asked at each step.
 
-Replay re-runs the configuration and compares the arrays one by one.  Runs
-are deterministic functions of their configuration (all randomness is
-counter-based off explicit seeds).  A non-finite value aborts the run at
-the first step (K, i) where ||d||^2, or an entry of z_{K,i}, is not
-finite; completed epochs are retained.  ||d||^2 is tested at each step,
-before the step rule reads it; the iterates once per epoch, through
-z_{K,n}, which a non-finite entry of an earlier iterate reaches, or
-earlier when a non-finite ||d||^2 makes the engine look back for one.  The
-adversarial order probes ||d_i(x_K)|| with one direction_norms call per
-epoch, vectorized over the data matrix for the logistic, sigmoid and
-median problems.  The engine also monitors ||x_K||_inf against an optional
+Runs are deterministic functions of their configuration (all randomness
+is counter-based off explicit seeds).  Replay checks a full, complete
+record without re-running it: every recorded step must be the engine's
+step of its own recorded inputs, in stacked row-kernel passes per block
+(``_check_record``).  That rests on a property of the BLAS kernel, not
+of IEEE arithmetic: a row of a stacked product has the bits of the point
+call.  So the check only ever accepts; when it fails, and for other
+records, replay re-runs the configuration and compares the arrays one by
+one.  A non-finite value aborts the run at the first step (K, i) where
+||d||^2, or an entry of z_{K,i}, is not finite; completed epochs are
+retained.  ||d||^2 is tested at each step, before the step rule reads it;
+the iterates once per epoch, through z_{K,n}, which a non-finite entry of
+an earlier iterate reaches, or earlier when a non-finite ||d||^2 makes the
+engine look back for one.  The adversarial order probes ||d_i(x_K)|| with
+one direction_norms call per epoch, vectorized over the data matrix for
+the logistic, sigmoid and median problems, from the row kernel for
+relu_net.  The engine also monitors ||x_K||_inf against an optional
 radius and flags the first excursion (constants of box-local problems
 are only valid inside the box).
 """
@@ -66,12 +72,12 @@ import math
 import platform
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .problems import FiniteSumProblem, data_shape, problem_from_dict, problem_to_dict
+from .problems import ROW_BLOCK, FiniteSumProblem, data_shape, problem_from_dict, problem_to_dict
 from .schedules import (
     EVAL_POLICIES,
     PERM_POLICIES,
@@ -86,6 +92,7 @@ from .schedules import (
 )
 from .steps import (
     STRATEGIES,
+    Adaptive,
     StepState,
     StepStrategy,
     epoch_anchor,
@@ -408,17 +415,161 @@ def _node_location(k: int, n: int) -> tuple:
     return (k - 1, n) if k else (0, 0)
 
 
-def replay(trace: RunTrace) -> ReplayReport:
-    """Re-run the trace's config and compare every array bitwise.
+def _same(new, old) -> bool:
+    """Whether two float arrays hold the same bits, NaN equal to NaN."""
+    new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+    if new.shape != old.shape:
+        return False
+    bits = new.view(np.int64) == old.view(np.int64)
+    return bool(bits.all() or (bits | np.isnan(new) & np.isnan(old)).all())
 
-    Works at both record levels.  The first mismatch in run order is
-    reported as (K, i, field), which localizes trace corruption: by epoch
-    K, then by step i in the order of INNER_FIELDS, then the epoch's end
-    at i = n in the order x_{K+1} (xs), f_vals, grad_sq, alpha_first,
-    alpha_last, alpha_sum, v_end.  Node 0 reports (0, 0, field).  A
-    differing ``aborted_at`` reports where the earlier abort happened, a
-    differing ``bound_exceeded_at`` the earlier node.
+
+def _block_matches(trace: RunTrace, block: range) -> bool:
+    """Whether every inner step of the epochs ``block`` is the engine's step
+    from its recorded inputs, and the block's epoch series its own.
+
+    Steps are taken ROW_BLOCK at a time, in run order across the block's
+    epochs, so each temporary holds at most ROW_BLOCK rows.
     """
+    config = trace.config
+    problem, strategy, policy = config.problem, config.strategy, config.eval_policy
+    n = problem.n
+    Ks = slice(block.start, block.stop)
+    if config.perm_policy.needs_probe:
+        orders = [permutation(config.perm_policy, K, n, probe=problem.direction_norms(trace.xs[K])) for K in block]
+    else:
+        orders = permutation(config.perm_policy, block, n)
+    if not np.array_equal(orders, trace.index[Ks]):
+        return False  # which also keeps an out-of-range index from the direction kernels
+    xs_next = trace.xs[block.start + 1 : block.stop + 1]
+    if not (np.isfinite(xs_next).all() and _same(trace.z[Ks, -1], xs_next)):
+        return False
+    adaptive = isinstance(strategy, Adaptive)
+    alphas = trace.alpha[Ks]
+    # each epoch's alpha_sum is 0.0 plus its step sizes, one at a time
+    sums = np.add.accumulate(np.column_stack([np.zeros(len(block)), alphas]), axis=1)[:, -1]
+    v_end = trace.v[Ks, -1] if adaptive else np.full(len(block), math.nan)
+    series = (alphas[:, 0], alphas[:, -1], sums, v_end)
+    if not all(_same(new, getattr(trace, name)[Ks]) for name, new in zip(EPOCH_SERIES, series)):
+        return False
+
+    supports = [eval_support(policy, K, n) for K in block]
+    hull = [None in support for support in supports]
+    support = np.array([[0] * n if h else s for s, h in zip(supports, hull)])
+    prescribed = None if adaptive else np.array([strategy.prescribed_value(K) for K in block])
+
+    def iterates(K, j):
+        # the recorded z_{K[r],j[r]} of each row r: x_K at j = 0, else z[K, j-1]
+        out = trace.z[K, j - 1]
+        start = j == 0
+        out[start] = trace.xs[K[start]]
+        return out
+
+    hulls = {}  # the current hull epoch's points, from its (n, n) weights as in run and load_trace
+    for q0 in range(block.start * n, block.stop * n, ROW_BLOCK):
+        # steps q0.. in run order, as (epoch, column) pairs: each array a copy of these rows alone
+        q = np.arange(q0, min(q0 + ROW_BLOCK, block.stop * n))
+        K, r = np.divmod(q, n)
+        zhat, d, dnorm2 = trace.zhat[K, r], trace.d[K, r], trace.dnorm2[K, r]
+        alpha, v = trace.alpha[K, r], trace.v[K, r]
+        # evaluation points: an iterate of the epoch, or the hull point of its weights
+        expected = iterates(K, support[K - block.start, r])
+        for k in range(int(K[0]), int(K[-1]) + 1) if any(hull) else ():
+            if hull[k - block.start]:
+                if k not in hulls:
+                    hulls = {k: hull_point(_hull_weights(policy, k, n), [trace.xs[k], *trace.z[k, :-1]])}
+                rows = K == k
+                expected[rows] = hulls[k][r[rows]]
+        if not (
+            _same(expected, zhat)
+            and _same(problem.row_directions(zhat, trace.index[K, r]), d)
+            and np.isfinite(dnorm2).all()
+            and _same((d[:, None, :] @ d[:, :, None])[:, 0, 0], dnorm2)
+        ):
+            return False
+        if adaptive:
+            v_prev = trace.v[np.divmod(np.maximum(q - 1, 0), n)]
+            if q0 == 0:
+                v_prev[0] = strategy.delta
+            steps = _same(v_prev + strategy.beta * dnorm2, v) and _same(
+                [strategy.step_size(value) for value in v.tolist()], alpha
+            )
+        else:
+            steps = np.isnan(v).all() and _same(prescribed[K - block.start], alpha)
+        if not (steps and _same(iterates(K, r) - alpha[:, None] * d, trace.z[K, r])):
+            return False
+    return True
+
+
+def _check_record(trace: RunTrace) -> bool:
+    """Whether a full record is its config's run, checked step by step.
+
+    Only a full record of config.epochs epochs without an abort is
+    checked.  Each step's recorded outputs must be the engine's step of its
+    recorded inputs, bit for bit (NaN equal to NaN), and x_0 the config's;
+    by induction over the steps the record is then the run.  The checks,
+    per block of EPOCH_BLOCK epochs as ``run`` draws and evaluates them:
+
+      * index is the drawn order (an adversarial one probed at the recorded x_K);
+      * zhat is the policy's point of the recorded z_{K,0..n-1};
+      * d is the stacked row kernel at (index, zhat), dnorm2 each row's ddot
+        of d, and every dnorm2 and x_{K+1} finite, as the run tests them;
+      * alpha is prescribed_value(K), or v is the recorded previous v (delta
+        at the start) plus beta * dnorm2 and alpha Adaptive.step_size(v);
+      * z is the recorded z_{K,i-1} - alpha * d and z_{K,n} is x_{K+1};
+      * the epoch series are those of the steps (alpha_sum added in order
+        from 0.0), and the node series and box exit ``_track_nodes`` of the
+        recorded xs.
+
+    That a stacked kernel row has the bits of the point call is a property
+    of the BLAS kernel, not of IEEE arithmetic, so the check only ever
+    accepts: a False, or a value it cannot evaluate, proves nothing, and
+    ``replay`` then re-runs.  Never raises.
+    """
+    config = trace.config
+    N = config.epochs
+    if trace.alpha is None or trace.aborted_at is not None or trace.epochs_completed != N:
+        return False
+    try:
+        if not _same(trace.xs[0], config.x0):
+            return False
+        unset = np.full(N + 1, math.nan)
+        nodes = replace(trace, f_vals=unset, grad_sq=unset.copy(), bound_exceeded_at=None)
+        tracked = 0
+        with np.errstate(all="ignore"):
+            for start in range(0, N, EPOCH_BLOCK):
+                block = range(start, min(start + EPOCH_BLOCK, N))
+                if not _block_matches(trace, block):
+                    return False
+                _track_nodes(nodes, tracked, block[-1] + 1)
+                tracked = block[-1] + 2
+        return (
+            _same(nodes.f_vals, trace.f_vals)
+            and _same(nodes.grad_sq, trace.grad_sq)
+            and nodes.bound_exceeded_at == trace.bound_exceeded_at
+        )
+    except Exception:
+        # the oracles, custom ones included, ran on recorded values that may
+        # be corrupt: whatever they raise leaves the record to the re-run
+        return False
+
+
+def replay(trace: RunTrace) -> ReplayReport:
+    """Check the record against its config; re-run only when the check fails.
+
+    A full, complete record passes when every step is the engine's step of
+    its recorded inputs (``_check_record``): ReplayReport(True) without a
+    re-run.  Otherwise, and at the epoch_only level, replay re-runs the
+    config and compares every array bitwise.  The first mismatch in run
+    order is reported as (K, i, field), which localizes trace corruption:
+    by epoch K, then by step i in the order of INNER_FIELDS, then the
+    epoch's end at i = n in the order x_{K+1} (xs), f_vals, grad_sq,
+    alpha_first, alpha_last, alpha_sum, v_end.  Node 0 reports (0, 0,
+    field).  A differing ``aborted_at`` reports where the earlier abort
+    happened, a differing ``bound_exceeded_at`` the earlier node.
+    """
+    if _check_record(trace):
+        return ReplayReport(True)
     fresh = run(trace.config)
     n = trace.problem.n
     found = []
@@ -718,6 +869,9 @@ def load_trace(path) -> RunTrace:
     if full:
         shapes.update({"#INDEX": (epochs, n), "#INNER": (epochs, n, 3 + p)})
     arrays = {name: _decode_section(name, payloads[name], shape, n) for name, shape in shapes.items()}
+    # the lines hold every section's base64 text; released here, they are
+    # not live beside the record's arrays, which bounds the load's peak
+    del lines, payloads
 
     trace = _new_trace(config, epochs)
     trace.aborted_at, trace.bound_exceeded_at = aborted, header["bound_exceeded_at"]

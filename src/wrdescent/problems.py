@@ -13,11 +13,11 @@ The zoo has one class per kind (``ZOO_KINDS``), holding one data matrix
 with a row per component (logistic [a_i, b_i], sigmoid [a_i, c_i], median
 b_i, relu_net [x_i, y_i]) and its scalars.  It is the one place for the
 kind's row oracles, closed-form constants, full oracles and norms
-vectorized over the matrix (relu_net has none), row kernels (every
-component's value or direction at one point, with the bits of the row
-oracles), random instance and serialization.  A component's oracles are
-``functools.partial`` views of the row oracles with the row bound at build
-time.
+vectorized over the matrix (relu_net has none), row kernels (components'
+values or directions at one point or at a stack of points, one point per
+row, with the bits of the row oracles), random instance and
+serialization.  A component's oracles are ``functools.partial`` views of
+the row oracles with the row bound at build time.
 
 Conventions used by the built-in problem zoo:
   * sign(0) = 0 and relu'(0) = 0 (the usual autodiff selections);
@@ -165,13 +165,26 @@ class FiniteSumProblem:
             raise ValueError(f"points have shape {x.shape}, expected ({self.p},) or (m, {self.p})")
         return x.reshape(-1, self.p)
 
-    def _rows(self, oracle: str, x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    def _rows(self, oracle: str, x: np.ndarray, rows=slice(None)) -> np.ndarray:
         """The ``oracle`` ("value" or "direction") of the components ``rows`` at x,
-        one row each, from the kind's row kernel when it has one."""
+        one row each, from the kind's row kernel when it has one.
+
+        x is a point (p,) with ``rows`` a slice, or a stack (m, p) with
+        ``rows`` an index array of length m: row r is then component
+        rows[r] at x[r].
+        """
         kernel = getattr(self.kind, f"row_{oracle}s", None)
         if kernel is not None:
             return kernel(x, rows)
+        if np.ndim(x) == 2:
+            calls = zip(rows.tolist(), x)
+            return np.array([getattr(self.components[i], oracle)(z) for i, z in calls], dtype=float)
         return np.array([getattr(c, oracle)(x) for c in self.components[rows]], dtype=float)
+
+    def row_directions(self, X: np.ndarray, rows) -> np.ndarray:
+        """d_{rows[r]}(X[r]) for each row r of a stack X (m, p), with the
+        bits of that component's direction oracle."""
+        return self._rows("direction", X, np.asarray(rows))
 
     def _direction_sum(self, x: np.ndarray) -> np.ndarray:
         """d_1(x) + ... + d_n(x), added one at a time to 0.0 in index order.
@@ -209,11 +222,17 @@ class FiniteSumProblem:
         return directions[0] if np.ndim(x) == 1 else directions
 
     def direction_norms(self, x: np.ndarray) -> np.ndarray:
-        """(||d_1(x)||, ..., ||d_n(x)||), one vectorized call when the problem has one."""
+        """(||d_1(x)||, ..., ||d_n(x)||), one vectorized call when the problem has one.
+
+        Otherwise the square roots of the stacked row ddots of the
+        directions, each the bits of sqrt(d @ d), from the kind's row
+        kernel when it has one.
+        """
         x = self.check_point(x)
         if getattr(self.kind, "VECTORIZED", False):
             return self.kind.direction_norms(x)
-        return np.array([math.sqrt(float(d @ d)) for d in (c.direction(x) for c in self.components)])
+        D = self._rows("direction", x)
+        return np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
 
     def generator_set(self, x: np.ndarray, max_size: int = 4096) -> list[np.ndarray]:
         """Distinct elements {(1/n) sum_i g_i : g_i in generators_i(x)}.
@@ -284,7 +303,9 @@ class ZooKind:
     X (m, p) of points, and ``direction_norms(x)``.  A kind may give row
     kernels ``row_values(x, rows)`` and ``row_directions(x, rows)``, one
     row per component of the slice ``rows`` (default all n), each with the
-    bits of that component's oracle at x.
+    bits of that component's oracle at x.  Given a stack X (m, p) and an
+    index array ``rows`` of length m, row r is component rows[r]'s oracle
+    at X[r]: a point is the m = 1 stack, broadcast, through the same code.
     """
 
     KIND = ""
@@ -358,10 +379,11 @@ class _Labelled(ZooKind):
         # (m, p) of c @ A / n for each row c of C, one BLAS gemv per row like c @ A
         return (C[:, None, :] @ self.A[None])[:, 0, :] / self.n
 
-    def _row_products(self, x, rows: slice) -> list:
-        # a_i @ x of the rows as Python floats: a stack of BLAS ddot calls,
-        # each the bits of the row oracles' a_i.dot(x)
-        return (self.A[rows, None, :] @ x[None, :, None])[:, 0, 0].tolist()
+    def _row_products(self, x, rows) -> list:
+        # a_i @ x of the rows as Python floats, x a point or one point per
+        # row: a stack of BLAS ddot calls, each the bits of the row
+        # oracles' a_i.dot(x)
+        return (self.A[rows, None, :] @ x.reshape(-1, self.p)[:, :, None])[:, 0, 0].tolist()
 
 
 class Logistic(_Labelled):
@@ -391,7 +413,7 @@ class Logistic(_Labelled):
     def direction(a, b, x) -> np.ndarray:
         return (-b * _expit(-b * float(a.dot(x)))) * a
 
-    def row_directions(self, x, rows: slice = slice(None)) -> np.ndarray:
+    def row_directions(self, x, rows=slice(None)) -> np.ndarray:
         coef = [-b * _expit(-b * t) for b, t in zip(self.v[rows].tolist(), self._row_products(x, rows))]
         return np.array(coef)[:, None] * self.A[rows]
 
@@ -436,7 +458,7 @@ class Sigmoid(_Labelled):
         s = _expit(float(a.dot(x)) - c)
         return (s * (1.0 - s)) * a
 
-    def row_directions(self, x, rows: slice = slice(None)) -> np.ndarray:
+    def row_directions(self, x, rows=slice(None)) -> np.ndarray:
         s = [_expit(t - c) for c, t in zip(self.v[rows].tolist(), self._row_products(x, rows))]
         return np.array([q * (1.0 - q) for q in s])[:, None] * self.A[rows]
 
@@ -500,6 +522,16 @@ class Median(ZooKind):
         else:  # at x = b_i every coordinate maximizes, and every +-e_j is a generator
             pairs = [(j, s) for j in top for s in (-1.0, 1.0)]
         return [np.where(np.arange(len(b)) == j, s, 0.0) for j, s in pairs]
+
+    def row_directions(self, x, rows=slice(None)) -> np.ndarray:
+        # sign(x - b_i) at the first maximizing coordinate of each row, as
+        # the row oracle: argmax along a row is the argmax of that row alone
+        dev = x - self.data[rows]
+        j = np.argmax(np.abs(dev), axis=1)
+        D = np.zeros(dev.shape)
+        r = np.arange(len(dev))
+        D[r, j] = np.sign(dev[r, j])
+        return D
 
     def full_values(self, X) -> np.ndarray:
         return np.mean(np.max(np.abs(X[:, None, :] - self.data), axis=2), axis=1)
@@ -572,9 +604,11 @@ class ReluNet(_Labelled):
         return np.column_stack([X, y])
 
     def _params(self, theta):
-        # theta = (W1, b1, w2, b2) flattened
+        # theta = (W1, b1, w2, b2) flattened; a stack (m, p) of them gives
+        # W1 of shape (m, hidden, p_in) and the others one row each
         h, k = self.hidden, self.hidden * self.A.shape[1]
-        return theta[:k].reshape(h, -1), theta[k : k + h], theta[k + h : k + 2 * h], theta[-1]
+        W1 = theta[..., :k].reshape(theta.shape[:-1] + (h, -1))
+        return W1, theta[..., k : k + h], theta[..., k + h : k + 2 * h], theta[..., -1]
 
     def _forward(self, xi, theta):
         # the pre-activations W1 x_i + b1, w2 and b2
@@ -592,19 +626,20 @@ class ReluNet(_Labelled):
         gw2 = w2 * (pre > 0.0).astype(float)
         return s * np.concatenate([np.outer(gw2, xi).ravel(), gw2, act, [1.0]])
 
-    def _row_forward(self, theta, rows: slice):
+    def _row_forward(self, theta, rows):
         # the pre-activations (m, hidden), activations, residuals and w2 of
-        # the rows: stacks of one BLAS gemv (W1 x_i) and one ddot
-        # (act_i . w2) per row, the bits of the row oracles' W1 @ x_i and w2 @ act
+        # the rows, at one theta or one per row: stacks of one BLAS gemv
+        # (W1 x_i) and one ddot (act_i . w2) per row, the bits of the row
+        # oracles' W1 @ x_i and w2 @ act
         W1, b1, w2, b2 = self._params(theta)
-        pre = (W1[None] @ self.A[rows, :, None])[:, :, 0] + b1
+        pre = (W1 @ self.A[rows, :, None])[:, :, 0] + b1
         act = np.maximum(pre, 0.0)
-        return pre, act, (act[:, None, :] @ w2[None, :, None])[:, 0, 0] + b2 - self.v[rows], w2
+        return pre, act, (act[:, None, :] @ w2[..., :, None])[:, 0, 0] + b2 - self.v[rows], w2
 
-    def row_values(self, theta, rows: slice = slice(None)) -> np.ndarray:
+    def row_values(self, theta, rows=slice(None)) -> np.ndarray:
         return np.abs(self._row_forward(theta, rows)[2])
 
-    def row_directions(self, theta, rows: slice = slice(None)) -> np.ndarray:
+    def row_directions(self, theta, rows=slice(None)) -> np.ndarray:
         h, k = self.hidden, self.hidden * self.A.shape[1]
         pre, act, residual, w2 = self._row_forward(theta, rows)
         gw2 = w2 * (pre > 0.0)

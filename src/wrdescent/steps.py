@@ -109,6 +109,12 @@ class Adaptive:
         # rate certificate; both are overridable.
         return cls(delta=float(n) ** 3, beta=float(n) ** 2, n=n)
 
+    @staticmethod
+    def step_size(v: float) -> float:
+        """alpha = v^(-1/3) of the accumulator v after its update: Python's
+        ``**``, whose bits ``np.power`` does not always have."""
+        return v ** (-1.0 / 3.0)
+
     def rate_params(self, problem) -> dict:
         if self == Adaptive.recommended(self.n):
             return {"adaptive": {"beta": self.beta, "delta": self.delta}}
@@ -166,7 +172,7 @@ def step_value(
         raise ValueError("dnorm2 must be nonnegative")
     if isinstance(strategy, Adaptive):
         state.v = state.v + strategy.beta * dnorm2
-        alpha = state.v ** (-1.0 / 3.0)
+        alpha = strategy.step_size(state.v)
     else:
         alpha = strategy.prescribed_value(K)
     if i == state.n:
@@ -204,7 +210,7 @@ def epoch_anchor(strategy: StepStrategy, K: int, alpha_last=None) -> float:
         raise ValueError(f"epoch_anchor({K}) called with only {len(alpha_last)} complete epochs")
     if K == 0:
         if isinstance(strategy, Adaptive):
-            return strategy.delta ** (-1.0 / 3.0)
+            return strategy.step_size(strategy.delta)
         return strategy.prescribed_value(0)
     if alpha_last is not None:
         return float(alpha_last[K - 1])

@@ -188,8 +188,8 @@ class TestRunEpoch:
                 np.testing.assert_allclose(probe, norms, rtol=1e-12, atol=0)
                 assert np.argsort(-probe, kind="stable").tolist() == expected.tolist()
                 assert trace.index[K].tolist() == expected.tolist()
-            # relu_net has no vectorized probe: it asks each component
-            assert len(calls) == (2 * prob.n if kind == "relu_net" else 0), kind
+            # relu_net has no vectorized norms: its row kernel answers the probe
+            assert len(calls) == 0, kind
 
     def test_median_probe_ties_are_exact(self):
         # components 0, 1 and 3 sit at x: norm 0.0; component 2 has norm 1.0
@@ -648,6 +648,212 @@ def test_every_zoo_kind_round_trips_through_file(tmp_path, kind):
     wd.save_trace(loaded, tmp_path / "resaved.txt")
     assert (tmp_path / "resaved.txt").read_bytes() == path.read_bytes()
     assert wd.replay(loaded).ok
+
+
+RULES = ("constant", "decreasing_sqrt", "decreasing_cbrt", "adaptive")
+
+
+def rule_strategy(rule: str, problem):
+    n = problem.n
+    if rule == "constant":
+        return wd.Constant(0.5 / problem.L if problem.is_smooth else 0.1, n)
+    if rule == "decreasing_sqrt":
+        return wd.DecreasingSqrt(n)
+    if rule == "decreasing_cbrt":
+        return wd.DecreasingCbrtWithL(problem.L or 1.0, n)
+    return wd.Adaptive.recommended(n)
+
+
+def perm_case(variant: str, n: int):
+    return {
+        "identity": wd.Identity(),
+        "fixed": wd.FixedPermutation(np.random.default_rng(n).permutation(n).tolist()),
+        "shuffled": wd.ShuffledPerEpoch(4),
+        "adversarial": wd.AdversarialMaxNorm(),
+    }[variant]
+
+
+def rerun_report(trace) -> wd.ReplayReport:
+    """replay's report from re-running the config, the record check left out."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_check_record", lambda trace: False)
+        return wd.replay(trace)
+
+
+def assert_replays_as_its_rerun(trace) -> None:
+    # the check turns the record down, and replay reports what the re-run does
+    assert not engine._check_record(trace)
+    with np.errstate(over="ignore"):
+        assert wd.replay(trace) == rerun_report(trace)
+
+
+# records that one comparison of the check alone turns down: each is made by
+# an engine changed at one place, or its config or one value is changed
+# after the run, so that every other recorded value is the step of its
+# recorded inputs
+SOLE_CASES = [
+    "x0", "epochs_completed", "index", "zhat", "d", "dnorm2", "prescribed_alpha", "adaptive_alpha", "v", "z",
+    "x_next", "infinite_dnorm2", "infinite_x", "bound_exceeded_at", "aborted_at",
+]
+OTHER_CASES = ["epochs", "cut_short", "cut_short_at_its_abort", "aborted", "index_out_of_range", "nan_d"]
+
+
+class TestReplayCheck:
+    @given(
+        kind=st.sampled_from(PROBLEM_KINDS),
+        eval_policy=st.sampled_from(EVAL_CASES),
+        perm=st.sampled_from(["identity", "fixed", "shuffled", "adversarial"]),
+        rule=st.sampled_from(RULES),
+        shape=st.sampled_from([(1, 3), (7, 3), (7, EPOCH_BLOCK + 2), (300, 2)]),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_fresh_record_replays_without_a_rerun(self, kind, eval_policy, perm, rule, shape, seed):
+        # n = 7 puts epoch ends inside row chunks, n = 300 splits an epoch
+        # across them; a zero start puts relu_net at its kinks
+        n, epochs = shape
+        problem = wd.make_problem(kind, n, 2, seed)
+        x0 = np.zeros(problem.p) if seed % 2 else 0.3 * np.random.default_rng(seed).standard_normal(problem.p)
+        trace = make_run(problem, rule_strategy(rule, problem), eval_policy, perm_case(perm, n), epochs=epochs, x0=x0)
+        assert trace.aborted_at is None
+        runs = []
+        real_run = engine.run
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            mp.setattr(engine, "run", lambda config: runs.append(config) or real_run(config))
+            assert wd.replay(trace).ok
+            wd.save_trace(trace, Path(tmp) / "trace.txt")
+            assert wd.replay(wd.load_trace(Path(tmp) / "trace.txt")).ok
+        assert runs == []
+
+    @pytest.mark.parametrize("name", INNER_FIELDS + NODE_SERIES + EPOCH_SERIES)
+    @given(
+        kind=st.sampled_from(PROBLEM_KINDS),
+        eval_policy=st.sampled_from(EVAL_CASES),
+        adaptive=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_a_corrupted_value_replays_as_its_rerun(self, name, kind, eval_policy, adaptive, data):
+        # one recorded value at a drawn position, one ulp up (NaN to 1.0) or,
+        # for index, the next component, n at the last: out of range
+        problem = wd.make_problem(kind, 5, 2, 3)
+        strategy = wd.Adaptive.recommended(5) if adaptive else wd.DecreasingSqrt(5)
+        x0 = np.full(problem.p, 0.2)
+        trace = make_run(problem, strategy, eval_policy, wd.ShuffledPerEpoch(2), epochs=EPOCH_BLOCK + 3, x0=x0)
+        assert engine._check_record(trace)
+        array = getattr(trace, name)
+        at = tuple(data.draw(st.integers(0, size - 1), label=f"axis {k}") for k, size in enumerate(array.shape))
+        if name == "index":
+            array[at] += 1
+        else:
+            array[at] = 1.0 if math.isnan(array[at]) else np.nextafter(array[at], np.inf)
+        assert_replays_as_its_rerun(trace)
+
+    @pytest.mark.parametrize("case", SOLE_CASES + OTHER_CASES)
+    def test_a_record_not_of_its_config_replays_as_its_rerun(self, case):
+        assert_replays_as_its_rerun(record_not_of_its_config(case))
+
+
+
+
+def record_not_of_its_config(case: str) -> wd.RunTrace:
+    problem = wd.make_problem("logistic", 5, 2, 3)
+    prescribed = case in ("dnorm2", "prescribed_alpha")
+    config = wd.RunConfig(
+        problem=problem,
+        strategy=wd.Constant(0.3, 5) if prescribed else wd.Adaptive.recommended(5),
+        eval_policy=wd.FullGradient() if case == "z" else wd.Incremental(),
+        perm_policy=wd.ShuffledPerEpoch(2),
+        x0=np.full(2, 0.2),
+        epochs=4,
+        monitor_radius=0.25 if case == "bound_exceeded_at" else None,
+        track_objective=case != "x_next",
+    )
+    K, i = 2, 3  # the step changed
+    run_config = config
+    with pytest.MonkeyPatch.context() as mp:
+        if case == "index":
+            real_permutation = engine.permutation
+
+            def swapped(policy, Ks, n, probe=None):
+                orders = real_permutation(policy, Ks, n, probe)
+                orders[K, [0, 1]] = orders[K, [1, 0]]
+                return orders
+
+            mp.setattr(engine, "permutation", swapped)
+        elif case == "zhat":
+            real_support = engine.eval_support
+            mp.setattr(engine, "eval_support", lambda p, k, n: [0] * n if k == K else real_support(p, k, n))
+        elif case == "d":
+            first, *rest = problem.components
+            nudged = dataclasses.replace(first, direction=lambda x, f=first.direction: np.nextafter(f(x), np.inf))
+            run_config = dataclasses.replace(config, problem=dataclasses.replace(problem, components=(nudged, *rest)))
+        elif case in ("adaptive_alpha", "v"):
+            real_step = engine.step_value
+
+            def nudged_step(strategy, state, k, j, dnorm2):
+                alpha = real_step(strategy, state, k, j, dnorm2)
+                if (k, j) != (K, i):
+                    return alpha
+                if case == "v":
+                    state.v = np.nextafter(state.v, np.inf)
+                    return strategy.step_size(state.v)
+                return np.nextafter(alpha, np.inf)
+
+            mp.setattr(engine, "step_value", nudged_step)
+        elif case == "infinite_dnorm2":
+            # ||d||^2 overflows while z stays finite; the run would abort at once
+            comp = wd.ComponentOracle(value=lambda x: 0.0, direction=lambda x: 1e200 * x, lipschitz_value=1.0)
+            config = wd.RunConfig(
+                problem=wd.FiniteSumProblem.assemble([comp], 1), strategy=wd.Constant(1e-201, 1),
+                eval_policy=wd.Incremental(), perm_policy=wd.Identity(), x0=np.ones(1), epochs=3,
+                track_objective=False,
+            )
+            run_config = config
+            mp.setattr(math, "isfinite", lambda value: True)
+        elif case == "infinite_x":
+            comp = wd.ComponentOracle(value=lambda x: 0.0, direction=lambda x: np.zeros(1), lipschitz_value=0.0)
+            config = wd.RunConfig(
+                problem=wd.FiniteSumProblem.assemble([comp], 1), strategy=wd.Constant(0.5, 1),
+                eval_policy=wd.Incremental(), perm_policy=wd.Identity(), x0=np.ones(1), epochs=3,
+                track_objective=False,
+            )
+            run_config = config
+        elif case == "aborted":
+            config = run_config = overflow_config("exploding", "full")
+        with np.errstate(over="ignore"):
+            trace = wd.run(run_config)
+    trace.config = config
+    if case == "x0":
+        trace.config = dataclasses.replace(config, x0=np.nextafter(config.x0, np.inf))
+    elif case == "epochs":
+        trace.config = dataclasses.replace(config, epochs=config.epochs + 1)
+    elif case == "epochs_completed":
+        trace.alpha_sum = np.append(trace.alpha_sum, 0.0)  # one epoch more than the config runs
+    elif case == "prescribed_alpha":
+        trace.config = dataclasses.replace(config, strategy=wd.Constant(np.nextafter(0.3, 1.0), 5))
+    elif case in ("dnorm2", "z"):
+        getattr(trace, case)[K, i - 1] = np.nextafter(getattr(trace, case)[K, i - 1], np.inf)
+    elif case == "x_next":
+        trace.xs[-1] = np.nextafter(trace.xs[-1], np.inf)
+    elif case == "infinite_x":
+        trace.config = dataclasses.replace(config, x0=np.full(1, np.inf))
+        for name in ("xs", "zhat", "z"):
+            getattr(trace, name)[:] = np.inf
+    elif case == "bound_exceeded_at":
+        assert trace.bound_exceeded_at is not None
+        trace.bound_exceeded_at += 1
+    elif case == "aborted_at":
+        trace.aborted_at = (K, i)
+    elif case.startswith("cut_short"):
+        for name in NODE_SERIES + EPOCH_SERIES + INNER_FIELDS:
+            setattr(trace, name, getattr(trace, name)[: K + 1 if name in NODE_SERIES else K])
+        trace.aborted_at = (K, i) if case == "cut_short_at_its_abort" else None
+    elif case == "index_out_of_range":
+        trace.index[K, i - 1] = problem.n
+    elif case == "nan_d":
+        trace.d[K, i - 1, 0] = math.nan
+    return trace
 
 
 class TestTraceHeader:

@@ -360,6 +360,44 @@ def test_row_kernels_have_the_bits_of_the_reference_oracles(kind, shape, hidden,
 
 
 @given(
+    st.sampled_from(PROBLEM_KINDS),
+    st.sampled_from([(1, 1), (7, 2), (32, 5), (300, 4)]),
+    st.sampled_from([1, 3, 8]),
+    st.sampled_from([0.0, 1e-3, 1.0, 30.0]),
+    st.sampled_from([1, 5, 40]),
+    st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_row_kernels_have_the_bits_of_the_point_oracles(kind, shape, hidden, scale, m, seed):
+    # over a stack X (m, p) and an index array, row r is component
+    # rows[r]'s direction at X[r] bit for bit: indices repeat and come in
+    # any order.  Half the points are kinks: relu_net's parameter point
+    # with zero pre-activations and residuals, median's data rows and
+    # points whose deviations tie in absolute value
+    n, p = shape
+    rng = np.random.default_rng(seed)
+    if kind == "relu_net":
+        zoo, kink = _relu_instance(rng, n, p, hidden, scale)
+        reference = partial(_reference_relu, hidden=hidden)
+    else:
+        zoo, reference = wd.make_problem(kind, n, p, seed).kind, REFERENCE_ORACLES[kind]
+    rows = rng.integers(0, n, size=m)
+    X = scale * rng.standard_normal((m, zoo.p))
+    kinks = rng.random(m) < 0.5
+    if kind == "relu_net":
+        X[kinks] = kink
+    elif kind == "median":
+        X[kinks] = zoo.data[rows[kinks]] + scale * rng.choice([-1.0, 0.0, 1.0], size=(int(kinks.sum()), p))
+    expected = np.array([reference(zoo.data[i], x)[1] for i, x in zip(rows, X)])
+    assert zoo.row_directions(X, rows).tobytes() == expected.tobytes()
+    # the problem's stacked directions, and its per-component fallback without a kind
+    prob = zoo.problem()
+    assert prob.row_directions(X, rows).tobytes() == expected.tobytes()
+    custom = wd.FiniteSumProblem.assemble(prob.components, prob.p)
+    assert custom.row_directions(X, rows).tobytes() == expected.tobytes()
+
+
+@given(
     st.sampled_from([(1, 1), (7, 2), (40, 3), (300, 2)]),
     st.sampled_from([1, 3, 8]),
     st.sampled_from([0.0, 1e-3, 1.0, 30.0]),
