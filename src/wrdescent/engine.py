@@ -13,8 +13,9 @@ one RunTrace of arrays indexed by epoch K:
     grad_sq (N+1,);
   * epoch series: alpha_first, alpha_last, alpha_sum, v_end (N,);
   * record_level="full" only, the inner steps, [K, i-1] for step i:
-    index, alpha, dnorm2, v of shape (N, n) and zhat, d, z of shape
-    (N, n, p).  At record_level "epoch_only" these arrays are None.
+    index, alpha, dnorm2, v of shape (N, n) and d, z of shape (N, n, p),
+    and zhat (N, n, p), derived on its first read.  At record_level
+    "epoch_only" these arrays are None.
 
 A trace file stores the problem's data matrix and each recorded primitive
 once: of the inner steps only index, alpha, dnorm2, v and d.  After a JSON
@@ -22,18 +23,15 @@ header line (configuration, provenance, and a SHA-256 over the config and
 the #DATA payload), each section line (#DATA, #NODES, #EPOCHS and, at full
 level, #INDEX and #INNER) is followed by one line of base64 holding the
 raw little-endian float64 (int64 for #INDEX) bytes of its array, so a load
-decodes bits and parses no numbers.  ``load_trace`` rebuilds z with the
-engine's own update from x_K, checks z_{K,n} = x_{K+1} bit for bit, and
-rebuilds zhat through the policy (``eval_support``, or ``hull_point`` of
-``eval_point``'s weights, pure functions of (policy, K, i)).  The engine
-and the loader ask ``eval_support`` once per epoch for all n supports and
-``eval_point`` once for a ConvexMix epoch's n weight vectors; DelayedAsync
-delays and ConvexMix weights keep the bits of one Generator per step.  A
-ConvexMix epoch's weights form one lower-triangular (n, n) matrix, and
-its hull points the rows of one (n, p) accumulator: the engine adds each
-z_{K,j} to the rows of the later steps as soon as it is known
-(``hull_accumulate``), the loader the whole epoch in one stacked
-``hull_point`` call.
+decodes bits and parses no numbers.  ``load_trace`` derives only z, with
+the engine's update from x_K, and checks z_{K,n} = x_{K+1} bit for bit.
+zhat, a pure function of (policy, K, z), is derived the first time it is
+read and then kept (``_eval_points``: ``eval_support``, or ``hull_point``
+of ``eval_point``'s weights).  The engine and the derivation ask
+``eval_support`` once per epoch for all n supports and ``eval_point``
+once for a ConvexMix epoch's n weight vectors, the rows of one
+lower-triangular (n, n) matrix; DelayedAsync delays and ConvexMix
+weights keep the bits of one Generator per step.
 
 A run advances in blocks of EPOCH_BLOCK epochs.  Per block, the query
 orders of a policy that needs no probe are drawn in one call (one
@@ -47,9 +45,10 @@ Runs are deterministic functions of their configuration (all randomness
 is counter-based off explicit seeds).  Replay checks a full, complete
 record without re-running it: every recorded step must be the engine's
 step of its own recorded inputs, in stacked row-kernel passes per block
-(``_check_record``).  That rests on a property of the BLAS kernel, not
-of IEEE arithmetic: a row of a stacked product has the bits of the point
-call.  So the check only ever accepts; when it fails, and for other
+(``_check_record``), whose evaluation points become the trace's zhat.
+That rests on a property of the BLAS kernel, not of IEEE arithmetic: a
+row of a stacked product has the bits of the point call.  So the check
+only ever accepts; when it fails, and for other
 records, replay re-runs the configuration and compares the arrays one by
 one.  A non-finite value aborts the run at the first step (K, i) where
 ||d||^2, or an entry of z_{K,i}, is not finite; completed epochs are
@@ -147,7 +146,7 @@ class RunConfig:
             self.monitor_radius = self.problem.box_radius
 
 
-# the inner-step arrays of a full record, in replay's comparison order
+# the inner-step arrays of a full record (zhat derived on read), in replay's comparison order
 INNER_FIELDS = ("index", "zhat", "d", "dnorm2", "alpha", "z", "v")
 # one entry per iterate x_0..x_N, and one per epoch; replay compares them in this order
 NODE_SERIES = ("xs", "f_vals", "grad_sq")
@@ -178,7 +177,7 @@ class RunTrace:
     Node series have one row per iterate x_0..x_N, epoch series one per
     completed epoch, and the inner arrays one row per epoch K with step i
     in column i-1.  When the run aborted, every array covers the completed
-    prefix.
+    prefix.  zhat is not recorded but derived on its first read.
     """
 
     config: RunConfig
@@ -194,13 +193,24 @@ class RunTrace:
     alpha: Optional[np.ndarray] = None  # (N, n)
     dnorm2: Optional[np.ndarray] = None  # (N, n)
     v: Optional[np.ndarray] = None  # (N, n) adaptive accumulator after the update; nan otherwise
-    zhat: Optional[np.ndarray] = None  # (N, n, p)
     d: Optional[np.ndarray] = None  # (N, n, p)
     z: Optional[np.ndarray] = None  # (N, n, p), [K, i-1] is z_{K,i}
     aborted_at: Optional[tuple] = None
     bound_exceeded_at: Optional[int] = None
     # where the run was made; a loaded trace keeps its file's
     provenance: dict = field(default_factory=provenance)
+    _zhat: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    @property
+    def zhat(self) -> Optional[np.ndarray]:
+        """(N, n, p), None at epoch_only level: derived on first read (or by a passing record check), then kept."""
+        if self._zhat is None and self.z is not None:
+            self._zhat = _eval_points(self)
+        return self._zhat
+
+    @zhat.setter
+    def zhat(self, value: Optional[np.ndarray]) -> None:
+        self._zhat = value
 
     @property
     def epochs_completed(self) -> int:
@@ -226,7 +236,7 @@ def _new_trace(config: RunConfig, N: int) -> RunTrace:
         inner = dict(
             index=np.empty((N, n), dtype=int),
             **{name: np.empty((N, n)) for name in ("alpha", "dnorm2", "v")},
-            **{name: np.empty((N, n, p)) for name in ("zhat", "d", "z")},
+            **{name: np.empty((N, n, p)) for name in ("d", "z")},
         )
     return RunTrace(
         config=config,
@@ -253,6 +263,30 @@ def _hull_weights(policy: EvalPointPolicy, K: int, n: int) -> np.ndarray:
     return eval_point(policy, K, range(1, n + 1))[0].base
 
 
+def _iterates(trace: RunTrace, K: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The recorded z_{K,j} at each position of the index arrays K and j; z_{K,0} = x_K is z_{K-1,n}, or x_0."""
+    out = trace.z[K, j - 1]
+    start = j == 0
+    out[start] = trace.z[K[start] - 1, -1]
+    out[start & (K == 0)] = trace.xs[0]
+    return out
+
+
+def _eval_points(trace: RunTrace) -> np.ndarray:
+    """zhat of a full trace: z_{K,j} for the policy's support j or, in an
+    epoch with a step that has none, the hull point of its weights over
+    z_{K,0..i-1}; the points the engine queried, bit for bit."""
+    policy = trace.config.eval_policy
+    N, n = trace.z.shape[:2]
+    supports = [eval_support(policy, K, n) for K in range(N)]
+    j = np.array([[0] * n if None in support else support for support in supports], dtype=int)
+    zhat = _iterates(trace, np.repeat(np.arange(N)[:, None], n, axis=1), j.reshape(N, n))
+    for K, support in enumerate(supports):
+        if None in support:
+            zhat[K] = hull_point(_hull_weights(policy, K, n), _iterates(trace, np.full(n, K), np.arange(n)))
+    return zhat
+
+
 def run_epoch(
     trace: RunTrace, state: StepState, x: np.ndarray, K: int, order: Optional[list] = None
 ) -> np.ndarray:
@@ -263,11 +297,8 @@ def run_epoch(
     Writes row K of the trace's epoch series and, at the full record level,
     of its inner arrays.  ``state`` must be consistent with epochs 0..K-1
     and is advanced in place.  Raises NonFiniteError at the first step i
-    where ||d||^2 or an entry of z_{K,i} is not finite.  ||d||^2 is tested
-    at each step.  A non-finite entry of z stays non-finite to the end of
-    the epoch, so only z_{K,n} is tested, and the epoch's iterates are
-    scanned (``_first_non_finite``) when it fails or when a non-finite
-    ||d||^2 looks back for an earlier non-finite iterate.
+    where ||d||^2 or an entry of z_{K,i} is not finite, tested as the
+    module docstring says (``_first_non_finite`` scans the iterates).
     """
     config = trace.config
     problem, strategy, eval_policy = config.problem, config.strategy, config.eval_policy
@@ -283,7 +314,7 @@ def run_epoch(
 
     if full:
         index, alphas, dnorm2s, vs = trace.index[K], trace.alpha[K], trace.dnorm2[K], trace.v[K]
-        zhats, ds, zrows = trace.zhat[K], trace.d[K], trace.z[K]
+        ds, zrows = trace.d[K], trace.z[K]
     support = eval_support(eval_policy, K, n)
     zs = [x]
     # a step without a single support point (ConvexMix) takes its hull point
@@ -318,7 +349,7 @@ def run_epoch(
             r = i - 1
             index[r], alphas[r], dnorm2s[r] = idx, alpha, dnorm2
             vs[r] = state.v if adaptive else math.nan
-            zhats[r], ds[r], zrows[r] = zhat, d, z
+            ds[r], zrows[r] = d, z
     if not np.isfinite(z).all():
         raise NonFiniteError(K, _first_non_finite(zrows if full else zs[1:]))
 
@@ -374,7 +405,7 @@ def run(config: RunConfig) -> RunTrace:
                 trace.aborted_at = (err.K, err.i)
                 _track_nodes(trace, tracked, K)
                 for name in NODE_SERIES + EPOCH_SERIES + INNER_FIELDS:
-                    column = getattr(trace, name)
+                    column = None if name == "zhat" else getattr(trace, name)  # zhat: derived from the cut z
                     if column is not None:
                         setattr(trace, name, column[: K + 1 if name in NODE_SERIES else K])
                 return trace
@@ -398,16 +429,18 @@ class ReplayReport:
         return self.ok
 
 
-def _first_mismatch(new: np.ndarray, old: np.ndarray, lead: int) -> Optional[tuple]:
+def _first_mismatch(new: np.ndarray, old: np.ndarray, lead: int, ragged: bool) -> Optional[tuple]:
     """Position in the first ``lead`` axes where two arrays first differ.
 
-    Compared over their common prefix, NaN equal to NaN; None if they agree.
+    NaN equal to NaN and, if ``ragged``, the first row that one array lacks
+    differs at its start; None if they agree.
     """
     m = min(len(new), len(old))
-    new, old = new[:m], old[:m]
-    bad = (new != old) & ~(np.isnan(new) & np.isnan(old))
+    bad = (new[:m] != old[:m]) & ~(np.isnan(new[:m]) & np.isnan(old[:m]))
     hits = np.argwhere(bad.any(axis=tuple(range(lead, bad.ndim))))
-    return tuple(int(c) for c in hits[0]) if len(hits) else None
+    if len(hits):
+        return tuple(int(c) for c in hits[0])
+    return (m,) + (0,) * (lead - 1) if ragged and len(new) != len(old) else None
 
 
 def _node_location(k: int, n: int) -> tuple:
@@ -424,15 +457,15 @@ def _same(new, old) -> bool:
     return bool(bits.all() or (bits | np.isnan(new) & np.isnan(old)).all())
 
 
-def _block_matches(trace: RunTrace, block: range) -> bool:
+def _block_matches(trace: RunTrace, block: range, zhat: np.ndarray) -> bool:
     """Whether every inner step of the epochs ``block`` is the engine's step
-    from its recorded inputs, and the block's epoch series its own.
+    from its recorded inputs and ``zhat``, and the block's epoch series its own.
 
     Steps are taken ROW_BLOCK at a time, in run order across the block's
     epochs, so each temporary holds at most ROW_BLOCK rows.
     """
     config = trace.config
-    problem, strategy, policy = config.problem, config.strategy, config.eval_policy
+    problem, strategy = config.problem, config.strategy
     n = problem.n
     Ks = slice(block.start, block.stop)
     if config.perm_policy.needs_probe:
@@ -452,37 +485,14 @@ def _block_matches(trace: RunTrace, block: range) -> bool:
     series = (alphas[:, 0], alphas[:, -1], sums, v_end)
     if not all(_same(new, getattr(trace, name)[Ks]) for name, new in zip(EPOCH_SERIES, series)):
         return False
-
-    supports = [eval_support(policy, K, n) for K in block]
-    hull = [None in support for support in supports]
-    support = np.array([[0] * n if h else s for s, h in zip(supports, hull)])
     prescribed = None if adaptive else np.array([strategy.prescribed_value(K) for K in block])
-
-    def iterates(K, j):
-        # the recorded z_{K[r],j[r]} of each row r: x_K at j = 0, else z[K, j-1]
-        out = trace.z[K, j - 1]
-        start = j == 0
-        out[start] = trace.xs[K[start]]
-        return out
-
-    hulls = {}  # the current hull epoch's points, from its (n, n) weights as in run and load_trace
     for q0 in range(block.start * n, block.stop * n, ROW_BLOCK):
         # steps q0.. in run order, as (epoch, column) pairs: each array a copy of these rows alone
         q = np.arange(q0, min(q0 + ROW_BLOCK, block.stop * n))
         K, r = np.divmod(q, n)
-        zhat, d, dnorm2 = trace.zhat[K, r], trace.d[K, r], trace.dnorm2[K, r]
-        alpha, v = trace.alpha[K, r], trace.v[K, r]
-        # evaluation points: an iterate of the epoch, or the hull point of its weights
-        expected = iterates(K, support[K - block.start, r])
-        for k in range(int(K[0]), int(K[-1]) + 1) if any(hull) else ():
-            if hull[k - block.start]:
-                if k not in hulls:
-                    hulls = {k: hull_point(_hull_weights(policy, k, n), [trace.xs[k], *trace.z[k, :-1]])}
-                rows = K == k
-                expected[rows] = hulls[k][r[rows]]
+        d, dnorm2, alpha, v = trace.d[K, r], trace.dnorm2[K, r], trace.alpha[K, r], trace.v[K, r]
         if not (
-            _same(expected, zhat)
-            and _same(problem.row_directions(zhat, trace.index[K, r]), d)
+            _same(problem.row_directions(zhat[K, r], trace.index[K, r]), d)
             and np.isfinite(dnorm2).all()
             and _same((d[:, None, :] @ d[:, :, None])[:, 0, 0], dnorm2)
         ):
@@ -496,7 +506,7 @@ def _block_matches(trace: RunTrace, block: range) -> bool:
             )
         else:
             steps = np.isnan(v).all() and _same(prescribed[K - block.start], alpha)
-        if not (steps and _same(iterates(K, r) - alpha[:, None] * d, trace.z[K, r])):
+        if not (steps and _same(_iterates(trace, K, r) - alpha[:, None] * d, trace.z[K, r])):
             return False
     return True
 
@@ -511,7 +521,8 @@ def _check_record(trace: RunTrace) -> bool:
     per block of EPOCH_BLOCK epochs as ``run`` draws and evaluates them:
 
       * index is the drawn order (an adversarial one probed at the recorded x_K);
-      * zhat is the policy's point of the recorded z_{K,0..n-1};
+      * zhat is the policy's point of the recorded z_{K,0..n-1}: the trace's
+        zhat once the check passes, or compared with it if it was read before;
       * d is the stacked row kernel at (index, zhat), dnorm2 each row's ddot
         of d, and every dnorm2 and x_{K+1} finite, as the run tests them;
       * alpha is prescribed_value(K), or v is the recorded previous v (delta
@@ -537,17 +548,23 @@ def _check_record(trace: RunTrace) -> bool:
         nodes = replace(trace, f_vals=unset, grad_sq=unset.copy(), bound_exceeded_at=None)
         tracked = 0
         with np.errstate(all="ignore"):
+            zhat = _eval_points(trace)
+            if trace._zhat is not None and not _same(zhat, trace._zhat):
+                return False
             for start in range(0, N, EPOCH_BLOCK):
                 block = range(start, min(start + EPOCH_BLOCK, N))
-                if not _block_matches(trace, block):
+                if not _block_matches(trace, block, zhat):
                     return False
                 _track_nodes(nodes, tracked, block[-1] + 1)
                 tracked = block[-1] + 2
-        return (
+        ok = (
             _same(nodes.f_vals, trace.f_vals)
             and _same(nodes.grad_sq, trace.grad_sq)
             and nodes.bound_exceeded_at == trace.bound_exceeded_at
         )
+        if ok and trace._zhat is None:
+            trace.zhat = zhat
+        return ok
     except Exception:
         # the oracles, custom ones included, ran on recorded values that may
         # be corrupt: whatever they raise leaves the record to the re-run
@@ -566,18 +583,21 @@ def replay(trace: RunTrace) -> ReplayReport:
     epoch's end at i = n in the order x_{K+1} (xs), f_vals, grad_sq,
     alpha_first, alpha_last, alpha_sum, v_end.  Node 0 reports (0, 0,
     field).  A differing ``aborted_at`` reports where the earlier abort
-    happened, a differing ``bound_exceeded_at`` the earlier node.
+    happened, a differing ``bound_exceeded_at`` the earlier node.  Unless
+    one run aborted where the other did not, an epoch that one side lacks
+    is a mismatch at its step 1 (its x_{K+1} at the epoch_only level).
     """
     if _check_record(trace):
         return ReplayReport(True)
     fresh = run(trace.config)
     n = trace.problem.n
+    ragged = fresh.aborted_at == trace.aborted_at  # else the earlier abort explains the missing epochs
     found = []
     for rank, name in enumerate(INNER_FIELDS + NODE_SERIES + EPOCH_SERIES):
         new, old = getattr(fresh, name), getattr(trace, name)
         if new is None:
             continue
-        at = _first_mismatch(new, old, 2 if name in INNER_FIELDS else 1)
+        at = _first_mismatch(new, old, 2 if name in INNER_FIELDS else 1, ragged)
         if at is None:
             continue
         if name in INNER_FIELDS:
@@ -802,37 +822,6 @@ def _decode_section(name: str, payload: bytes, shape: tuple, n: int) -> np.ndarr
     return np.frombuffer(raw, SECTION_DTYPES[name]).reshape(shape)
 
 
-def _derive_iterates(trace: RunTrace) -> None:
-    """Rebuild z and zhat of a full trace from xs, alpha, d and the policy.
-
-    z_{K,i} = z_{K,i-1} - alpha_{K,i} d_{K,i} from z_{K,0} = x_K, the
-    engine's update, one step i at a time across all epochs; a z_{K,n}
-    that is not x_{K+1} bit for bit raises ValueError naming both rows.
-    zhat is z_{K,j} for the policy's support j or, in an epoch with a step
-    that has none, the hull point of the policy's weights over z_{K,0..i-1}
-    (which is z_{K,j} again for one-hot weights).
-    """
-    N, n = trace.alpha.shape
-    zs = np.empty((N, n + 1, trace.problem.p))  # z_{K,0..n} of every epoch
-    zs[:, 0] = trace.xs[:N]
-    for i in range(n):
-        zs[:, i + 1] = zs[:, i] - trace.alpha[:, i, None] * trace.d[:, i]
-    moved = np.flatnonzero((zs[:, n] != trace.xs[1:]).any(axis=1))
-    if moved.size:
-        K = int(moved[0])
-        raise ValueError(
-            f"#INNER {K}: the derived z_{{{K},n}} differs from x_{K + 1} (#NODES row {K + 2})"
-        )
-    trace.z = zs[:, 1:]
-    policy = trace.config.eval_policy
-    for K in range(N):
-        support = eval_support(policy, K, n)
-        if None in support:
-            trace.zhat[K] = hull_point(_hull_weights(policy, K, n), zs[K, :n])
-        else:
-            trace.zhat[K] = zs[K, support]
-
-
 def load_trace(path) -> RunTrace:
     """Read a trace file; a truncated, malformed or inconsistent one raises ValueError.
 
@@ -842,8 +831,9 @@ def load_trace(path) -> RunTrace:
     queried components and #INNER (N, n, 3+p) alpha, dnorm2, v and d of
     every inner step.  Errors name the section and the first row affected
     (see ``_decode_section``).  #DATA is decoded before the config hash,
-    which covers it, is checked, and the other sections after.  z and zhat
-    are derived (see ``_derive_iterates``).
+    which covers it, is checked, and the other sections after.  z is
+    derived, and a z_{K,n} that is not x_{K+1} bit for bit raises
+    ValueError naming both rows; zhat waits for its first read.
     """
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
@@ -885,7 +875,17 @@ def load_trace(path) -> RunTrace:
         trace.index[:] = arrays["#INDEX"]
         trace.alpha[:], trace.dnorm2[:], trace.v[:] = steps[..., 0], steps[..., 1], steps[..., 2]
         trace.d[:] = steps[..., 3:]
-        _derive_iterates(trace)
+        # z_{K,0..n} of every epoch, the engine's update from x_K as one in-place
+        # accumulate: z_{K,i} = z_{K,i-1} - alpha_{K,i} d_{K,i}, left to right
+        zs = np.empty((epochs, n + 1, p))
+        zs[:, 0] = trace.xs[:epochs]
+        np.multiply(trace.alpha[..., None], trace.d, out=zs[:, 1:])
+        np.subtract.accumulate(zs, axis=1, out=zs)
+        moved = np.flatnonzero((zs[:, n] != trace.xs[1:]).any(axis=1))
+        if moved.size:
+            K = int(moved[0])
+            raise ValueError(f"#INNER {K}: the derived z_{{{K},n}} differs from x_{K + 1} (#NODES row {K + 2})")
+        trace.z = zs[:, 1:]
     return trace
 
 

@@ -312,9 +312,9 @@ def hull_point(weights: np.ndarray, points) -> np.ndarray:
     them differently).  Since -0.0 + t = t for every t, the first term
     enters unrounded, and a single unit weight gives its point's bits.
     The engine accumulates an epoch's hull points this way as its iterates
-    appear, and ``load_trace`` calls this with the epoch's lower-triangular
-    weight matrix to rebuild zhat from eval_point(policy, K, i) and
-    z_{K,0..i-1}, bit for bit; traces do not store weights or zhat.
+    appear.  Traces store no weights or zhat: a trace's zhat is derived on
+    its first read, not at load, from this call on the epoch's triangular
+    weight matrix of eval_point(policy, K, i) and z_{K,0..i-1}, bit for bit.
     """
     W = np.asarray(weights, dtype=float)
     rows = W.reshape(-1, W.shape[-1])

@@ -236,7 +236,9 @@ class TestRun:
         assert calls == [(K, 5) for K in range(7)]
         wd.save_trace(trace, tmp_path / "trace.txt")
         calls.clear()
-        wd.load_trace(tmp_path / "trace.txt")
+        loaded = wd.load_trace(tmp_path / "trace.txt")
+        assert calls == []  # the load derives z alone; zhat waits for its first read
+        loaded.zhat
         assert calls == [(K, 5) for K in range(7)]
 
     def test_convex_mix_builds_one_generator_per_epoch(self, monkeypatch, tmp_path):
@@ -249,7 +251,24 @@ class TestRun:
         assert calls == [(5, 2, K, 1) for K in range(7)]
         wd.save_trace(trace, tmp_path / "trace.txt")
         calls.clear()
-        wd.load_trace(tmp_path / "trace.txt")
+        loaded = wd.load_trace(tmp_path / "trace.txt")
+        assert calls == []  # the load derives z alone; zhat waits for its first read
+        loaded.zhat
+        assert calls == [(5, 2, K, 1) for K in range(7)]
+
+    def test_replay_of_a_loaded_convex_mix_record_draws_its_weights_once(self, monkeypatch, tmp_path):
+        # the record check's hull points become the trace's zhat: no second draw
+        prob = wd.make_problem("logistic", 6, 2, 4)
+        trace = make_run(prob, wd.Constant(0.3, 6), eval_policy=wd.ConvexMix(5), epochs=7)
+        expected = trace.zhat.tobytes()
+        wd.save_trace(trace, tmp_path / "trace.txt")
+        calls = []
+        real = wd.schedules.counter_rng
+        monkeypatch.setattr(wd.schedules, "counter_rng", lambda *key: calls.append(key) or real(*key))
+        loaded = wd.load_trace(tmp_path / "trace.txt")
+        assert wd.replay(loaded).ok
+        assert calls == [(5, 2, K, 1) for K in range(7)]
+        assert loaded.zhat.tobytes() == expected
         assert calls == [(5, 2, K, 1) for K in range(7)]
 
     @pytest.mark.parametrize("max_delay", [0, 2, 8, 2**31])
@@ -513,6 +532,24 @@ class TestReplay:
         trace.aborted_at = (3, 2)
         assert wd.replay(trace).first_mismatch == (3, 2, "aborted_at")
 
+    @pytest.mark.parametrize("level, where", [("full", (3, 1, "index")), ("epoch_only", (3, 4, "xs"))])
+    def test_trace_cut_short_without_an_abort_is_a_mismatch(self, level, where):
+        # no abort explains the missing epochs: the first one is the mismatch
+        prob = wd.make_problem("logistic", 4, 2, 8)
+        trace = make_run(prob, wd.DecreasingSqrt(4), epochs=6, record_level=level)
+        for name in NODE_SERIES + EPOCH_SERIES + INNER_FIELDS:
+            if getattr(trace, name) is not None:
+                setattr(trace, name, getattr(trace, name)[: 4 if name in NODE_SERIES else 3])
+        assert trace.aborted_at is None
+        assert wd.replay(trace) == wd.ReplayReport(False, where)
+
+    @pytest.mark.parametrize("level, where", [("full", (4, 1, "index")), ("epoch_only", (4, 4, "xs"))])
+    def test_record_of_more_epochs_than_its_config_is_a_mismatch(self, level, where):
+        prob = wd.make_problem("logistic", 4, 2, 8)
+        trace = make_run(prob, wd.DecreasingSqrt(4), epochs=6, record_level=level)
+        trace.config = dataclasses.replace(trace.config, epochs=4)
+        assert wd.replay(trace) == wd.ReplayReport(False, where)
+
     def test_corrupted_box_exit_detected(self):
         cfg = wd.RunConfig(
             problem=wd.make_problem("logistic", 4, 2, 9),
@@ -752,6 +789,90 @@ class TestReplayCheck:
     @pytest.mark.parametrize("case", SOLE_CASES + OTHER_CASES)
     def test_a_record_not_of_its_config_replays_as_its_rerun(self, case):
         assert_replays_as_its_rerun(record_not_of_its_config(case))
+
+    @pytest.mark.parametrize("eval_policy", EVAL_CASES, ids=lambda c: c.VARIANT)
+    def test_the_check_keeps_its_points_and_compares_a_zhat_read_before(self, monkeypatch, eval_policy):
+        prob = wd.make_problem("logistic", 5, 2, 3)
+
+        def record():
+            return make_run(prob, wd.DecreasingSqrt(5), eval_policy, wd.ShuffledPerEpoch(2), epochs=4)
+
+        expected = record().zhat
+        trace = record()
+        assert engine._check_record(trace)
+        monkeypatch.setattr(engine, "_eval_points", lambda t: pytest.fail("zhat derived again"))
+        assert trace.zhat.tobytes() == expected.tobytes()
+        monkeypatch.undo()
+        # a zhat read before the check, then altered, is compared and turned down
+        read = record()
+        read.zhat[2, 3, 1] = np.nextafter(read.zhat[2, 3, 1], np.inf)
+        assert not engine._check_record(read)
+        assigned = record()
+        assigned.zhat = np.full_like(expected, 7.0)
+        assert not engine._check_record(assigned)
+        assert wd.replay(assigned) == wd.ReplayReport(False, (0, 1, "zhat"))
+
+
+def reference_iterates(trace: wd.RunTrace) -> tuple:
+    """z and zhat of a full record as the loader built them before zhat was
+    derived on read: z one step i at a time across all epochs from
+    z_{K,0} = x_K, then each epoch's points through the eval policy."""
+    N, n = trace.alpha.shape
+    zs = np.empty((N, n + 1, trace.problem.p))
+    zs[:, 0] = trace.xs[:N]
+    for i in range(n):
+        zs[:, i + 1] = zs[:, i] - trace.alpha[:, i, None] * trace.d[:, i]
+    policy = trace.config.eval_policy
+    zhat = np.empty((N, n, trace.problem.p))
+    for K in range(N):
+        support = wd.eval_support(policy, K, n)
+        if None in support:
+            zhat[K] = wd.hull_point(engine._hull_weights(policy, K, n), zs[K, :n])
+        else:
+            zhat[K] = zs[K, support]
+    return zs[:, 1:], zhat
+
+
+@pytest.mark.parametrize("eval_policy", EVAL_CASES, ids=lambda c: c.VARIANT)
+@given(
+    kind=st.sampled_from(PROBLEM_KINDS),
+    n=st.sampled_from([1, 5, 9]),
+    growth=st.sampled_from([0.0, 1e6, 1e30]),
+    seed=st.integers(0, 1000),
+)
+@settings(max_examples=12, deadline=None)
+def test_loaded_z_and_read_zhat_have_the_bits_of_the_run(eval_policy, kind, n, growth, seed):
+    # directions d(x) - growth * x make z grow geometrically, so that most
+    # runs abort, and every run at growth 1e30; -0.0 in x_0 must reach
+    # zhat_{0,0} with its sign
+    problem = wd.make_problem(kind, n, 2, seed)
+    queried = []
+    comps = tuple(
+        dataclasses.replace(
+            c, direction=lambda x, f=c.direction: queried.append(x.copy()) or (f(x) - growth * x if growth else f(x))
+        )
+        for c in problem.components
+    )
+    x0 = 0.1 + np.random.default_rng(seed).random(problem.p)
+    x0[0] = -0.0
+    config = wd.RunConfig(
+        problem=dataclasses.replace(problem, components=comps), strategy=wd.Constant(0.1, n),
+        eval_policy=eval_policy, perm_policy=wd.ShuffledPerEpoch(seed), x0=x0, epochs=12, track_objective=False,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = wd.run(config)
+    N = trace.epochs_completed
+    assert growth < 1e30 or trace.aborted_at is not None
+    z, zhat = reference_iterates(trace)
+    with tempfile.TemporaryDirectory() as tmp:
+        wd.save_trace(trace, Path(tmp) / "trace.txt")
+        loaded = wd.load_trace(Path(tmp) / "trace.txt")
+    assert loaded.aborted_at == trace.aborted_at
+    for record in (trace, loaded):
+        assert record.z.tobytes() == z.tobytes()
+        assert record.zhat.tobytes() == zhat.tobytes()
+    # the points the direction oracles were queried at, in run order
+    assert np.array(queried[: N * n]).tobytes() == zhat.tobytes()
 
 
 
