@@ -20,11 +20,13 @@ one RunTrace of arrays indexed by epoch K:
 A trace file stores the problem's data matrix and each recorded primitive
 once: of the inner steps only index, alpha, dnorm2, v and d.  After a JSON
 header line (configuration, provenance, and a SHA-256 over the config and
-the #DATA payload), each section line (#DATA, #NODES, #EPOCHS and, at full
-level, #INDEX and #INNER) is followed by one line of base64 holding the
-raw little-endian float64 (int64 for #INDEX) bytes of its array, so a load
-decodes bits and parses no numbers.  ``load_trace`` derives only z, with
-the engine's update from x_K, and checks z_{K,n} = x_{K+1} bit for bit.
+the #DATA bytes), each section (#DATA, #NODES, #EPOCHS and, at full
+level, #INDEX and #INNER) is a line ``#NAME <byte count>``, that many raw
+little-endian float64 (int64 for #INDEX) bytes of its array and a
+newline, so a save writes the arrays' buffers and a load views them in
+the file's bytes, with no text to encode or parse.  ``load_trace``
+derives only z, with the engine's update from x_K, and checks
+z_{K,n} = x_{K+1} bit for bit.
 zhat, a pure function of (policy, K, z), is derived the first time it is
 read and then kept (``_eval_points``: ``eval_support``, or ``hull_point``
 of ``eval_point``'s weights).  The engine and the derivation ask
@@ -65,13 +67,12 @@ are only valid inside the box).
 
 from __future__ import annotations
 
-import binascii
 import json
 import math
 import platform
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -100,7 +101,7 @@ from .steps import (
     step_value,
 )
 
-TRACE_FORMAT = "wrdescent-trace/5"
+TRACE_FORMAT = "wrdescent-trace/6"
 # epochs per block of run: the unit of the query orders drawn and of the
 # nodes evaluated together, which bounds those temporaries at EPOCH_BLOCK x n
 EPOCH_BLOCK = 64
@@ -153,8 +154,30 @@ NODE_SERIES = ("xs", "f_vals", "grad_sq")
 EPOCH_SERIES = ("alpha_first", "alpha_last", "alpha_sum", "v_end")
 
 
+@cache
+def _blas_core() -> str:
+    """The kernel NumPy's bundled OpenBLAS selected for this CPU, or "unknown"
+    when NumPy bundles no OpenBLAS or one without the symbol."""
+    import ctypes
+    from pathlib import Path
+
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):  # not loadable, or without the symbol
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def provenance() -> dict:
-    """The wrdescent, NumPy, Python and BLAS versions of this process."""
+    """The wrdescent, NumPy, Python and BLAS versions of this process, and the BLAS kernel.
+
+    Bitwise replay depends on the kernel OpenBLAS selects for the CPU,
+    which the library's version does not name.
+    """
     from . import __version__
 
     try:
@@ -167,6 +190,7 @@ def provenance() -> dict:
         "numpy": np.__version__,
         "python": platform.python_version(),
         "blas": blas,
+        "blas_core": _blas_core(),
     }
 
 
@@ -621,7 +645,7 @@ def replay(trace: RunTrace) -> ReplayReport:
 
 
 # ---------------------------------------------------------------------------
-# trace file IO: one JSON header line, then a section line and a base64 line per section
+# trace file IO: one JSON header line, then per section a line with its byte count and its raw bytes
 # ---------------------------------------------------------------------------
 
 
@@ -678,14 +702,16 @@ def config_from_dict(doc: dict, data: np.ndarray) -> RunConfig:
     )
 
 
-def _config_hash(config_text: str, data_payload: bytes) -> str:
-    """SHA-256 of the canonical config JSON, a newline and the #DATA payload line."""
+def _config_hash(config_text: str, data: np.ndarray) -> str:
+    """SHA-256 of the canonical config JSON, a newline and the raw #DATA bytes."""
     import hashlib  # loads OpenSSL: a few ms that commands without trace IO skip
 
-    return hashlib.sha256(config_text.encode() + b"\n" + data_payload).hexdigest()
+    digest = hashlib.sha256(config_text.encode() + b"\n")
+    digest.update(data)
+    return digest.hexdigest()
 
 
-# section line -> dtype of its array, in file order.  #DATA holds the
+# section name -> dtype of its array, in file order.  #DATA holds the
 # problem's data matrix; #INDEX and #INNER, at the full record level only,
 # hold one row per inner step, epoch by epoch.
 SECTION_DTYPES = {"#DATA": "<f8", "#NODES": "<f8", "#EPOCHS": "<f8", "#INDEX": "<i8", "#INNER": "<f8"}
@@ -693,7 +719,8 @@ STEP_SECTIONS = ("#INDEX", "#INNER")
 
 
 def _section_arrays(trace: RunTrace) -> dict:
-    """The array each section of the trace's file stores, by section line."""
+    """The array each section of the trace's file stores, by section name:
+    C-contiguous, in the section's dtype."""
     arrays = {
         "#DATA": trace.problem.kind.data,
         "#NODES": np.column_stack([trace.xs, trace.f_vals, trace.grad_sq]),
@@ -704,34 +731,33 @@ def _section_arrays(trace: RunTrace) -> dict:
         arrays["#INNER"] = np.concatenate(
             [trace.alpha[..., None], trace.dnorm2[..., None], trace.v[..., None], trace.d], axis=2
         )
-    return arrays
+    return {name: np.ascontiguousarray(array, SECTION_DTYPES[name]) for name, array in arrays.items()}
 
 
 def save_trace(trace: RunTrace, path) -> None:
-    """Write the trace file: the JSON header line, then per section two lines.
+    """Write the trace file: the JSON header line, then per section a line
+    ``#NAME <byte count>``, the raw little-endian bytes of its array and a
+    newline.
 
-    A section's second line is the base64 of its array's raw little-endian
-    bytes; ``load_trace`` gives each section's shape.
+    Each array's buffer is written as it is, with no copy of the file in
+    memory; ``load_trace`` gives each section's shape.
     """
     # canonical JSON: sorted keys, no spaces
     config_text = json.dumps(config_to_dict(trace.config), sort_keys=True, separators=(",", ":"))
-    payloads = {
-        name: binascii.b2a_base64(array.astype(SECTION_DTYPES[name], copy=False).tobytes(), newline=False)
-        for name, array in _section_arrays(trace).items()
-    }
+    arrays = _section_arrays(trace)
     header = {
         "format": TRACE_FORMAT,
-        "config_sha256": _config_hash(config_text, payloads["#DATA"]),
+        "config_sha256": _config_hash(config_text, arrays["#DATA"]),
         "provenance": trace.provenance,
         "aborted_at": list(trace.aborted_at) if trace.aborted_at else None,
         "bound_exceeded_at": trace.bound_exceeded_at,
     }
-    lines = [(json.dumps(header)[:-1] + ', "config": ' + config_text + "}").encode()]
-    for name, payload in payloads.items():
-        lines += [name.encode(), payload]
-    lines.append(b"")  # the file ends with a newline
     with open(path, "wb") as fh:
-        fh.write(b"\n".join(lines))
+        fh.write((json.dumps(header)[:-1] + ', "config": ' + config_text + "}\n").encode())
+        for name, array in arrays.items():
+            fh.write(f"{name} {array.nbytes}\n".encode())
+            fh.write(array)
+            fh.write(b"\n")
 
 
 def _read_header(line: str) -> tuple:
@@ -755,41 +781,47 @@ def _header_errors():
         raise ValueError(f"header: {detail}") from None
 
 
-def _section_payloads(lines: list, names) -> dict:
-    """{section line: payload} of a trace file's lines after the header.
+def _section_spans(blob: bytes, start: int, names) -> dict:
+    """{section name: (offset, length) of its payload} in a trace file's bytes after the header.
 
-    Each section line is followed by its payload line, which is empty for
-    a section of zero rows.  A section line that is not one of ``names``,
-    or appears twice, and a line that is neither a section line nor the
-    payload after one raise ValueError.
+    From byte ``start``, each section is a line ``#NAME <byte count>``,
+    that many bytes of payload and a newline.  A payload that the end of
+    the file cuts keeps the bytes there are, for ``_section_array`` to
+    report.  A section that is not one of ``names``, is repeated or is
+    missing, a section line without a byte count (one the end of the file
+    cuts included) and a payload not followed by its newline raise
+    ValueError with the byte offset of the line, or of the missing newline.
     """
-    payloads: dict = {}
-    current = None
-    for r, line in enumerate(lines[1:], start=2):
-        if line.startswith(b"#"):
-            name = line.decode(errors="replace")
-            if name not in names:
-                raise ValueError(f"{name}: unknown section (line {r})")
-            if name in payloads:
-                raise ValueError(f"{name}: repeated section (line {r})")
-            payloads[name] = b""
-            current = name
-        elif current is not None:
-            payloads[current] = line
-            current = None
-        else:
-            raise ValueError(f"line {r}: neither a section line nor the payload after one")
+    spans: dict = {}
+    pos = start
+    while pos < len(blob):
+        end = blob.find(b"\n", pos)
+        name, _, count = blob[pos : len(blob) if end < 0 else end].partition(b" ")
+        if not name.startswith(b"#"):
+            raise ValueError(f"byte {pos}: not a section line")
+        name = name.decode(errors="replace")
+        if name not in names:
+            raise ValueError(f"{name}: unknown section (byte {pos})")
+        if name in spans:
+            raise ValueError(f"{name}: repeated section (byte {pos})")
+        if end < 0 or not count.isdigit():
+            raise ValueError(f"{name}: section line without a byte count (byte {pos})")
+        stop = end + 1 + int(count)
+        spans[name] = (end + 1, min(stop, len(blob)) - end - 1)
+        if stop <= len(blob) and blob[stop : stop + 1] != b"\n":
+            raise ValueError(f"{name}: payload not followed by its newline (byte {stop})")
+        pos = stop + 1
     for name in names:
-        if name not in payloads:
+        if name not in spans:
             raise ValueError(f"{name}: section missing")
-    return payloads
+    return spans
 
 
-def _decode_section(name: str, payload: bytes, shape: tuple, n: int) -> np.ndarray:
-    """The array of a section's base64 payload, which must fill ``shape``.
+def _section_array(name: str, blob: bytes, span: tuple, shape: tuple, n: int) -> np.ndarray:
+    """The read-only view of a section's payload ``span`` in ``blob``, which must fill ``shape``.
 
-    A damaged, short or long payload raises ValueError naming the first row
-    it affects: ``#NODES row r`` and ``#EPOCHS row r`` count rows from 1,
+    A short or long payload raises ValueError naming the first row it
+    affects: ``#NODES row r`` and ``#EPOCHS row r`` count rows from 1,
     ``#INDEX K row i`` and ``#INNER K row i`` name inner step i of epoch K.
     """
     lead = 2 if name in STEP_SECTIONS else 1
@@ -798,57 +830,51 @@ def _decode_section(name: str, payload: bytes, shape: tuple, n: int) -> np.ndarr
     def row(q: int) -> str:
         return f"{name} {q // n} row {q % n + 1}" if lead == 2 else f"{name} row {q + 1}"
 
-    import base64  # imported on first use, like hashlib: commands without trace IO skip it
-
-    try:
-        raw = base64.b64decode(payload, validate=True)
-    except binascii.Error:
-        bad = re.search(rb"[^A-Za-z0-9+/]", payload)
-        if bad:
-            at = bad.start()  # character at encodes byte at * 3 // 4
-            raise ValueError(f"{row(at * 3 // 4 // row_bytes)}: not base64 (character {at + 1} of the payload)")
-        raw = base64.b64decode(payload[: len(payload) - len(payload) % 4])  # cut inside a quad
+    offset, length = span
     size = rows * row_bytes
-    if len(raw) < size:
-        what = "incomplete" if len(raw) % row_bytes else "missing"
+    if length < size:
+        what = "incomplete" if length % row_bytes else "missing"
         raise ValueError(
-            f"{row(len(raw) // row_bytes)}: {what}, the payload holds {len(raw)} of the"
+            f"{row(length // row_bytes)}: {what}, the payload holds {length} of the"
             f" {size} bytes the header implies"
         )
-    if len(raw) > size:
-        raise ValueError(
-            f"{row(rows)}: unexpected, the payload holds {len(raw)} bytes, the header implies {size}"
-        )
-    return np.frombuffer(raw, SECTION_DTYPES[name]).reshape(shape)
+    if length > size:
+        raise ValueError(f"{row(rows)}: unexpected, the payload holds {length} bytes, the header implies {size}")
+    return np.frombuffer(blob, SECTION_DTYPES[name], math.prod(shape), offset).reshape(shape)
 
 
 def load_trace(path) -> RunTrace:
     """Read a trace file; a truncated, malformed or inconsistent one raises ValueError.
 
-    The header implies each section's shape: #DATA (n, columns) the
-    problem's data matrix, #NODES (N+1, p+2) x, f and grad_sq of x_0..x_N,
-    #EPOCHS (N, 4) the epoch series and, at full level, #INDEX (N, n) the
-    queried components and #INNER (N, n, 3+p) alpha, dnorm2, v and d of
-    every inner step.  Errors name the section and the first row affected
-    (see ``_decode_section``).  #DATA is decoded before the config hash,
-    which covers it, is checked, and the other sections after.  z is
-    derived, and a z_{K,n} that is not x_{K+1} bit for bit raises
-    ValueError naming both rows; zhat waits for its first read.
+    The file is read once.  The header implies each section's shape: #DATA
+    (n, columns) the problem's data matrix, #NODES (N+1, p+2) x, f and
+    grad_sq of x_0..x_N, #EPOCHS (N, 4) the epoch series and, at full
+    level, #INDEX (N, n) the queried components and #INNER (N, n, 3+p)
+    alpha, dnorm2, v and d of every inner step.  Each section is viewed in
+    the file's bytes and copied into the trace's writable arrays.  Framing
+    errors name the section and a byte offset (see ``_section_spans``), a
+    short or long payload the section and the first row affected (see
+    ``_section_array``).  #DATA is read before the config hash, which
+    covers it, is checked, and the other sections after.  z is derived,
+    and a z_{K,n} that is not x_{K+1} bit for bit raises ValueError naming
+    both rows; zhat waits for its first read.
     """
     with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        blob = fh.read()
+    if not blob:
         raise ValueError("empty trace file")
+    end = blob.find(b"\n")
+    end = len(blob) if end < 0 else end
     with _header_errors():
-        header, config_text = _read_header(lines[0].decode())
+        header, config_text = _read_header(blob[:end].decode())
         doc = header["config"]
         full = doc["record_level"] == "full"
         names = [name for name in SECTION_DTYPES if full or name not in STEP_SECTIONS]
         data_dims = data_shape(doc["problem"])
-    payloads = _section_payloads(lines, names)
-    data = _decode_section("#DATA", payloads["#DATA"], data_dims, data_dims[0])
+    spans = _section_spans(blob, end + 1, names)
+    data = _section_array("#DATA", blob, spans["#DATA"], data_dims, data_dims[0])
     with _header_errors():
-        if _config_hash(config_text, payloads["#DATA"]) != header["config_sha256"]:
+        if _config_hash(config_text, data) != header["config_sha256"]:
             raise ValueError("config hash mismatch")
         config = config_from_dict(doc, data)
         aborted = tuple(header["aborted_at"]) if header["aborted_at"] else None
@@ -858,10 +884,7 @@ def load_trace(path) -> RunTrace:
     shapes = {"#NODES": (epochs + 1, p + 2), "#EPOCHS": (epochs, len(EPOCH_SERIES))}
     if full:
         shapes.update({"#INDEX": (epochs, n), "#INNER": (epochs, n, 3 + p)})
-    arrays = {name: _decode_section(name, payloads[name], shape, n) for name, shape in shapes.items()}
-    # the lines hold every section's base64 text; released here, they are
-    # not live beside the record's arrays, which bounds the load's peak
-    del lines, payloads
+    arrays = {name: _section_array(name, blob, spans[name], shape, n) for name, shape in shapes.items()}
 
     trace = _new_trace(config, epochs)
     trace.aborted_at, trace.bound_exceeded_at = aborted, header["bound_exceeded_at"]
@@ -875,6 +898,8 @@ def load_trace(path) -> RunTrace:
         trace.index[:] = arrays["#INDEX"]
         trace.alpha[:], trace.dnorm2[:], trace.v[:] = steps[..., 0], steps[..., 1], steps[..., 2]
         trace.d[:] = steps[..., 3:]
+        # the trace's arrays are copies: the file's bytes are not live beside z
+        del blob, data, arrays, nodes, steps
         # z_{K,0..n} of every epoch, the engine's update from x_K as one in-place
         # accumulate: z_{K,i} = z_{K,i-1} - alpha_{K,i} d_{K,i}, left to right
         zs = np.empty((epochs, n + 1, p))

@@ -1,5 +1,3 @@
-import base64
-
 import hypothesis
 import numpy as np
 import pytest
@@ -68,23 +66,34 @@ def run_factory():
     return make_run
 
 
-def decode_payload(payload: str, dtype: str = "<f8") -> np.ndarray:
-    """The array a trace section's base64 payload holds, flat and writable."""
-    return np.frombuffer(base64.b64decode(payload), dtype).copy()
+def decode_payload(payload: bytes, dtype: str = "<f8") -> np.ndarray:
+    """The array a trace section's payload holds, flat and writable."""
+    return np.frombuffer(payload, dtype).copy()
 
 
-def encode_payload(array: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(array).tobytes()).decode()
+def encode_payload(array: np.ndarray) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
 
 
-def section_payload(text: str, section: str) -> str:
-    """The payload line that follows a section line of a trace file's text."""
-    lines = text.splitlines()
-    return lines[lines.index(section) + 1]
+def section_spans(blob: bytes) -> dict:
+    """{section name: (start of its line, start of its payload, end of its payload)} of a trace file's bytes."""
+    spans = {}
+    pos = blob.index(b"\n") + 1
+    while pos < len(blob):
+        end = blob.index(b"\n", pos)
+        name, count = blob[pos:end].decode().split(" ")
+        spans[name] = (pos, end + 1, end + 1 + int(count))
+        pos = end + 2 + int(count)
+    return spans
 
 
-def with_payload(text: str, section: str, payload: str) -> str:
-    """A trace file's text with the payload line after ``section`` replaced."""
-    lines = text.splitlines(keepends=True)
-    lines[lines.index(section + "\n") + 1] = payload + "\n"
-    return "".join(lines)
+def section_payload(blob: bytes, section: str) -> bytes:
+    """The payload of a section of a trace file's bytes."""
+    _, start, stop = section_spans(blob)[section]
+    return blob[start:stop]
+
+
+def with_payload(blob: bytes, section: str, payload: bytes) -> bytes:
+    """A trace file's bytes with the payload of ``section``, and its byte count, replaced."""
+    line, _, stop = section_spans(blob)[section]
+    return blob[:line] + f"{section} {len(payload)}\n".encode() + payload + blob[stop:]

@@ -12,18 +12,20 @@ import pytest
 from pytest import approx
 
 import wrdescent as wd
-from conftest import decode_payload, encode_payload, section_payload, with_payload
+from conftest import decode_payload, encode_payload, section_payload, section_spans, with_payload
 from wrdescent.cli import KNOWN_CHECKS, _verify_one, fit_loglog_slope, main, sweep_checkpoints
 from wrdescent.config import ExperimentConfig, load_config, save_config
 from wrdescent.engine import VARIANT_SECTIONS
 
 
 DATA = Path(__file__).parent / "data"
-# two-epoch runs written by earlier trace formats: v2 stored zhat and z, v3
-# stored every number as decimal text, v4 the data matrix as JSON in the header
+# runs written by earlier trace formats: v2 stored zhat and z, v3 stored
+# every number as decimal text, v4 the data matrix as JSON in the header
+# (two epochs each), v5 each section as a line of base64 (three epochs)
 V2_TRACE = (DATA / "trace_v2.txt").read_text()
 V3_TRACE = (DATA / "trace_v3.txt").read_text()
 V4_TRACE = (DATA / "trace_v4.txt").read_text()
+V5_TRACE = (DATA / "trace_v5.txt").read_text()
 
 
 def minimal_config(**overrides):
@@ -224,7 +226,7 @@ class TestCmdRun:
         override = f'strategy={{"variant": "constant", "alpha": {alpha}}}'
         with np.errstate(over="ignore"):
             main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--set", override])
-        header = json.loads((tmp_path / "o" / "trace.txt").read_text().splitlines()[0])
+        header = json.loads((tmp_path / "o" / "trace.txt").read_bytes().partition(b"\n")[0])
         assert header["config"]["strategy"]["alpha"] == float(alpha)
 
     @pytest.mark.parametrize("radius", ['"abc"', "1e400", "true", "-1", "null"])
@@ -435,34 +437,40 @@ class TestCmdVerify:
 
 # the damaged traces below come from a run with n = 4, p = 2 and 6 epochs:
 # #DATA rows [a_i, b_i] are 24 bytes, #NODES rows 32 bytes, #INNER rows
-# (alpha, dnorm2, v, d) 40 bytes
+# (alpha, dnorm2, v, d) 40 bytes.  A framing error names a byte offset,
+# which depends on the header's length (its provenance), so those cases
+# give it from the sections of the undamaged file.
 
 
-def _edit_section(text, section, edit):
-    return with_payload(text, section, encode_payload(edit(decode_payload(section_payload(text, section)))))
+def _edit_section(blob, section, edit):
+    return with_payload(blob, section, encode_payload(edit(decode_payload(section_payload(blob, section)))))
 
 
-def _shift_direction(text):
+def _shift_direction(blob):
     def edit(steps):
         steps = steps.reshape(6, 4, 5)
         steps[2, 0, -1] += 1.0  # the last component of d at step 1 of epoch 2
         return steps
 
-    return _edit_section(text, "#INNER", edit)
+    return _edit_section(blob, "#INNER", edit)
 
 
-def _insert_character(text):
-    payload = section_payload(text, "#INNER")
-    # character 501 encodes byte 375, inside row 10 (bytes 360..399): step 2 of
-    # epoch 2; a decoder that skips foreign characters would load this trace
-    return with_payload(text, "#INNER", payload[:500] + "*" + payload[500:])
+def _insert_byte(blob):
+    # the #INNER payload keeps its byte count, so its last byte lands where its newline belongs
+    start = section_spans(blob)["#INNER"][1]
+    return blob[: start + 500] + b"*" + blob[start + 500 :]
 
 
-def _edit_header(text, edit):
-    first, _, rest = text.partition("\n")
+def _edit_section_line(blob, section, edit):
+    line, start, _ = section_spans(blob)[section]
+    return blob[:line] + edit(blob[line : start - 1].decode()).encode() + blob[start - 1 :]
+
+
+def _edit_header(blob, edit):
+    first, _, rest = blob.partition(b"\n")
     header = json.loads(first)
     edit(header)
-    return json.dumps(header) + "\n" + rest
+    return json.dumps(header).encode() + b"\n" + rest
 
 
 class TestTraceErrors:
@@ -470,36 +478,50 @@ class TestTraceErrors:
         "damage, where",
         [
             # where the cut lands depends on the header's length (its provenance)
-            (lambda text: text[: 2 * len(text) // 3], "#INNER "),
-            (lambda text: _edit_section(text, "#NODES", lambda a: a[:-4]), "#NODES row 7: missing"),
-            (lambda text: _edit_section(text, "#INNER", lambda a: a[:-15]), "#INNER 5 row 2: missing"),
+            (lambda blob: blob[: 2 * len(blob) // 3], "#INNER "),
+            (lambda blob: _edit_section(blob, "#NODES", lambda a: a[:-4]), "#NODES row 7: missing"),
+            (lambda blob: _edit_section(blob, "#INNER", lambda a: a[:-15]), "#INNER 5 row 2: missing"),
             (
-                lambda text: _edit_section(text, "#INNER", lambda a: np.append(a, a[:5])),
+                lambda blob: _edit_section(blob, "#INNER", lambda a: np.append(a, a[:5])),
                 "#INNER 6 row 1: unexpected",
             ),
-            (_insert_character, "#INNER 2 row 2: not base64 (character 501 of the payload)"),
+            (
+                lambda blob: _edit_section_line(blob, "#INNER", lambda line: "#INNER"),
+                lambda spans: f"#INNER: section line without a byte count (byte {spans['#INNER'][0]})",
+            ),
+            (
+                _insert_byte,
+                lambda spans: f"#INNER: payload not followed by its newline (byte {spans['#INNER'][2]})",
+            ),
+            (
+                lambda blob: blob[: section_spans(blob)["#INNER"][1] - 2],
+                lambda spans: f"#INNER: section line without a byte count (byte {spans['#INNER'][0]})",
+            ),
             (_shift_direction, "#INNER 2: the derived z_{2,n} differs from x_3 (#NODES row 4)"),
-            (lambda text: text.replace("#EPOCHS\n", "#EPOCH\n"), "#EPOCH: unknown section (line 6)"),
             (
-                lambda text: text.replace("#INDEX\n", "#NODES\n"),
-                "#NODES: repeated section (line 8)",
+                lambda blob: _edit_section_line(blob, "#EPOCHS", lambda line: line.replace("#EPOCHS", "#EPOCH")),
+                lambda spans: f"#EPOCH: unknown section (byte {spans['#EPOCHS'][0]})",
             ),
-            (lambda text: "".join(text.splitlines(keepends=True)[:7]), "#INDEX: section missing"),
-            (lambda text: _edit_section(text, "#DATA", lambda a: a[:-3]), "#DATA row 4: missing"),
             (
-                lambda text: _edit_section(text, "#DATA", lambda a: a * np.array([1.0, 1.0, -1.0] * 4)),
+                lambda blob: _edit_section_line(blob, "#INDEX", lambda line: line.replace("#INDEX", "#NODES")),
+                lambda spans: f"#NODES: repeated section (byte {spans['#INDEX'][0]})",
+            ),
+            (lambda blob: blob[: section_spans(blob)["#INDEX"][0]], "#INDEX: section missing"),
+            (lambda blob: _edit_section(blob, "#DATA", lambda a: a[:-3]), "#DATA row 4: missing"),
+            (
+                lambda blob: _edit_section(blob, "#DATA", lambda a: a * np.array([1.0, 1.0, -1.0] * 4)),
                 "header: config hash mismatch",
             ),
             (
-                lambda text: _edit_header(text, lambda h: h["config"].update(epochs=5)),
+                lambda blob: _edit_header(blob, lambda h: h["config"].update(epochs=5)),
                 "header: config hash mismatch",
             ),
             (
-                lambda text: _edit_header(text, lambda h: h.pop("provenance")),
+                lambda blob: _edit_header(blob, lambda h: h.pop("provenance")),
                 "header: missing key 'provenance'",
             ),
             (
-                lambda text: _edit_header(text, lambda h: h.pop("config_sha256")),
+                lambda blob: _edit_header(blob, lambda h: h.pop("config_sha256")),
                 "header: missing key 'config_sha256'",
             ),
         ],
@@ -508,7 +530,9 @@ class TestTraceErrors:
             "dropped_node_row",
             "last_three_inner_rows_missing",
             "inner_row_added",
-            "non_base64_character",
+            "section_line_without_byte_count",
+            "byte_inserted_into_inner_payload",
+            "cut_inside_section_line",
             "shifted_direction",
             "unknown_section",
             "repeated_section",
@@ -525,7 +549,9 @@ class TestTraceErrors:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         path = out / "trace.txt"
-        path.write_text(damage(path.read_text()))
+        blob = path.read_bytes()
+        path.write_bytes(damage(blob))
+        where = where(section_spans(blob)) if callable(where) else where
         capsys.readouterr()
         checks = "step_length,epoch_descent_tight,lex,summability"
         assert main(["verify", "--trace", str(path), "--checks", checks]) == 2
@@ -540,16 +566,17 @@ class TestTraceErrors:
         [
             (None, "trace error: "),
             (
-                '{"format": "wrdescent-trace/5", "config_sha256": "", "provenance": {},'
+                '{"format": "wrdescent-trace/6", "config_sha256": "", "provenance": {},'
                 ' "aborted_at": null, "bound_exceeded_at": null}\n',
                 "trace error: header: missing key 'config'",
             ),
-            ('{"format": "wrdescent-trace/1"}\n', "trace error: header: not a wrdescent-trace/5 file"),
-            (V2_TRACE, "trace error: header: not a wrdescent-trace/5 file"),
-            (V3_TRACE, "trace error: header: not a wrdescent-trace/5 file"),
-            (V4_TRACE, "trace error: header: not a wrdescent-trace/5 file"),
+            ('{"format": "wrdescent-trace/1"}\n', "trace error: header: not a wrdescent-trace/6 file"),
+            (V2_TRACE, "trace error: header: not a wrdescent-trace/6 file"),
+            (V3_TRACE, "trace error: header: not a wrdescent-trace/6 file"),
+            (V4_TRACE, "trace error: header: not a wrdescent-trace/6 file"),
+            (V5_TRACE, "trace error: header: not a wrdescent-trace/6 file"),
         ],
-        ids=["missing_file", "header_without_config", "format_v1", "format_v2", "format_v3", "format_v4"],
+        ids=["missing_file", "header_without_config", "format_v1", "format_v2", "format_v3", "format_v4", "format_v5"],
     )
     def test_unreadable_trace_exits_2(self, tmp_path, capsys, text, where):
         path = tmp_path / "trace.txt"

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -635,22 +636,22 @@ class TestTraceFileProperty:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.txt"
             wd.save_trace(trace, path)
-            text = path.read_text()
+            blob = path.read_bytes()
             loaded = wd.load_trace(path)
             wd.save_trace(loaded, path)
-            assert path.read_text() == text
+            assert path.read_bytes() == blob
             assert wd.replay(loaded).ok
 
             target = "#INDEX" if name == "index" else section
             if name == "index":
-                stored = decode_payload(section_payload(text, target), "<i8")
+                stored = decode_payload(section_payload(blob, target), "<i8")
                 stored[row] = (stored[row] + 1) % prob.n
             else:
                 skip = section == "#INNER"  # #INNER holds no index column
-                stored = decode_payload(section_payload(text, target)).reshape(-1, len(columns) - skip)
+                stored = decode_payload(section_payload(blob, target)).reshape(-1, len(columns) - skip)
                 value = stored[row, column - skip]
                 value = stored[row, column - skip] = 1.0 if math.isnan(value) else np.nextafter(value, np.inf)
-            path.write_text(with_payload(text, target, encode_payload(stored)))
+            path.write_bytes(with_payload(blob, target, encode_payload(stored)))
 
             moved = None
             if level == "full" and name in ("alpha", "d", "xs"):
@@ -673,18 +674,44 @@ class TestTraceFileProperty:
 
 
 @pytest.mark.parametrize("kind", PROBLEM_KINDS)
-def test_every_zoo_kind_round_trips_through_file(tmp_path, kind):
-    # the #DATA matrix and the header rebuild each kind exactly
-    prob = wd.make_problem(kind, 5, 2, 13)
-    trace = make_run(prob, wd.DecreasingSqrt(5), epochs=3, x0=np.full(prob.p, 0.2))
-    path = tmp_path / "trace.txt"
-    wd.save_trace(trace, path)
-    loaded = wd.load_trace(path)
-    assert type(loaded.problem.kind) is type(prob.kind)
-    assert np.array_equal(loaded.problem.kind.data, prob.kind.data)
-    wd.save_trace(loaded, tmp_path / "resaved.txt")
-    assert (tmp_path / "resaved.txt").read_bytes() == path.read_bytes()
-    assert wd.replay(loaded).ok
+@given(eval_policy=st.sampled_from(EVAL_CASES), perm_policy=st.sampled_from(PERM_CASES), adaptive=st.booleans())
+@settings(max_examples=10)
+def test_every_zoo_kind_round_trips_through_file(kind, eval_policy, perm_policy, adaptive):
+    # the #DATA matrix and the header rebuild each kind exactly; at either
+    # record level, whole or aborted at K = 0 (sections of zero rows), every
+    # loaded array has the run's bits (NaN and -0.0 included) and is
+    # writable, and save -> load -> save writes the same bytes
+    prob = wd.make_problem(kind, 4, 2, 13)
+    strategy = wd.Adaptive.recommended(4) if adaptive else wd.DecreasingSqrt(4)
+    for level in ("full", "epoch_only"):
+        for abort in (False, True):
+            x0 = np.full(prob.p, 0.2)
+            x0[0] = -0.0
+            if abort:
+                x0[1] = math.inf  # z_{0,1} is not finite
+            config = wd.RunConfig(prob, strategy, eval_policy, perm_policy, x0, 3, record_level=level)
+            with np.errstate(all="ignore"):
+                trace = wd.run(config)
+            assert (trace.aborted_at is not None and trace.aborted_at[0] == 0) == abort
+            with tempfile.TemporaryDirectory() as tmp:
+                path, resaved = Path(tmp) / "trace.txt", Path(tmp) / "resaved.txt"
+                wd.save_trace(trace, path)
+                loaded = wd.load_trace(path)
+                wd.save_trace(loaded, resaved)
+                assert resaved.read_bytes() == path.read_bytes()
+            assert type(loaded.problem.kind) is type(prob.kind)
+            assert loaded.problem.kind.data.tobytes() == prob.kind.data.tobytes()
+            assert (loaded.aborted_at, loaded.bound_exceeded_at) == (trace.aborted_at, trace.bound_exceeded_at)
+            for name in NODE_SERIES + EPOCH_SERIES + ("index", "alpha", "dnorm2", "v", "d", "z"):
+                new, old = getattr(loaded, name), getattr(trace, name)
+                if old is None:
+                    assert new is None, name
+                    continue
+                assert (new.dtype, new.shape) == (old.dtype, old.shape), name
+                assert new.tobytes() == old.tobytes(), name
+                assert new.flags.writeable, name
+            if not abort:
+                assert wd.replay(loaded).ok
 
 
 RULES = ("constant", "decreasing_sqrt", "decreasing_cbrt", "adaptive")
@@ -978,20 +1005,32 @@ def record_not_of_its_config(case: str) -> wd.RunTrace:
 
 
 class TestTraceHeader:
+    def test_provenance_names_the_blas_kernel(self):
+        # the kernel NumPy's bundled OpenBLAS selected, read through ctypes
+        libs = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas*"))
+        expected = "unknown"
+        if libs:
+            corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+            corename.argtypes = []
+            corename.restype = ctypes.c_char_p
+            expected = corename().decode()
+        assert provenance()["blas_core"] == expected
+
     def test_provenance_and_config_hash_round_trip(self, tmp_path):
         prob = wd.make_problem("logistic", 4, 2, 8)
         trace = make_run(prob, wd.DecreasingSqrt(4), epochs=3)
         assert trace.provenance == provenance()
-        assert set(trace.provenance) == {"wrdescent", "numpy", "python", "blas"}
+        assert set(trace.provenance) == {"wrdescent", "numpy", "python", "blas", "blas_core"}
         # a trace made on another machine keeps its provenance through a load
-        trace.provenance = dict(trace.provenance, numpy="1.0.0", blas="other 0.1")
+        trace.provenance = dict(trace.provenance, numpy="1.0.0", blas="other 0.1", blas_core="Katmai")
         path = tmp_path / "trace.txt"
         wd.save_trace(trace, path)
-        text = path.read_text()
-        header = json.loads(text.partition("\n")[0])
+        blob = path.read_bytes()
+        header = json.loads(blob.partition(b"\n")[0])
         canonical = json.dumps(config_to_dict(trace.config), sort_keys=True, separators=(",", ":"))
-        hashed = canonical + "\n" + section_payload(text, "#DATA")
-        assert header["config_sha256"] == hashlib.sha256(hashed.encode()).hexdigest()
+        hashed = canonical.encode() + b"\n" + section_payload(blob, "#DATA")
+        assert section_payload(blob, "#DATA") == prob.kind.data.tobytes()
+        assert header["config_sha256"] == hashlib.sha256(hashed).hexdigest()
         assert header["provenance"] == trace.provenance
         loaded = wd.load_trace(path)
         assert loaded.provenance == trace.provenance
