@@ -18,19 +18,15 @@ component indices are 0-based.
 """
 
 from .analysis import (
-    BoundReport,
     RateCertificate,
     MarginReport,
     rate_bound,
     certify_run,
     check_adaptive_ratio_bound,
-    check_step_length_bound,
     check_step_length_bound_trace,
-    check_epoch_descent,
-    check_epoch_descent_tight,
     check_epoch_descent_tight_trace,
     check_epoch_descent_trace,
-    check_descent_decomposition,
+    check_descent_decomposition_trace,
     check_summability_ada,
     lemma_log_sum_check,
     lemma_norm_sum_check,

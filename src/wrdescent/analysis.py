@@ -10,26 +10,26 @@ reports the slack (rhs - lhs).  Tolerances are relative and pinned here:
 
 Notation: alpha_K is the epoch anchor (previous epoch's last step size),
 n the component count, M / L the problem constants.  The per-epoch descent
-inequality certified by ``check_epoch_descent`` is
+inequality certified by ``check_epoch_descent_trace`` is
 
     F(x_{K+1}) - F(x_K) + (n alpha_K / 2) ||grad F(x_K)||^2
       <= (alpha_K L^2 n^2 + L n / 2 - 1/(2 alpha_K)) * S2
          + alpha_K M^2 * sum_i (1 - alpha_{K,i}^3 / alpha_K^3),
 
 with S2 = sum_j alpha_{K,j}^2 ||d_j(zhat_{K,j-1})||^2, and
-``check_descent_decomposition`` certifies the inner-product form
+``check_descent_decomposition_trace`` certifies the inner-product form
 
     <grad F(x_K), x_{K+1} - x_K> + ||x_{K+1} - x_K||^2 / (2 n alpha_K)
       <= -(n alpha_K / 2) ||grad F(x_K)||^2 + alpha_K L^2 n^2 * S2
          + alpha_K M^2 * sum_i (alpha_{K,i}/alpha_K - 1)^2.
 
-A caution on the combined form checked by ``check_epoch_descent``: it is obtained
-from the inner-product form by replacing ||x_{K+1} - x_K||^2 with its upper
-bound n * S2 inside the coefficient (L/2 - 1/(2 n alpha_K)).  That
+A caution on the combined form checked by ``check_epoch_descent_trace``: it
+is obtained from the inner-product form by replacing ||x_{K+1} - x_K||^2 with
+its upper bound n * S2 inside the coefficient (L/2 - 1/(2 n alpha_K)).  That
 coefficient is negative whenever alpha_K < 1/(L n), in which regime the
 replacement flips the inequality, so the combined form can fail on runs
 with strong within-epoch cancellation (||x_{K+1} - x_K||^2 << n * S2) even
-though every step of its derivation holds.  ``check_epoch_descent_tight``
+though every step of its derivation holds.  ``check_epoch_descent_tight_trace``
 certifies the repaired combination that keeps the exact squared
 displacement,
 
@@ -45,8 +45,8 @@ repaired form, so they are unaffected.
 
 Each per-epoch inequality has one computation over an epoch range
 0 <= k_min <= k_max < N, array by array, reported at the first epoch of
-least slack; the ``*_trace`` functions run it over their range and the
-per-K functions are its one-epoch case.  Step sums are ``math.fsum`` over
+least slack; each ``check_*_trace`` function runs it over the range its
+``k_min``/``k_max`` keywords give.  Step sums are ``math.fsum`` over
 Python floats and squared norms stacked matmuls (one ddot per row), so a
 range has the bits of the per-epoch formulas.  The preconditions, in this
 order, raise the reasons ``verify`` skips a check for: full records, a
@@ -54,17 +54,23 @@ smooth problem, the range's epochs.  A step-length range in which an
 epoch's lhs or rhs is not finite still reports its least slack, and names
 that epoch in the report's ``non_finite``, which ``verify`` skips as a
 numeric overflow.
+
+``CHECKS`` is the table of the checks ``verify`` runs by name, and
+``run_check`` turns a name into (status, detail, rate certificate).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .engine import EPOCH_BLOCK, RunTrace
+from . import flows
+from .engine import EPOCH_BLOCK, RunTrace, _fmt
 from .problems import FiniteSumProblem, UnsupportedProblem
 from .steps import Adaptive, check_lex_monotone, epoch_anchor
 
@@ -133,13 +139,18 @@ def _dots(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _first_least(values: np.ndarray) -> int:
+    """The index a scan keeping the least so far picks: the first least
+    value, and a NaN only as the first entry."""
+    return 0 if np.isnan(values[0]) else int(np.argmin(np.where(np.isnan(values), np.inf, values)))
+
+
 def _least_slack(name, epochs, lhs, rhs, denom, tol, detail) -> MarginReport:
-    """The report at the first epoch of least relative slack, the one a scan
-    keeping the least so far picks (so a NaN slack only as the first epoch's).
+    """The report at the epoch of least relative slack (``_first_least``).
     lhs, rhs and denom hold one entry per epoch; ``detail(k)`` is the detail at entry k."""
-    with np.errstate(invalid="ignore"):  # inf - inf: a NaN slack, handled below
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN slack, handled by _first_least
         rel = (rhs - lhs) / denom
-    k = 0 if np.isnan(rel[0]) else int(np.argmin(np.where(np.isnan(rel), np.inf, rel)))
+    k = _first_least(rel)
     lhs, rhs, denom = float(lhs[k]), float(rhs[k]), float(denom[k])
     return _report(f"{name}[K={epochs[k]}]", lhs, rhs, tol, denom, detail(k))
 
@@ -156,22 +167,15 @@ def _s2(trace: RunTrace, epochs: range) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def check_step_length_bound(trace: RunTrace, K: int, *, tol: float = EXACT_RTOL) -> MarginReport:
-    """Step-length bound at every inner step of epoch K.
+def check_step_length_bound_trace(
+    trace: RunTrace, *, k_min: int = 0, k_max: Optional[int] = None, tol: float = EXACT_RTOL
+) -> MarginReport:
+    """Step-length bound at every inner step of epochs K in [k_min, k_max].
 
     max{||z_{K,i}-x_K||^2, ||x_{K+1}-x_K||^2, ||zhat_{K,i-1}-x_K||^2}
-    <= n * sum_j alpha_{K,j}^2 ||d_j||^2, reported as the minimum slack
-    over i.  Relative to the (nonnegative) right-hand side.
+    <= n * sum_j alpha_{K,j}^2 ||d_j||^2, the maximum over i of each epoch
+    against its right-hand side, relative to that (nonnegative) side.
     """
-    return _step_length(trace, K, K, tol)
-
-
-def check_step_length_bound_trace(trace: RunTrace, *, tol: float = EXACT_RTOL) -> MarginReport:
-    """Minimum step-length-bound slack over all epochs of a full trace."""
-    return _step_length(trace, 0, None, tol)
-
-
-def _step_length(trace: RunTrace, k_min: int, k_max: Optional[int], tol: float) -> MarginReport:
     _require_full(trace)
     epochs = _epoch_range(trace, k_min, k_max)
     n = trace.problem.n
@@ -252,41 +256,29 @@ def _descent_form(trace: RunTrace, k_min: int, k_max: Optional[int], tol: float,
     )
 
 
-def check_epoch_descent(trace: RunTrace, K: int, *, tol: float = INEQ_RTOL) -> MarginReport:
-    """Per-epoch descent inequality (see module docstring) at epoch K."""
-    return _descent_form(trace, K, K, tol, tight=False)
-
-
 def check_epoch_descent_trace(
     trace: RunTrace, *, k_min: int = 1, k_max: Optional[int] = None, tol: float = INEQ_RTOL
 ) -> MarginReport:
-    """Minimum combined-form slack over epochs K in [k_min, k_max]."""
+    """Per-epoch descent inequality, combined form (see module docstring), over epochs K in [k_min, k_max]."""
     return _descent_form(trace, k_min, k_max, tol, tight=False)
-
-
-def check_epoch_descent_tight(trace: RunTrace, K: int, *, tol: float = INEQ_RTOL) -> MarginReport:
-    """Repaired per-epoch inequality keeping ||x_{K+1} - x_K||^2 exactly.
-
-    Valid in every step-size regime (see the module docstring); coincides
-    with the combined form when within-epoch displacements are not
-    cancelling.
-    """
-    return _descent_form(trace, K, K, tol, tight=True)
 
 
 def check_epoch_descent_tight_trace(
     trace: RunTrace, *, k_min: int = 1, k_max: Optional[int] = None, tol: float = INEQ_RTOL
 ) -> MarginReport:
-    """Minimum repaired-form slack over epochs K in [k_min, k_max]."""
+    """Repaired per-epoch inequality keeping ||x_{K+1} - x_K||^2 exactly, over epochs K in [k_min, k_max].
+
+    Valid in every step-size regime (see the module docstring); coincides
+    with the combined form when within-epoch displacements are not
+    cancelling.
+    """
     return _descent_form(trace, k_min, k_max, tol, tight=True)
 
 
-def check_descent_decomposition(trace: RunTrace, K: int, *, tol: float = INEQ_RTOL) -> MarginReport:
-    """Inner-product form of the per-epoch bound (no objective values)."""
-    return _descent_inner(trace, K, K, tol)
-
-
-def _descent_inner(trace: RunTrace, k_min: int, k_max: Optional[int], tol: float) -> MarginReport:
+def check_descent_decomposition_trace(
+    trace: RunTrace, *, k_min: int = 1, k_max: Optional[int] = None, tol: float = INEQ_RTOL
+) -> MarginReport:
+    """Inner-product form of the per-epoch bound (no objective values) over epochs K in [k_min, k_max]."""
     epochs, alpha, s2 = _descent_terms(trace, k_min, k_max)
     problem, lo, hi = trace.problem, epochs.start, epochs.stop
     n, L, M = problem.n, problem.L, problem.M
@@ -400,25 +392,37 @@ def _need(rule, **kwargs):
             raise ValueError(f"parameter {name} is required by the {rule} bound")
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    rule: str
-    N: int
-    bound: float
-    observed: float
-    slack: float
-    ok: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateCertificate:
+    """A rule's bound against the observed minimum at every horizon.
+
+    N, bound, observed, slack (bound - observed) and passed hold one entry
+    per horizon; ``worst`` is the index of the first least slack (a NaN
+    slack only as the first horizon's), and ``ok`` says every horizon passed.
+    """
+
     rule: str
     params: dict
-    reports: list
+    N: np.ndarray
+    bound: np.ndarray
+    observed: np.ndarray
+    slack: np.ndarray
+    passed: np.ndarray
+    worst: int
     ok: bool
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def write_csv(self, path) -> None:
+        """One row per horizon: N,bound,observed,slack,pass, numbers at full precision."""
+        columns = (self.N, self.bound, self.observed, self.slack)
+        rows = ["N,bound,observed,slack,pass"]
+        rows += [
+            f"{N},{_fmt(b)},{_fmt(o)},{_fmt(s)},{int(p)}"
+            for N, b, o, s, p in zip(*(c.tolist() for c in columns), self.passed.tolist())
+        ]
+        Path(path).write_text("\n".join(rows) + "\n")
 
 
 # bounds whose observed minimum starts at epoch 1 rather than 0
@@ -441,7 +445,8 @@ def certify_run(
     rules) must not exceed the closed-form bound.  F* is replaced by
     ``f_star`` (default: the problem's recorded lower bound), which can only
     loosen the bound, so passes remain valid certificates.  A bound that is
-    not finite at some horizon certifies nothing and raises OverflowError.
+    not finite at some horizon certifies nothing and raises OverflowError;
+    a rule with no horizon (1..N with N = 0) raises ValueError.
     """
     problem = trace.problem
     _require_smooth(problem)
@@ -458,7 +463,6 @@ def certify_run(
 
     f0 = float(trace.f_vals[0])
     grad = trace.grad_sq[: trace.epochs_completed + 1]
-    n_total = trace.epochs_completed
     out = []
     for r in rules:
         params = {
@@ -469,30 +473,20 @@ def certify_run(
             **matched[r],
         }
         start = 1 if r in _RULES_FROM_K1 else 0
-        running = np.minimum.accumulate(grad[start:])
-        reports = []
-        for N in range(start, n_total + 1):
-            observed = float(running[N - start])
-            bound = rate_bound(r, N=N, **params)
-            if not math.isfinite(bound):
-                raise OverflowError(f"the {r} bound is {bound} at N={N}")
-            slack = bound - observed
-            reports.append(
-                BoundReport(
-                    rule=r,
-                    N=N,
-                    bound=bound,
-                    observed=observed,
-                    slack=slack,
-                    ok=observed <= bound + tol * (1.0 + abs(bound)),
-                )
-            )
+        horizons = np.arange(start, trace.epochs_completed + 1)
+        if not horizons.size:
+            raise ValueError("no completed epoch")
+        bound = np.array([rate_bound(r, N=N, **params) for N in horizons.tolist()])
+        bad = np.flatnonzero(~np.isfinite(bound))
+        if bad.size:
+            raise OverflowError(f"the {r} bound is {float(bound[bad[0]])} at N={horizons[bad[0]]}")
+        observed = np.minimum.accumulate(grad[start:])
+        slack = bound - observed
+        passed = observed <= bound + tol * (1.0 + np.abs(bound))
         out.append(
             RateCertificate(
-                rule=r,
-                params=params,
-                reports=reports,
-                ok=all(r2.ok for r2 in reports),
+                r, params, horizons, bound, observed, slack, passed,
+                _first_least(slack), bool(passed.all()),
             )
         )
     return out
@@ -608,3 +602,75 @@ def lipschitz_gradient_check(problem: FiniteSumProblem, pairs) -> float:
         num = float(np.linalg.norm(problem.full_direction(x) - problem.full_direction(y)))
         worst = max(worst, num / dist)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the checks of ``wrdescent verify``
+# ---------------------------------------------------------------------------
+
+
+def _status(ok) -> str:
+    return "pass" if ok else "fail"
+
+
+def _margin(rep: MarginReport, what: str = "min rel slack"):
+    if rep.non_finite:
+        raise OverflowError(rep.non_finite)
+    return _status(rep.ok), f"{what} {rep.rel_slack:.3e}", None
+
+
+def _lex(trace: RunTrace):
+    _require_full(trace)
+    if not trace.epochs_completed:
+        raise ValueError("no completed epoch")
+    rep = check_lex_monotone(trace.alpha)
+    return _status(rep.ok), f"violation {rep.violation}", None
+
+
+def _rate(trace: RunTrace, rule: str):
+    cert = certify_run(trace, rule)[0]
+    N, slack = cert.N[cert.worst], cert.slack[cert.worst]
+    return _status(cert.ok), f"{cert.N.size} horizons, min slack {slack:.3e} at N={N}", cert
+
+
+def _gamma(trace: RunTrace):
+    if not trace.epochs_completed:
+        raise ValueError("no completed epoch")
+    gt = flows.gamma_trace(trace)
+    for what in ("taus", "gammas", "ratios"):
+        values = getattr(gt, what)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise OverflowError(f"{what}[{bad[0]}] is {values[bad[0]]}")
+    if gt.lambda_bound_ok is None:
+        return _status(np.all(gt.ratios >= 1.0 - 1e-12)), "epoch-level ratios only", None
+    return _status(gt.lambda_bound_ok), f"max hull-weight excess {gt.max_lambda_excess:.3e}", None
+
+
+# Each check of a trace gives (status, detail, the rate certificate of a
+# bound_* check or None).  The entries look their functions up when they
+# are called, so a replaced module attribute is the one that runs.
+CHECKS = {
+    "step_length": lambda trace: _margin(check_step_length_bound_trace(trace)),
+    "epoch_descent": lambda trace: _margin(check_epoch_descent_trace(trace)),
+    "epoch_descent_tight": lambda trace: _margin(check_epoch_descent_tight_trace(trace)),
+    "lex": _lex,
+    **{f"bound_{rule}": partial(_rate, rule=rule) for rule in RATE_RULES},
+    "summability": lambda trace: _margin(check_summability_ada(trace), "rel slack"),
+    "gamma": _gamma,
+}
+
+
+def run_check(trace: RunTrace, name: str):
+    """(status, detail, certificate) of ``CHECKS[name]``, status 'pass', 'fail' or 'skip'.
+
+    A check whose preconditions fail raises ValueError or UnsupportedProblem
+    with the reason, and one whose sides are not finite OverflowError; both
+    are a skip with that reason.
+    """
+    try:
+        return CHECKS[name](trace)
+    except (UnsupportedProblem, ValueError) as err:
+        return "skip", str(err), None
+    except OverflowError as err:
+        return "skip", f"numeric overflow: {err.args[-1]}", None

@@ -15,6 +15,7 @@ Exit codes: 0 success / all checks passed, 1 failed checks or aborted run,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -28,23 +29,9 @@ from . import analysis, flows
 from .config import ConfigError, ExperimentConfig, load_config, parse_value, set_key
 from .engine import _fmt, load_trace, run, save_trace, write_summary_csv
 from .problems import UnsupportedProblem
-from .steps import check_lex_monotone
+from .steps import check_lex_monotone  # noqa: F401  (perfbench/tracing.py patches this name here)
 
-KNOWN_CHECKS = (
-    "step_length",
-    "epoch_descent",
-    "epoch_descent_tight",
-    "lex",
-    *(f"bound_{rule}" for rule in analysis.RATE_RULES),
-    "summability",
-    "gamma",
-)
-# verify checks that are the minimum over a trace's epochs of an analysis check
-_RANGE_CHECKS = {
-    "step_length": "check_step_length_bound_trace",
-    "epoch_descent": "check_epoch_descent_trace",
-    "epoch_descent_tight": "check_epoch_descent_tight_trace",
-}
+KNOWN_CHECKS = tuple(analysis.CHECKS)
 
 
 def _apply_overrides(doc: dict, pairs: list[str]) -> dict:
@@ -87,58 +74,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _verify_one(trace, name: str):
-    """(status, detail, certificate) with status in {'pass', 'fail', 'skip'}.
-
-    certificate is the rate certificate of a bound_* check that ran, else None.
-    A check whose preconditions fail raises ValueError or UnsupportedProblem
-    with the reason, and one whose sides are not finite OverflowError,
-    which ``cmd_verify`` reports as a skip.
-    """
-    if name in _RANGE_CHECKS:
-        # looked up at call time, so a patched analysis function is the one called
-        rep = getattr(analysis, _RANGE_CHECKS[name])(trace)
-        if rep.non_finite:
-            raise OverflowError(rep.non_finite)
-        return ("pass" if rep.ok else "fail"), f"min rel slack {rep.rel_slack:.3e}", None
-    if name == "lex":
-        if trace.config.record_level != "full":
-            return "skip", "needs full records", None
-        if not trace.epochs_completed:
-            return "skip", "no completed epoch", None
-        rep = check_lex_monotone(trace.alpha)
-        return ("pass" if rep.ok else "fail"), f"violation {rep.violation}", None
-    if name.startswith("bound_"):
-        cert = analysis.certify_run(trace, name[len("bound_"):])[0]
-        worst = min(cert.reports, key=lambda r: r.slack)
-        return (
-            ("pass" if cert.ok else "fail"),
-            f"{len(cert.reports)} horizons, min slack {worst.slack:.3e} at N={worst.N}",
-            cert,
-        )
-    if name == "summability":
-        rep = analysis.check_summability_ada(trace)
-        return ("pass" if rep.ok else "fail"), f"rel slack {rep.rel_slack:.3e}", None
-    if name == "gamma":
-        if not trace.epochs_completed:
-            return "skip", "no completed epoch", None
-        gt = flows.gamma_trace(trace)
-        for what in ("taus", "gammas", "ratios"):
-            values = getattr(gt, what)
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                raise OverflowError(f"{what}[{bad[0]}] is {values[bad[0]]}")
-        if gt.lambda_bound_ok is None:
-            ok = bool(np.all(gt.ratios >= 1.0 - 1e-12))
-            return ("pass" if ok else "fail"), "epoch-level ratios only", None
-        return (
-            ("pass" if gt.lambda_bound_ok else "fail"),
-            f"max hull-weight excess {gt.max_lambda_excess:.3e}",
-            None,
-        )
-    return "skip", "unknown check", None
-
-
 def _load_trace_or_report(path):
     """The trace at ``path``, or None after printing why it cannot be read."""
     try:
@@ -162,22 +97,12 @@ def cmd_verify(args) -> int:
     results = {}
     failed = False
     for name in checks:
-        try:
-            status, detail, cert = _verify_one(trace, name)
-        except (UnsupportedProblem, ValueError) as err:
-            status, detail, cert = "skip", str(err), None
-        except OverflowError as err:
-            status, detail, cert = "skip", f"numeric overflow: {err.args[-1]}", None
+        status, detail, cert = analysis.run_check(trace, name)
         results[name] = {"status": status, "detail": detail}
         print(f"[{status.upper():4s}] {name}: {detail}")
         failed = failed or status == "fail"
         if cert is not None:
-            rows = ["N,bound,observed,slack,pass"]
-            rows += [
-                f"{r.N},{_fmt(r.bound)},{_fmt(r.observed)},{_fmt(r.slack)},{int(r.ok)}"
-                for r in cert.reports
-            ]
-            (out / f"certificate_{name}.csv").write_text("\n".join(rows) + "\n")
+            cert.write_csv(out / f"certificate_{name}.csv")
     (out / "certificate.json").write_text(json.dumps(results, indent=2) + "\n")
     return 1 if failed else 0
 
@@ -221,14 +146,8 @@ def _sweep_cell(payload):
         return {"overrides": overrides, "error": f"aborted at {trace.aborted_at}"}
     running = trace.running_min_grad_sq()
     curve = [(int(N), float(running[N])) for N in checkpoints if N <= trace.epochs_completed]
-    certs = []
-    if trace.problem.is_smooth:
-        for rule in trace.config.strategy.rate_params(trace.problem):
-            try:
-                ok = analysis.certify_run(trace, rule)[0].ok
-                certs.append((rule, "pass" if ok else "fail"))
-            except OverflowError:  # a non-finite bound certifies nothing
-                certs.append((rule, "skip"))
+    rules = trace.config.strategy.rate_params(trace.problem) if trace.problem.is_smooth else {}
+    certs = [(rule, analysis.run_check(trace, f"bound_{rule}")[0]) for rule in rules]
     return {
         "overrides": overrides,
         "curve": curve,
@@ -336,6 +255,7 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wrdescent", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -344,13 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="certify checks on a recorded trace")
     p_verify.add_argument("--trace", required=True)
     p_verify.add_argument("--checks", default="step_length,epoch_descent_tight,lex")
     p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="grid of runs with aggregated rate table")
     p_sweep.add_argument("--config", required=True)
@@ -358,19 +276,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_report = sub.add_parser("report", help="digest and diagnostic CSVs for a trace")
     p_report.add_argument("--trace", required=True)
     p_report.add_argument("--out", default=None)
-    p_report.set_defaults(func=cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # looked up at call time, so a replaced cmd_* is the one called
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

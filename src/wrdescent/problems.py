@@ -41,6 +41,24 @@ _SIGMOID_HESS_BOUND = 1.0 / (6.0 * math.sqrt(3.0))
 ROW_BLOCK = 256
 
 
+def _fsum(values: list) -> float:
+    """math.fsum, the correctly rounded sum, also where a partial sum leaves
+    the float range: then the exact sum, or its signed infinity past the range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        special = [v for v in values if not math.isfinite(v)]
+        if special:
+            return math.fsum(special)  # what fsum gives with an inf or NaN among its terms
+        from fractions import Fraction  # about 4 ms to import, so only on this path
+
+        total = sum(map(Fraction, values))
+        try:
+            return float(total)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
+
+
 class UnsupportedProblem(RuntimeError):
     """Operation requested on a problem that cannot support it."""
 
@@ -206,7 +224,7 @@ class FiniteSumProblem:
         if getattr(self.kind, "VECTORIZED", False):
             values = self.kind.full_values(X)
         else:
-            values = np.array([math.fsum(self._rows("value", row)) / self.n for row in X])
+            values = np.array([_fsum(self._rows("value", row).tolist()) / self.n for row in X])
         return float(values[0]) if np.ndim(x) == 1 else values
 
     def full_direction(self, x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from test_engine import EVAL_CASES, PERM_CASES, zero_problem
 class TestStepLengthBound:
     def test_zero_direction_epoch_zero_slack(self):
         trace = make_run(zero_problem(), wd.Constant(0.5, 2), epochs=2)
-        rep = wd.check_step_length_bound(trace, 0)
+        rep = wd.check_step_length_bound_trace(trace, k_min=0, k_max=0)
         assert rep.lhs == 0.0 and rep.rhs == 0.0
         assert rep.ok and rep.rel_slack == 0.0
 
@@ -24,7 +24,7 @@ class TestStepLengthBound:
         prob = wd.make_problem("logistic", 1, 2, 4)
         trace = make_run(prob, wd.Constant(0.3, 1), epochs=3)
         for K in range(trace.epochs_completed):
-            rep = wd.check_step_length_bound(trace, K)
+            rep = wd.check_step_length_bound_trace(trace, k_min=K, k_max=K)
             assert abs(rep.rel_slack) <= 1e-12  # LHS = alpha^2 ||d||^2 = RHS
 
     def test_convex_mix_epochs_hold(self):
@@ -45,7 +45,8 @@ class TestEpochDescent:
     def test_trace_check_scans_lex_once(self, logistic32, monkeypatch):
         trace = make_run(logistic32, wd.Adaptive.recommended(32), epochs=8)
         per_epoch = min(
-            (wd.check_epoch_descent(trace, K) for K in range(1, 8)), key=lambda r: r.rel_slack
+            (wd.check_epoch_descent_trace(trace, k_min=K, k_max=K) for K in range(1, 8)),
+            key=lambda r: r.rel_slack,
         )
         calls = []
         scan = analysis.check_lex_monotone
@@ -56,21 +57,21 @@ class TestEpochDescent:
     def test_lex_violation_rejected(self, logistic32):
         trace = make_run(logistic32, wd.DecreasingSqrt(32), epochs=6)
         trace.alpha[4][2] *= 2.0
-        for check in (lambda t: wd.check_epoch_descent(t, 1), wd.check_epoch_descent_trace):
+        for k_max in (1, None):  # epoch 1 alone, and the default range
             with pytest.raises(ValueError, match=r"lexicographic monotonicity at \(4, 3\)"):
-                check(trace)
+                wd.check_epoch_descent_trace(trace, k_min=1, k_max=k_max)
 
     def test_constant_steps_kill_ratio_term(self, logistic32):
         # alpha = 1/L keeps the S2 coefficient nonnegative, so the combined
         # form is provable here; the ratio term vanishes for equal steps
         trace = make_run(logistic32, wd.Constant(1.0 / logistic32.L, 32), epochs=6)
-        rep = wd.check_epoch_descent(trace, 3)
+        rep = wd.check_epoch_descent_trace(trace, k_min=3, k_max=3)
         assert rep.detail["ratio_term"] == approx(0.0, abs=1e-14)
         assert rep.ok
 
     def test_zero_direction_problem_both_sides_zero(self):
         trace = make_run(zero_problem(), wd.Constant(0.5, 2), epochs=3)
-        rep = wd.check_epoch_descent(trace, 1)
+        rep = wd.check_epoch_descent_trace(trace, k_min=1, k_max=1)
         assert rep.lhs == approx(0.0, abs=1e-15)
         assert rep.rhs == approx(0.0, abs=1e-15)
 
@@ -118,15 +119,15 @@ class TestEpochDescent:
         assert not combined.ok
         K = int(combined.name.split("K=")[1].rstrip("]"))
         assert trace.epoch_anchor(K) < 1.0 / (prob.L * prob.n)
-        assert wd.check_step_length_bound(trace, K).ok
-        assert wd.check_descent_decomposition(trace, K).ok
-        assert wd.check_epoch_descent_tight(trace, K).ok
+        assert wd.check_step_length_bound_trace(trace, k_min=K, k_max=K).ok
+        assert wd.check_descent_decomposition_trace(trace, k_min=K, k_max=K).ok
+        assert wd.check_epoch_descent_tight_trace(trace, k_min=K, k_max=K).ok
 
     def test_nonsmooth_unsupported(self):
         prob = wd.make_problem("median", 5, 1, 3)
         trace = make_run(prob, wd.DecreasingSqrt(5), epochs=4)
         with pytest.raises(wd.UnsupportedProblem):
-            wd.check_epoch_descent(trace, 1)
+            wd.check_epoch_descent_trace(trace, k_min=1, k_max=1)
 
     def test_anchor_convention(self):
         prob = wd.make_problem("logistic", 4, 2, 5)
@@ -147,7 +148,7 @@ class TestDescentDecomposition:
             epochs=4,
         )
         K = 2
-        rep = wd.check_descent_decomposition(trace, K)
+        rep = wd.check_descent_decomposition_trace(trace, k_min=K, k_max=K)
         n, alpha_k = 32, trace.epoch_anchor(K)
         target = -0.5 * n * alpha_k * trace.grad_sq[K]
         assert rep.lhs == approx(target, rel=1e-10)
@@ -159,7 +160,7 @@ class TestDescentDecomposition:
             prob, wd.Adaptive.recommended(8), eval_policy=wd.DelayedAsync(2, 4), epochs=50
         )
         for K in range(1, 50):
-            assert wd.check_descent_decomposition(trace, K).rel_slack >= -1e-9
+            assert wd.check_descent_decomposition_trace(trace, k_min=K, k_max=K).rel_slack >= -1e-9
 
 
 # The per-epoch formulas one epoch K at a time, and the scan that keeps the
@@ -332,11 +333,11 @@ class TestRangeChecks:
                 )
             for K in (k_min, k_max):
                 for check, ref in (
-                    (wd.check_step_length_bound, _ref_step_length),
-                    (wd.check_epoch_descent, lambda t, K: _ref_epoch_descent(t, K, False)),
-                    (wd.check_epoch_descent_tight, lambda t, K: _ref_epoch_descent(t, K, True)),
+                    (wd.check_step_length_bound_trace, _ref_step_length),
+                    (wd.check_epoch_descent_trace, lambda t, K: _ref_epoch_descent(t, K, False)),
+                    (wd.check_epoch_descent_tight_trace, lambda t, K: _ref_epoch_descent(t, K, True)),
                 ):
-                    assert repr(check(trace, K)) == repr(ref(trace, K))
+                    assert repr(check(trace, k_min=K, k_max=K)) == repr(ref(trace, K))
 
     @pytest.mark.parametrize("eval_policy", EVAL_CASES, ids=lambda c: c.VARIANT)
     @given(
@@ -352,17 +353,21 @@ class TestRangeChecks:
         trace = _property_run(strategy, eval_policy, perm_policy, epochs, True)
         K = data.draw(st.integers(0, trace.epochs_completed - 1), label="K")
         with np.errstate(all="ignore"):
-            rep = wd.check_descent_decomposition(trace, K)
+            rep = wd.check_descent_decomposition_trace(trace, k_min=K, k_max=K)
             assert repr(rep) == repr(_ref_decomposition(trace, K))
 
     @pytest.mark.parametrize(
         "check, epochs",
         [
-            (wd.check_step_length_bound, -1),
-            (wd.check_step_length_bound, 3),
-            (wd.check_epoch_descent, 3),
-            (wd.check_epoch_descent_tight, -1),
-            (wd.check_descent_decomposition, 3),
+            # Single-epoch ranges k_min = k_max = K; the ids keep the names
+            # these cases had when each check took one K.
+            pytest.param(wd.check_step_length_bound_trace, (-1, -1), id="check_step_length_bound--1"),
+            pytest.param(wd.check_step_length_bound_trace, (3, 3), id="check_step_length_bound-3"),
+            pytest.param(wd.check_epoch_descent_trace, (3, 3), id="check_epoch_descent-3"),
+            pytest.param(wd.check_epoch_descent_tight_trace, (-1, -1), id="check_epoch_descent_tight--1"),
+            pytest.param(
+                wd.check_descent_decomposition_trace, (3, 3), id="check_descent_decomposition-3"
+            ),
             (wd.check_epoch_descent_trace, (2, 1)),
             (wd.check_epoch_descent_tight_trace, (1, 7)),
             (wd.check_epoch_descent_tight_trace, (-1, None)),
@@ -372,10 +377,7 @@ class TestRangeChecks:
     def test_epochs_outside_the_trace_rejected(self, check, epochs):
         trace = make_run(wd.make_problem("logistic", 4, 2, 6), wd.DecreasingSqrt(4), epochs=3)
         with pytest.raises(ValueError, match=r"outside the completed epochs 0\.\.2"):
-            if isinstance(epochs, tuple):
-                check(trace, k_min=epochs[0], k_max=epochs[1])
-            else:
-                check(trace, epochs)
+            check(trace, k_min=epochs[0], k_max=epochs[1])
 
     @pytest.mark.parametrize(
         "check, reason",
@@ -446,7 +448,7 @@ class TestCertifyRun:
         certs = {c.rule: c for c in wd.certify_run(trace)}
         assert set(certs) == {"constant", "constant_with_l"}
         assert certs["constant"].ok and certs["constant_with_l"].ok
-        assert len(certs["constant"].reports) == 201  # N = 0..200
+        assert certs["constant"].N.tolist() == list(range(201))  # N = 0..200
 
     def test_decreasing_certificates(self, logistic32):
         trace = make_run(
@@ -454,7 +456,7 @@ class TestCertifyRun:
         )
         (cert,) = wd.certify_run(trace)
         assert cert.rule == "decreasing_sqrt" and cert.ok
-        assert cert.reports[0].N == 1  # min over K = 1..N
+        assert cert.N[0] == 1  # min over K = 1..N
 
     def test_adaptive_certificate(self, logistic32):
         trace = make_run(
@@ -485,6 +487,78 @@ class TestCertifyRun:
         trace = make_run(prob, wd.DecreasingSqrt(5), epochs=10, record_level="epoch_only")
         with pytest.raises(wd.UnsupportedProblem):
             wd.certify_run(trace, "decreasing_sqrt")
+
+
+# certify_run's per-horizon loop for one rule, one float at a time: the
+# reference that its arrays must reproduce bit for bit
+
+
+def _ref_rate_certificate(trace, rule, f_star, tol=analysis.INEQ_RTOL):
+    """(N, bound, observed, slack, ok) per horizon, and the index of the row
+    that min(rows, key=slack) picks."""
+    problem = trace.problem
+    params = {
+        "f0_minus_fstar": float(trace.f_vals[0]) - f_star,
+        "L": problem.L,
+        "M": problem.M,
+        "n": problem.n,
+        **trace.config.strategy.rate_params(problem)[rule],
+    }
+    start = 1 if rule in ("decreasing_sqrt", "decreasing_cbrt") else 0
+    running = np.minimum.accumulate(trace.grad_sq[start : trace.epochs_completed + 1])
+    rows = []
+    for N in range(start, trace.epochs_completed + 1):
+        observed = float(running[N - start])
+        bound = wd.rate_bound(rule, N=N, **params)
+        if not math.isfinite(bound):
+            raise OverflowError(f"the {rule} bound is {bound} at N={N}")
+        slack = bound - observed
+        rows.append((N, bound, observed, slack, observed <= bound + tol * (1.0 + abs(bound))))
+    return rows, min(range(len(rows)), key=lambda j: rows[j][3])
+
+
+# a step rule that each rate rule matches on a 4-component problem
+_RATE_STRATEGIES = {
+    "constant": lambda problem: wd.Constant(2.0 / problem.L, 4),
+    "decreasing_sqrt": lambda problem: wd.DecreasingSqrt(4),
+    "constant_with_l": lambda problem: wd.Constant(0.5 / problem.L, 4),
+    "decreasing_cbrt": lambda problem: wd.DecreasingCbrtWithL(problem.L, 4),
+    "adaptive": lambda problem: wd.Adaptive.recommended(4),
+}
+
+
+@given(
+    rule=st.sampled_from(analysis.RATE_RULES),
+    epochs=st.integers(1, 40),
+    f0=st.sampled_from([None, math.inf, math.nan]),
+    data=st.data(),
+)
+@settings(max_examples=40)
+def test_certificate_arrays_match_the_per_horizon_loop(rule, epochs, f0, data):
+    problem = wd.make_problem("logistic", 4, 2, 6)
+    strategy = _RATE_STRATEGIES[rule](problem)
+    trace = make_run(problem, strategy, epochs=epochs, record_level="epoch_only", x0=np.full(2, 0.2))
+    # ||grad F||^2 that is NaN or inf at some nodes, as after an overflow,
+    # and an F(x_0) that takes every bound to inf or NaN
+    holes = st.tuples(st.integers(0, epochs), st.sampled_from([math.nan, math.inf]))
+    for k, value in data.draw(st.lists(holes, max_size=3), label="grad_sq holes"):
+        trace.grad_sq[k] = value
+    if f0 is not None:
+        trace.f_vals[0] = f0
+    try:
+        rows, worst = _ref_rate_certificate(trace, rule, 0.0)
+    except OverflowError as err:
+        with pytest.raises(OverflowError) as got:
+            wd.certify_run(trace, rule, f_star=0.0)
+        assert str(got.value) == str(err)
+        return
+    (cert,) = wd.certify_run(trace, rule, f_star=0.0)
+    N, bound, observed, slack, ok = (np.array(column) for column in zip(*rows))
+    assert cert.rule == rule and cert.N.tolist() == N.tolist()
+    for got, want in ((cert.bound, bound), (cert.observed, observed), (cert.slack, slack)):
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert cert.passed.tolist() == ok.tolist()
+    assert cert.worst == worst and cert.ok == all(ok)
 
 
 class TestSummability:

@@ -13,7 +13,8 @@ from pytest import approx
 
 import wrdescent as wd
 from conftest import decode_payload, encode_payload, section_payload, section_spans, with_payload
-from wrdescent.cli import KNOWN_CHECKS, _verify_one, fit_loglog_slope, main, sweep_checkpoints
+from wrdescent import analysis
+from wrdescent.cli import KNOWN_CHECKS, fit_loglog_slope, main, sweep_checkpoints
 from wrdescent.config import ExperimentConfig, load_config, save_config
 from wrdescent.engine import VARIANT_SECTIONS
 
@@ -406,10 +407,10 @@ class TestCmdVerify:
         problem = dataclasses.replace(wd.make_problem(kind, 2, 1, 3), f_star_lower=f_star)
         config = wd.RunConfig(problem, wd.Constant(0.5, 2), wd.Incremental(), wd.Identity(), np.zeros(1), 3)
         trace = wd.run(config)
-        for call in (lambda: wd.certify_run(trace, check[len("bound_"):]), lambda: _verify_one(trace, check)):
-            with pytest.raises((ValueError, wd.UnsupportedProblem)) as err:
-                call()
-            assert str(err.value) == reason
+        with pytest.raises((ValueError, wd.UnsupportedProblem)) as err:
+            wd.certify_run(trace, check[len("bound_"):])
+        assert str(err.value) == reason
+        assert analysis.run_check(trace, check) == ("skip", reason, None)
 
     def test_known_checks_pinned(self):
         assert KNOWN_CHECKS == (
@@ -425,6 +426,7 @@ class TestCmdVerify:
             "summability",
             "gamma",
         )
+        assert KNOWN_CHECKS == tuple(analysis.CHECKS)
 
     def test_unknown_check_rejected(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -720,6 +722,8 @@ class TestCmdReport:
         lines = capsys.readouterr().out.splitlines()
         assert "[SKIP] gamma: no completed epoch" in lines
         assert "[SKIP] step_length: no completed epoch" in lines
+        for name in ("gamma", "step_length"):
+            assert analysis.run_check(wd.load_trace(trace), name) == ("skip", "no completed epoch", None)
         assert sweep_checkpoints(0).tolist() == [0]
 
     @pytest.mark.parametrize(
@@ -727,7 +731,9 @@ class TestCmdReport:
     )
     def test_lex_skip_names_what_is_missing(self, tmp_path, capsys, record_level, reason):
         # the relu_net run above aborts at (0, 2): a full record of no
-        # completed epoch lacks an epoch, an epoch-level one the inner steps
+        # completed epoch lacks an epoch, an epoch-level one the inner steps;
+        # step_length skips for lex's reason, gamma (no inner steps needed)
+        # for the missing epoch, through verify and the check table alike
         cfg = write_config(
             tmp_path,
             problem={"kind": "relu_net", "n": 6, "p": 2, "seed": 1},
@@ -740,8 +746,25 @@ class TestCmdReport:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         capsys.readouterr()
-        assert main(["verify", "--trace", str(out / "trace.txt"), "--checks", "lex"]) == 0
-        assert f"[SKIP] lex: {reason}" in capsys.readouterr().out.splitlines()
+        trace = str(out / "trace.txt")
+        assert main(["verify", "--trace", trace, "--checks", "lex,step_length,gamma"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, why in (("lex", reason), ("step_length", reason), ("gamma", "no completed epoch")):
+            assert f"[SKIP] {name}: {why}" in lines
+            assert analysis.run_check(wd.load_trace(trace), name) == ("skip", why, None)
+
+
+class TestMain:
+    def test_commands_and_options_are_read_per_call(self, tmp_path, monkeypatch):
+        # the parser is built once; each call still dispatches to the
+        # cmd_* of its time, and its --set list starts empty
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "a"), "--set", "epochs=3"]) == 0
+        seen = []
+        monkeypatch.setattr(wd.cli, "cmd_run", lambda args: seen.append(args) or 7)
+        assert main(["run", "--config", str(cfg)]) == 7
+        assert seen[0].set == []
+        assert wd.cli.build_parser() is wd.cli.build_parser()
 
 
 class TestHelpers:

@@ -15,7 +15,8 @@ from pytest import approx
 
 import wrdescent as wd
 from conftest import decode_payload, encode_payload, make_run, section_payload, with_payload
-from wrdescent import engine
+from wrdescent import engine, problems
+from wrdescent.cli import main
 from wrdescent.engine import (
     EPOCH_BLOCK,
     EPOCH_SERIES,
@@ -340,6 +341,29 @@ class TestRun:
         with np.errstate(over="ignore", invalid="ignore"):
             trace = wd.run(overflow_config(case, record_level))
         assert (trace.aborted_at, trace.epochs_completed) == ABORT_PINS[case]
+
+    def test_abort_where_component_values_sum_past_the_float_range(self, tmp_path, capsys):
+        # relu_net's F is the fsum of its component values, here inf, 1e308,
+        # 1e308 and inf at x_0: the partial sum 2e308 overflows, and the run
+        # still records its abort, with F(x_0) the signed infinity of the sum
+        problem = wd.make_problem("relu_net", 4, 2, 5)
+        x0 = np.full(problem.p, -1e308)
+        x0[0] = -0.0
+        cfg = wd.RunConfig(problem, wd.Constant(1e308, 4), wd.Incremental(), wd.Identity(), x0, 3)
+        with np.errstate(all="ignore"):
+            trace = wd.run(cfg)
+        assert trace.aborted_at == (0, 1) and trace.f_vals.tolist() == [math.inf]
+        wd.save_trace(trace, tmp_path / "trace.txt")
+        assert wd.load_trace(tmp_path / "trace.txt").aborted_at == (0, 1)
+        assert main(["report", "--trace", str(tmp_path / "trace.txt")]) == 0
+        assert "final F: inf" in capsys.readouterr().out.splitlines()
+        # finite terms whose partial sums overflow: the exact sum, rounded
+        # once, or its signed infinity; a sum that fits keeps fsum's bits
+        fsum = problems._fsum
+        assert fsum([1e308, 1e308, -1e308]) == 1e308
+        assert fsum([-1e308, -1e308, 5.0]) == -math.inf and fsum([1e308, 1e308]) == math.inf
+        assert fsum([1e308, 1e308, -math.inf]) == -math.inf
+        assert fsum([0.1, 0.2, 1e-300]) == math.fsum([0.1, 0.2, 1e-300])
 
     def test_box_monitor_flags_exit(self):
         prob = wd.make_problem("logistic", 4, 2, 9)
