@@ -32,11 +32,10 @@ from .analysis import (
     lemma_norm_sum_check,
     lipschitz_gradient_check,
 )
-from .config import ConfigError, ExperimentConfig, load_config, save_config
+from .config import ConfigError, ExperimentConfig, RunConfig, load_config, save_config
 from .engine import (
     NonFiniteError,
     ReplayReport,
-    RunConfig,
     RunTrace,
     load_trace,
     replay,

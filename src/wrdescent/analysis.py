@@ -168,7 +168,7 @@ def _s2(trace: RunTrace, epochs: range) -> np.ndarray:
 
 
 def check_step_length_bound_trace(
-    trace: RunTrace, *, k_min: int = 0, k_max: Optional[int] = None, tol: float = EXACT_RTOL
+    trace: RunTrace, *, k_min: int = 0, k_max: Optional[int] = None
 ) -> MarginReport:
     """Step-length bound at every inner step of epochs K in [k_min, k_max].
 
@@ -201,7 +201,7 @@ def check_step_length_bound_trace(
     denom = np.where((rhs == 0.0) & (lhs == 0.0), 1.0, np.maximum(rhs, 1e-300))
     where = [("x_next", n)] + [(label, i) for i in range(1, n + 1) for label in ("z", "zhat")]
     rep = _least_slack(
-        "step_length", epochs, lhs, rhs, denom, tol, lambda k: {"argmax": where[argmax[k]]}
+        "step_length", epochs, lhs, rhs, denom, EXACT_RTOL, lambda k: {"argmax": where[argmax[k]]}
     )
     bad = np.flatnonzero(~np.isfinite(lhs) | ~np.isfinite(rhs))
     if bad.size:
@@ -229,7 +229,7 @@ def _descent_terms(trace: RunTrace, k_min: int, k_max: Optional[int], lex: bool 
     return epochs, alpha[epochs.start : epochs.stop], _s2(trace, epochs)
 
 
-def _descent_form(trace: RunTrace, k_min: int, k_max: Optional[int], tol: float, tight: bool):
+def _descent_form(trace: RunTrace, k_min: int, k_max: Optional[int], tight: bool):
     """The combined form, or with ``tight`` the repaired one, over epochs k_min..k_max."""
     epochs, alpha, s2 = _descent_terms(trace, k_min, k_max, lex=not tight)
     problem, lo, hi = trace.problem, epochs.start, epochs.stop
@@ -251,20 +251,20 @@ def _descent_form(trace: RunTrace, k_min: int, k_max: Optional[int], tol: float,
         rhs = coeff * s2 + alpha * M**2 * ratio_cube
         name, last = "epoch_descent", ("ratio_term", ratio_cube)
     return _least_slack(
-        name, epochs, lhs, rhs, 1.0 + abs(rhs), tol,
+        name, epochs, lhs, rhs, 1.0 + abs(rhs), INEQ_RTOL,
         lambda k: {"alpha_K": float(alpha[k]), "S2": float(s2[k]), last[0]: float(last[1][k])},
     )
 
 
 def check_epoch_descent_trace(
-    trace: RunTrace, *, k_min: int = 1, k_max: Optional[int] = None, tol: float = INEQ_RTOL
+    trace: RunTrace, *, k_min: int = 1, k_max: Optional[int] = None
 ) -> MarginReport:
     """Per-epoch descent inequality, combined form (see module docstring), over epochs K in [k_min, k_max]."""
-    return _descent_form(trace, k_min, k_max, tol, tight=False)
+    return _descent_form(trace, k_min, k_max, tight=False)
 
 
 def check_epoch_descent_tight_trace(
-    trace: RunTrace, *, k_min: int = 1, k_max: Optional[int] = None, tol: float = INEQ_RTOL
+    trace: RunTrace, *, k_min: int = 1, k_max: Optional[int] = None
 ) -> MarginReport:
     """Repaired per-epoch inequality keeping ||x_{K+1} - x_K||^2 exactly, over epochs K in [k_min, k_max].
 
@@ -272,11 +272,11 @@ def check_epoch_descent_tight_trace(
     with the combined form when within-epoch displacements are not
     cancelling.
     """
-    return _descent_form(trace, k_min, k_max, tol, tight=True)
+    return _descent_form(trace, k_min, k_max, tight=True)
 
 
 def check_descent_decomposition_trace(
-    trace: RunTrace, *, k_min: int = 1, k_max: Optional[int] = None, tol: float = INEQ_RTOL
+    trace: RunTrace, *, k_min: int = 1, k_max: Optional[int] = None
 ) -> MarginReport:
     """Inner-product form of the per-epoch bound (no objective values) over epochs K in [k_min, k_max]."""
     epochs, alpha, s2 = _descent_terms(trace, k_min, k_max)
@@ -289,7 +289,7 @@ def check_descent_decomposition_trace(
     lhs = _dots(g, diff) + _dots(diff) / (2.0 * n * alpha)
     rhs = -0.5 * n * alpha * _dots(g) + alpha * L**2 * n**2 * s2 + alpha * M**2 * ratio_sq
     return _least_slack(
-        "descent_decomposition", epochs, lhs, rhs, 1.0 + abs(rhs), tol,
+        "descent_decomposition", epochs, lhs, rhs, 1.0 + abs(rhs), INEQ_RTOL,
         lambda k: {"alpha_K": float(alpha[k])},
     )
 
@@ -434,7 +434,6 @@ def certify_run(
     rule: Optional[str] = None,
     *,
     f_star: Optional[float] = None,
-    tol: float = INEQ_RTOL,
 ) -> list[RateCertificate]:
     """Compare observed min squared gradient norms against matched bounds.
 
@@ -482,7 +481,7 @@ def certify_run(
             raise OverflowError(f"the {r} bound is {float(bound[bad[0]])} at N={horizons[bad[0]]}")
         observed = np.minimum.accumulate(grad[start:])
         slack = bound - observed
-        passed = observed <= bound + tol * (1.0 + np.abs(bound))
+        passed = observed <= bound + INEQ_RTOL * (1.0 + np.abs(bound))
         out.append(
             RateCertificate(
                 r, params, horizons, bound, observed, slack, passed,
@@ -497,9 +496,7 @@ def certify_run(
 # ---------------------------------------------------------------------------
 
 
-def check_summability_ada(
-    trace: RunTrace, N: Optional[int] = None, *, tol: float = INEQ_RTOL
-) -> MarginReport:
+def check_summability_ada(trace: RunTrace, N: Optional[int] = None) -> MarginReport:
     """Cubed-step energy bound for the adaptive rule over epochs 0..N:
 
         sum_{K<=N} sum_i alpha_{K,i}^3 ||d_i||^2
@@ -523,12 +520,12 @@ def check_summability_ada(
     rhs = math.log1p(s.beta * problem.n * problem.M**2 * (N + 1) / s.delta) / s.beta
     data_rhs = math.log1p(s.beta * total_energy / s.delta) / s.beta
     return _report(
-        f"summability[N={N}]", lhs, rhs, tol, 1.0 + abs(rhs),
+        f"summability[N={N}]", lhs, rhs, INEQ_RTOL, 1.0 + abs(rhs),
         {"data_driven_rhs": data_rhs, "total_energy": total_energy},
     )
 
 
-def check_adaptive_ratio_bound(trace: RunTrace, *, tol: float = INEQ_RTOL) -> dict:
+def check_adaptive_ratio_bound(trace: RunTrace) -> dict:
     """Per-epoch bound alpha_K^3 / alpha_{K,j}^3 = v_{K,j} / v_K <= 1 + beta n (.) / delta.
 
     Two candidate constants are evaluated: the provable M^2 variant and the
@@ -548,8 +545,8 @@ def check_adaptive_ratio_bound(trace: RunTrace, *, tol: float = INEQ_RTOL) -> di
         "max_ratio": worst,
         "bound_with_M_squared": bound_m2,
         "bound_with_M": bound_m1,
-        "ok_with_M_squared": worst <= bound_m2 * (1.0 + tol),
-        "ok_with_M": worst <= bound_m1 * (1.0 + tol),
+        "ok_with_M_squared": worst <= bound_m2 * (1.0 + INEQ_RTOL),
+        "ok_with_M": worst <= bound_m1 * (1.0 + INEQ_RTOL),
     }
 
 
@@ -558,7 +555,7 @@ def check_adaptive_ratio_bound(trace: RunTrace, *, tol: float = INEQ_RTOL) -> di
 # ---------------------------------------------------------------------------
 
 
-def lemma_norm_sum_check(vectors, *, tol: float = EXACT_RTOL) -> MarginReport:
+def lemma_norm_sum_check(vectors) -> MarginReport:
     """||sum a_i||^2 <= m * sum ||a_i||^2 (tight for aligned vectors)."""
     vs = [np.asarray(v, dtype=float) for v in vectors]
     if not vs:
@@ -570,10 +567,10 @@ def lemma_norm_sum_check(vectors, *, tol: float = EXACT_RTOL) -> MarginReport:
     lhs = float(total @ total)
     rhs = m * math.fsum(float(v @ v) for v in vs)
     denom = max(rhs, 1.0)
-    return _report("lemma_norm_sum", lhs, rhs, tol, denom)
+    return _report("lemma_norm_sum", lhs, rhs, EXACT_RTOL, denom)
 
 
-def lemma_log_sum_check(a, b: float, c: float, *, tol: float = INEQ_RTOL) -> MarginReport:
+def lemma_log_sum_check(a, b: float, c: float) -> MarginReport:
     """sum_i a_i / (b + c * prefix_i) <= (1/c) log(1 + c sum a / b).
 
     prefix_i includes a_i itself; a must be positive, b, c > 0.
@@ -586,7 +583,7 @@ def lemma_log_sum_check(a, b: float, c: float, *, tol: float = INEQ_RTOL) -> Mar
     prefix = np.cumsum(a)
     lhs = math.fsum(a / (b + c * prefix))
     rhs = math.log1p(c * float(prefix[-1]) / b) / c
-    return _report("lemma_log_sum", lhs, rhs, tol, 1.0 + abs(rhs))
+    return _report("lemma_log_sum", lhs, rhs, INEQ_RTOL, 1.0 + abs(rhs))
 
 
 def lipschitz_gradient_check(problem: FiniteSumProblem, pairs) -> float:

@@ -174,11 +174,10 @@ def cmd_sweep(args) -> int:
             print(f"--grid expects key=v1,v2,..., got {spec!r}", file=sys.stderr)
             return 2
         key, _, values = spec.partition("=")
-        parsed = [parse_value(v) for v in values.split(",")]
-        if not parsed:
+        if not values:
             print(f"empty grid axis {key!r}", file=sys.stderr)
             return 2
-        axes.append([(key, v) for v in parsed])
+        axes.append([(key, parse_value(v)) for v in values.split(",")])
     if not axes:
         print("sweep needs at least one --grid axis", file=sys.stderr)
         return 2

@@ -25,10 +25,21 @@ Schema (JSON object):
 
 An int is a JSON integer, not a float (1.0 included) or a bool; a float
 is a finite JSON number, not a bool or a string, and so is the ball
-radius.  "auto" (the default for L, beta and delta)
-resolves against the instantiated problem (L, or Adaptive.recommended's
-beta = n^2 and delta = n^3); the strategy's n is the problem's.  Keys of
-a strategy or policy that its variant does not use are ignored.
+radius.  "auto" (the default for L, beta and delta) resolves against the
+instantiated problem (L, or Adaptive.recommended's beta = n^2 and
+delta = n^3); the strategy's n is the problem's (a given n must be the
+same).  Keys of a strategy or policy that its variant does not use are
+ignored.
+
+This module also owns RunConfig, the configuration of a run, and its
+dict form (``config_to_dict``), the config a trace header stores: the
+problem, each strategy and policy as {"variant": VARIANT, **fields} (n
+included), x0 as a list, epochs, record_level, monitor_radius (null or a
+finite nonnegative number) and track_objective (true or false).  A config
+(``ExperimentConfig.build``) and a trace header (``engine.load_trace``)
+end in one typed reader, ``RunConfig.from_dict`` over
+``variant_from_dict``, so both get these checks, and errors that name the
+key.
 """
 
 from __future__ import annotations
@@ -37,13 +48,13 @@ import copy
 import json
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 
-from .engine import VARIANT_SECTIONS, RunConfig, variant_from_dict
-from .problems import PROBLEM_KINDS, FiniteSumProblem, make_problem
-from .schedules import counter_rng
-from .steps import Adaptive
+from .problems import PROBLEM_KINDS, FiniteSumProblem, make_problem, problem_to_dict
+from .schedules import EVAL_POLICIES, PERM_POLICIES, EvalPointPolicy, FixedPermutation, PermutationPolicy, counter_rng
+from .steps import STRATEGIES, Adaptive, StepStrategy
 
 _X0_TAG = 11
 # strategy fields that default to "auto", resolved against the problem
@@ -78,6 +89,116 @@ def _check_float(value, key: str, least=None) -> float:
         what = "a finite number" if least is None else "a finite nonnegative number"
         raise ConfigError(f"'{key}' must be {what}, got {value!r}")
     return float(value)
+
+
+@dataclass
+class RunConfig:
+    problem: FiniteSumProblem
+    strategy: StepStrategy
+    eval_policy: EvalPointPolicy
+    perm_policy: PermutationPolicy
+    x0: np.ndarray
+    epochs: int
+    record_level: str = "full"
+    monitor_radius: Optional[float] = None
+    track_objective: bool = True  # False skips the F / grad-norm series
+
+    def __post_init__(self):
+        self.x0 = np.asarray(self.x0, dtype=float)
+        if self.x0.shape != (self.problem.p,):
+            raise ConfigError(f"'x0' must have shape ({self.problem.p},), got {self.x0.shape}")
+        _check_int(self.epochs, "epochs", 1)
+        if self.record_level not in ("full", "epoch_only"):
+            raise ConfigError("'record_level' must be 'full' or 'epoch_only'")
+        if self.monitor_radius is not None:
+            _check_float(self.monitor_radius, "monitor_radius", 0)
+        if not isinstance(self.track_objective, bool):
+            raise ConfigError(f"'track_objective' must be true or false, got {self.track_objective!r}")
+        if self.strategy.n != self.problem.n:
+            raise ConfigError(f"'strategy.n' is {self.strategy.n}, the problem has n = {self.problem.n}")
+        perm = self.perm_policy
+        if isinstance(perm, FixedPermutation) and len(perm.perm) != self.problem.n:
+            raise ConfigError(
+                f"'perm_policy.perm' has {len(perm.perm)} entries, the problem has n = {self.problem.n}"
+            )
+        if self.monitor_radius is None and self.problem.box_radius is not None:
+            self.monitor_radius = self.problem.box_radius
+
+    @classmethod
+    def from_dict(cls, doc: dict, problem: FiniteSumProblem) -> "RunConfig":
+        """The run of a config_to_dict document on ``problem``; the strategy
+        and policies are read by ``variant_from_dict``, the other fields
+        checked by ``__post_init__``."""
+        return cls(
+            problem=problem,
+            **{key: variant_from_dict(doc[key], table, problem) for key, table in VARIANT_SECTIONS.items()},
+            x0=doc["x0"],
+            epochs=doc["epochs"],
+            record_level=doc["record_level"],
+            monitor_radius=doc.get("monitor_radius"),
+            track_objective=doc.get("track_objective", True),
+        )
+
+
+# RunConfig fields stored as {"variant": VARIANT, **fields}, with their {VARIANT: class} tables
+VARIANT_SECTIONS = {
+    "strategy": STRATEGIES,
+    "eval_policy": EVAL_POLICIES,
+    "perm_policy": PERM_POLICIES,
+}
+
+
+def variant_to_dict(obj) -> dict:
+    """{"variant": VARIANT, **fields} of a step strategy or schedule policy."""
+    return {"variant": obj.VARIANT, **{f.name: getattr(obj, f.name) for f in fields(obj)}}
+
+
+def variant_from_dict(doc: dict, table: dict, problem: Optional[FiniteSumProblem] = None):
+    """Inverse of variant_to_dict through one of the VARIANT_SECTIONS tables.
+
+    Each int and float field is checked as ``_check_int`` and
+    ``_check_float`` do; errors name ``section.field``.  Given the problem,
+    n defaults to the problem's and "auto" resolves against it.  Keys that
+    are not fields of the class are ignored.
+    """
+    section = next(name for name, known in VARIANT_SECTIONS.items() if known is table)
+    cls = table.get(doc.get("variant"))
+    if cls is None:
+        raise ConfigError(f"unknown '{section}.variant' {doc.get('variant')!r}")
+    values = {}
+    for f in fields(cls):
+        key = f"{section}.{f.name}"
+        default = "auto" if f.name in _AUTO else MISSING
+        if f.name == "n" and problem is not None:
+            default = problem.n  # RunConfig turns down a document's other n
+        value = doc.get(f.name, default)
+        if value is MISSING:
+            raise ConfigError(f"missing config key '{key}'")
+        if f.name in _AUTO and value == "auto" and problem is not None:
+            value = _AUTO[f.name](problem)
+            if value is None:
+                raise ConfigError(f"'{key}' = auto needs a smooth problem")
+        if f.type == "int":
+            _check_int(value, key)
+        elif f.type == "float":
+            value = _check_float(value, key)
+        values[f.name] = value
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"'{section}' ({cls.VARIANT}): {err}") from None
+
+
+def config_to_dict(config: RunConfig) -> dict:
+    return {
+        "problem": problem_to_dict(config.problem),
+        **{key: variant_to_dict(getattr(config, key)) for key in VARIANT_SECTIONS},
+        "x0": [float(c) for c in config.x0],
+        "epochs": config.epochs,
+        "record_level": config.record_level,
+        "monitor_radius": config.monitor_radius,
+        "track_objective": config.track_objective,
+    }
 
 
 @dataclass
@@ -135,50 +256,7 @@ class ExperimentConfig:
             self.problem["p"],
             self.problem["seed"],
         )
-        variants = {
-            section: _build_variant(section, getattr(self, section), table, problem)
-            for section, table in VARIANT_SECTIONS.items()
-        }
-        x0 = build_x0(self.x0, problem)
-        try:
-            return RunConfig(
-                problem=problem,
-                **variants,
-                x0=x0,
-                epochs=self.epochs,
-                record_level=self.record_level,
-            )
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-
-
-def _build_variant(section: str, spec: dict, table: dict, problem: FiniteSumProblem):
-    """The strategy or policy of a config section, with n and "auto" filled in."""
-    if spec.get("variant") not in table:
-        raise ConfigError(f"unknown '{section}.variant' {spec.get('variant')!r}")
-
-    def read(f, doc):
-        if f.name == "n":
-            return problem.n
-        value = doc.get(f.name, "auto" if f.name in _AUTO else MISSING)
-        if value is MISSING:
-            raise ConfigError(f"missing config key '{section}.{f.name}'")
-        if f.name in _AUTO and value == "auto":
-            value = _AUTO[f.name](problem)
-            if value is None:
-                raise ConfigError(f"'{section}.{f.name}' = auto needs a smooth problem")
-        if f.type == "int":
-            _check_int(value, f"{section}.{f.name}")
-        elif f.type == "float":
-            value = _check_float(value, f"{section}.{f.name}")
-        return value
-
-    try:
-        return variant_from_dict(spec, table, read)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"'{section}' ({spec['variant']}): {err}") from None
+        return RunConfig.from_dict({**vars(self), "x0": build_x0(self.x0, problem)}, problem)
 
 
 def build_x0(spec: dict, problem: FiniteSumProblem) -> np.ndarray:

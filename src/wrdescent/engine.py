@@ -1,4 +1,6 @@
-"""Epoch-by-epoch executor for the without-replacement descent recursion.
+"""Epoch-by-epoch executor for the without-replacement descent recursion:
+the run, its record, replay and trace file IO.  The run's configuration,
+RunConfig, and its dict form live in ``config``.
 
 One epoch K starting from x_K performs, for i = 1..n in the permuted order,
 
@@ -25,8 +27,9 @@ level, #INDEX and #INNER) is a line ``#NAME <byte count>``, that many raw
 little-endian float64 (int64 for #INDEX) bytes of its array and a
 newline, so a save writes the arrays' buffers and a load views them in
 the file's bytes, with no text to encode or parse.  ``load_trace``
-derives only z, with the engine's update from x_K, and checks
-z_{K,n} = x_{K+1} bit for bit.
+reads the header's config with config's typed reader (a malformed field
+raises ValueError naming its key), derives only z, with the engine's
+update from x_K, and checks z_{K,n} = x_{K+1} bit for bit.
 zhat, a pure function of (policy, K, z), is derived the first time it is
 read and then kept (``_eval_points``: ``eval_support``, or ``hull_point``
 of ``eval_point``'s weights).  The engine and the derivation ask
@@ -71,19 +74,16 @@ import json
 import math
 import platform
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Optional
 
 import numpy as np
 
-from .problems import ROW_BLOCK, FiniteSumProblem, data_shape, problem_from_dict, problem_to_dict
+from .config import RunConfig, config_to_dict
+from .problems import ROW_BLOCK, FiniteSumProblem, data_shape, problem_from_dict
 from .schedules import (
-    EVAL_POLICIES,
-    PERM_POLICIES,
     EvalPointPolicy,
-    FixedPermutation,
-    PermutationPolicy,
     eval_point,
     eval_support,
     hull_accumulate,
@@ -91,10 +91,8 @@ from .schedules import (
     permutation,
 )
 from .steps import (
-    STRATEGIES,
     Adaptive,
     StepState,
-    StepStrategy,
     epoch_anchor,
     epoch_step,
     new_state,
@@ -114,37 +112,6 @@ class NonFiniteError(RuntimeError):
         super().__init__(f"non-finite value at epoch {K}, inner step {i}")
         self.K = K
         self.i = i
-
-
-@dataclass
-class RunConfig:
-    problem: FiniteSumProblem
-    strategy: StepStrategy
-    eval_policy: EvalPointPolicy
-    perm_policy: PermutationPolicy
-    x0: np.ndarray
-    epochs: int
-    record_level: str = "full"
-    monitor_radius: Optional[float] = None
-    track_objective: bool = True  # False skips the F / grad-norm series
-
-    def __post_init__(self):
-        self.x0 = np.asarray(self.x0, dtype=float)
-        if self.x0.shape != (self.problem.p,):
-            raise ValueError("x0 dimension does not match the problem")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.record_level not in ("full", "epoch_only"):
-            raise ValueError("record_level must be 'full' or 'epoch_only'")
-        if self.strategy.n != self.problem.n:
-            raise ValueError("strategy n does not match the problem")
-        perm = self.perm_policy
-        if isinstance(perm, FixedPermutation) and len(perm.perm) != self.problem.n:
-            raise ValueError(
-                f"'perm_policy.perm' has {len(perm.perm)} entries, the problem has n = {self.problem.n}"
-            )
-        if self.monitor_radius is None and self.problem.box_radius is not None:
-            self.monitor_radius = self.problem.box_radius
 
 
 # the inner-step arrays of a full record (zhat derived on read), in replay's comparison order
@@ -453,14 +420,22 @@ class ReplayReport:
         return self.ok
 
 
+def _differs(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Where two arrays of 8-byte entries hold different bits, NaN equal to NaN."""
+    bits = new.view(np.int64) != old.view(np.int64)
+    if bits.any():
+        bits &= ~(np.isnan(new) & np.isnan(old))
+    return bits
+
+
 def _first_mismatch(new: np.ndarray, old: np.ndarray, lead: int, ragged: bool) -> Optional[tuple]:
     """Position in the first ``lead`` axes where two arrays first differ.
 
-    NaN equal to NaN and, if ``ragged``, the first row that one array lacks
-    differs at its start; None if they agree.
+    Bits are compared, NaN equal to NaN, and, if ``ragged``, the first row
+    that one array lacks differs at its start; None if they agree.
     """
     m = min(len(new), len(old))
-    bad = (new[:m] != old[:m]) & ~(np.isnan(new[:m]) & np.isnan(old[:m]))
+    bad = _differs(new[:m], old[:m])
     hits = np.argwhere(bad.any(axis=tuple(range(lead, bad.ndim))))
     if len(hits):
         return tuple(int(c) for c in hits[0])
@@ -475,10 +450,7 @@ def _node_location(k: int, n: int) -> tuple:
 def _same(new, old) -> bool:
     """Whether two float arrays hold the same bits, NaN equal to NaN."""
     new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
-    if new.shape != old.shape:
-        return False
-    bits = new.view(np.int64) == old.view(np.int64)
-    return bool(bits.all() or (bits | np.isnan(new) & np.isnan(old)).all())
+    return new.shape == old.shape and not _differs(new, old).any()
 
 
 def _block_matches(trace: RunTrace, block: range, zhat: np.ndarray) -> bool:
@@ -653,53 +625,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# RunConfig fields stored as {"variant": VARIANT, **fields}, with their {VARIANT: class} tables
-VARIANT_SECTIONS = {
-    "strategy": STRATEGIES,
-    "eval_policy": EVAL_POLICIES,
-    "perm_policy": PERM_POLICIES,
-}
-
-
-def variant_to_dict(obj) -> dict:
-    """{"variant": VARIANT, **fields} of a step strategy or schedule policy."""
-    return {"variant": obj.VARIANT, **{f.name: getattr(obj, f.name) for f in fields(obj)}}
-
-
-def variant_from_dict(doc: dict, table: dict, read=None):
-    """Inverse of variant_to_dict through a {VARIANT: class} table.
-
-    ``read(field, doc)`` supplies each field's value (default
-    ``doc[field.name]``); keys that are not fields of the class are ignored.
-    """
-    cls = table.get(doc.get("variant"))
-    if cls is None:
-        raise ValueError(f"unknown variant {doc.get('variant')!r}")
-    return cls(**{f.name: read(f, doc) if read else doc[f.name] for f in fields(cls)})
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    return {
-        "problem": problem_to_dict(config.problem),
-        **{key: variant_to_dict(getattr(config, key)) for key in VARIANT_SECTIONS},
-        "x0": [float(c) for c in config.x0],
-        "epochs": config.epochs,
-        "record_level": config.record_level,
-        "monitor_radius": config.monitor_radius,
-        "track_objective": config.track_objective,
-    }
-
-
 def config_from_dict(doc: dict, data: np.ndarray) -> RunConfig:
-    return RunConfig(
-        problem=problem_from_dict(doc["problem"], data),
-        **{key: variant_from_dict(doc[key], table) for key, table in VARIANT_SECTIONS.items()},
-        x0=np.array(doc["x0"], dtype=float),
-        epochs=doc["epochs"],
-        record_level=doc["record_level"],
-        monitor_radius=doc.get("monitor_radius"),
-        track_objective=doc.get("track_objective", True),
-    )
+    """The RunConfig of a trace header's config, on the problem of its #DATA matrix."""
+    return RunConfig.from_dict(doc, problem_from_dict(doc["problem"], data))
 
 
 def _config_hash(config_text: str, data: np.ndarray) -> str:

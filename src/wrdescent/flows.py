@@ -87,7 +87,7 @@ class GammaTrace:
         return float(self.gammas[min(k, len(self.gammas) - 1)])
 
 
-def gamma_trace(trace: RunTrace, M: Optional[float] = None) -> GammaTrace:
+def gamma_trace(trace: RunTrace) -> GammaTrace:
     """Per-epoch gamma values and the hull-weight bound check.
 
     With full inner records the weights lambda_i = n alpha_{K,i} / alpha_sum
@@ -95,9 +95,7 @@ def gamma_trace(trace: RunTrace, M: Optional[float] = None) -> GammaTrace:
     the bound is reported (nonpositive excess passes).  Step sizes near the
     float range overflow silently to inf or nan, which callers test for.
     """
-    if M is None:
-        M = trace.problem.M
-    n = trace.problem.n
+    n, M = trace.problem.n, trace.problem.M
     lambda_ok = None
     excess = None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -122,18 +120,14 @@ def gamma_trace(trace: RunTrace, M: Optional[float] = None) -> GammaTrace:
 # ---------------------------------------------------------------------------
 
 
-def min_norm_point(
-    generators,
-    *,
-    tol: Optional[float] = None,
-    max_iter: Optional[int] = None,
-) -> np.ndarray:
+def min_norm_point(generators) -> np.ndarray:
     """Unique minimum-norm point of conv(generators).
 
     Wolfe's corral scheme: keep an affinely independent working set, move to
     the min-norm point of its affine hull, and drop or add generators until
     the variational optimality condition <v, g - v> >= -tol holds for every
-    generator g.
+    generator g, tol = 1e-14 max(1, max ||g||^2), or 16 m + 64 iterations
+    over m generators have run.
     """
     P = np.atleast_2d(np.asarray(generators, dtype=float))
     if P.size == 0:
@@ -142,10 +136,7 @@ def min_norm_point(
     scale = float(np.max(np.sum(P * P, axis=1)))
     if scale == 0.0:
         return np.zeros(P.shape[1])
-    if tol is None:
-        tol = 1e-14 * max(scale, 1.0)
-    if max_iter is None:
-        max_iter = 16 * m + 64
+    tol = 1e-14 * max(scale, 1.0)
 
     norms2 = np.sum(P * P, axis=1)
     start = int(np.argmin(norms2))
@@ -155,7 +146,7 @@ def min_norm_point(
     best = x.copy()
     best_norm = float(x @ x)
 
-    for _ in range(max_iter):
+    for _ in range(16 * m + 64):
         dots = P @ x
         j = int(np.argmin(dots))
         xx = float(x @ x)
@@ -268,22 +259,14 @@ def integrate_flow(
     return times, np.stack(ys)
 
 
-def apt_deviation(
-    trace: RunTrace,
-    t: float,
-    T: float,
-    h: float,
-    *,
-    check_consistency: bool = True,
-    consistency_rtol: float = 0.25,
-    consistency_atol: Optional[float] = None,
-) -> float:
+def apt_deviation(trace: RunTrace, t: float, T: float, h: float) -> float:
     """sup over [0, T] of ||w(t+s) - y(s)|| for the flow started at w(t).
 
     A one-solution surrogate for the shadowing distance: the infimum over
     all flow solutions is replaced by the single explicit-Euler trajectory,
     exact only where the flow is unique.  A step-halving consistency check
-    flags h values too coarse to trust.
+    flags h values too coarse to trust: ValueError when the deviations with
+    h and h/2 differ by more than 1e-6 (1 + max |y|) + 0.25 times the larger.
     """
     w = interpolant(trace)
     if t < 0 or t + T > w.horizon:
@@ -293,18 +276,10 @@ def apt_deviation(
 
     def deviation(step):
         times, ys = integrate_flow(problem, y0, T, step)
-        return times, ys, max(
-            float(np.linalg.norm(w(t + s) - y)) for s, y in zip(times, ys)
-        )
+        return ys, max(float(np.linalg.norm(w(t + s) - y)) for s, y in zip(times, ys))
 
-    times, ys, dev = deviation(h)
-    if check_consistency:
-        _, ys2, dev2 = deviation(h / 2.0)
-        if consistency_atol is None:
-            consistency_atol = 1e-6 * (1.0 + float(np.max(np.abs(ys))))
-        if abs(dev - dev2) > consistency_atol + consistency_rtol * max(dev, dev2):
-            raise ValueError(
-                f"integration step h={h} too coarse: deviation {dev:.3e} vs "
-                f"{dev2:.3e} after halving"
-            )
+    ys, dev = deviation(h)
+    _, dev2 = deviation(h / 2.0)
+    if abs(dev - dev2) > 1e-6 * (1.0 + float(np.max(np.abs(ys)))) + 0.25 * max(dev, dev2):
+        raise ValueError(f"integration step h={h} too coarse: deviation {dev:.3e} vs {dev2:.3e} after halving")
     return dev

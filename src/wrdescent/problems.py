@@ -39,6 +39,8 @@ _SIGMOID_HESS_BOUND = 1.0 / (6.0 * math.sqrt(3.0))
 # components per row-kernel call of a direction sum, which bounds its
 # temporary at ROW_BLOCK x p
 ROW_BLOCK = 256
+# most distinct sums generator_set enumerates before it gives up
+GENERATOR_CAP = 4096
 
 
 def _fsum(values: list) -> float:
@@ -252,13 +254,13 @@ class FiniteSumProblem:
         D = self._rows("direction", x)
         return np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
 
-    def generator_set(self, x: np.ndarray, max_size: int = 4096) -> list[np.ndarray]:
+    def generator_set(self, x: np.ndarray) -> list[np.ndarray]:
         """Distinct elements {(1/n) sum_i g_i : g_i in generators_i(x)}.
 
         The convex hull of the returned list is the aggregate generalized
         derivative at x.  Enumerates component combinations with progressive
         deduplication; raises UnsupportedProblem when a component exposes no
-        generators or the intermediate set exceeds ``max_size``.
+        generators or the intermediate set exceeds GENERATOR_CAP.
         """
         x = self.check_point(x)
         if self.kind is not None and type(self.kind).generators is ZooKind.generators:
@@ -274,9 +276,9 @@ class FiniteSumProblem:
             sums = (sums[:, None, :] + gens[None, :, :]).reshape(-1, self.p)
             if len(sums) > 1:  # a single row is already deduplicated
                 sums = np.unique(sums, axis=0)
-            if len(sums) > max_size:
+            if len(sums) > GENERATOR_CAP:
                 raise UnsupportedProblem(
-                    f"generator combinations exceed cap {max_size} at component {idx}"
+                    f"generator combinations exceed cap {GENERATOR_CAP} at component {idx}"
                 )
         return list(sums / self.n)
 

@@ -254,7 +254,8 @@ class AsymptoticReport:
 
     sum_alpha_first approximates the divergent series sum_K alpha_{K,1};
     last_alpha_first should approach 0 and ratio alpha_{K,1}/alpha_{K,n}
-    should approach 1.
+    should approach 1: alpha_ok and ratio_ok say whether they are within
+    1e-2 of 0 and 1e-3 of 1.
     """
 
     K_max: int
@@ -268,9 +269,6 @@ class AsymptoticReport:
 def check_asymptotic_conditions(
     history,
     K_max: Optional[int] = None,
-    *,
-    alpha_threshold: float = 1e-2,
-    ratio_tol: float = 1e-3,
 ) -> AsymptoticReport:
     epochs = [list(e) for e in history]
     complete = [e for e in epochs if e]
@@ -286,6 +284,6 @@ def check_asymptotic_conditions(
         sum_alpha_first=math.fsum(firsts),
         last_alpha_first=firsts[-1],
         ratio_first_to_last=ratio,
-        alpha_ok=firsts[-1] <= alpha_threshold,
-        ratio_ok=abs(ratio - 1.0) <= ratio_tol,
+        alpha_ok=firsts[-1] <= 1e-2,
+        ratio_ok=abs(ratio - 1.0) <= 1e-3,
     )

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import re
@@ -15,8 +16,7 @@ import wrdescent as wd
 from conftest import decode_payload, encode_payload, section_payload, section_spans, with_payload
 from wrdescent import analysis
 from wrdescent.cli import KNOWN_CHECKS, fit_loglog_slope, main, sweep_checkpoints
-from wrdescent.config import ExperimentConfig, load_config, save_config
-from wrdescent.engine import VARIANT_SECTIONS
+from wrdescent.config import VARIANT_SECTIONS, ExperimentConfig, load_config, save_config
 
 
 DATA = Path(__file__).parent / "data"
@@ -238,6 +238,47 @@ class TestCmdRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--set", override]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: 'x0.radius' must be a finite nonnegative number")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {k: v for k, v in minimal_config().items() if k != "strategy"},
+                "missing config key 'strategy'",
+            ),
+            (
+                minimal_config(problem={"kind": "bogus", "n": 2, "p": 1, "seed": 3}),
+                "problem.kind must be one of ('logistic', 'sigmoid_nonconvex', 'median', 'relu_net'), got 'bogus'",
+            ),
+            (minimal_config(record_level="half"), "'record_level' must be 'full' or 'epoch_only'"),
+            (minimal_config(x0={"kind": "cube"}), "'x0.kind' must be 'zero' or 'ball'"),
+            (minimal_config(x0={"kind": "ball", "seed": 1}), "missing config key 'x0.radius'"),
+            (minimal_config(x0={"kind": "ball", "radius": 1.0}), "missing config key 'x0.seed'"),
+            (
+                minimal_config(
+                    problem={"kind": "median", "n": 2, "p": 1, "seed": 3}, strategy={"variant": "decreasing_cbrt"}
+                ),
+                "'strategy.L' = auto needs a smooth problem",
+            ),
+            (
+                "{not json",
+                "config file is not valid JSON: Expecting property name enclosed in double quotes:"
+                " line 1 column 2 (char 1)",
+            ),
+        ],
+        ids=["missing_strategy", "unknown_problem_kind", "bad_record_level", "bad_x0_kind", "no_x0_radius",
+             "no_x0_seed", "auto_on_nonsmooth", "not_json"],
+    )
+    def test_rejected_config_exits_2_with_its_message(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "config.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_set_without_equals_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--set", "epochs"]) == 2
+        assert capsys.readouterr().err == "config error: --set expects key=value, got 'epochs'\n"
 
     def test_set_overrides_file_keys(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -475,7 +516,51 @@ def _edit_header(blob, edit):
     return json.dumps(header).encode() + b"\n" + rest
 
 
+def _edit_config(blob, edit):
+    """The trace with its header's config edited and ``config_sha256`` recomputed, as ``save_trace`` writes it."""
+    first, _, rest = blob.partition(b"\n")
+    header = json.loads(first)
+    config = header.pop("config")
+    edit(config)
+    text = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode() + b"\n" + section_payload(blob, "#DATA"))
+    header["config_sha256"] = digest.hexdigest()
+    return (json.dumps(header)[:-1] + ', "config": ' + text + "}\n").encode() + rest
+
+
 class TestTraceErrors:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: c.update(epochs=3.0), "'epochs' must be an integer >= 1, got 3.0"),
+            (
+                lambda c: c.update(eval_policy={"variant": "mini_batch", "b": 2.0}),
+                "'eval_policy.b' must be an integer, got 2.0",
+            ),
+            (lambda c: c.update(monitor_radius="x"), "'monitor_radius' must be a finite nonnegative number, got 'x'"),
+            (lambda c: c.update(track_objective="no"), "'track_objective' must be true or false, got 'no'"),
+            (lambda c: c["strategy"].update(alpha="0.5"), "'strategy.alpha' must be a finite number, got '0.5'"),
+            (lambda c: c["strategy"].update(n=3), "'strategy.n' is 3, the problem has n = 4"),
+            (lambda c: c.update(x0=[0.0]), "'x0' must have shape (2,), got (1,)"),
+        ],
+        ids=["float_epochs", "float_batch", "string_radius", "string_track_objective", "string_alpha", "other_n",
+             "short_x0"],
+    )
+    def test_header_fields_are_checked_like_config_fields(self, tmp_path, capsys, edit, message):
+        # the config hash is recomputed, so only the field's check can reject the header
+        cfg = write_config(tmp_path, problem={"kind": "logistic", "n": 4, "p": 2, "seed": 3}, epochs=6)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        path = out / "trace.txt"
+        path.write_bytes(_edit_config(path.read_bytes(), edit))
+        with pytest.raises(ValueError) as err:
+            wd.load_trace(path)
+        assert str(err.value) == f"header: {message}"
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(path)]) == 2
+        assert main(["report", "--trace", str(path)]) == 2
+        assert capsys.readouterr().err == f"trace error: header: {message}\n" * 2
+
     @pytest.mark.parametrize(
         "damage, where",
         [
@@ -508,6 +593,10 @@ class TestTraceErrors:
                 lambda blob: _edit_section_line(blob, "#INDEX", lambda line: line.replace("#INDEX", "#NODES")),
                 lambda spans: f"#NODES: repeated section (byte {spans['#INDEX'][0]})",
             ),
+            (
+                lambda blob: _edit_section_line(blob, "#DATA", lambda line: line.lstrip("#")),
+                lambda spans: f"byte {spans['#DATA'][0]}: not a section line",
+            ),
             (lambda blob: blob[: section_spans(blob)["#INDEX"][0]], "#INDEX: section missing"),
             (lambda blob: _edit_section(blob, "#DATA", lambda a: a[:-3]), "#DATA row 4: missing"),
             (
@@ -538,6 +627,7 @@ class TestTraceErrors:
             "shifted_direction",
             "unknown_section",
             "repeated_section",
+            "section_line_without_hash",
             "missing_section",
             "data_row_missing",
             "data_label_flipped",
@@ -567,6 +657,7 @@ class TestTraceErrors:
         "text, where",
         [
             (None, "trace error: "),
+            ("", "trace error: empty trace file"),
             (
                 '{"format": "wrdescent-trace/6", "config_sha256": "", "provenance": {},'
                 ' "aborted_at": null, "bound_exceeded_at": null}\n',
@@ -578,7 +669,8 @@ class TestTraceErrors:
             (V4_TRACE, "trace error: header: not a wrdescent-trace/6 file"),
             (V5_TRACE, "trace error: header: not a wrdescent-trace/6 file"),
         ],
-        ids=["missing_file", "header_without_config", "format_v1", "format_v2", "format_v3", "format_v4", "format_v5"],
+        ids=["missing_file", "empty_file", "header_without_config", "format_v1", "format_v2", "format_v3", "format_v4",
+             "format_v5"],
     )
     def test_unreadable_trace_exits_2(self, tmp_path, capsys, text, where):
         path = tmp_path / "trace.txt"
@@ -635,6 +727,19 @@ class TestCmdSweep:
     def test_empty_grid_rejected(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg)]) == 2
+
+    def test_empty_grid_axis_rejected(self, tmp_path, capsys):
+        # not one cell whose value is the empty string
+        cfg = write_config(tmp_path)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--grid", "strategy.alpha=", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "empty grid axis 'strategy.alpha'\n"
+        assert not out.exists()
+
+    def test_grid_without_equals_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--grid", "epochs"]) == 2
+        assert capsys.readouterr().err == "--grid expects key=v1,v2,..., got 'epochs'\n"
 
     def test_failing_cell_recorded_sweep_continues(self, tmp_path):
         cfg = write_config(tmp_path, epochs=5, record_level="epoch_only")

@@ -17,17 +17,15 @@ import wrdescent as wd
 from conftest import decode_payload, encode_payload, make_run, section_payload, with_payload
 from wrdescent import engine, problems
 from wrdescent.cli import main
+from wrdescent.config import VARIANT_SECTIONS, variant_from_dict, variant_to_dict
 from wrdescent.engine import (
     EPOCH_BLOCK,
     EPOCH_SERIES,
     INNER_FIELDS,
     NODE_SERIES,
-    VARIANT_SECTIONS,
     config_from_dict,
     config_to_dict,
     provenance,
-    variant_from_dict,
-    variant_to_dict,
 )
 from wrdescent.problems import PROBLEM_KINDS
 from test_schedules import reference_hull_point
@@ -420,6 +418,15 @@ class TestReplay:
         rep = wd.replay(trace)
         assert not rep.ok
         assert rep.first_mismatch == (3, 2, "alpha")
+
+    @pytest.mark.parametrize("level", ["full", "epoch_only"])
+    def test_rerun_compares_bits(self, level):
+        # -0.0 == 0.0, but the record's x_0 is not the config's: the check and
+        # the re-run both compare bits
+        prob = wd.make_problem("logistic", 4, 2, 8)
+        trace = make_run(prob, wd.DecreasingSqrt(4), epochs=3, record_level=level)
+        trace.xs[0, 0] = -0.0
+        assert wd.replay(trace) == wd.ReplayReport(False, (0, 0, "xs"))
 
     @pytest.mark.parametrize("field", ["alpha_first", "alpha_last", "alpha_sum", "v_end"])
     def test_corrupted_epoch_summary_detected(self, field):
