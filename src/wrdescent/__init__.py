@@ -67,8 +67,6 @@ from .problems import (
     median_problem,
     problem_from_dict,
     problem_to_dict,
-    relu_net_problem,
-    sigmoid_problem,
 )
 from .schedules import (
     AdversarialMaxNorm,

@@ -44,22 +44,13 @@ def _apply_overrides(doc: dict, pairs: list[str]) -> dict:
 
 
 def _load_config_with_overrides(args) -> ExperimentConfig:
-    cfg = load_config(args.config)
-    if args.set:
-        doc = cfg.to_dict()
-        _apply_overrides(doc, args.set)
-        cfg = ExperimentConfig.from_dict(doc)
-    return cfg
+    return ExperimentConfig.from_dict(_apply_overrides(load_config(args.config).to_dict(), args.set))
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _load_config_with_overrides(args)
-        run_config = cfg.build()
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    out = Path(args.out or cfg.output_dir)
+    cfg = _load_config_with_overrides(args)
+    run_config = cfg.build()
+    out = Path(args.out or cfg.doc["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     trace = run(run_config)
     save_trace(trace, out / "trace.txt")
@@ -133,11 +124,9 @@ def sweep_checkpoints(epochs: int, count: int = 13) -> np.ndarray:
 
 def _sweep_cell(payload):
     doc, overrides, checkpoints = payload
-    doc = json.loads(json.dumps(doc))
     try:
-        _apply_overrides(doc, overrides)
-        cfg = ExperimentConfig.from_dict(doc)
-        run_config = cfg.build()
+        doc = _apply_overrides(json.loads(json.dumps(doc)), overrides)
+        run_config = ExperimentConfig.from_dict(doc).build()
     except ConfigError as err:
         # a failing cell is recorded, the sweep continues
         return {"overrides": overrides, "error": str(err)}
@@ -163,11 +152,7 @@ def _quote(text: str) -> str:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = _load_config_with_overrides(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    cfg = _load_config_with_overrides(args)
     axes = []
     for spec in args.grid:
         if "=" not in spec:
@@ -182,7 +167,7 @@ def cmd_sweep(args) -> int:
         print("sweep needs at least one --grid axis", file=sys.stderr)
         return 2
     doc = cfg.to_dict()
-    checkpoints = sweep_checkpoints(cfg.epochs)
+    checkpoints = sweep_checkpoints(doc["epochs"])
     cells = [
         (doc, [f"{k}={json.dumps(v)}" for k, v in combo], checkpoints)
         for combo in itertools.product(*axes)
@@ -193,7 +178,7 @@ def cmd_sweep(args) -> int:
     else:
         results = [_sweep_cell(c) for c in cells]
 
-    out = Path(args.out or cfg.output_dir)
+    out = Path(args.out or cfg.doc["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     cell_rows = ["cell,overrides,slope,final_min_grad_sq,certificates,error"]
     curve_rows = ["cell,N,min_grad_sq"]
@@ -285,8 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # looked up at call time, so a replaced cmd_* is the one called
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        # looked up at call time, so a replaced cmd_* is the one called
+        return globals()[f"cmd_{args.command}"](args)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -27,9 +27,9 @@ level, #INDEX and #INNER) is a line ``#NAME <byte count>``, that many raw
 little-endian float64 (int64 for #INDEX) bytes of its array and a
 newline, so a save writes the arrays' buffers and a load views them in
 the file's bytes, with no text to encode or parse.  ``load_trace``
-reads the header's config with config's typed reader (a malformed field
-raises ValueError naming its key), derives only z, with the engine's
-update from x_K, and checks z_{K,n} = x_{K+1} bit for bit.
+reads the header's config with config's reader, ``read_document`` (a
+malformed field raises ValueError naming its key), derives only z, with
+the engine's update from x_K, and checks z_{K,n} = x_{K+1} bit for bit.
 zhat, a pure function of (policy, K, z), is derived the first time it is
 read and then kept (``_eval_points``: ``eval_support``, or ``hull_point``
 of ``eval_point``'s weights).  The engine and the derivation ask
@@ -80,7 +80,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import RunConfig, config_to_dict
+from .config import RunConfig, config_to_dict, read_document
 from .problems import ROW_BLOCK, FiniteSumProblem, data_shape, problem_from_dict
 from .schedules import (
     EvalPointPolicy,
@@ -695,7 +695,12 @@ def _read_header(line: str) -> tuple:
         raise ValueError(f"not a {TRACE_FORMAT} file")
     for key in ("config_sha256", "provenance", "aborted_at", "bound_exceeded_at", "config"):
         if key not in header:
-            raise KeyError(key)
+            raise ValueError(f"missing key {key!r}")
+    aborted, bound = header["aborted_at"], header["bound_exceeded_at"]
+    if not (aborted is None or isinstance(aborted, list) and list(map(type, aborted)) == [int, int]):
+        raise ValueError(f"'aborted_at' must be null or [K, i], got {aborted!r}")
+    if not (bound is None or type(bound) is int):
+        raise ValueError(f"'bound_exceeded_at' must be null or an int, got {bound!r}")
     return header, line.partition('"config": ')[2][:-1]
 
 
@@ -704,9 +709,8 @@ def _header_errors():
     """Report a malformed header as ValueError("header: ...")."""
     try:
         yield
-    except (KeyError, TypeError, AttributeError, ValueError, ArithmeticError) as err:
-        detail = f"missing key {err}" if isinstance(err, KeyError) else err
-        raise ValueError(f"header: {detail}") from None
+    except (TypeError, AttributeError, ValueError, ArithmeticError) as err:
+        raise ValueError(f"header: {err}") from None
 
 
 def _section_spans(blob: bytes, start: int, names) -> dict:
@@ -795,7 +799,7 @@ def load_trace(path) -> RunTrace:
     end = len(blob) if end < 0 else end
     with _header_errors():
         header, config_text = _read_header(blob[:end].decode())
-        doc = header["config"]
+        doc = read_document(header["config"], header=True)
         full = doc["record_level"] == "full"
         names = [name for name in SECTION_DTYPES if full or name not in STEP_SECTIONS]
         data_dims = data_shape(doc["problem"])
@@ -806,7 +810,7 @@ def load_trace(path) -> RunTrace:
             raise ValueError("config hash mismatch")
         config = config_from_dict(doc, data)
         aborted = tuple(header["aborted_at"]) if header["aborted_at"] else None
-        epochs = int(aborted[0]) if aborted else config.epochs
+        epochs = aborted[0] if aborted else config.epochs
     n, p = config.problem.n, config.problem.p
 
     shapes = {"#NODES": (epochs + 1, p + 2), "#EPOCHS": (epochs, len(EPOCH_SERIES))}

@@ -675,26 +675,12 @@ ZOO_KINDS = {cls.KIND: cls for cls in (Logistic, Sigmoid, Median, ReluNet)}
 PROBLEM_KINDS = tuple(ZOO_KINDS)
 
 
-def _zoo_kind(kind: str) -> type:
-    if kind not in ZOO_KINDS:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    return ZOO_KINDS[kind]
-
-
 def logistic_problem(A, b, *, seed=None) -> FiniteSumProblem:
     return Logistic(_labelled(A, b), seed).problem()
 
 
-def sigmoid_problem(A, c, *, seed=None) -> FiniteSumProblem:
-    return Sigmoid(_labelled(A, c), seed).problem()
-
-
 def median_problem(B, *, seed=None) -> FiniteSumProblem:
     return Median(np.asarray(B, dtype=float).reshape(len(B), -1), seed).problem()
-
-
-def relu_net_problem(X, y, *, hidden=ReluNet.HIDDEN, box_radius=2.0, seed=None) -> FiniteSumProblem:
-    return ReluNet(_labelled(X, y), seed, hidden, box_radius).problem()
 
 
 def make_problem(kind: str, n: int, p: int, seed: int) -> FiniteSumProblem:
@@ -703,9 +689,9 @@ def make_problem(kind: str, n: int, p: int, seed: int) -> FiniteSumProblem:
     For relu_net, ``p`` is the network input dimension; the optimization
     dimension is the derived parameter count.
     """
-    cls = _zoo_kind(kind)
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be at least 1")
+    if kind not in ZOO_KINDS or n < 1 or p < 1:
+        raise ValueError(f"make_problem takes a kind of {PROBLEM_KINDS} and n, p >= 1, got {kind!r}, {n}, {p}")
+    cls = ZOO_KINDS[kind]
     return cls(cls.draw(n, p, np.random.default_rng(seed)), seed).problem()
 
 
@@ -725,10 +711,10 @@ def problem_to_dict(problem: FiniteSumProblem) -> dict:
 
 def data_shape(doc: dict) -> tuple:
     """(n, columns) of the data matrix of a problem_to_dict document."""
-    return int(doc["n"]), int(_zoo_kind(doc["kind"]).columns(doc))
+    return doc["n"], ZOO_KINDS[doc["kind"]].columns(doc)
 
 
 def problem_from_dict(doc: dict, data: np.ndarray) -> FiniteSumProblem:
     """Inverse of problem_to_dict, over the data matrix of shape data_shape(doc)."""
-    cls = _zoo_kind(doc["kind"])
+    cls = ZOO_KINDS[doc["kind"]]
     return cls(data, doc.get("seed"), **{name: doc[name] for name in cls.SCALARS}).problem()

@@ -1,15 +1,19 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import io
 import json
 import re
+import tempfile
 import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 import wrdescent as wd
@@ -17,16 +21,6 @@ from conftest import decode_payload, encode_payload, section_payload, section_sp
 from wrdescent import analysis
 from wrdescent.cli import KNOWN_CHECKS, fit_loglog_slope, main, sweep_checkpoints
 from wrdescent.config import VARIANT_SECTIONS, ExperimentConfig, load_config, save_config
-
-
-DATA = Path(__file__).parent / "data"
-# runs written by earlier trace formats: v2 stored zhat and z, v3 stored
-# every number as decimal text, v4 the data matrix as JSON in the header
-# (two epochs each), v5 each section as a line of base64 (three epochs)
-V2_TRACE = (DATA / "trace_v2.txt").read_text()
-V3_TRACE = (DATA / "trace_v3.txt").read_text()
-V4_TRACE = (DATA / "trace_v4.txt").read_text()
-V5_TRACE = (DATA / "trace_v5.txt").read_text()
 
 
 def minimal_config(**overrides):
@@ -274,6 +268,19 @@ class TestCmdRun:
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(None, "config error: cannot read the config file: "), (b"\xff{}", "config error: config file is not valid JSON: ")],
+        ids=["missing_file", "not_utf8"],
+    )
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
 
     def test_set_without_equals_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -542,9 +549,13 @@ class TestTraceErrors:
             (lambda c: c["strategy"].update(alpha="0.5"), "'strategy.alpha' must be a finite number, got '0.5'"),
             (lambda c: c["strategy"].update(n=3), "'strategy.n' is 3, the problem has n = 4"),
             (lambda c: c.update(x0=[0.0]), "'x0' must have shape (2,), got (1,)"),
+            (lambda c: c["problem"].update(n=4.0), "'problem.n' must be an integer >= 1, got 4.0"),
+            (lambda c: c["problem"].update(p=2.0), "'problem.p' must be an integer >= 1, got 2.0"),
+            (lambda c: c["problem"].update(seed="3"), "'problem.seed' must be a nonnegative integer, got '3'"),
+            (lambda c: c.update(strategy="x"), "'strategy' must be a JSON object, got 'x'"),
         ],
         ids=["float_epochs", "float_batch", "string_radius", "string_track_objective", "string_alpha", "other_n",
-             "short_x0"],
+             "short_x0", "float_problem_n", "float_problem_p", "string_problem_seed", "string_strategy"],
     )
     def test_header_fields_are_checked_like_config_fields(self, tmp_path, capsys, edit, message):
         # the config hash is recomputed, so only the field's check can reject the header
@@ -663,11 +674,11 @@ class TestTraceErrors:
                 ' "aborted_at": null, "bound_exceeded_at": null}\n',
                 "trace error: header: missing key 'config'",
             ),
-            ('{"format": "wrdescent-trace/1"}\n', "trace error: header: not a wrdescent-trace/6 file"),
-            (V2_TRACE, "trace error: header: not a wrdescent-trace/6 file"),
-            (V3_TRACE, "trace error: header: not a wrdescent-trace/6 file"),
-            (V4_TRACE, "trace error: header: not a wrdescent-trace/6 file"),
-            (V5_TRACE, "trace error: header: not a wrdescent-trace/6 file"),
+            # the loader reads only the format of a file of an earlier trace format
+            *(
+                (f'{{"format": "wrdescent-trace/{k}"}}\n', "trace error: header: not a wrdescent-trace/6 file")
+                for k in range(1, 6)
+            ),
         ],
         ids=["missing_file", "empty_file", "header_without_config", "format_v1", "format_v2", "format_v3", "format_v4",
              "format_v5"],
@@ -681,6 +692,208 @@ class TestTraceErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2
         assert all(line.startswith(where) for line in err)
+
+
+LOGISTIC_SMALL = Path(__file__).parents[1] / "scripts" / "configs" / "logistic_small.json"
+# one complete spec per variant of each VARIANT_SECTIONS table, for logistic_small's n = 8
+VARIANT_SPECS = {
+    "strategy": [
+        {"variant": "constant", "alpha": 0.05},
+        {"variant": "decreasing_sqrt"},
+        {"variant": "decreasing_cbrt"},
+        {"variant": "adaptive"},
+    ],
+    "eval_policy": [
+        {"variant": "full_gradient"},
+        {"variant": "incremental"},
+        {"variant": "mini_batch", "b": 3},
+        {"variant": "delayed_async", "max_delay": 2, "seed": 1},
+        {"variant": "convex_mix", "seed": 2},
+    ],
+    "perm_policy": [
+        {"variant": "identity"},
+        {"variant": "fixed", "perm": [3, 1, 4, 0, 5, 2, 7, 6]},
+        {"variant": "shuffled", "seed": 5},
+        {"variant": "adversarial"},
+    ],
+}
+
+
+def header_config(trace_path) -> dict:
+    return json.loads(Path(trace_path).read_bytes().partition(b"\n")[0])["config"]
+
+
+class TestHeaderAsConfig:
+    def test_specs_cover_every_variant(self):
+        covered = {section: {spec["variant"] for spec in specs} for section, specs in VARIANT_SPECS.items()}
+        assert covered == {section: set(table) for section, table in VARIANT_SECTIONS.items()}
+
+    @pytest.mark.parametrize(
+        "section, spec",
+        [(section, spec) for section, specs in VARIANT_SPECS.items() for spec in specs],
+        ids=lambda value: value if isinstance(value, str) else value["variant"],
+    )
+    def test_header_config_reruns_the_trace(self, tmp_path, section, spec):
+        # a trace header's config, written as a config file, runs the same trace
+        doc = json.loads(LOGISTIC_SMALL.read_text())
+        doc.update({section: spec, "epochs": 5, "x0": {"kind": "ball", "radius": 0.5, "seed": 4}})
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "first")]) == 0
+        trace = (tmp_path / "first" / "trace.txt").read_bytes()
+        (tmp_path / "header.json").write_text(json.dumps(header_config(tmp_path / "first" / "trace.txt")))
+        assert main(["run", "--config", str(tmp_path / "header.json"), "--out", str(tmp_path / "again")]) == 0
+        assert (tmp_path / "again" / "trace.txt").read_bytes() == trace
+
+    def test_relu_net_header_is_not_a_config_file(self, tmp_path, capsys):
+        # its header p is the parameter count, and it adds hidden and box_radius
+        cfg = write_config(tmp_path, problem={"kind": "relu_net", "n": 4, "p": 2, "seed": 1}, epochs=2)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "first")]) == 0
+        (tmp_path / "header.json").write_text(json.dumps(header_config(tmp_path / "first" / "trace.txt")))
+        capsys.readouterr()
+        assert main(["run", "--config", str(tmp_path / "header.json"), "--out", str(tmp_path / "again")]) == 2
+        assert capsys.readouterr().err == "config error: unknown config key 'problem.hidden'\n"
+
+    def test_null_seed_header_loads(self, tmp_path):
+        # a problem built in process has no seed, and its header says null
+        cfg = write_config(tmp_path, epochs=3)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        path = tmp_path / "o" / "trace.txt"
+        path.write_bytes(_edit_config(path.read_bytes(), lambda c: c["problem"].update(seed=None)))
+        assert wd.load_trace(path).problem.kind.seed is None
+        assert main(["verify", "--trace", str(path)]) == 0
+
+
+# config files, each run and its trace header fuzzed below: they cover every
+# top-level key, both x0 forms and a problem kind whose header adds SCALARS
+FUZZ_BASES = [
+    {**json.loads(LOGISTIC_SMALL.read_text()), "epochs": 4},
+    {
+        "problem": {"kind": "relu_net", "n": 4, "p": 2, "seed": 1},
+        "strategy": {"variant": "constant", "alpha": 0.01},
+        "eval_policy": {"variant": "delayed_async", "max_delay": 2, "seed": 5},
+        "perm_policy": {"variant": "fixed", "perm": [3, 1, 0, 2]},
+        "x0": {"kind": "ball", "radius": 0.5, "seed": 2},
+        "epochs": 3,
+        "record_level": "full",
+        "monitor_radius": 1.5,
+        "track_objective": False,
+        "output_dir": "out",
+    },
+    {
+        "problem": {"kind": "median", "n": 5, "p": 2, "seed": 3},
+        "strategy": {"variant": "decreasing_cbrt", "L": 2.0},
+        "eval_policy": {"variant": "mini_batch", "b": 2},
+        "perm_policy": {"variant": "shuffled", "seed": 3},
+        "x0": [0.5, -0.5],
+        "epochs": 3,
+    },
+]
+# any JSON value; ints are small or past every size NumPy takes, never a size that allocates much
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-64, 64)
+    | st.integers(2**63, 2**80)
+    | st.integers(-(2**80), -(2**63))
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["auto", "full", "zero", "ball", "median", "relu_net", "adaptive", "fixed", "convex_mix"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=4,
+)
+TRACE_SECTION = re.compile(r"#(DATA|NODES|EPOCHS|INDEX|INNER)\b")
+
+
+def _paths(doc, prefix=()):
+    """The key paths of a document: each dict key, and the first entry of each list."""
+    items = doc.items() if isinstance(doc, dict) else [(0, doc[0])] if isinstance(doc, list) and doc else []
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _put(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    here = doc
+    for key in path[:-1]:
+        here = here[key]
+    here[path[-1]] = value
+    return doc
+
+
+def _cli(*argv) -> tuple:
+    """Exit status and stderr of one command, which must not raise."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+        code = main(list(argv))
+    assert code in (0, 1, 2), argv
+    return code, err.getvalue()
+
+
+def _assert_names(err: str, prefix: str, path: tuple, trace: bool = False) -> None:
+    """A rejection is one line that names the key's section, or, for a
+    well-typed header value the recorded arrays contradict, a trace section."""
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert path[0] in err or (trace and TRACE_SECTION.search(err)), (path, err)
+
+
+@pytest.fixture(scope="module")
+def fuzz_traces(tmp_path_factory):
+    """The trace file of each FUZZ_BASES config, as bytes."""
+    traces = []
+    for k, doc in enumerate(FUZZ_BASES):
+        tmp = tmp_path_factory.mktemp(f"base{k}")
+        (tmp / "config.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(tmp / "config.json"), "--out", str(tmp)]) == 0
+        traces.append((tmp / "trace.txt").read_bytes())
+    return traces
+
+
+class TestAnyValueAtAnyKey:
+    @settings(max_examples=120)
+    @given(data=st.data())
+    def test_config_file(self, data):
+        doc = data.draw(st.sampled_from(FUZZ_BASES), label="base")
+        path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+        doc = _put(doc, path, data.draw(JSON_VALUES, label="value"))
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "config.json").write_text(json.dumps(doc))
+            code, err = _cli("run", "--config", str(Path(tmp) / "config.json"), "--out", tmp)
+            if code == 2:
+                _assert_names(err, "config error: ", path)
+                return
+            # what run writes, verify and report read
+            trace = str(Path(tmp) / "trace.txt")
+            assert _cli("verify", "--trace", trace)[0] in (0, 1)
+            assert _cli("report", "--trace", trace)[0] == 0
+
+    @settings(max_examples=120)
+    @given(data=st.data())
+    def test_trace_header(self, fuzz_traces, data):
+        k = data.draw(st.integers(0, len(FUZZ_BASES) - 1), label="base")
+        blob = fuzz_traces[k]
+        header = json.loads(blob.partition(b"\n")[0])
+        marks = [(key,) for key in ("provenance", "aborted_at", "bound_exceeded_at")]
+        path = data.draw(st.sampled_from(marks + list(_paths(header["config"]))), label="path")
+        value = data.draw(JSON_VALUES, label="value")
+        if path in marks:
+            # the header line is rewritten, so the config text is made canonical again
+            blob = _edit_config(_edit_header(blob, lambda h: h.update({path[0]: value})), lambda c: None)
+        else:
+            blob = _edit_config(blob, lambda c: c.update(_put(c, path, value)))
+        with tempfile.TemporaryDirectory() as tmp:
+            trace = Path(tmp) / "trace.txt"
+            trace.write_bytes(blob)
+            for command in ("verify", "report"):
+                code, err = _cli(command, "--trace", str(trace))
+                if code == 2:
+                    _assert_names(err, "trace error: ", path, trace=True)
+            if path not in marks and FUZZ_BASES[k]["problem"]["kind"] != "relu_net":
+                config = json.loads(blob.partition(b"\n")[0])["config"]
+                (Path(tmp) / "config.json").write_text(json.dumps(config))
+                code, err = _cli("run", "--config", str(Path(tmp) / "config.json"), "--out", str(Path(tmp) / "o"))
+                if code == 2:
+                    _assert_names(err, "config error: ", path)
 
 
 class TestCmdSweep:
