@@ -9,7 +9,8 @@ All data files are reproducible from the config and its seeds; numbers in
 the CSV and JSON outputs are serialized at full precision so certificates
 can be re-checked externally, and trace files hold raw float64 bits.
 Exit codes: 0 success / all checks passed, 1 failed checks or aborted run,
-2 bad configuration or arguments.
+2 bad configuration or arguments, an unreadable trace or an output
+directory that cannot be made.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -47,11 +47,23 @@ def _load_config_with_overrides(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(_apply_overrides(load_config(args.config).to_dict(), args.set))
 
 
+def _output_dir(path):
+    """The directory ``path``, made with its parents, or None after printing why it cannot be made."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as err:  # ValueError: a path holding NUL
+        print(f"output error: cannot make the directory {str(path)!r}: {err}", file=sys.stderr)
+        return None
+    return out
+
+
 def cmd_run(args) -> int:
     cfg = _load_config_with_overrides(args)
     run_config = cfg.build()
-    out = Path(args.out or cfg.doc["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out or cfg.doc["output_dir"])
+    if out is None:
+        return 2
     trace = run(run_config)
     save_trace(trace, out / "trace.txt")
     write_summary_csv(trace, out / "summary.csv")
@@ -83,8 +95,9 @@ def cmd_verify(args) -> int:
         if c not in KNOWN_CHECKS:
             print(f"unknown check {c!r}; known: {', '.join(KNOWN_CHECKS)}", file=sys.stderr)
             return 2
-    out = Path(args.out) if args.out else Path(args.trace).parent
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out or Path(args.trace).parent)
+    if out is None:
+        return 2
     results = {}
     failed = False
     for name in checks:
@@ -172,14 +185,17 @@ def cmd_sweep(args) -> int:
         (doc, [f"{k}={json.dumps(v)}" for k, v in combo], checkpoints)
         for combo in itertools.product(*axes)
     ]
+    out = _output_dir(args.out or cfg.doc["output_dir"])
+    if out is None:
+        return 2
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # about 25 ms to import, so only here
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_cell, cells))
     else:
         results = [_sweep_cell(c) for c in cells]
 
-    out = Path(args.out or cfg.doc["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     cell_rows = ["cell,overrides,slope,final_min_grad_sq,certificates,error"]
     curve_rows = ["cell,N,min_grad_sq"]
     for idx, res in enumerate(results):
@@ -203,8 +219,9 @@ def cmd_report(args) -> int:
     trace = _load_trace_or_report(args.trace)
     if trace is None:
         return 2
-    out = Path(args.out) if args.out else Path(args.trace).parent
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out or Path(args.trace).parent)
+    if out is None:
+        return 2
     problem = trace.problem
 
     gt = flows.gamma_trace(trace)

@@ -44,7 +44,10 @@ Generator for all shuffled orders), and F and ||grad F||^2 of the block's
 nodes come from one stacked full_value and one full_direction call, each
 row with the bits of a call at that node alone.  Per epoch, a prescribed
 step rule gives its one step size once (``epoch_step``); only the
-adaptive rule is asked at each step.
+adaptive rule is asked at each step.  A run takes the n components'
+direction oracles once, as a tuple each step indexes; that builds a zoo
+problem's component oracles (``problems.KindComponents``).  Loads, the
+record check and the full oracles read the zoo kind alone and build none.
 
 Runs are deterministic functions of their configuration (all randomness
 is counter-based off explicit seeds).  Replay checks a full, complete
@@ -279,12 +282,20 @@ def _eval_points(trace: RunTrace) -> np.ndarray:
 
 
 def run_epoch(
-    trace: RunTrace, state: StepState, x: np.ndarray, K: int, order: Optional[list] = None
+    trace: RunTrace,
+    state: StepState,
+    x: np.ndarray,
+    K: int,
+    order: Optional[list] = None,
+    directions: Optional[tuple] = None,
 ) -> np.ndarray:
     """Epoch K of the trace's run, from x = x_K; returns x_{K+1}.
 
     ``order`` is the epoch's query order as ints; without it, it is asked
     of the permutation policy (probing x_K for an adversarial order).
+    ``directions`` is the tuple of the n components' direction oracles,
+    which ``run`` takes once; without it, it is taken from the problem's
+    components.
     Writes row K of the trace's epoch series and, at the full record level,
     of its inner arrays.  ``state`` must be consistent with epochs 0..K-1
     and is advanced in place.  Raises NonFiniteError at the first step i
@@ -294,7 +305,8 @@ def run_epoch(
     config = trace.config
     problem, strategy, eval_policy = config.problem, config.strategy, config.eval_policy
     n = problem.n
-    comps = problem.components
+    if directions is None:
+        directions = tuple(c.direction for c in problem.components)
     full = trace.alpha is not None
 
     if order is None:
@@ -322,7 +334,7 @@ def run_epoch(
     for i, idx in enumerate(order, start=1):
         j = support[i - 1]
         zhat = hull[i - 1] if j is None else zs[j]
-        d = comps[idx].direction(zhat)
+        d = directions[idx](zhat)
         dnorm2 = float(d.dot(d))  # the bits of d @ d, with less dispatch
         if not math.isfinite(dnorm2):
             raise NonFiniteError(K, _first_non_finite(zs[1:]) or i)
@@ -377,8 +389,11 @@ def run(config: RunConfig) -> RunTrace:
     policy needs no probe) and one evaluation of their nodes
     (``_track_nodes``).  On a non-finite abort the trace is cut to the
     completed epochs, with ``aborted_at`` set to the offending (K, i).
+    The components' direction oracles, which a zoo problem builds on first
+    use, are taken once, and each step indexes their tuple.
     """
     n = config.problem.n
+    directions = tuple(c.direction for c in config.problem.components)
     trace = _new_trace(config, config.epochs)
     state = new_state(config.strategy)
     x = config.x0.copy()
@@ -391,7 +406,7 @@ def run(config: RunConfig) -> RunTrace:
             orders = permutation(config.perm_policy, block, n).tolist()
         for K, order in zip(block, orders):
             try:
-                x = run_epoch(trace, state, x, K, order)
+                x = run_epoch(trace, state, x, K, order, directions)
             except NonFiniteError as err:
                 trace.aborted_at = (err.K, err.i)
                 _track_nodes(trace, tracked, K)

@@ -16,8 +16,11 @@ kind's row oracles, closed-form constants, full oracles and norms
 vectorized over the matrix (relu_net has none), row kernels (components'
 values or directions at one point or at a stack of points, one point per
 row, with the bits of the row oracles), random instance and
-serialization.  A component's oracles are ``functools.partial`` views of
-the row oracles with the row bound at build time.
+serialization.  A zoo problem's ``components`` is a read-only sequence
+over its kind (``KindComponents``): its n ComponentOracles, whose oracles
+are ``functools.partial`` views of the row oracles, are built on first
+use, all at once, and kept.  M and L come from the kind's constants, so
+loads, checks and reports, which read only the kind, build none.
 
 Conventions used by the built-in problem zoo:
   * sign(0) = 0 and relu'(0) = 0 (the usual autodiff selections);
@@ -28,6 +31,7 @@ Conventions used by the built-in problem zoo:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -106,22 +110,23 @@ class ComponentOracle:
         return self.lipschitz_gradient is not None
 
 
-def aggregate_constants(
-    components: tuple[ComponentOracle, ...],
-) -> tuple[float, Optional[float]]:
-    """(M, L) recomputed from per-component constants.
+def _mean_constants(values: list, gradients: Optional[list]) -> tuple[float, Optional[float]]:
+    """(M, L) of the per-component constants M_i and L_i (None when not every
+    component is smooth).
 
     This is the single place the aggregation formulas live, so stored and
     recomputed values agree bitwise.
     """
-    n = len(components)
-    m_sq = math.fsum(c.lipschitz_value**2 for c in components) / n
-    m = math.sqrt(m_sq)
-    if all(c.smooth for c in components):
-        lip = math.fsum(c.lipschitz_gradient for c in components) / n
-    else:
-        lip = None
-    return m, lip
+    m = math.sqrt(math.fsum(v**2 for v in values) / len(values))
+    return m, None if gradients is None else math.fsum(gradients) / len(values)
+
+
+def aggregate_constants(
+    components: tuple[ComponentOracle, ...],
+) -> tuple[float, Optional[float]]:
+    """(M, L) recomputed from per-component constants."""
+    gradients = [c.lipschitz_gradient for c in components]
+    return _mean_constants([c.lipschitz_value for c in components], None if None in gradients else gradients)
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,9 @@ class FiniteSumProblem:
     ``f_star_lower`` is a valid lower bound on inf F (used by bound
     certificates).  ``box_radius``, when set, marks that the constants are
     only valid on the box ||x||_inf <= box_radius; runs monitor excursions.
-    ``kind``, set on zoo problems, is the ZooKind the components were built
-    from: it serializes the problem and, when VECTORIZED, answers the full
+    ``kind``, set on zoo problems, is the ZooKind the components are built
+    from (``KindComponents``, on first use): it gives M and L, serializes
+    the problem and, when VECTORIZED, answers the full
     oracles over its data matrix.  Those agree with the per-component
     definitions (the fsum mean of the values, the mean of the directions
     and their norms) to rounding: within 1e-12 relative, and for the
@@ -147,7 +153,7 @@ class FiniteSumProblem:
     with m = 1, and each row of a stack has the bits of the point call.
     """
 
-    components: tuple[ComponentOracle, ...]
+    components: Sequence[ComponentOracle]
     p: int
     M: float
     L: Optional[float]
@@ -263,16 +269,22 @@ class FiniteSumProblem:
         generators or the intermediate set exceeds GENERATOR_CAP.
         """
         x = self.check_point(x)
-        if self.kind is not None and type(self.kind).generators is ZooKind.generators:
+        if self.kind is None:
+            generators = (c.generators and c.generators(x) for c in self.components)
+        elif self.kind.generators is None:
+            raise UnsupportedProblem("component 0 does not expose generators")
+        elif type(self.kind).generators is ZooKind.generators:
             # each component's one generator is its direction: the sum has one element
             return [self._direction_sum(x) / self.n]
+        else:
+            generators = (self.kind.generators(*row, x) for row in self.kind.rows())
         sums = np.zeros((1, self.p))
-        for idx, c in enumerate(self.components):
-            if c.generators is None:
+        for idx, gens in enumerate(generators):
+            if gens is None:
                 raise UnsupportedProblem(
                     f"component {idx} does not expose generators"
                 )
-            gens = np.asarray(c.generators(x), dtype=float).reshape(-1, self.p)
+            gens = np.asarray(gens, dtype=float).reshape(-1, self.p)
             sums = (sums[:, None, :] + gens[None, :, :]).reshape(-1, self.p)
             if len(sums) > 1:  # a single row is already deduplicated
                 sums = np.unique(sums, axis=0)
@@ -354,14 +366,42 @@ class ZooKind:
         # a smooth component's one generator is its gradient
         return [self.direction(*row_and_x)]
 
-    def problem(self) -> FiniteSumProblem:
+    def component_oracles(self) -> tuple[ComponentOracle, ...]:
+        """One ComponentOracle per row, its oracles the row oracles with the row bound."""
         gens, gradients = self.generators, self.lipschitz_gradients or [None] * self.n
         comps = []
         for row, m, lip in zip(self.rows(), self.lipschitz_values, gradients):
             value, direction = partial(self.value, *row), partial(self.direction, *row)
             comps.append(ComponentOracle(value, direction, m, lip, gens and partial(gens, *row)))
+        return tuple(comps)
+
+    def problem(self) -> FiniteSumProblem:
+        m, lip = _mean_constants(self.lipschitz_values, self.lipschitz_gradients)
         extras = {"known_solution": self.known_solution, "box_radius": self.box_radius}
-        return FiniteSumProblem.assemble(comps, self.p, f_star_lower=0.0, kind=self, **extras)
+        return FiniteSumProblem(KindComponents(self), self.p, m, lip, f_star_lower=0.0, kind=self, **extras)
+
+
+class KindComponents(Sequence):
+    """A zoo kind's n ComponentOracles, read-only: built on first use, all at
+    once (``ZooKind.component_oracles``), and kept."""
+
+    def __init__(self, kind: ZooKind):
+        self.kind = kind
+        self._oracles: Optional[tuple] = None
+
+    def _built(self) -> tuple:
+        if self._oracles is None:
+            self._oracles = self.kind.component_oracles()
+        return self._oracles
+
+    def __len__(self) -> int:
+        return self.kind.n
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
 
 
 def _labelled(M, v) -> np.ndarray:
@@ -597,12 +637,12 @@ class ReluNet(_Labelled):
         self.hidden, self.box_radius = h, r = int(hidden), float(box_radius)
         self.lipschitz_values = [
             math.sqrt(
-                h * r**2 * (float(np.sum(np.abs(xi))) + 1.0) ** 2  # dL/dw2 via activations
+                h * r**2 * (l1 + 1.0) ** 2  # dL/dw2 via activations
                 + 1.0  # dL/db2
                 + h * r**2 * sq  # dL/dW1
                 + h * r**2  # dL/db1
             )
-            for xi, sq in zip(self.A, self.sq)
+            for l1, sq in zip(np.abs(self.A).sum(axis=1).tolist(), self.sq)  # ||x_i||_1
         ]
 
     @property
@@ -612,7 +652,10 @@ class ReluNet(_Labelled):
     @classmethod
     def columns(cls, doc: dict) -> int:
         # p = hidden * p_in + 2 hidden + 1 and a row is [x_i, y_i]
-        return (doc["p"] - 1) // doc["hidden"] - 1
+        p, h = doc["p"], doc["hidden"]
+        if (p - 1) % h or p < 2 * h + 1:
+            raise ValueError(f"'problem.p' must be hidden * p_in + 2 * hidden + 1, got {p} for hidden {h}")
+        return (p - 1) // h - 1
 
     @classmethod
     def draw(cls, n, p, rng) -> np.ndarray:

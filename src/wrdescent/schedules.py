@@ -242,12 +242,17 @@ class ConvexMix:
         """Strictly positive Dirichlet hull weights of the steps (K, i), i in ``steps``.
 
         Row r of the lower-triangular (len(steps), steps[-1]) result holds
-        the i = steps[r] weights of step i in its first i columns.
+        the i = steps[r] weights of step i in its first i columns: i
+        standard exponentials times 1.0 / their left-to-right sum, which is
+        NumPy's ``dirichlet(np.ones(i))`` loop, bit for bit.
         """
         keys = [(_TAG_MIX, K, i) for i in steps]
         W = np.zeros((len(steps), steps[-1]))
-        for row, i, rng in zip(W, steps, counter_rngs(self.seed, keys)):
-            row[:i] = rng.dirichlet(np.ones(i))
+        sums = np.empty(len(steps))
+        for r, (i, rng) in enumerate(zip(steps, counter_rngs(self.seed, keys))):
+            draws = rng.standard_exponential(i)
+            W[r, :i], sums[r] = draws, np.cumsum(draws)[-1]
+        W *= (1.0 / sums)[:, None]
         return W
 
 

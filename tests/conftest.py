@@ -66,6 +66,15 @@ def run_factory():
     return make_run
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """A list that grows by one per ComponentOracle constructed."""
+    made = []
+    post_init = wd.ComponentOracle.__post_init__
+    monkeypatch.setattr(wd.ComponentOracle, "__post_init__", lambda self: made.append(1) or post_init(self))
+    return made
+
+
 def decode_payload(payload: bytes, dtype: str = "<f8") -> np.ndarray:
     """The array a trace section's payload holds, flat and writable."""
     return np.frombuffer(payload, dtype).copy()

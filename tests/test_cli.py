@@ -572,6 +572,24 @@ class TestTraceErrors:
         assert main(["report", "--trace", str(path)]) == 2
         assert capsys.readouterr().err == f"trace error: header: {message}\n" * 2
 
+    @pytest.mark.parametrize("p", [34, 40, 32, 16, 1])
+    def test_relu_net_header_p_must_be_the_parameter_count(self, tmp_path, capsys, p):
+        # the 4x2 network has p = 8 * 2 + 2 * 8 + 1 = 33; 34 and 40 give its
+        # data columns too, 32 and 16 are no hidden * p_in + 17, 1 none at all
+        cfg = write_config(tmp_path, problem={"kind": "relu_net", "n": 4, "p": 2, "seed": 1}, epochs=2)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        path = out / "trace.txt"
+        path.write_bytes(_edit_config(path.read_bytes(), lambda c: c["problem"].update(p=p)))
+        message = f"header: 'problem.p' must be hidden * p_in + 2 * hidden + 1, got {p} for hidden 8"
+        with pytest.raises(ValueError) as err:
+            wd.load_trace(path)
+        assert str(err.value) == message
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(path)]) == 2
+        assert main(["report", "--trace", str(path)]) == 2
+        assert capsys.readouterr().err == f"trace error: {message}\n" * 2
+
     @pytest.mark.parametrize(
         "damage, where",
         [
@@ -1083,6 +1101,58 @@ class TestMain:
         assert main(["run", "--config", str(cfg)]) == 7
         assert seen[0].set == []
         assert wd.cli.build_parser() is wd.cli.build_parser()
+
+
+class TestOutputDir:
+    @pytest.fixture(params=["nul", "under_a_file"])
+    def bad_dir(self, request, tmp_path):
+        (tmp_path / "file").write_text("")
+        return {"nul": str(tmp_path / "a\x00b"), "under_a_file": str(tmp_path / "file" / "out")}[request.param]
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "verify", "report"])
+    def test_unmakeable_output_dir_exits_2(self, tmp_path, capsys, bad_dir, command):
+        # run and sweep read it from the config's output_dir, verify and report from --out
+        cfg = write_config(tmp_path, epochs=3)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        trace = str(tmp_path / "o" / "trace.txt")
+        cfg = write_config(tmp_path, "bad.json", epochs=3, output_dir=bad_dir)
+        argv = {
+            "run": ["run", "--config", str(cfg)],
+            "sweep": ["sweep", "--config", str(cfg), "--grid", "strategy.alpha=0.1,0.2"],
+            "verify": ["verify", "--trace", trace, "--out", bad_dir],
+            "report": ["report", "--trace", trace, "--out", bad_dir],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"output error: cannot make the directory {bad_dir!r}: ")
+        assert captured.err.count("\n") == 1
+
+
+class TestComponentsBuiltOnlyByRun:
+    @pytest.mark.parametrize("kind", wd.problems.PROBLEM_KINDS)
+    def test_only_run_builds_the_component_oracles(self, tmp_path, capsys, built, kind):
+        # loads, checks, replay's record check and report read the kind alone
+        wd.make_problem(kind, 6, 2, 3)
+        assert built == []
+        cfg = write_config(tmp_path, problem={"kind": kind, "n": 6, "p": 2, "seed": 3}, epochs=4,
+                           x0={"kind": "ball", "radius": 0.5, "seed": 1})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(built) == 6
+        built.clear()
+        trace = wd.load_trace(out / "trace.txt")
+        assert built == []
+        assert main(["verify", "--trace", str(out / "trace.txt"), "--checks", ",".join(KNOWN_CHECKS)]) in (0, 1)
+        assert len(KNOWN_CHECKS) == 11 and built == []
+        assert wd.replay(trace).ok and built == []
+        assert main(["report", "--trace", str(out / "trace.txt")]) == 0
+        assert built == []
+        # a record the check declines is re-run, which builds them
+        trace.config = dataclasses.replace(trace.config, epochs=3)
+        assert not wd.replay(trace).ok
+        assert len(built) == 6
 
 
 class TestHelpers:

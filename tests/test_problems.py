@@ -618,3 +618,73 @@ def test_row_oracles_have_the_bits_of_the_matmul_formulas(kind, shape, scale, st
             value, direction = _matmul_row_oracles(kind, a, v, x)
             assert comp.value(x).hex() == value.hex()
             assert comp.direction(x).tobytes() == direction.tobytes()
+
+
+class TestLazyComponents:
+    @pytest.mark.parametrize("kind", PROBLEM_KINDS)
+    def test_built_on_first_use_all_at_once_and_kept(self, built, kind):
+        prob = wd.make_problem(kind, 7, 2, 5)
+        assert len(prob.components) == prob.n == 7 and built == []
+        first = prob.components[3]
+        assert len(built) == 7
+        assert prob.components[3] is first and list(prob.components)[3] is first
+        assert prob.components[1:3] == tuple(prob.components)[1:3]
+        assert len(built) == 7
+
+    @pytest.mark.parametrize("kind", PROBLEM_KINDS)
+    def test_components_have_the_bits_of_the_row_oracles(self, kind):
+        prob = wd.make_problem(kind, 6, 3, 11)
+        kind_ = prob.kind
+        gradients = kind_.lipschitz_gradients or [None] * prob.n
+        x = np.random.default_rng(11).standard_normal(prob.p)
+        for c, row, m, lip in zip(prob.components, kind_.rows(), kind_.lipschitz_values, gradients):
+            assert c.value(x).hex() == kind_.value(*row, x).hex()
+            assert c.direction(x).tobytes() == kind_.direction(*row, x).tobytes()
+            assert (c.lipschitz_value, c.lipschitz_gradient) == (m, lip)
+            if kind_.generators is None:
+                assert c.generators is None
+            else:
+                assert [g.tobytes() for g in c.generators(x)] == [g.tobytes() for g in kind_.generators(*row, x)]
+
+    def test_relu_net_generator_set_raises_before_building(self, built):
+        prob = wd.make_problem("relu_net", 3, 2, 0)
+        with pytest.raises(wd.UnsupportedProblem, match="^component 0 does not expose generators$"):
+            prob.generator_set(np.zeros(prob.p))
+        assert built == []
+
+    def test_median_generator_set_builds_none(self, built):
+        prob = wd.make_problem("median", 5, 2, 3)
+        expected = wd.FiniteSumProblem.assemble(prob.kind.component_oracles(), prob.p).generator_set(np.zeros(2))
+        built.clear()
+        assert [g.tobytes() for g in prob.generator_set(np.zeros(2))] == [g.tobytes() for g in expected]
+        assert built == []
+
+
+@given(
+    st.sampled_from(PROBLEM_KINDS),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_stored_constants_are_the_component_aggregates_bit_for_bit(kind, n, p, seed):
+    # M and L come from the kind's constant lists, not from the built components
+    prob = wd.make_problem(kind, n, p, seed)
+    m, lip = wd.aggregate_constants(prob.components)
+    assert prob.M.hex() == m.hex()
+    assert (prob.L is None and lip is None) or prob.L.hex() == lip.hex()
+
+
+@pytest.mark.parametrize("n, p_in, hidden, radius", [(5, 1, 8, 2.0), (7, 9, 3, 0.5), (4, 40, 16, 1.5), (3, 0, 2, 1.0)])
+def test_relu_net_constants_keep_the_per_row_expression(n, p_in, hidden, radius):
+    # M_i from ||x_i||_1 of each row as np.sum(np.abs(x_i)) gave it, and M from those
+    rng = np.random.default_rng(n * p_in)
+    data = np.column_stack([rng.standard_normal((n, p_in)) * 3.0, rng.standard_normal(n)])
+    prob = ReluNet(data, hidden=hidden, box_radius=radius).problem()
+    h, r = hidden, radius
+    expected = [
+        math.sqrt(h * r**2 * (float(np.sum(np.abs(xi))) + 1.0) ** 2 + 1.0 + h * r**2 * float(xi @ xi) + h * r**2)
+        for xi in prob.kind.A
+    ]
+    assert [v.hex() for v in prob.kind.lipschitz_values] == [v.hex() for v in expected]
+    assert prob.M.hex() == math.sqrt(math.fsum(v**2 for v in expected) / n).hex()

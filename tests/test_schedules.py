@@ -348,3 +348,13 @@ def test_convex_mix_epoch_weights_are_one_generator_per_step(seed, K, n):
     for i, w in enumerate(weights, start=1):
         assert w.tobytes() == counter_rng(seed, 2, K, i).dirichlet(np.ones(i)).tobytes()
     assert eval_point(policy, K, n).tobytes() == weights[-1].tobytes()
+
+
+@pytest.mark.parametrize("K", [0, 1, 7])
+def test_convex_mix_weights_are_numpys_dirichlet_at_wide_n(K):
+    # the exponentials times 1.0 / their left-to-right sum are NumPy's
+    # dirichlet(np.ones(i)) loop: the same bits up to a 512-step epoch
+    W = wd.ConvexMix(seed=3).weights(K, range(1, 513))
+    for i, row in enumerate(W, start=1):
+        assert row[:i].tobytes() == counter_rng(3, 2, K, i).dirichlet(np.ones(i)).tobytes()
+        assert not row[i:].any()
