@@ -50,10 +50,10 @@ least slack; each ``check_*_trace`` function runs it over the range its
 Python floats and squared norms stacked matmuls (one ddot per row), so a
 range has the bits of the per-epoch formulas.  The preconditions, in this
 order, raise the reasons ``verify`` skips a check for: full records, a
-smooth problem, the range's epochs.  A step-length range in which an
-epoch's lhs or rhs is not finite still reports its least slack, and names
-that epoch in the report's ``non_finite``, which ``verify`` skips as a
-numeric overflow.
+smooth problem, the range's epochs.  A range in which an epoch's lhs or
+rhs is not finite still reports its least slack, and names that epoch in
+the report's ``non_finite``; ``verify`` skips such a range, and any report
+whose own lhs or rhs is not finite, as a numeric overflow.
 
 ``CHECKS`` is the table of the checks ``verify`` runs by name, and
 ``run_check`` turns a name into (status, detail, rate certificate).
@@ -89,7 +89,7 @@ class MarginReport:
     detail: dict = field(default_factory=dict)
     # the first epoch of a range whose lhs or rhs is not finite, where no
     # slack certifies anything (``verify`` skips the check as an overflow);
-    # set by the step-length check, and not part of repr or ==
+    # set by the range checks, and not part of repr or ==
     non_finite: Optional[str] = field(default=None, repr=False, compare=False)
 
     def __bool__(self) -> bool:
@@ -146,13 +146,18 @@ def _first_least(values: np.ndarray) -> int:
 
 
 def _least_slack(name, epochs, lhs, rhs, denom, tol, detail) -> MarginReport:
-    """The report at the epoch of least relative slack (``_first_least``).
+    """The report at the epoch of least relative slack (``_first_least``),
+    naming in ``non_finite`` the first epoch whose lhs or rhs is not finite.
     lhs, rhs and denom hold one entry per epoch; ``detail(k)`` is the detail at entry k."""
     with np.errstate(invalid="ignore"):  # inf - inf: a NaN slack, handled by _first_least
         rel = (rhs - lhs) / denom
     k = _first_least(rel)
-    lhs, rhs, denom = float(lhs[k]), float(rhs[k]), float(denom[k])
-    return _report(f"{name}[K={epochs[k]}]", lhs, rhs, tol, denom, detail(k))
+    rep = _report(f"{name}[K={epochs[k]}]", float(lhs[k]), float(rhs[k]), tol, float(denom[k]), detail(k))
+    bad = np.flatnonzero(~np.isfinite(lhs) | ~np.isfinite(rhs))
+    if bad.size:
+        k = bad[0]
+        rep = replace(rep, non_finite=f"lhs {lhs[k]}, rhs {rhs[k]} at K={epochs[k]}")
+    return rep
 
 
 def _s2(trace: RunTrace, epochs: range) -> np.ndarray:
@@ -200,14 +205,9 @@ def check_step_length_bound_trace(
     rhs = n * _s2(trace, epochs)
     denom = np.where((rhs == 0.0) & (lhs == 0.0), 1.0, np.maximum(rhs, 1e-300))
     where = [("x_next", n)] + [(label, i) for i in range(1, n + 1) for label in ("z", "zhat")]
-    rep = _least_slack(
+    return _least_slack(
         "step_length", epochs, lhs, rhs, denom, EXACT_RTOL, lambda k: {"argmax": where[argmax[k]]}
     )
-    bad = np.flatnonzero(~np.isfinite(lhs) | ~np.isfinite(rhs))
-    if bad.size:
-        k = bad[0]
-        rep = replace(rep, non_finite=f"lhs {lhs[k]}, rhs {rhs[k]} at K={epochs[k]}")
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +475,10 @@ def certify_run(
         horizons = np.arange(start, trace.epochs_completed + 1)
         if not horizons.size:
             raise ValueError("no completed epoch")
-        bound = np.array([rate_bound(r, N=N, **params) for N in horizons.tolist()])
+        # rate_params gives the adaptive rule only for Adaptive.recommended(n), so
+        # its beta and delta are checked once and no horizon's bound repeats it
+        each = dict(params, n=None)
+        bound = np.array([rate_bound(r, N=N, **each) for N in horizons.tolist()])
         bad = np.flatnonzero(~np.isfinite(bound))
         if bad.size:
             raise OverflowError(f"the {r} bound is {float(bound[bad[0]])} at N={horizons[bad[0]]}")
@@ -613,6 +616,8 @@ def _status(ok) -> str:
 def _margin(rep: MarginReport, what: str = "min rel slack"):
     if rep.non_finite:
         raise OverflowError(rep.non_finite)
+    if not (math.isfinite(rep.lhs) and math.isfinite(rep.rhs)):
+        raise OverflowError(f"lhs {rep.lhs}, rhs {rep.rhs} at {rep.name}")
     return _status(rep.ok), f"{what} {rep.rel_slack:.3e}", None
 
 

@@ -42,12 +42,17 @@ A run advances in blocks of EPOCH_BLOCK epochs.  Per block, the query
 orders of a policy that needs no probe are drawn in one call (one
 Generator for all shuffled orders), and F and ||grad F||^2 of the block's
 nodes come from one stacked full_value and one full_direction call, each
-row with the bits of a call at that node alone.  Per epoch, a prescribed
-step rule gives its one step size once (``epoch_step``); only the
-adaptive rule is asked at each step.  A run takes the n components'
-direction oracles once, as a tuple each step indexes; that builds a zoo
-problem's component oracles (``problems.KindComponents``).  Loads, the
-record check and the full oracles read the zoo kind alone and build none.
+row with the bits of a call at that node alone.  Per epoch come the
+supports, a prescribed rule's one step size (``epoch_step``) as a row of
+length p, whose product with d has the bits of alpha * d, the epoch
+series from the epoch's list of step sizes and, at full level, the record
+rows.  Per step there is only the direction call, ||d||^2 and its test,
+the adaptive rule's ``step_value`` and the update; where the support of
+step i is i-1 (Incremental), the step queries z_{K,i-1} directly.  A run
+takes the n components' direction oracles once, as a tuple each step
+indexes; that builds a zoo problem's component oracles
+(``problems.KindComponents``).  Loads, the record check and the full
+oracles read the zoo kind alone and build none.
 
 Runs are deterministic functions of their configuration (all randomness
 is counter-based off explicit seeds).  Replay checks a full, complete
@@ -297,8 +302,8 @@ def run_epoch(
     which ``run`` takes once; without it, it is taken from the problem's
     components.
     Writes row K of the trace's epoch series and, at the full record level,
-    of its inner arrays.  ``state`` must be consistent with epochs 0..K-1
-    and is advanced in place.  Raises NonFiniteError at the first step i
+    of its inner arrays, once the epoch is complete.  ``state`` must be
+    consistent with epochs 0..K-1 and is advanced in place.  Raises NonFiniteError at the first step i
     where ||d||^2 or an entry of z_{K,i} is not finite, tested as the
     module docstring says (``_first_non_finite`` scans the iterates).
     """
@@ -307,19 +312,18 @@ def run_epoch(
     n = problem.n
     if directions is None:
         directions = tuple(c.direction for c in problem.components)
-    full = trace.alpha is not None
-
     if order is None:
         probe = problem.direction_norms(x) if config.perm_policy.needs_probe else None
         order = permutation(config.perm_policy, K, n, probe=probe).tolist()
     alpha = epoch_step(strategy, state, K)  # None: the adaptive rule, one step_value per step
     adaptive = alpha is None
-
-    if full:
-        index, alphas, dnorm2s, vs = trace.index[K], trace.alpha[K], trace.dnorm2[K], trace.v[K]
-        ds, zrows = trace.d[K], trace.z[K]
+    full = trace.alpha is not None
+    # a prescribed step multiplies d by a row of alpha, the bits of alpha * d
+    # without NumPy's Python-float path; the adaptive rule's is a float
+    step = None if adaptive else np.full(len(x), alpha)
+    alphas, vs = ([], []) if adaptive else ([alpha] * n, [math.nan] * n)  # vs: read at full level only
     support = eval_support(eval_policy, K, n)
-    zs = [x]
+    incremental = support == list(range(n))  # each step queries the current iterate
     # a step without a single support point (ConvexMix) takes its hull point
     # over z_{K,0..i-1}: row i-1 of ``hull``, to which z_{K,j} is added as
     # soon as it is known, with the weight of every later step
@@ -328,37 +332,38 @@ def run_epoch(
         W = _hull_weights(eval_policy, K, n)
         hull = np.full((n, len(x)), -0.0)
         hull_accumulate(hull, W[:, 0], x)
+    zs, dnorm2s = [x], []
+    ds = trace.d[K] if full else None  # d rows, written per step: a list of them would grow the peak
     z = x
-    alpha_first = alpha_last = math.nan
-    alpha_acc = 0.0
     for i, idx in enumerate(order, start=1):
-        j = support[i - 1]
-        zhat = hull[i - 1] if j is None else zs[j]
+        zhat = z if incremental else zs[support[i - 1]] if hull is None else hull[i - 1]
         d = directions[idx](zhat)
         dnorm2 = float(d.dot(d))  # the bits of d @ d, with less dispatch
         if not math.isfinite(dnorm2):
             raise NonFiniteError(K, _first_non_finite(zs[1:]) or i)
         if adaptive:
-            alpha = step_value(strategy, state, K, i, dnorm2)
-        z = z - alpha * d
+            step = step_value(strategy, state, K, i, dnorm2)
+            alphas.append(step)
+            if full:
+                vs.append(state.v)
+        z = z - step * d
         zs.append(z)
+        if full:
+            ds[i - 1] = d
+            dnorm2s.append(dnorm2)
         if hull is not None and i < n:
             hull_accumulate(hull[i:], W[i:, i], z)
-        if i == 1:
-            alpha_first = alpha
-        alpha_last = alpha
-        alpha_acc += alpha
-        if full:
-            r = i - 1
-            index[r], alphas[r], dnorm2s[r] = idx, alpha, dnorm2
-            vs[r] = state.v if adaptive else math.nan
-            ds[r], zrows[r] = d, z
     if not np.isfinite(z).all():
-        raise NonFiniteError(K, _first_non_finite(zrows if full else zs[1:]))
+        raise NonFiniteError(K, _first_non_finite(zs[1:]))
 
-    trace.alpha_first[K], trace.alpha_last[K] = alpha_first, alpha_last
-    trace.alpha_sum[K] = alpha_acc
+    alpha_sum = 0.0
+    for a in alphas:  # left to right, in step order
+        alpha_sum += a
+    trace.alpha_first[K], trace.alpha_last[K], trace.alpha_sum[K] = alphas[0], alphas[-1], alpha_sum
     trace.v_end[K] = state.v if adaptive else math.nan
+    if full:
+        trace.index[K], trace.alpha[K], trace.dnorm2[K], trace.v[K] = order, alphas, dnorm2s, vs
+        trace.z[K] = zs[1:]
     return z
 
 

@@ -424,7 +424,7 @@ class _Labelled(ZooKind):
         super().__init__(data, seed)
         self.A = np.ascontiguousarray(self.data[:, :-1])
         self.v = np.ascontiguousarray(self.data[:, -1])
-        self.sq = [float(a @ a) for a in self.A]  # ||a_i||^2
+        self.sq = [float(a.dot(a)) for a in self.A]  # ||a_i||^2, the bits of a @ a
         self.norms = np.sqrt(self.sq)
 
     def rows(self):
@@ -471,7 +471,9 @@ class Logistic(_Labelled):
 
     @staticmethod
     def direction(a, b, x) -> np.ndarray:
-        return (-b * _expit(-b * float(a.dot(x)))) * a
+        t = -b * float(a.dot(x))  # -b expit(t) a, with _expit's two branches inlined
+        s = 1.0 / (1.0 + math.exp(-t)) if t >= 0.0 else (e := math.exp(t)) / (1.0 + e)
+        return (-b * s) * a
 
     def row_directions(self, x, rows=slice(None)) -> np.ndarray:
         coef = [-b * _expit(-b * t) for b, t in zip(self.v[rows].tolist(), self._row_products(x, rows))]
@@ -515,7 +517,8 @@ class Sigmoid(_Labelled):
 
     @staticmethod
     def direction(a, c, x) -> np.ndarray:
-        s = _expit(float(a.dot(x)) - c)
+        t = float(a.dot(x)) - c  # s (1 - s) a, s = expit(t) with _expit's two branches inlined
+        s = 1.0 / (1.0 + math.exp(-t)) if t >= 0.0 else (e := math.exp(t)) / (1.0 + e)
         return (s * (1.0 - s)) * a
 
     def row_directions(self, x, rows=slice(None)) -> np.ndarray:
@@ -687,7 +690,7 @@ class ReluNet(_Labelled):
         act = np.maximum(pre, 0.0)
         s = float(np.sign(w2 @ act + b2 - yi))
         gw2 = w2 * (pre > 0.0).astype(float)
-        return s * np.concatenate([np.outer(gw2, xi).ravel(), gw2, act, [1.0]])
+        return s * np.concatenate([(gw2[:, None] * xi).ravel(), gw2, act, [1.0]])
 
     def _row_forward(self, theta, rows):
         # the pre-activations (m, hidden), activations, residuals and w2 of

@@ -164,18 +164,19 @@ def step_value(
     before the returned v^(-1/3); prescribed rules ignore ``dnorm2``.
     Calls must follow the run order: (K, i) = (state.K, state.i + 1).
     """
-    if K != state.K or i != state.i + 1 or not 1 <= i <= state.n:
+    n = state.n
+    if K != state.K or i != state.i + 1 or not 1 <= i <= n:
         if K != state.K:
             raise ValueError(f"step_value called at epoch {K}, state is at epoch {state.K}")
         raise ValueError(f"step_value called at inner index {i}, expected {state.i + 1}")
     if dnorm2 < 0:
         raise ValueError("dnorm2 must be nonnegative")
     if isinstance(strategy, Adaptive):
-        state.v = state.v + strategy.beta * dnorm2
-        alpha = strategy.step_size(state.v)
+        state.v = v = state.v + strategy.beta * dnorm2
+        alpha = v ** (-1.0 / 3.0)  # Adaptive.step_size(v), without its call
     else:
         alpha = strategy.prescribed_value(K)
-    if i == state.n:
+    if i == n:
         state.K, state.i = K + 1, 0
     else:
         state.i = i

@@ -465,6 +465,18 @@ class TestCertifyRun:
         (cert,) = wd.certify_run(trace)
         assert cert.rule == "adaptive" and cert.ok
 
+    def test_adaptive_parameters_checked_once_per_certificate(self, logistic32, monkeypatch):
+        # Adaptive.rate_params matches beta and delta to n once; the 201
+        # horizons' bounds do not build Adaptive.recommended again
+        trace = make_run(logistic32, wd.Adaptive.recommended(32), epochs=200, record_level="epoch_only")
+        built = []
+        recommended = wd.Adaptive.recommended
+        monkeypatch.setattr(wd.Adaptive, "recommended", lambda n: built.append(n) or recommended(n))
+        (cert,) = wd.certify_run(trace)
+        assert cert.ok and cert.N.size == 201 and built == [32]
+        with pytest.raises(ValueError, match="beta = n"):
+            wd.rate_bound("adaptive", f0_minus_fstar=1.0, N=3, L=1.0, M=1.0, n=32, beta=2.0)
+
     def test_strategy_mismatch_rejected(self, logistic32):
         trace = make_run(
             logistic32, wd.DecreasingSqrt(32), epochs=10, record_level="epoch_only"
@@ -594,6 +606,19 @@ class TestSummability:
         rep = wd.check_adaptive_ratio_bound(trace)
         assert rep["ok_with_M_squared"]  # the provable variant always holds
         assert rep["max_ratio"] <= rep["bound_with_M_squared"] * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("name", ["epoch_descent", "epoch_descent_tight"])
+def test_a_descent_range_with_a_non_finite_side_skips(name):
+    # F(x_3) = inf makes the lhs of epoch 2 inf and of epoch 3 -inf: no
+    # slack of the range certifies anything, so verify skips the check
+    prob = wd.make_problem("logistic", 6, 2, 14)
+    trace = make_run(prob, wd.DecreasingSqrt(6), epochs=6)
+    assert analysis.run_check(trace, name)[0] == "pass"
+    trace.f_vals[3] = math.inf
+    status, detail, _ = analysis.run_check(trace, name)
+    assert status == "skip" and detail.startswith("numeric overflow: lhs inf, rhs ")
+    assert detail.endswith(" at K=2")
 
 
 class TestLemmas:

@@ -403,6 +403,27 @@ class TestCmdVerify:
         assert cells[0].endswith(',"constant=skip",')
         assert cells[1].endswith(',"constant=pass;constant_with_l=pass",')
 
+    def test_overflowing_summability_side_skipped(self, tmp_path, capsys):
+        # delta = 1e-310 takes the summability rhs, log1p(beta n M^2 (N+1) /
+        # delta) / beta, to inf, where inf / inf would give a NaN slack; both
+        # epoch-descent forms stay finite there and pass
+        config = str(Path(__file__).parents[1] / "scripts" / "configs" / "logistic_small.json")
+        strategy = 'strategy={"variant": "adaptive", "delta": 1e-310, "beta": 1.0}'
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out), "--set", strategy, "--set", "epochs=5"]) == 0
+        capsys.readouterr()
+        checks = "summability,epoch_descent,epoch_descent_tight"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--trace", str(out / "trace.txt"), "--checks", checks])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("[SKIP] summability: numeric overflow: lhs ")
+        assert lines[0].endswith(", rhs inf at summability[N=4]")
+        assert [line.split(":")[0] for line in lines[1:]] == ["[PASS] epoch_descent", "[PASS] epoch_descent_tight"]
+        report = json.loads((out / "certificate.json").read_text())
+        assert [report[name]["status"] for name in checks.split(",")] == ["skip", "pass", "pass"]
+
     def test_non_finite_gamma_skipped(self, tmp_path, capsys):
         # alpha = 1e308 takes the cumulative step mass tau to inf at K = 2
         config = str(Path(__file__).parents[1] / "scripts" / "configs" / "logistic_small.json")

@@ -793,6 +793,120 @@ SOLE_CASES = [
 OTHER_CASES = ["epochs", "cut_short", "cut_short_at_its_abort", "aborted", "index_out_of_range", "nan_d"]
 
 
+def reference_run(config) -> dict:
+    """The recursion of the engine's module docstring, one step at a time,
+    as {RunTrace field: array}.
+
+    Per epoch K the query order (probing x_K for an adversarial one); per
+    step i the policy's point zhat_{K,i-1} (z_{K,j} for its support j, else
+    the cumulative sum of eval_point's weights over z_{K,0..i-1}), d =
+    components[idx].direction(zhat), ||d||^2 = d.dot(d), alpha = step_value
+    and z_{K,i} = z_{K,i-1} - alpha * d.  The run aborts at the first step
+    whose ||d||^2 or z_{K,i} is not finite, keeping the completed epochs.
+    Epoch series from the steps (alpha_sum added from 0.0 in step order),
+    node series from one full_value and full_direction call per node.
+    """
+    problem, strategy, policy, perm = config.problem, config.strategy, config.eval_policy, config.perm_policy
+    n, adaptive = problem.n, isinstance(strategy, wd.Adaptive)
+    state = wd.new_state(strategy)
+    xs, epochs, steps, aborted = [config.x0.copy()], [], [], None
+    for K in range(config.epochs):
+        probe = problem.direction_norms(xs[K]) if perm.needs_probe else None
+        support = wd.eval_support(policy, K, n)
+        zs, rows = [xs[K]], []
+        for i, idx in enumerate(wd.permutation(perm, K, n, probe=probe).tolist(), start=1):
+            j = support[i - 1]
+            zhat = zs[j] if j is not None else reference_hull_point(wd.eval_point(policy, K, i), zs)
+            d = problem.components[idx].direction(zhat)
+            dnorm2 = float(d.dot(d))
+            if not math.isfinite(dnorm2):
+                aborted = (K, i)
+                break
+            alpha = wd.step_value(strategy, state, K, i, dnorm2)
+            zs.append(zs[-1] - alpha * d)
+            if not np.isfinite(zs[-1]).all():
+                aborted = (K, i)
+                break
+            rows.append((idx, zhat, d, dnorm2, alpha, zs[-1], state.v if adaptive else math.nan))
+        if aborted:
+            break
+        alpha_sum = 0.0
+        for row in rows:
+            alpha_sum += row[4]
+        epochs.append((rows[0][4], rows[-1][4], alpha_sum, rows[-1][6]))
+        steps.append(rows)
+        xs.append(zs[-1])
+    out = {"xs": np.array(xs), "aborted_at": aborted}
+    if config.track_objective:
+        grads = [problem.full_direction(x) for x in xs]
+        out["f_vals"] = np.array([problem.full_value(x) for x in xs])
+        out["grad_sq"] = np.array([float(g @ g) for g in grads])
+    for name, column in zip(EPOCH_SERIES, zip(*epochs) if epochs else [()] * 4):
+        out[name] = np.array(column, dtype=float)
+    if config.record_level == "full":
+        for k, name in enumerate(("index", "zhat", "d", "dnorm2", "alpha", "z", "v")):
+            out[name] = np.array([[row[k] for row in rows] for rows in steps]).reshape(
+                (len(steps), n) + ((problem.p,) if name in ("zhat", "d", "z") else ())
+            )
+    radius = config.monitor_radius
+    outside = [k for k, x in enumerate(xs) if radius is not None and np.max(np.abs(x)) > radius]
+    out["bound_exceeded_at"] = outside[0] if outside else None
+    return out
+
+
+def assert_run_is_the_reference(config) -> None:
+    with np.errstate(all="ignore"):
+        trace, ref = wd.run(config), reference_run(config)
+    assert (trace.aborted_at, trace.bound_exceeded_at) == (ref["aborted_at"], ref["bound_exceeded_at"])
+    for name in NODE_SERIES + EPOCH_SERIES + INNER_FIELDS:
+        new = getattr(trace, name)
+        if name not in ref:  # the inner steps at the epoch_only level, or an untracked objective
+            assert new is None or np.isnan(new).all(), name
+            continue
+        assert new.shape == ref[name].shape, name
+        assert new.tobytes() == ref[name].astype(new.dtype).tobytes(), name
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+@pytest.mark.parametrize("eval_policy", EVAL_CASES, ids=lambda c: c.VARIANT)
+@given(
+    perm=st.sampled_from(["identity", "fixed", "shuffled", "adversarial"]),
+    rule=st.sampled_from(RULES + ("constant_1e308",)),
+    level=st.sampled_from(["full", "epoch_only"]),
+    shape=st.sampled_from([(1, 3), (4, 2), (7, 5), (3, EPOCH_BLOCK + 2)]),
+    seed=st.integers(0, 1000),
+    radius=st.sampled_from([None, 0.2]),
+)
+@settings(max_examples=6, deadline=None)
+def test_run_is_the_reference_recursion(kind, eval_policy, perm, rule, level, shape, seed, radius):
+    # every array of a run, at both record levels, has the bits of the
+    # per-step loop; a constant step of 1e308 overflows some runs, which
+    # then abort where the loop does
+    n, epochs = shape
+    problem = wd.make_problem(kind, n, 2, seed)
+    strategy = wd.Constant(1e308, n) if rule == "constant_1e308" else rule_strategy(rule, problem)
+    config = wd.RunConfig(
+        problem=problem,
+        strategy=strategy,
+        eval_policy=eval_policy,
+        perm_policy=perm_case(perm, n),
+        x0=0.3 * np.random.default_rng(seed).standard_normal(problem.p),
+        epochs=epochs,
+        record_level=level,
+        monitor_radius=radius,
+    )
+    assert_run_is_the_reference(config)
+
+
+@pytest.mark.parametrize("level", ["full", "epoch_only"])
+@pytest.mark.parametrize("case", sorted(ABORT_PINS))
+def test_overflowing_runs_are_the_reference_recursion(case, level):
+    # an ||d||^2 that overflows, an iterate that overflows before the next
+    # ||d||^2 does, and iterates whose entries stay finite though their sum
+    # overflows, so the run goes on
+    assert_run_is_the_reference(overflow_config(case, level))
+
+
 class TestReplayCheck:
     @given(
         kind=st.sampled_from(PROBLEM_KINDS),

@@ -254,6 +254,17 @@ def _reference_relu(row, theta, hidden=8):
     return value, s * np.concatenate([np.outer(gw2, xi).ravel(), gw2, act, [1.0]])
 
 
+@given(st.integers(1, 200), st.sampled_from([1, 8, 16]), st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_build_and_relu_products_have_the_matmul_and_outer_bits(p_in, hidden, seed):
+    # a build's ||a_i||^2 is a.dot(a), the bits of a @ a, and relu_net's
+    # dL/dW1 block the broadcast gw2[:, None] * x_i, the bits of np.outer
+    zoo, theta = _relu_instance(np.random.default_rng(seed), 3, p_in, hidden, 1.0)
+    assert np.array(zoo.sq).tobytes() == np.array([float(a @ a) for a in zoo.A]).tobytes()
+    for row, (xi, yi) in zip(zoo.data, zoo.rows()):
+        assert zoo.direction(xi, yi, theta).tobytes() == _reference_relu(row, theta, hidden)[1].tobytes()
+
+
 def _reference_median(row, x):
     dev = x - row
     j = int(np.argmax(np.abs(dev)))
