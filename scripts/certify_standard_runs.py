@@ -49,7 +49,7 @@ def main() -> int:
             record_level="epoch_only",
         )
         trace = wd.run(config)
-        cert = wd.certify_run(trace, rule, f_star=0.0)[0]
+        cert = wd.certify_run(trace, rule)[0]
         status = "pass" if cert.ok else "FAIL"
         print(f"{rule:18s} {status}  min slack {cert.slack[cert.worst]:.3e} at N={cert.N[cert.worst]}")
         failed = failed or not cert.ok

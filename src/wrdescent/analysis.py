@@ -429,23 +429,18 @@ class RateCertificate:
 _RULES_FROM_K1 = ("decreasing_sqrt", "decreasing_cbrt")
 
 
-def certify_run(
-    trace: RunTrace,
-    rule: Optional[str] = None,
-    *,
-    f_star: Optional[float] = None,
-) -> list[RateCertificate]:
+def certify_run(trace: RunTrace, rule: Optional[str] = None) -> list[RateCertificate]:
     """Compare observed min squared gradient norms against matched bounds.
 
     The matched rules, and the step parameters their bounds read, are the
     strategy's ``rate_params(problem)``; ``rule`` selects one of them.  For
     every horizon N up to the trace length, the observed minimum over
     the rule's epoch range (K = 0..N, or 1..N for the decreasing-step
-    rules) must not exceed the closed-form bound.  F* is replaced by
-    ``f_star`` (default: the problem's recorded lower bound), which can only
-    loosen the bound, so passes remain valid certificates.  A bound that is
-    not finite at some horizon certifies nothing and raises OverflowError;
-    a rule with no horizon (1..N with N = 0) raises ValueError.
+    rules) must not exceed the closed-form bound.  F* is replaced by the
+    problem's ``f_star_lower``, which can only loosen the bound, so passes
+    remain valid certificates.  A bound that is not finite at some horizon
+    certifies nothing and raises OverflowError; a rule with no horizon
+    (1..N with N = 0) raises ValueError.
     """
     problem = trace.problem
     _require_smooth(problem)
@@ -455,8 +450,7 @@ def certify_run(
     rules = list(matched) if rule is None else [rule]
     if not rules:
         raise ValueError("trace strategy matches no rate rule")
-    if f_star is None:
-        f_star = problem.f_star_lower
+    f_star = problem.f_star_lower
     if f_star is None:
         raise ValueError("no F* lower bound available")
 

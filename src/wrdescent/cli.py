@@ -175,7 +175,11 @@ def cmd_sweep(args) -> int:
         if not values:
             print(f"empty grid axis {key!r}", file=sys.stderr)
             return 2
-        axes.append([(key, parse_value(v)) for v in values.split(",")])
+        try:  # an axis that reads as one JSON list once bracketed keeps its objects whole
+            parsed = json.loads(f"[{values}]")
+        except json.JSONDecodeError:
+            parsed = [parse_value(v) for v in values.split(",")]
+        axes.append([(key, v) for v in parsed])
     if not axes:
         print("sweep needs at least one --grid axis", file=sys.stderr)
         return 2

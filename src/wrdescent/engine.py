@@ -387,6 +387,7 @@ def _track_nodes(trace: RunTrace, lo: int, hi: int) -> None:
             trace.bound_exceeded_at = lo + int(out[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(config: RunConfig) -> RunTrace:
     """Execute the configured number of epochs; deterministic in the config.
 
@@ -395,7 +396,9 @@ def run(config: RunConfig) -> RunTrace:
     (``_track_nodes``).  On a non-finite abort the trace is cut to the
     completed epochs, with ``aborted_at`` set to the offending (K, i).
     The components' direction oracles, which a zoo problem builds on first
-    use, are taken once, and each step indexes their tuple.
+    use, are taken once, and each step indexes their tuple.  NumPy's
+    overflow and invalid warnings are off for the whole run: a non-finite
+    value aborts it, and ``aborted_at`` is the report.
     """
     n = config.problem.n
     directions = tuple(c.direction for c in config.problem.components)

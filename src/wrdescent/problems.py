@@ -9,18 +9,21 @@ generator list spanning their generalized derivative at a point.
 
 Aggregate constants: M = sqrt(mean(M_i^2)), L = mean(L_i) (smooth only).
 
-The zoo has one class per kind (``ZOO_KINDS``), holding one data matrix
-with a row per component (logistic [a_i, b_i], sigmoid [a_i, c_i], median
-b_i, relu_net [x_i, y_i]) and its scalars.  It is the one place for the
-kind's row oracles, closed-form constants, full oracles and norms
-vectorized over the matrix (relu_net has none), row kernels (components'
-values or directions at one point or at a stack of points, one point per
-row, with the bits of the row oracles), random instance and
-serialization.  A zoo problem's ``components`` is a read-only sequence
-over its kind (``KindComponents``): its n ComponentOracles, whose oracles
-are ``functools.partial`` views of the row oracles, are built on first
-use, all at once, and kept.  M and L come from the kind's constants, so
-loads, checks and reports, which read only the kind, build none.
+Every problem is a zoo kind (``ZooKind``): one data matrix with a row per
+component (logistic [a_i, b_i], sigmoid [a_i, c_i], median b_i, relu_net
+[x_i, y_i]) and its scalars.  The kind is the one place for the row
+oracles, closed-form constants, row kernels (components' values or
+directions at one point or at a stack of points, one point per row, with
+the bits of the row oracles), full oracles, random instance and
+serialization.  The full oracles are the exact per-row sums over the row
+kernels unless the kind overrides them with formulas over its whole
+matrix: logistic, sigmoid and median do, relu_net does not.
+``ZOO_KINDS`` holds the four built-in kinds, the ones that serialize.  A
+problem's ``components`` is a read-only sequence over its kind
+(``KindComponents``): its n ComponentOracles, whose oracles are
+``functools.partial`` views of the row oracles, are built on first use,
+all at once, and kept.  M and L come from the kind's constants, so loads,
+checks and reports, which read only the kind, build none.
 
 Conventions used by the built-in problem zoo:
   * sign(0) = 0 and relu'(0) = 0 (the usual autodiff selections);
@@ -131,42 +134,31 @@ def aggregate_constants(
 
 @dataclass(frozen=True)
 class FiniteSumProblem:
-    """Immutable finite-sum objective with component oracles.
+    """Immutable finite-sum objective over a zoo kind.
 
+    ``kind`` is the ZooKind the problem is: the components are built from
+    it (``KindComponents``, on first use), it gives M and L, it serializes
+    the problem when it is one of ``ZOO_KINDS``, and its methods answer
+    the full oracles (``ZooKind.full_values``, ``full_directions``,
+    ``direction_norms``) and the stacked row directions.
     ``f_star_lower`` is a valid lower bound on inf F (used by bound
     certificates).  ``box_radius``, when set, marks that the constants are
     only valid on the box ||x||_inf <= box_radius; runs monitor excursions.
-    ``kind``, set on zoo problems, is the ZooKind the components are built
-    from (``KindComponents``, on first use): it gives M and L, serializes
-    the problem and, when VECTORIZED, answers the full
-    oracles over its data matrix.  Those agree with the per-component
-    definitions (the fsum mean of the values, the mean of the directions
-    and their norms) to rounding: within 1e-12 relative, and for the
-    vectors 1e-12 M absolute.  Otherwise ``full_value`` is exactly the
-    ``math.fsum`` of the component values over n, and ``full_direction``
-    the component directions added one at a time to 0.0 in index order,
-    over n; the rows come from the kind's row kernels (``row_values``,
-    ``row_directions``) when it has them, else from each component.
     ``generator_set`` of a kind whose one generator per component is its
-    direction is that same sum.  ``full_value`` and ``full_direction``
-    take a point (p,) or a stack of points (m, p); a point is the stack
-    with m = 1, and each row of a stack has the bits of the point call.
+    direction is the kind's exact direction sum over n.  ``full_value``
+    and ``full_direction`` take a point (p,) or a stack of points (m, p);
+    a point is the stack with m = 1, and each row of a stack has the bits
+    of the point call.
     """
 
     components: Sequence[ComponentOracle]
     p: int
     M: float
     L: Optional[float]
+    kind: "ZooKind"
     f_star_lower: Optional[float] = None
     known_solution: Optional[float] = None
     box_radius: Optional[float] = None
-    kind: Optional["ZooKind"] = None
-
-    @classmethod
-    def assemble(cls, components, p, **kwargs) -> "FiniteSumProblem":
-        comps = tuple(components)
-        m, lip = aggregate_constants(comps)
-        return cls(components=comps, p=int(p), M=m, L=lip, **kwargs)
 
     @property
     def n(self) -> int:
@@ -191,100 +183,42 @@ class FiniteSumProblem:
             raise ValueError(f"points have shape {x.shape}, expected ({self.p},) or (m, {self.p})")
         return x.reshape(-1, self.p)
 
-    def _rows(self, oracle: str, x: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """The ``oracle`` ("value" or "direction") of the components ``rows`` at x,
-        one row each, from the kind's row kernel when it has one.
-
-        x is a point (p,) with ``rows`` a slice, or a stack (m, p) with
-        ``rows`` an index array of length m: row r is then component
-        rows[r] at x[r].
-        """
-        kernel = getattr(self.kind, f"row_{oracle}s", None)
-        if kernel is not None:
-            return kernel(x, rows)
-        if np.ndim(x) == 2:
-            calls = zip(rows.tolist(), x)
-            return np.array([getattr(self.components[i], oracle)(z) for i, z in calls], dtype=float)
-        return np.array([getattr(c, oracle)(x) for c in self.components[rows]], dtype=float)
-
     def row_directions(self, X: np.ndarray, rows) -> np.ndarray:
         """d_{rows[r]}(X[r]) for each row r of a stack X (m, p), with the
         bits of that component's direction oracle."""
-        return self._rows("direction", X, np.asarray(rows))
-
-    def _direction_sum(self, x: np.ndarray) -> np.ndarray:
-        """d_1(x) + ... + d_n(x), added one at a time to 0.0 in index order.
-
-        ROW_BLOCK rows at a time, each block summed by one in-place
-        cumulative sum that starts from the sum so far, so the temporary
-        is one block of rows, not all n.
-        """
-        acc = np.zeros(self.p)  # the sum starts at 0.0, which makes a -0.0 of d_1 +0.0
-        for lo in range(0, self.n, ROW_BLOCK):
-            D = self._rows("direction", x, slice(lo, lo + ROW_BLOCK))
-            np.add(acc, D[0], out=D[0])
-            acc = np.cumsum(D, axis=0, out=D)[-1]
-        return acc
+        return self.kind.row_directions(X, np.asarray(rows))
 
     def full_value(self, x: np.ndarray):
         """F(x) = (1/n) sum_i f_i(x): a float for a point (p,), one per row of a stack (m, p)."""
-        X = self._check_points(x)
-        if getattr(self.kind, "VECTORIZED", False):
-            values = self.kind.full_values(X)
-        else:
-            values = np.array([_fsum(self._rows("value", row).tolist()) / self.n for row in X])
+        values = self.kind.full_values(self._check_points(x))
         return float(values[0]) if np.ndim(x) == 1 else values
 
     def full_direction(self, x: np.ndarray) -> np.ndarray:
         """(1/n) sum_i d_i(x), equal to grad F(x) on smooth problems: (p,) for a point, (m, p) for a stack."""
-        X = self._check_points(x)
-        if getattr(self.kind, "VECTORIZED", False):
-            directions = self.kind.full_directions(X)
-        else:
-            directions = np.empty(X.shape)
-            for acc, row in zip(directions, X):
-                acc[:] = self._direction_sum(row)
-            directions /= self.n
+        directions = self.kind.full_directions(self._check_points(x))
         return directions[0] if np.ndim(x) == 1 else directions
 
     def direction_norms(self, x: np.ndarray) -> np.ndarray:
-        """(||d_1(x)||, ..., ||d_n(x)||), one vectorized call when the problem has one.
-
-        Otherwise the square roots of the stacked row ddots of the
-        directions, each the bits of sqrt(d @ d), from the kind's row
-        kernel when it has one.
-        """
-        x = self.check_point(x)
-        if getattr(self.kind, "VECTORIZED", False):
-            return self.kind.direction_norms(x)
-        D = self._rows("direction", x)
-        return np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
+        """(||d_1(x)||, ..., ||d_n(x)||)."""
+        return self.kind.direction_norms(self.check_point(x))
 
     def generator_set(self, x: np.ndarray) -> list[np.ndarray]:
         """Distinct elements {(1/n) sum_i g_i : g_i in generators_i(x)}.
 
         The convex hull of the returned list is the aggregate generalized
         derivative at x.  Enumerates component combinations with progressive
-        deduplication; raises UnsupportedProblem when a component exposes no
-        generators or the intermediate set exceeds GENERATOR_CAP.
+        deduplication; raises UnsupportedProblem when the components expose
+        no generators or the intermediate set exceeds GENERATOR_CAP.
         """
-        x = self.check_point(x)
-        if self.kind is None:
-            generators = (c.generators and c.generators(x) for c in self.components)
-        elif self.kind.generators is None:
+        x, kind = self.check_point(x), self.kind
+        if kind.generators is None:
             raise UnsupportedProblem("component 0 does not expose generators")
-        elif type(self.kind).generators is ZooKind.generators:
+        if type(kind).generators is ZooKind.generators:
             # each component's one generator is its direction: the sum has one element
-            return [self._direction_sum(x) / self.n]
-        else:
-            generators = (self.kind.generators(*row, x) for row in self.kind.rows())
+            return [kind._direction_sum(x) / self.n]
         sums = np.zeros((1, self.p))
-        for idx, gens in enumerate(generators):
-            if gens is None:
-                raise UnsupportedProblem(
-                    f"component {idx} does not expose generators"
-                )
-            gens = np.asarray(gens, dtype=float).reshape(-1, self.p)
+        for idx, row in enumerate(kind.rows()):
+            gens = np.asarray(kind.generators(*row, x), dtype=float).reshape(-1, self.p)
             sums = (sums[:, None, :] + gens[None, :, :]).reshape(-1, self.p)
             if len(sums) > 1:  # a single row is already deduplicated
                 sums = np.unique(sums, axis=0)
@@ -330,20 +264,28 @@ class ZooKind:
     ``lipschitz_gradients``, and gives the row oracles ``value(*row, x)``,
     ``direction(*row, x)`` and ``generators(*row, x)`` of each ``rows()``
     entry, and ``draw(n, p, rng)``, the data of make_problem's instance.
-    VECTORIZED kinds also answer the full oracles over the whole matrix:
-    ``full_values(X)`` and ``full_directions(X)`` for each row of a stack
-    X (m, p) of points, and ``direction_norms(x)``.  A kind may give row
-    kernels ``row_values(x, rows)`` and ``row_directions(x, rows)``, one
-    row per component of the slice ``rows`` (default all n), each with the
-    bits of that component's oracle at x.  Given a stack X (m, p) and an
-    index array ``rows`` of length m, row r is component rows[r]'s oracle
-    at X[r]: a point is the m = 1 stack, broadcast, through the same code.
+    Its row kernels ``row_directions(x, rows)`` and, unless it overrides
+    ``full_values``, ``row_values(x, rows)`` give one row per component of
+    the slice ``rows`` (default all n), each with the bits of that
+    component's oracle at x.  Given a stack
+    X (m, p) and an index array ``rows`` of length m, row r is component
+    rows[r]'s oracle at X[r]: a point is the m = 1 stack, broadcast,
+    through the same code.
+
+    The kind answers the full oracles: ``full_values(X)`` and
+    ``full_directions(X)`` for each row of a stack X (m, p) of points,
+    and ``direction_norms(x)``.  Here they are the exact per-row sums over
+    the row kernels: the ``math.fsum`` of the row values over n, the
+    directions added one at a time to 0.0 in index order over n, and the
+    square roots of the row ddots of the directions.  A kind may override
+    them with formulas over its whole matrix that agree to rounding:
+    within 1e-12 relative, and for the vectors 1e-12 M absolute.
     """
 
     KIND = ""
     SCALARS: tuple = ()
     LABELS = 1  # data columns after the vector in R^p
-    VECTORIZED = True
+    f_star_lower = 0.0  # every zoo loss is nonnegative
     known_solution = box_radius = lipschitz_gradients = None
 
     def __init__(self, data, seed=None):
@@ -366,6 +308,33 @@ class ZooKind:
         # a smooth component's one generator is its gradient
         return [self.direction(*row_and_x)]
 
+    def _direction_sum(self, x: np.ndarray) -> np.ndarray:
+        """d_1(x) + ... + d_n(x), added one at a time to 0.0 in index order.
+
+        ROW_BLOCK rows at a time, each block summed by one in-place
+        cumulative sum that starts from the sum so far, so the temporary
+        is one block of rows, not all n.
+        """
+        acc = np.zeros(self.p)  # the sum starts at 0.0, which makes a -0.0 of d_1 +0.0
+        for lo in range(0, self.n, ROW_BLOCK):
+            D = self.row_directions(x, slice(lo, lo + ROW_BLOCK))
+            np.add(acc, D[0], out=D[0])
+            acc = np.cumsum(D, axis=0, out=D)[-1]
+        return acc
+
+    def full_values(self, X) -> np.ndarray:
+        return np.array([_fsum(self.row_values(x).tolist()) / self.n for x in X])
+
+    def full_directions(self, X) -> np.ndarray:
+        directions = np.empty(X.shape)
+        for acc, x in zip(directions, X):
+            acc[:] = self._direction_sum(x)
+        return directions / self.n
+
+    def direction_norms(self, x) -> np.ndarray:
+        D = self.row_directions(x)
+        return np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
+
     def component_oracles(self) -> tuple[ComponentOracle, ...]:
         """One ComponentOracle per row, its oracles the row oracles with the row bound."""
         gens, gradients = self.generators, self.lipschitz_gradients or [None] * self.n
@@ -378,7 +347,7 @@ class ZooKind:
     def problem(self) -> FiniteSumProblem:
         m, lip = _mean_constants(self.lipschitz_values, self.lipschitz_gradients)
         extras = {"known_solution": self.known_solution, "box_radius": self.box_radius}
-        return FiniteSumProblem(KindComponents(self), self.p, m, lip, f_star_lower=0.0, kind=self, **extras)
+        return FiniteSumProblem(KindComponents(self), self.p, m, lip, self, self.f_star_lower, **extras)
 
 
 class KindComponents(Sequence):
@@ -623,13 +592,12 @@ class ReluNet(_Labelled):
     Directions are reverse-mode selections with relu'(0) = 0 and sign(0) =
     0.  M_i is a valid bound on the box ||theta||_inf <= box_radius only;
     runs should monitor box exit.  No generators.  The full oracles are
-    the exact per-component sums over the row kernels ``row_values`` and
+    ZooKind's exact per-row sums over the row kernels ``row_values`` and
     ``row_directions``, which keep both selections bit for bit.
     """
 
     KIND = "relu_net"
     SCALARS = ("hidden", "box_radius")
-    VECTORIZED = False
     HIDDEN = 8
     generators = None
 
@@ -747,10 +715,10 @@ def make_problem(kind: str, n: int, p: int, seed: int) -> FiniteSumProblem:
 
 
 def problem_to_dict(problem: FiniteSumProblem) -> dict:
-    """Kind, n, p, seed and the kind's SCALARS of a zoo problem; its data is ``problem.kind.data``."""
+    """Kind, n, p, seed and the kind's SCALARS of a problem of ``ZOO_KINDS``; its data is ``problem.kind.data``."""
     kind = problem.kind
-    if kind is None:
-        raise UnsupportedProblem("only zoo problems are serializable")
+    if ZOO_KINDS.get(kind.KIND) is not type(kind):
+        raise UnsupportedProblem(f"only the kinds {PROBLEM_KINDS} are serializable, not {type(kind).__name__}")
     scalars = {name: getattr(kind, name) for name in kind.SCALARS}
     return {"kind": kind.KIND, "n": problem.n, "p": problem.p, "seed": kind.seed, **scalars}
 

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import wrdescent as wd
+from wrdescent.problems import ZooKind
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50, derandomize=True
@@ -30,6 +31,47 @@ def reporter():
 
 
 STANDARD_SEED = 2024
+
+
+class FormulaKind(ZooKind):
+    """n copies of one component on R^p given by formulas of x: a zoo kind
+    outside ZOO_KINDS, so its problems run, check and report but do not
+    serialize.  Its data matrix is n rows of p zeros, which the formulas
+    ignore.  Without ``generators`` the components expose none; with it,
+    each one's one generator is its direction."""
+
+    KIND = "formula"
+    LABELS = 0
+
+    def __init__(self, n, p, value, direction, M, L=None, generators=False, f_star_lower=None, box_radius=None):
+        super().__init__(np.zeros((n, p)))
+        self.formulas = value, direction
+        self.lipschitz_values = [M] * n
+        self.lipschitz_gradients = None if L is None else [L] * n
+        if not generators:
+            self.generators = None
+        self.f_star_lower, self.box_radius = f_star_lower, box_radius
+
+    def value(self, row, x):
+        return self.formulas[0](x)
+
+    def direction(self, row, x):
+        return self.formulas[1](x)
+
+    def _points(self, x, rows):
+        # x itself for each row of the slice, or the rows of a stack
+        return [x] * len(range(self.n)[rows]) if np.ndim(x) == 1 else list(x)
+
+    def row_values(self, x, rows=slice(None)):
+        return np.array([self.formulas[0](z) for z in self._points(x, rows)], dtype=float)
+
+    def row_directions(self, x, rows=slice(None)):
+        return np.array([self.formulas[1](z) for z in self._points(x, rows)], dtype=float).reshape(-1, self.p)
+
+
+def formula_problem(n, p, value, direction, M, L=None, **kwargs):
+    """The FiniteSumProblem of a FormulaKind."""
+    return FormulaKind(n, p, value, direction, M, L, **kwargs).problem()
 
 
 @pytest.fixture(scope="session")

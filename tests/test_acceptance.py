@@ -161,11 +161,11 @@ def test_criterion_rate_certificates(grid_problem, adaptive_2000_full):
             epochs=2000,
             record_level="epoch_only",
         )
-        cert = wd.certify_run(trace, rule, f_star=0.0)[0]
+        cert = wd.certify_run(trace, rule)[0]
         worst = (cert.N[cert.worst], cert.slack[cert.worst])
         details.append(f"{rule} min slack {worst[1]:.2e}")
         assert cert.ok, (rule, worst)
-    cert = wd.certify_run(adaptive_2000_full, "adaptive", f_star=0.0)[0]
+    cert = wd.certify_run(adaptive_2000_full, "adaptive")[0]
     worst = (cert.N[cert.worst], cert.slack[cert.worst])
     details.append(f"adaptive min slack {worst[1]:.2e}")
     assert cert.ok, worst
@@ -355,7 +355,7 @@ def test_criterion_order_independence(grid_problem):
                 epochs=2000,
                 record_level="epoch_only",
             )
-            cert = wd.certify_run(trace, rule, f_star=0.0)[0]
+            cert = wd.certify_run(trace, rule)[0]
             assert cert.ok, (type(ordering).__name__, rule)
     record_criterion(
         "order independence (10 shuffles + adversarial)",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import wrdescent as wd
-from conftest import make_run
+from conftest import formula_problem, make_run
 from wrdescent import analysis
 from wrdescent.engine import EPOCH_BLOCK
 from test_engine import EVAL_CASES, PERM_CASES, zero_problem
@@ -251,13 +251,7 @@ def _ref_worst(check, trace, k_min, k_max):
 
 def _growing_problem(n=4, p=2):
     """Smooth components -||x||^2 / 2: descent steps grow the iterate until it overflows."""
-    comp = wd.ComponentOracle(
-        value=lambda x: -0.5 * float(x @ x),
-        direction=lambda x: -x,
-        lipschitz_value=1.0,
-        lipschitz_gradient=1.0,
-    )
-    return wd.FiniteSumProblem.assemble([comp] * n, p, f_star_lower=0.0)
+    return formula_problem(n, p, lambda x: -0.5 * float(x @ x), lambda x: -x, 1.0, 1.0, f_star_lower=0.0)
 
 
 def _property_run(strategy, eval_policy, perm_policy, epochs, track):
@@ -561,10 +555,10 @@ def test_certificate_arrays_match_the_per_horizon_loop(rule, epochs, f0, data):
         rows, worst = _ref_rate_certificate(trace, rule, 0.0)
     except OverflowError as err:
         with pytest.raises(OverflowError) as got:
-            wd.certify_run(trace, rule, f_star=0.0)
+            wd.certify_run(trace, rule)
         assert str(got.value) == str(err)
         return
-    (cert,) = wd.certify_run(trace, rule, f_star=0.0)
+    (cert,) = wd.certify_run(trace, rule)
     N, bound, observed, slack, ok = (np.array(column) for column in zip(*rows))
     assert cert.rule == rule and cert.N.tolist() == N.tolist()
     for got, want in ((cert.bound, bound), (cert.observed, observed), (cert.slack, slack)):
@@ -646,13 +640,7 @@ class TestLemmas:
 
 class TestLipschitz:
     def test_constant_gradient_problem_ratio_zero(self):
-        comp = wd.ComponentOracle(
-            value=lambda x: float(x[0]),
-            direction=lambda x: np.array([1.0, 0.0]),
-            lipschitz_value=1.0,
-            lipschitz_gradient=0.0,
-        )
-        prob = wd.FiniteSumProblem.assemble([comp], 2)
+        prob = formula_problem(1, 2, lambda x: float(x[0]), lambda x: np.array([1.0, 0.0]), 1.0, 0.0)
         rng = np.random.default_rng(0)
         pairs = [(rng.standard_normal(2), rng.standard_normal(2)) for _ in range(20)]
         assert wd.lipschitz_gradient_check(prob, pairs) == 0.0

@@ -133,6 +133,26 @@ class TestCmdRun:
             )
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("kind, code", [("relu_net", 1), ("median", 0)])
+    def test_overflowing_run_warns_nothing(self, tmp_path, capsys, kind, code):
+        # under alpha = 1e308 relu_net's first step overflows, which aborts
+        # the run, and median's full-gradient sums overflow without an
+        # abort; the trace is the report, and NumPy warns of neither
+        config = str(Path(__file__).parents[1] / "scripts" / "configs" / "logistic_small.json")
+        sets = [
+            "epochs=5",
+            f'problem={{"kind":"{kind}","n":7,"p":3,"seed":0}}',
+            'strategy={"variant":"constant","alpha":1e308}',
+            'eval_policy={"variant":"full_gradient"}',
+            'x0={"kind":"ball","radius":1.0,"seed":0}',
+        ]
+        argv = ["run", "--config", config, "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + [arg for s in sets for arg in ("--set", s)]) == code
+        aborted = "aborted: non-finite value at epoch 1, inner step 1\n"
+        assert capsys.readouterr().err == (aborted if code == 1 else "")
+
     def test_zero_epochs_rejected_with_message(self, tmp_path, capsys):
         cfg = write_config(tmp_path, epochs=0)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -975,6 +995,23 @@ class TestCmdSweep:
             'strategy.variant="adaptive"',
         ]
         assert [row[4] for row in rows] == ["decreasing_sqrt=pass", "adaptive=pass"]
+
+    def test_grid_of_json_objects_is_not_split_inside_them(self, tmp_path):
+        # the axis is one JSON list once bracketed, so its commas inside
+        # objects stay; a single object is one cell
+        cfg = write_config(tmp_path, epochs=10, record_level="epoch_only")
+        for grid, overrides in [
+            (
+                'eval_policy={"variant":"mini_batch","b":2},{"variant":"incremental"}',
+                ['eval_policy={"variant": "mini_batch", "b": 2}', 'eval_policy={"variant": "incremental"}'],
+            ),
+            ('eval_policy={"variant":"mini_batch","b":2}', ['eval_policy={"variant": "mini_batch", "b": 2}']),
+        ]:
+            out = tmp_path / f"sweep{len(overrides)}"
+            assert main(["sweep", "--config", str(cfg), "--grid", grid, "--out", str(out)]) == 0
+            rows = list(csv.reader(io.StringIO((out / "cells.csv").read_text())))[1:]
+            assert [row[1] for row in rows] == overrides
+            assert [row[5] for row in rows] == [""] * len(overrides)
 
     def test_empty_grid_rejected(self, tmp_path):
         cfg = write_config(tmp_path)

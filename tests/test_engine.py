@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import wrdescent as wd
-from conftest import decode_payload, encode_payload, make_run, section_payload, with_payload
+from conftest import decode_payload, encode_payload, formula_problem, make_run, section_payload, with_payload
 from wrdescent import engine, problems
 from wrdescent.cli import main
 from wrdescent.config import VARIANT_SECTIONS, variant_from_dict, variant_to_dict
@@ -32,13 +32,7 @@ from test_schedules import reference_hull_point
 
 
 def zero_problem(p=2):
-    comp = wd.ComponentOracle(
-        value=lambda x: 0.0,
-        direction=lambda x: np.zeros(p),
-        lipschitz_value=0.0,
-        lipschitz_gradient=0.0,
-    )
-    return wd.FiniteSumProblem.assemble([comp, comp], p, f_star_lower=0.0)
+    return formula_problem(2, p, lambda x: 0.0, lambda x: np.zeros(p), 0.0, 0.0, f_star_lower=0.0)
 
 
 def counting_directions(problem, calls):
@@ -51,12 +45,7 @@ def counting_directions(problem, calls):
 
 
 def exploding_problem(scale=1e160, n=1):
-    comp = wd.ComponentOracle(
-        value=lambda x: float(x[0]),
-        direction=lambda x, s=scale: s * x,
-        lipschitz_value=1.0,
-    )
-    return wd.FiniteSumProblem.assemble([comp] * n, 1)
+    return formula_problem(n, 1, lambda x: float(x[0]), lambda x, s=scale: s * x, 1.0)
 
 
 def overflow_config(case: str, record_level: str) -> wd.RunConfig:
@@ -1096,18 +1085,16 @@ def record_not_of_its_config(case: str) -> wd.RunTrace:
             mp.setattr(engine, "step_value", nudged_step)
         elif case == "infinite_dnorm2":
             # ||d||^2 overflows while z stays finite; the run would abort at once
-            comp = wd.ComponentOracle(value=lambda x: 0.0, direction=lambda x: 1e200 * x, lipschitz_value=1.0)
             config = wd.RunConfig(
-                problem=wd.FiniteSumProblem.assemble([comp], 1), strategy=wd.Constant(1e-201, 1),
+                problem=formula_problem(1, 1, lambda x: 0.0, lambda x: 1e200 * x, 1.0), strategy=wd.Constant(1e-201, 1),
                 eval_policy=wd.Incremental(), perm_policy=wd.Identity(), x0=np.ones(1), epochs=3,
                 track_objective=False,
             )
             run_config = config
             mp.setattr(math, "isfinite", lambda value: True)
         elif case == "infinite_x":
-            comp = wd.ComponentOracle(value=lambda x: 0.0, direction=lambda x: np.zeros(1), lipschitz_value=0.0)
             config = wd.RunConfig(
-                problem=wd.FiniteSumProblem.assemble([comp], 1), strategy=wd.Constant(0.5, 1),
+                problem=formula_problem(1, 1, lambda x: 0.0, lambda x: np.zeros(1), 0.0), strategy=wd.Constant(0.5, 1),
                 eval_policy=wd.Incremental(), perm_policy=wd.Identity(), x0=np.ones(1), epochs=3,
                 track_objective=False,
             )
@@ -1246,10 +1233,7 @@ class TestEpochBlocks:
         # x grows about 1e4-fold (1e204) or 6e4-fold per epoch and z_{K,1}
         # overflows in the second block, inside it or at its first epoch;
         # the nodes up to x_K are evaluated, as in a run of K epochs
-        comp = wd.ComponentOracle(
-            value=lambda x: float(x[0]), direction=lambda x: 1e-200 * x, lipschitz_value=1.0
-        )
-        prob = wd.FiniteSumProblem.assemble([comp], 1)
+        prob = formula_problem(1, 1, lambda x: float(x[0]), lambda x: 1e-200 * x, 1.0)
 
         def run(epochs):
             return wd.run(wd.RunConfig(

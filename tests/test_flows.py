@@ -6,7 +6,7 @@ import pytest
 from pytest import approx
 
 import wrdescent as wd
-from conftest import make_run
+from conftest import formula_problem, make_run
 from test_engine import zero_problem
 
 
@@ -233,15 +233,10 @@ class TestFlowIntegration:
     def test_deviation_scales_linearly_in_step(self):
         # n = 1 smooth quadratic-like problem on a box: the interpolant is the
         # explicit-Euler polygon, so deviation from the exact flow is O(alpha)
-        comp = wd.ComponentOracle(
-            value=lambda x: 0.5 * float(x @ x),
-            direction=lambda x: x.copy(),
-            lipschitz_value=3.0,  # valid on the monitored box |x| <= 3
-            lipschitz_gradient=1.0,
-            generators=lambda x: [x.copy()],
-        )
-        prob = wd.FiniteSumProblem.assemble(
-            [comp], 1, f_star_lower=0.0, box_radius=3.0
+        # M = 3 is valid on the monitored box |x| <= 3; the one generator is the direction
+        prob = formula_problem(
+            1, 1, lambda x: 0.5 * float(x @ x), lambda x: x.copy(), 3.0, 1.0,
+            generators=True, f_star_lower=0.0, box_radius=3.0,
         )
         devs = {}
         for alpha in (0.02, 0.04, 0.08):

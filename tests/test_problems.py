@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import wrdescent as wd
+from conftest import formula_problem
 from wrdescent.problems import PROBLEM_KINDS, ReluNet, _expit, _labelled
 
 
@@ -73,13 +74,7 @@ class TestFiniteDifferences:
             assert wd.finite_diff_check(prob, x, 1e-6) <= 1e-5
 
     def test_constant_zero_problem(self):
-        comp = wd.ComponentOracle(
-            value=lambda x: 0.0,
-            direction=lambda x: np.zeros(2),
-            lipschitz_value=0.0,
-            lipschitz_gradient=0.0,
-        )
-        prob = wd.FiniteSumProblem.assemble([comp], 2)
+        prob = formula_problem(1, 2, lambda x: 0.0, lambda x: np.zeros(2), 0.0, 0.0)
         assert wd.finite_diff_check(prob, np.ones(2), 1e-6) == 0.0
 
     def test_nonsmooth_unsupported(self):
@@ -401,11 +396,8 @@ def test_stacked_row_kernels_have_the_bits_of_the_point_oracles(kind, shape, hid
         X[kinks] = zoo.data[rows[kinks]] + scale * rng.choice([-1.0, 0.0, 1.0], size=(int(kinks.sum()), p))
     expected = np.array([reference(zoo.data[i], x)[1] for i, x in zip(rows, X)])
     assert zoo.row_directions(X, rows).tobytes() == expected.tobytes()
-    # the problem's stacked directions, and its per-component fallback without a kind
-    prob = zoo.problem()
-    assert prob.row_directions(X, rows).tobytes() == expected.tobytes()
-    custom = wd.FiniteSumProblem.assemble(prob.components, prob.p)
-    assert custom.row_directions(X, rows).tobytes() == expected.tobytes()
+    # the problem's stacked directions
+    assert zoo.problem().row_directions(X, rows).tobytes() == expected.tobytes()
 
 
 @given(
@@ -484,10 +476,8 @@ class TestSerialization:
             assert np.array_equal(clone.full_direction(x), prob.full_direction(x))
 
     def test_custom_problem_not_serializable(self):
-        comp = wd.ComponentOracle(
-            value=lambda x: 0.0, direction=lambda x: np.zeros(1), lipschitz_value=0.0
-        )
-        prob = wd.FiniteSumProblem.assemble([comp], 1)
+        # a kind outside ZOO_KINDS
+        prob = formula_problem(1, 1, lambda x: 0.0, lambda x: np.zeros(1), 0.0)
         with pytest.raises(wd.UnsupportedProblem):
             wd.problem_to_dict(prob)
 
@@ -537,7 +527,7 @@ def _point_full_oracles(kind, x):
 
 
 @given(
-    st.sampled_from([k for k in PROBLEM_KINDS if wd.problems.ZOO_KINDS[k].VECTORIZED]),
+    st.sampled_from(["logistic", "sigmoid_nonconvex", "median"]),  # the kinds whose full oracles are formulas
     st.sampled_from([(1, 1), (4, 3), (32, 5), (300, 50)]),
     st.integers(min_value=1, max_value=70),
     st.integers(min_value=0, max_value=10_000),
@@ -664,9 +654,10 @@ class TestLazyComponents:
         assert built == []
 
     def test_median_generator_set_builds_none(self, built):
-        prob = wd.make_problem("median", 5, 2, 3)
-        expected = wd.FiniteSumProblem.assemble(prob.kind.component_oracles(), prob.p).generator_set(np.zeros(2))
+        # the reference builds the components of a twin, so prob's stay unbuilt
+        expected = _reference_generator_set(wd.make_problem("median", 5, 2, 3), np.zeros(2))
         built.clear()
+        prob = wd.make_problem("median", 5, 2, 3)
         assert [g.tobytes() for g in prob.generator_set(np.zeros(2))] == [g.tobytes() for g in expected]
         assert built == []
 
