@@ -60,7 +60,6 @@ from .problems import (
     ComponentOracle,
     FiniteSumProblem,
     UnsupportedProblem,
-    aggregate_constants,
     finite_diff_check,
     logistic_problem,
     make_problem,

@@ -91,6 +91,9 @@ def cmd_verify(args) -> int:
     if trace is None:
         return 2
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if not checks:
+        print(f"--checks names no check; known: {', '.join(KNOWN_CHECKS)}", file=sys.stderr)
+        return 2
     for c in checks:
         if c not in KNOWN_CHECKS:
             print(f"unknown check {c!r}; known: {', '.join(KNOWN_CHECKS)}", file=sys.stderr)
@@ -182,6 +185,9 @@ def cmd_sweep(args) -> int:
         axes.append([(key, v) for v in parsed])
     if not axes:
         print("sweep needs at least one --grid axis", file=sys.stderr)
+        return 2
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
     doc = cfg.to_dict()
     checkpoints = sweep_checkpoints(doc["epochs"])

@@ -1,11 +1,12 @@
 """Finite-sum problems and their first-order oracles.
 
 A problem is F(x) = (1/n) * sum_i f_i(x) on R^p.  Each component exposes a
-value oracle, a search-direction oracle d_i (the gradient when the component
-is smooth, a generalized-derivative selection otherwise), a global Lipschitz
-constant M_i with ||d_i(x)|| <= M_i, and, when smooth, a gradient Lipschitz
-constant L_i.  Nonsmooth components may additionally expose a finite
-generator list spanning their generalized derivative at a point.
+value oracle and a search-direction oracle d_i (the gradient when the
+component is smooth, a generalized-derivative selection otherwise);
+nonsmooth components may additionally expose a finite generator list
+spanning their generalized derivative at a point.  The constants are the
+kind's: a global Lipschitz constant M_i with ||d_i(x)|| <= M_i per row
+and, when every component is smooth, a gradient Lipschitz constant L_i.
 
 Aggregate constants: M = sqrt(mean(M_i^2)), L = mean(L_i) (smooth only).
 
@@ -15,15 +16,16 @@ component (logistic [a_i, b_i], sigmoid [a_i, c_i], median b_i, relu_net
 oracles, closed-form constants, row kernels (components' values or
 directions at one point or at a stack of points, one point per row, with
 the bits of the row oracles), full oracles, random instance and
-serialization.  The full oracles are the exact per-row sums over the row
-kernels unless the kind overrides them with formulas over its whole
-matrix: logistic, sigmoid and median do, relu_net does not.
+serialization, and the one holder of a problem's n, p, M, L, F* lower
+bound, known solution and box.  The full oracles are the exact per-row
+sums over the row kernels unless the kind overrides them with formulas
+over its whole matrix: logistic, sigmoid and median do, relu_net does not.
 ``ZOO_KINDS`` holds the four built-in kinds, the ones that serialize.  A
-problem's ``components`` is a read-only sequence over its kind
-(``KindComponents``): its n ComponentOracles, whose oracles are
-``functools.partial`` views of the row oracles, are built on first use,
-all at once, and kept.  M and L come from the kind's constants, so loads,
-checks and reports, which read only the kind, build none.
+problem is ``FiniteSumProblem(kind)``.  Its ``components`` is a read-only
+sequence over its kind (``KindComponents``): its n ComponentOracles,
+which carry only oracles, ``functools.partial`` views of the row
+oracles, are built on first use, all at once, and kept.  Loads, checks
+and reports, which read only the kind, build none.
 
 Conventions used by the built-in problem zoo:
   * sign(0) = 0 and relu'(0) = 0 (the usual autodiff selections);
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -88,85 +90,55 @@ def _expit_rows(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ComponentOracle:
-    """One summand f_i with its direction oracle and constants.
+    """One summand f_i: its value and direction oracles, and its generators.
 
     ``generators`` maps a point to a finite list of vectors whose convex hull
     contains every admissible direction at that point; ``direction`` must be a
-    selection from that hull.  ``lipschitz_gradient`` is present iff the
-    component is continuously differentiable with Lipschitz gradient.
+    selection from that hull.  The component's constants are its kind's
+    ``lipschitz_values[i]`` and ``lipschitz_gradients[i]``.
     """
 
     value: Callable[[np.ndarray], float]
     direction: Callable[[np.ndarray], np.ndarray]
-    lipschitz_value: float
-    lipschitz_gradient: Optional[float] = None
     generators: Optional[Callable[[np.ndarray], list[np.ndarray]]] = None
-
-    def __post_init__(self):
-        if self.lipschitz_value < 0:
-            raise ValueError("lipschitz_value must be nonnegative")
-        if self.lipschitz_gradient is not None and self.lipschitz_gradient < 0:
-            raise ValueError("lipschitz_gradient must be nonnegative")
-
-    @property
-    def smooth(self) -> bool:
-        return self.lipschitz_gradient is not None
-
-
-def _mean_constants(values: list, gradients: Optional[list]) -> tuple[float, Optional[float]]:
-    """(M, L) of the per-component constants M_i and L_i (None when not every
-    component is smooth).
-
-    This is the single place the aggregation formulas live, so stored and
-    recomputed values agree bitwise.
-    """
-    m = math.sqrt(math.fsum(v**2 for v in values) / len(values))
-    return m, None if gradients is None else math.fsum(gradients) / len(values)
-
-
-def aggregate_constants(
-    components: tuple[ComponentOracle, ...],
-) -> tuple[float, Optional[float]]:
-    """(M, L) recomputed from per-component constants."""
-    gradients = [c.lipschitz_gradient for c in components]
-    return _mean_constants([c.lipschitz_value for c in components], None if None in gradients else gradients)
 
 
 @dataclass(frozen=True)
 class FiniteSumProblem:
-    """Immutable finite-sum objective over a zoo kind.
+    """Immutable finite-sum objective: a zoo kind and its components.
 
-    ``kind`` is the ZooKind the problem is: the components are built from
-    it (``KindComponents``, on first use), it gives M and L, it serializes
-    the problem when it is one of ``ZOO_KINDS``, and its methods answer
-    the full oracles (``ZooKind.full_values``, ``full_directions``,
+    ``kind`` is the ZooKind the problem is, and the only holder of its
+    constants: ``n``, ``p``, ``M``, ``L``, ``is_smooth``, ``f_star_lower``
+    (a valid lower bound on inf F, used by bound certificates),
+    ``known_solution`` and ``box_radius`` (when set, the constants are
+    only valid on the box ||x||_inf <= box_radius; runs monitor
+    excursions) are read-only views of it.  The kind serializes the
+    problem when it is one of ``ZOO_KINDS``, and its methods answer the
+    full oracles (``ZooKind.full_values``, ``full_directions``,
     ``direction_norms``) and the stacked row directions.
-    ``f_star_lower`` is a valid lower bound on inf F (used by bound
-    certificates).  ``box_radius``, when set, marks that the constants are
-    only valid on the box ||x||_inf <= box_radius; runs monitor excursions.
-    ``generator_set`` of a kind whose one generator per component is its
-    direction is the kind's exact direction sum over n.  ``full_value``
-    and ``full_direction`` take a point (p,) or a stack of points (m, p);
-    a point is the stack with m = 1, and each row of a stack has the bits
-    of the point call.
+    ``components`` defaults to ``KindComponents(kind)``, built on first
+    use.  ``generator_set`` of a kind whose one generator per component is
+    its direction is the kind's exact direction sum over n.
+    ``full_value`` and ``full_direction`` take a point (p,) or a stack of
+    points (m, p); a point is the stack with m = 1, and each row of a
+    stack has the bits of the point call.
     """
 
-    components: Sequence[ComponentOracle]
-    p: int
-    M: float
-    L: Optional[float]
     kind: "ZooKind"
-    f_star_lower: Optional[float] = None
-    known_solution: Optional[float] = None
-    box_radius: Optional[float] = None
+    components: Optional[Sequence[ComponentOracle]] = None
 
-    @property
-    def n(self) -> int:
-        return len(self.components)
+    def __post_init__(self):
+        if self.components is None:
+            object.__setattr__(self, "components", KindComponents(self.kind))
 
-    @property
-    def is_smooth(self) -> bool:
-        return self.L is not None
+    n = property(lambda self: self.kind.n)
+    p = property(lambda self: self.kind.p)
+    M = property(lambda self: self.kind._mean_constants[0])
+    L = property(lambda self: self.kind._mean_constants[1])
+    is_smooth = property(lambda self: self.L is not None)
+    f_star_lower = property(lambda self: self.kind.f_star_lower)
+    known_solution = property(lambda self: self.kind.known_solution)
+    box_radius = property(lambda self: self.kind.box_radius)
 
     def check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -261,16 +233,18 @@ class ZooKind:
 
     A subclass names its KIND and SCALARS (constructor parameters stored
     with the seed), sets ``lipschitz_values`` and, if smooth,
-    ``lipschitz_gradients``, and gives the row oracles ``value(*row, x)``,
-    ``direction(*row, x)`` and ``generators(*row, x)`` of each ``rows()``
-    entry, and ``draw(n, p, rng)``, the data of make_problem's instance.
-    Its row kernels ``row_directions(x, rows)`` and, unless it overrides
-    ``full_values``, ``row_values(x, rows)`` give one row per component of
-    the slice ``rows`` (default all n), each with the bits of that
-    component's oracle at x.  Given a stack
-    X (m, p) and an index array ``rows`` of length m, row r is component
-    rows[r]'s oracle at X[r]: a point is the m = 1 stack, broadcast,
-    through the same code.
+    ``lipschitz_gradients`` (the M_i and L_i, from which
+    ``_mean_constants`` gives M and L once), may set ``f_star_lower``,
+    ``known_solution`` and ``box_radius``, and gives the row oracles
+    ``value(*row, x)``, ``direction(*row, x)`` and ``generators(*row, x)``
+    of each ``rows()`` entry, and ``draw(n, p, rng)``, the data of
+    make_problem's instance.  Its row kernels ``row_directions(x, rows)``
+    and, unless it overrides ``full_values``, ``row_values(x, rows)`` give
+    one row per component of the slice ``rows`` (default all n), each with
+    the bits of that component's oracle at x.  Given a stack X (m, p) and
+    an index array ``rows`` of length m, row r is component rows[r]'s
+    oracle at X[r]: a point is the m = 1 stack, broadcast, through the
+    same code.
 
     The kind answers the full oracles: ``full_values(X)`` and
     ``full_directions(X)`` for each row of a stack X (m, p) of points,
@@ -335,19 +309,24 @@ class ZooKind:
         D = self.row_directions(x)
         return np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
 
+    @cached_property
+    def _mean_constants(self) -> tuple[float, Optional[float]]:
+        """(M, L) of the constants M_i and L_i (L None when not every
+        component is smooth), computed once."""
+        m = math.sqrt(math.fsum(v**2 for v in self.lipschitz_values) / self.n)
+        gradients = self.lipschitz_gradients
+        return m, None if gradients is None else math.fsum(gradients) / self.n
+
     def component_oracles(self) -> tuple[ComponentOracle, ...]:
-        """One ComponentOracle per row, its oracles the row oracles with the row bound."""
-        gens, gradients = self.generators, self.lipschitz_gradients or [None] * self.n
-        comps = []
-        for row, m, lip in zip(self.rows(), self.lipschitz_values, gradients):
-            value, direction = partial(self.value, *row), partial(self.direction, *row)
-            comps.append(ComponentOracle(value, direction, m, lip, gens and partial(gens, *row)))
-        return tuple(comps)
+        """One ComponentOracle per row, its oracles the row oracles over that row."""
+        gens = self.generators
+        return tuple(
+            ComponentOracle(partial(self.value, *row), partial(self.direction, *row), gens and partial(gens, *row))
+            for row in self.rows()
+        )
 
     def problem(self) -> FiniteSumProblem:
-        m, lip = _mean_constants(self.lipschitz_values, self.lipschitz_gradients)
-        extras = {"known_solution": self.known_solution, "box_radius": self.box_radius}
-        return FiniteSumProblem(KindComponents(self), self.p, m, lip, self, self.f_star_lower, **extras)
+        return FiniteSumProblem(self)
 
 
 class KindComponents(Sequence):

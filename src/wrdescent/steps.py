@@ -140,7 +140,6 @@ class StepState:
     record.
     """
 
-    n: int
     v: Optional[float] = None
     K: int = 0
     i: int = 0
@@ -148,7 +147,7 @@ class StepState:
 
 def new_state(strategy: StepStrategy) -> StepState:
     v = strategy.delta if isinstance(strategy, Adaptive) else None
-    return StepState(n=strategy.n, v=v)
+    return StepState(v=v)
 
 
 def step_value(
@@ -164,7 +163,7 @@ def step_value(
     before the returned v^(-1/3); prescribed rules ignore ``dnorm2``.
     Calls must follow the run order: (K, i) = (state.K, state.i + 1).
     """
-    n = state.n
+    n = strategy.n
     if K != state.K or i != state.i + 1 or not 1 <= i <= n:
         if K != state.K:
             raise ValueError(f"step_value called at epoch {K}, state is at epoch {state.K}")

@@ -112,8 +112,8 @@ def run_factory():
 def built(monkeypatch):
     """A list that grows by one per ComponentOracle constructed."""
     made = []
-    post_init = wd.ComponentOracle.__post_init__
-    monkeypatch.setattr(wd.ComponentOracle, "__post_init__", lambda self: made.append(1) or post_init(self))
+    init = wd.ComponentOracle.__init__
+    monkeypatch.setattr(wd.ComponentOracle, "__init__", lambda *args, **kw: made.append(1) or init(*args, **kw))
     return made
 
 

@@ -490,16 +490,23 @@ class TestCmdVerify:
             ("logistic", None, "bound_constant", "no F* lower bound available"),
         ],
     )
-    def test_bound_skip_reasons_come_from_certify_run(self, kind, f_star, check, reason):
+    def test_bound_skip_reasons_come_from_certify_run(self, tmp_path, kind, f_star, check, reason):
         # certify_run raises verify's reasons in verify's order: a smooth
         # problem, a matching rate rule, then an F* lower bound
-        problem = dataclasses.replace(wd.make_problem(kind, 2, 1, 3), f_star_lower=f_star)
+        zoo = wd.make_problem(kind, 2, 1, 3).kind
+        if f_star is None:  # a kind outside ZOO_KINDS, over the same data, without F*
+            zoo = type("NoFStar", (type(zoo),), {"f_star_lower": None})(zoo.data, zoo.seed)
+        problem = zoo.problem()
+        assert problem.f_star_lower == f_star
         config = wd.RunConfig(problem, wd.Constant(0.5, 2), wd.Incremental(), wd.Identity(), np.zeros(1), 3)
         trace = wd.run(config)
         with pytest.raises((ValueError, wd.UnsupportedProblem)) as err:
             wd.certify_run(trace, check[len("bound_"):])
         assert str(err.value) == reason
         assert analysis.run_check(trace, check) == ("skip", reason, None)
+        if f_star is None:  # its trace cannot be written, so it cannot load back with the zoo's F*
+            with pytest.raises(wd.UnsupportedProblem):
+                wd.save_trace(trace, tmp_path / "trace.txt")
 
     def test_known_checks_pinned(self):
         assert KNOWN_CHECKS == (
@@ -524,6 +531,15 @@ class TestCmdVerify:
         assert (
             main(["verify", "--trace", str(out / "trace.txt"), "--checks", "corX"]) == 2
         )
+
+    def test_a_check_list_naming_no_check_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        main(["run", "--config", str(cfg), "--out", str(out)])
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(out / "trace.txt"), "--checks", " , "]) == 2
+        assert capsys.readouterr().err.startswith("--checks names no check; known: step_length,")
+        assert not (out / "certificate.json").exists()
 
 
 # the damaged traces below come from a run with n = 4, p = 2 and 6 epochs:
@@ -1023,6 +1039,16 @@ class TestCmdSweep:
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(cfg), "--grid", "strategy.alpha=", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "empty grid axis 'strategy.alpha'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        # not quietly run serially
+        cfg = write_config(tmp_path)
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(cfg), "--grid", "strategy.alpha=0.1", "--jobs", str(jobs), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"--jobs must be at least 1, got {jobs}\n"
         assert not out.exists()
 
     def test_grid_without_equals_rejected(self, tmp_path, capsys):

@@ -734,6 +734,19 @@ def test_every_zoo_kind_round_trips_through_file(kind, eval_policy, perm_policy,
                 assert wd.replay(loaded).ok
 
 
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_a_loaded_problem_has_the_constants_of_the_saved_one(tmp_path, kind):
+    # every constant is the kind's, so the header and #DATA give them all back
+    prob = wd.make_problem(kind, 5, 1, 7)
+    trace = make_run(prob, wd.DecreasingSqrt(5), epochs=2)
+    wd.save_trace(trace, tmp_path / "trace.txt")
+    loaded = wd.load_trace(tmp_path / "trace.txt").problem
+    assert (loaded.n, loaded.p, loaded.M.hex()) == (prob.n, prob.p, prob.M.hex())
+    assert (loaded.L and loaded.L.hex()) == (prob.L and prob.L.hex())
+    names = ("f_star_lower", "known_solution", "box_radius")
+    assert [getattr(loaded, name) for name in names] == [getattr(prob, name) for name in names]
+
+
 RULES = ("constant", "decreasing_sqrt", "decreasing_cbrt", "adaptive")
 
 

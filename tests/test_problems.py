@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -155,7 +156,7 @@ class TestMakeProblem:
         prob = logistic_pair()
         assert prob.L == approx(0.25)
         assert prob.M == approx(1.0)
-        assert [c.lipschitz_value for c in prob.components] == approx([1.0, 1.0])
+        assert prob.kind.lipschitz_values == approx([1.0, 1.0])
 
     def test_median_known_solution(self):
         prob = wd.median_problem([0.0, 1.0, 2.0])
@@ -171,9 +172,16 @@ class TestMakeProblem:
     def test_stored_constants_match_recomputation(self):
         for kind in wd.problems.PROBLEM_KINDS:
             prob = wd.make_problem(kind, 5, 2, 9)
-            m, lip = wd.aggregate_constants(prob.components)
-            assert prob.M == m
-            assert prob.L == lip
+            values, gradients = prob.kind.lipschitz_values, prob.kind.lipschitz_gradients
+            assert prob.M == math.sqrt(math.fsum(v**2 for v in values) / 5)
+            assert prob.L == (None if gradients is None else math.fsum(gradients) / 5)
+
+    def test_constants_are_the_kinds_and_not_fields(self):
+        prob = wd.make_problem("logistic", 4, 2, 3)
+        assert [f.name for f in dataclasses.fields(prob)] == ["kind", "components"]
+        assert [f.name for f in dataclasses.fields(prob.components[0])] == ["value", "direction", "generators"]
+        with pytest.raises(TypeError):
+            dataclasses.replace(prob, f_star_lower=None)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -191,9 +199,9 @@ class TestMakeProblem:
         rng = np.random.default_rng(5)
         for _ in range(200):
             theta = rng.uniform(-2.0, 2.0, size=prob.p)
-            for c in prob.components[:2]:
+            for c, m in zip(prob.components[:2], prob.kind.lipschitz_values):
                 d = c.direction(theta)
-                assert np.linalg.norm(d) <= c.lipschitz_value + 1e-12
+                assert np.linalg.norm(d) <= m + 1e-12
 
 
 class TestBoundednessInvariants:
@@ -206,8 +214,8 @@ class TestBoundednessInvariants:
         pts = rng.standard_normal((1000, p)) * 2.0
         m_full = prob.M
         for x in pts:
-            for c in prob.components:
-                assert np.linalg.norm(c.direction(x)) <= c.lipschitz_value + 1e-12
+            for c, m in zip(prob.components, prob.kind.lipschitz_values):
+                assert np.linalg.norm(c.direction(x)) <= m + 1e-12
             assert np.linalg.norm(prob.full_direction(x)) <= m_full + 1e-12
 
     @pytest.mark.parametrize("kind", ["logistic", "sigmoid_nonconvex"])
@@ -636,12 +644,10 @@ class TestLazyComponents:
     def test_components_have_the_bits_of_the_row_oracles(self, kind):
         prob = wd.make_problem(kind, 6, 3, 11)
         kind_ = prob.kind
-        gradients = kind_.lipschitz_gradients or [None] * prob.n
         x = np.random.default_rng(11).standard_normal(prob.p)
-        for c, row, m, lip in zip(prob.components, kind_.rows(), kind_.lipschitz_values, gradients):
+        for c, row in zip(prob.components, kind_.rows()):
             assert c.value(x).hex() == kind_.value(*row, x).hex()
             assert c.direction(x).tobytes() == kind_.direction(*row, x).tobytes()
-            assert (c.lipschitz_value, c.lipschitz_gradient) == (m, lip)
             if kind_.generators is None:
                 assert c.generators is None
             else:
@@ -670,10 +676,11 @@ class TestLazyComponents:
 )
 @settings(max_examples=60, deadline=None)
 def test_stored_constants_are_the_component_aggregates_bit_for_bit(kind, n, p, seed):
-    # M and L come from the kind's constant lists, not from the built components
+    # M and L are the formulas over the kind's constant lists, bit for bit
     prob = wd.make_problem(kind, n, p, seed)
-    m, lip = wd.aggregate_constants(prob.components)
-    assert prob.M.hex() == m.hex()
+    values, gradients = prob.kind.lipschitz_values, prob.kind.lipschitz_gradients
+    assert prob.M.hex() == math.sqrt(math.fsum(v**2 for v in values) / n).hex()
+    lip = None if gradients is None else math.fsum(gradients) / n
     assert (prob.L is None and lip is None) or prob.L.hex() == lip.hex()
 
 
