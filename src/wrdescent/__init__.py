@@ -28,9 +28,6 @@ from .analysis import (
     check_epoch_descent_trace,
     check_descent_decomposition_trace,
     check_summability_ada,
-    lemma_log_sum_check,
-    lemma_norm_sum_check,
-    lipschitz_gradient_check,
 )
 from .config import ConfigError, ExperimentConfig, RunConfig, load_config, save_config
 from .engine import (
@@ -60,7 +57,6 @@ from .problems import (
     ComponentOracle,
     FiniteSumProblem,
     UnsupportedProblem,
-    finite_diff_check,
     logistic_problem,
     make_problem,
     median_problem,
@@ -85,13 +81,11 @@ from .schedules import (
 )
 from .steps import (
     Adaptive,
-    AsymptoticReport,
     Constant,
     DecreasingCbrtWithL,
     DecreasingSqrt,
     LexReport,
     StepState,
-    check_asymptotic_conditions,
     check_lex_monotone,
     epoch_anchor,
     new_state,

@@ -316,9 +316,6 @@ def rate_bound(
     L: Optional[float] = None,
     M: Optional[float] = None,
     alpha: Optional[float] = None,
-    n: Optional[int] = None,
-    delta: Optional[float] = None,
-    beta: Optional[float] = None,
 ) -> float:
     """Closed-form bound on the min-over-epochs squared gradient norm.
 
@@ -330,10 +327,13 @@ def rate_bound(
                                constant
            "adaptive":         accumulator rule with the parameters of
                                Adaptive.recommended(n), beta = n^2 and
-                               delta = n^3 (checked when n is given)
+                               delta = n^3
 
-    The rules a run earns, with their alpha, L, beta and delta, are those of
-    its strategy's ``rate_params(problem)``; ``certify_run`` reads them there.
+    The formulas read no step parameter but alpha and L.  Whether a run's
+    steps meet a rule's assumptions is decided by its strategy's
+    ``rate_params(problem)``, which gives the rules the run earns with the
+    alpha or L each reads; ``certify_run`` reads them there.  The bound
+    itself checks only constant_with_l's alpha <= 1/L.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -366,12 +366,6 @@ def rate_bound(
         )
     if rule == "adaptive":
         _need(rule, L=L, M=M)
-        if n is not None:
-            recommended = Adaptive.recommended(n)
-            if beta is not None and beta != recommended.beta:
-                raise ValueError("adaptive bound assumes beta = n^2")
-            if delta is not None and delta != recommended.delta:
-                raise ValueError("adaptive bound assumes delta = n^3")
         return (
             2.0
             * (M**2 + 1.0) ** (1.0 / 3.0)
@@ -462,17 +456,13 @@ def certify_run(trace: RunTrace, rule: Optional[str] = None) -> list[RateCertifi
             "f0_minus_fstar": f0 - f_star,
             "L": problem.L,
             "M": problem.M,
-            "n": problem.n,
             **matched[r],
         }
         start = 1 if r in _RULES_FROM_K1 else 0
         horizons = np.arange(start, trace.epochs_completed + 1)
         if not horizons.size:
             raise ValueError("no completed epoch")
-        # rate_params gives the adaptive rule only for Adaptive.recommended(n), so
-        # its beta and delta are checked once and no horizon's bound repeats it
-        each = dict(params, n=None)
-        bound = np.array([rate_bound(r, N=N, **each) for N in horizons.tolist()])
+        bound = np.array([rate_bound(r, N=N, **params) for N in horizons.tolist()])
         bad = np.flatnonzero(~np.isfinite(bound))
         if bad.size:
             raise OverflowError(f"the {r} bound is {float(bound[bad[0]])} at N={horizons[bad[0]]}")
@@ -545,57 +535,6 @@ def check_adaptive_ratio_bound(trace: RunTrace) -> dict:
         "ok_with_M_squared": worst <= bound_m2 * (1.0 + INEQ_RTOL),
         "ok_with_M": worst <= bound_m1 * (1.0 + INEQ_RTOL),
     }
-
-
-# ---------------------------------------------------------------------------
-# elementary lemmas and oracle fidelity
-# ---------------------------------------------------------------------------
-
-
-def lemma_norm_sum_check(vectors) -> MarginReport:
-    """||sum a_i||^2 <= m * sum ||a_i||^2 (tight for aligned vectors)."""
-    vs = [np.asarray(v, dtype=float) for v in vectors]
-    if not vs:
-        raise ValueError("need at least one vector")
-    m = len(vs)
-    total = vs[0].copy()
-    for v in vs[1:]:
-        total += v
-    lhs = float(total @ total)
-    rhs = m * math.fsum(float(v @ v) for v in vs)
-    denom = max(rhs, 1.0)
-    return _report("lemma_norm_sum", lhs, rhs, EXACT_RTOL, denom)
-
-
-def lemma_log_sum_check(a, b: float, c: float) -> MarginReport:
-    """sum_i a_i / (b + c * prefix_i) <= (1/c) log(1 + c sum a / b).
-
-    prefix_i includes a_i itself; a must be positive, b, c > 0.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        raise ValueError("need at least one term")
-    if np.any(a <= 0) or b <= 0 or c <= 0:
-        raise ValueError("a entries, b and c must be positive")
-    prefix = np.cumsum(a)
-    lhs = math.fsum(a / (b + c * prefix))
-    rhs = math.log1p(c * float(prefix[-1]) / b) / c
-    return _report("lemma_log_sum", lhs, rhs, INEQ_RTOL, 1.0 + abs(rhs))
-
-
-def lipschitz_gradient_check(problem: FiniteSumProblem, pairs) -> float:
-    """max over pairs of ||grad F(x) - grad F(y)|| / ||x - y||; <= L when smooth."""
-    _require_smooth(problem)
-    worst = 0.0
-    for x, y in pairs:
-        x = problem.check_point(x)
-        y = problem.check_point(y)
-        dist = float(np.linalg.norm(x - y))
-        if dist == 0.0:
-            raise ValueError("pairs must contain distinct points")
-        num = float(np.linalg.norm(problem.full_direction(x) - problem.full_direction(y)))
-        worst = max(worst, num / dist)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -94,9 +94,12 @@ def cmd_verify(args) -> int:
     if not checks:
         print(f"--checks names no check; known: {', '.join(KNOWN_CHECKS)}", file=sys.stderr)
         return 2
-    for c in checks:
+    for k, c in enumerate(checks):
         if c not in KNOWN_CHECKS:
             print(f"unknown check {c!r}; known: {', '.join(KNOWN_CHECKS)}", file=sys.stderr)
+            return 2
+        if c in checks[:k]:
+            print(f"--checks names {c!r} more than once", file=sys.stderr)
             return 2
     out = _output_dir(args.out or Path(args.trace).parent)
     if out is None:

@@ -648,11 +648,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def config_from_dict(doc: dict, data: np.ndarray) -> RunConfig:
-    """The RunConfig of a trace header's config, on the problem of its #DATA matrix."""
-    return RunConfig.from_dict(doc, problem_from_dict(doc["problem"], data))
-
-
 def _config_hash(config_text: str, data: np.ndarray) -> str:
     """SHA-256 of the canonical config JSON, a newline and the raw #DATA bytes."""
     import hashlib  # loads OpenSSL: a few ms that commands without trace IO skip
@@ -810,9 +805,12 @@ def load_trace(path) -> RunTrace:
     errors name the section and a byte offset (see ``_section_spans``), a
     short or long payload the section and the first row affected (see
     ``_section_array``).  #DATA is read before the config hash, which
-    covers it, is checked, and the other sections after.  z is derived,
-    and a z_{K,n} that is not x_{K+1} bit for bit raises ValueError naming
-    both rows; zhat waits for its first read.
+    covers it, is checked, and the other sections after.  The hash does
+    not cover the header's ``aborted_at`` and ``bound_exceeded_at``, so
+    the first must be an inner step of the configured run and the second
+    a node of the trace.  z is derived, and a z_{K,n} that is not x_{K+1}
+    bit for bit raises ValueError naming both rows; zhat waits for its
+    first read.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -831,10 +829,18 @@ def load_trace(path) -> RunTrace:
     with _header_errors():
         if _config_hash(config_text, data) != header["config_sha256"]:
             raise ValueError("config hash mismatch")
-        config = config_from_dict(doc, data)
+        config = RunConfig.from_dict(doc, problem_from_dict(doc["problem"], data))
+        n, p = config.problem.n, config.problem.p
         aborted = tuple(header["aborted_at"]) if header["aborted_at"] else None
+        if aborted and not (0 <= aborted[0] < config.epochs and 1 <= aborted[1] <= n):
+            raise ValueError(
+                f"'aborted_at' must be null or [K, i], K in 0..{config.epochs - 1}"
+                f" and i in 1..{n}, got {list(aborted)}"
+            )
         epochs = aborted[0] if aborted else config.epochs
-    n, p = config.problem.n, config.problem.p
+        bound = header["bound_exceeded_at"]
+        if bound is not None and not 0 <= bound <= epochs:
+            raise ValueError(f"'bound_exceeded_at' must be null or a node 0..{epochs}, got {bound}")
 
     shapes = {"#NODES": (epochs + 1, p + 2), "#EPOCHS": (epochs, len(EPOCH_SERIES))}
     if full:
@@ -842,7 +848,7 @@ def load_trace(path) -> RunTrace:
     arrays = {name: _section_array(name, blob, spans[name], shape, n) for name, shape in shapes.items()}
 
     trace = _new_trace(config, epochs)
-    trace.aborted_at, trace.bound_exceeded_at = aborted, header["bound_exceeded_at"]
+    trace.aborted_at, trace.bound_exceeded_at = aborted, bound
     trace.provenance = header["provenance"]
     nodes = arrays["#NODES"]
     trace.xs[:], trace.f_vals[:], trace.grad_sq[:] = nodes[:, :p], nodes[:, p], nodes[:, p + 1]

@@ -201,28 +201,6 @@ class FiniteSumProblem:
         return list(sums / self.n)
 
 
-def finite_diff_check(problem: FiniteSumProblem, x: np.ndarray, h: float) -> float:
-    """Max per-coordinate relative error of central differences vs full_direction.
-
-    Relative error uses denominator max(1, |g_k|) so near-zero coordinates do
-    not blow up the ratio.  Only defined for smooth problems.
-    """
-    if not problem.is_smooth:
-        raise UnsupportedProblem("finite differences need a smooth problem")
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = problem.check_point(x)
-    g = problem.full_direction(x)
-    worst = 0.0
-    for k in range(problem.p):
-        e = np.zeros(problem.p)
-        e[k] = h
-        fd = (problem.full_value(x + e) - problem.full_value(x - e)) / (2.0 * h)
-        err = abs(fd - g[k]) / max(1.0, abs(g[k]))
-        worst = max(worst, err)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # problem zoo: one class per kind over its data matrix
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ The epoch anchor alpha_K is the previous epoch's last step size
 alpha_{0,1} for prescribed rules (which satisfies alpha_0 >= alpha_{0,1}
 with equality).  Each strategy class names its serialized form in
 ``VARIANT`` and the rate rules it meets in ``rate_params(problem)``.
+``check_lex_monotone`` certifies the order above on a record's (N, n)
+array of step sizes.
 """
 
 from __future__ import annotations
@@ -116,8 +118,9 @@ class Adaptive:
         return v ** (-1.0 / 3.0)
 
     def rate_params(self, problem) -> dict:
+        # the adaptive bound assumes beta = n^2 and delta = n^3 and reads neither
         if self == Adaptive.recommended(self.n):
-            return {"adaptive": {"beta": self.beta, "delta": self.delta}}
+            return {"adaptive": {}}
         return {}
 
 
@@ -228,62 +231,21 @@ class LexReport:
         return self.ok
 
 
-def check_lex_monotone(history) -> LexReport:
-    """Whether recorded alphas are nonincreasing in lexicographic order.
+def check_lex_monotone(alpha) -> LexReport:
+    """Whether a record's step sizes are nonincreasing in lexicographic order.
 
-    ``history`` is a sequence of per-epoch alpha sequences (the last epoch
-    may be partial).  Equivalent to the flattened sequence being
-    nonincreasing, which is scanned once.
+    ``alpha`` is the record's (N, n) array, row K holding alpha_{K,1..n}.
+    Its rows read in run order are one nonincreasing sequence exactly when
+    the order holds, so the scan is of the flattened array; a violation is
+    the (K, i) of the first step larger than the one before it.  Input that
+    is empty or not 2-D raises ValueError.
     """
-    epochs = [np.asarray(e, dtype=float) for e in history]
-    flat = np.concatenate(epochs) if epochs else np.zeros(0)
-    if flat.size == 0:
-        raise ValueError("history must contain at least one recorded step")
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.ndim != 2 or alpha.size == 0:
+        raise ValueError(f"alpha must be a nonempty (N, n) array, got shape {alpha.shape}")
+    flat = alpha.ravel()
     rises = np.flatnonzero(flat[1:] > flat[:-1])
     if rises.size == 0:
         return LexReport(ok=True)
-    k = int(rises[0]) + 1
-    ends = np.cumsum([e.size for e in epochs])
-    K = int(np.searchsorted(ends, k, side="right"))
-    return LexReport(ok=False, violation=(K, k - int(ends[K]) + epochs[K].size + 1))
-
-
-@dataclass(frozen=True)
-class AsymptoticReport:
-    """Finite-horizon proxies for the vanishing-step conditions.
-
-    sum_alpha_first approximates the divergent series sum_K alpha_{K,1};
-    last_alpha_first should approach 0 and ratio alpha_{K,1}/alpha_{K,n}
-    should approach 1: alpha_ok and ratio_ok say whether they are within
-    1e-2 of 0 and 1e-3 of 1.
-    """
-
-    K_max: int
-    sum_alpha_first: float
-    last_alpha_first: float
-    ratio_first_to_last: float
-    alpha_ok: bool
-    ratio_ok: bool
-
-
-def check_asymptotic_conditions(
-    history,
-    K_max: Optional[int] = None,
-) -> AsymptoticReport:
-    epochs = [list(e) for e in history]
-    complete = [e for e in epochs if e]
-    if K_max is None:
-        K_max = len(complete) - 1
-    if K_max < 0 or K_max >= len(complete):
-        raise ValueError("history does not span K_max complete epochs")
-    firsts = [e[0] for e in complete[: K_max + 1]]
-    last_epoch = complete[K_max]
-    ratio = last_epoch[0] / last_epoch[-1]
-    return AsymptoticReport(
-        K_max=K_max,
-        sum_alpha_first=math.fsum(firsts),
-        last_alpha_first=firsts[-1],
-        ratio_first_to_last=ratio,
-        alpha_ok=firsts[-1] <= 1e-2,
-        ratio_ok=abs(ratio - 1.0) <= 1e-3,
-    )
+    K, i = divmod(int(rises[0]) + 1, alpha.shape[1])
+    return LexReport(ok=False, violation=(K, i + 1))

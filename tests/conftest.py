@@ -1,9 +1,12 @@
+import math
+
 import hypothesis
 import numpy as np
 import pytest
 
 import wrdescent as wd
-from wrdescent.problems import ZooKind
+from wrdescent.analysis import EXACT_RTOL, INEQ_RTOL, MarginReport, _report, _require_smooth
+from wrdescent.problems import FiniteSumProblem, UnsupportedProblem, ZooKind
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50, derandomize=True
@@ -148,3 +151,77 @@ def with_payload(blob: bytes, section: str, payload: bytes) -> bytes:
     """A trace file's bytes with the payload of ``section``, and its byte count, replaced."""
     line, _, stop = section_spans(blob)[section]
     return blob[:line] + f"{section} {len(payload)}\n".encode() + payload + blob[stop:]
+
+
+# ---------------------------------------------------------------------------
+# elementary lemmas and oracle fidelity: checks of the mathematics and of
+# the oracles, not of a record
+# ---------------------------------------------------------------------------
+
+
+def lemma_norm_sum_check(vectors) -> MarginReport:
+    """||sum a_i||^2 <= m * sum ||a_i||^2 (tight for aligned vectors)."""
+    vs = [np.asarray(v, dtype=float) for v in vectors]
+    if not vs:
+        raise ValueError("need at least one vector")
+    m = len(vs)
+    total = vs[0].copy()
+    for v in vs[1:]:
+        total += v
+    lhs = float(total @ total)
+    rhs = m * math.fsum(float(v @ v) for v in vs)
+    denom = max(rhs, 1.0)
+    return _report("lemma_norm_sum", lhs, rhs, EXACT_RTOL, denom)
+
+
+def lemma_log_sum_check(a, b: float, c: float) -> MarginReport:
+    """sum_i a_i / (b + c * prefix_i) <= (1/c) log(1 + c sum a / b).
+
+    prefix_i includes a_i itself; a must be positive, b, c > 0.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        raise ValueError("need at least one term")
+    if np.any(a <= 0) or b <= 0 or c <= 0:
+        raise ValueError("a entries, b and c must be positive")
+    prefix = np.cumsum(a)
+    lhs = math.fsum(a / (b + c * prefix))
+    rhs = math.log1p(c * float(prefix[-1]) / b) / c
+    return _report("lemma_log_sum", lhs, rhs, INEQ_RTOL, 1.0 + abs(rhs))
+
+
+def lipschitz_gradient_check(problem: FiniteSumProblem, pairs) -> float:
+    """max over pairs of ||grad F(x) - grad F(y)|| / ||x - y||; <= L when smooth."""
+    _require_smooth(problem)
+    worst = 0.0
+    for x, y in pairs:
+        x = problem.check_point(x)
+        y = problem.check_point(y)
+        dist = float(np.linalg.norm(x - y))
+        if dist == 0.0:
+            raise ValueError("pairs must contain distinct points")
+        num = float(np.linalg.norm(problem.full_direction(x) - problem.full_direction(y)))
+        worst = max(worst, num / dist)
+    return worst
+
+
+def finite_diff_check(problem: FiniteSumProblem, x: np.ndarray, h: float) -> float:
+    """Max per-coordinate relative error of central differences vs full_direction.
+
+    Relative error uses denominator max(1, |g_k|) so near-zero coordinates do
+    not blow up the ratio.  Only defined for smooth problems.
+    """
+    if not problem.is_smooth:
+        raise UnsupportedProblem("finite differences need a smooth problem")
+    if h <= 0:
+        raise ValueError("h must be positive")
+    x = problem.check_point(x)
+    g = problem.full_direction(x)
+    worst = 0.0
+    for k in range(problem.p):
+        e = np.zeros(problem.p)
+        e[k] = h
+        fd = (problem.full_value(x + e) - problem.full_value(x - e)) / (2.0 * h)
+        err = abs(fd - g[k]) / max(1.0, abs(g[k]))
+        worst = max(worst, err)
+    return worst

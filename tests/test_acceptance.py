@@ -18,7 +18,14 @@ import pytest
 from pytest import approx
 
 import wrdescent as wd
-from conftest import make_run, record_criterion
+from conftest import (
+    finite_diff_check,
+    lemma_log_sum_check,
+    lemma_norm_sum_check,
+    lipschitz_gradient_check,
+    make_run,
+    record_criterion,
+)
 from test_flows import (
     exhaustive_face_min_norm,
     random_hull,
@@ -190,13 +197,13 @@ def test_criterion_lemma_suite():
         m = int(rng.integers(1, 8))
         p = int(rng.integers(1, 5))
         vectors = rng.uniform(-5.0, 5.0, size=(m, p))
-        assert wd.lemma_norm_sum_check(list(vectors)).ok
+        assert lemma_norm_sum_check(list(vectors)).ok
     for _ in range(1000):
         m = int(rng.integers(1, 30))
         a = rng.uniform(1e-6, 10.0, size=m)
         b, c = rng.uniform(1e-3, 10.0, size=2)
-        assert wd.lemma_log_sum_check(a, b, c).ok
-    aligned = wd.lemma_norm_sum_check([np.array([1.0, 0.0])] * 3)
+        assert lemma_log_sum_check(a, b, c).ok
+    aligned = lemma_norm_sum_check([np.array([1.0, 0.0])] * 3)
     assert abs(aligned.rel_slack) <= 1e-12
     record_criterion(
         "lemma suite (1000 seeded instances each)",
@@ -214,13 +221,13 @@ def test_criterion_oracle_fidelity():
         rng = np.random.default_rng(31)
         for _ in range(100):
             x = rng.standard_normal(4)
-            worst_fd = max(worst_fd, wd.finite_diff_check(prob, x, 1e-6))
+            worst_fd = max(worst_fd, finite_diff_check(prob, x, 1e-6))
         assert worst_fd <= 1e-5
         pairs = [
             (rng.standard_normal(4) * 2.0, rng.standard_normal(4) * 2.0)
             for _ in range(1000)
         ]
-        ratio = wd.lipschitz_gradient_check(prob, pairs)
+        ratio = lipschitz_gradient_check(prob, pairs)
         worst_ratio_margin = min(worst_ratio_margin, prob.L - ratio)
         assert ratio <= prob.L + 1e-12
     record_criterion(

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import wrdescent as wd
-from conftest import formula_problem, make_run
+from conftest import (
+    formula_problem,
+    lemma_log_sum_check,
+    lemma_norm_sum_check,
+    lipschitz_gradient_check,
+    make_run,
+)
 from wrdescent import analysis
 from wrdescent.engine import EPOCH_BLOCK
 from test_engine import EVAL_CASES, PERM_CASES, zero_problem
@@ -406,6 +412,16 @@ class TestRateBound:
         )
         assert val == approx(expected, rel=1e-14)
 
+    def test_adaptive_parameter_contract(self):
+        # the adaptive bound holds for beta = n^2, delta = n^3 only: a strategy
+        # with other parameters earns no adaptive rule, and the bound itself
+        # takes no step parameter that could stand in for one
+        prob = wd.make_problem("logistic", 4, 3, 5)
+        assert wd.Adaptive(delta=64.0, beta=3.0, n=4).rate_params(prob) == {}
+        assert wd.Adaptive.recommended(4).rate_params(prob) == {"adaptive": {}}
+        with pytest.raises(TypeError):
+            wd.rate_bound("adaptive", f0_minus_fstar=1.0, L=1.0, M=1.0, N=5, n=4, beta=3.0)
+
     def test_decreasing_rule_formulas(self):
         v2 = wd.rate_bound("decreasing_sqrt", f0_minus_fstar=2.0, L=1.5, M=0.5, N=9)
         expected2 = (2.0 + (1.5**2 * 0.25 + 1.5 * 0.25 / 2) * (1 + math.log(10.0))) / (
@@ -421,10 +437,6 @@ class TestRateBound:
     def test_constant_with_l_precondition(self):
         with pytest.raises(ValueError):
             wd.rate_bound("constant_with_l", f0_minus_fstar=1.0, alpha=1.5, L=1.0, M=1.0, N=5)
-
-    def test_adaptive_parameter_contract(self):
-        with pytest.raises(ValueError):
-            wd.rate_bound("adaptive", f0_minus_fstar=1.0, L=1.0, M=1.0, N=5, n=4, beta=3.0)
 
     def test_missing_parameter_named(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -468,8 +480,6 @@ class TestCertifyRun:
         monkeypatch.setattr(wd.Adaptive, "recommended", lambda n: built.append(n) or recommended(n))
         (cert,) = wd.certify_run(trace)
         assert cert.ok and cert.N.size == 201 and built == [32]
-        with pytest.raises(ValueError, match="beta = n"):
-            wd.rate_bound("adaptive", f0_minus_fstar=1.0, N=3, L=1.0, M=1.0, n=32, beta=2.0)
 
     def test_strategy_mismatch_rejected(self, logistic32):
         trace = make_run(
@@ -507,7 +517,6 @@ def _ref_rate_certificate(trace, rule, f_star, tol=analysis.INEQ_RTOL):
         "f0_minus_fstar": float(trace.f_vals[0]) - f_star,
         "L": problem.L,
         "M": problem.M,
-        "n": problem.n,
         **trace.config.strategy.rate_params(problem)[rule],
     }
     start = 1 if rule in ("decreasing_sqrt", "decreasing_cbrt") else 0
@@ -577,7 +586,7 @@ class TestSummability:
 
     def test_one_term_case(self):
         # single term a/(b + c a) with a = b = c = 1 against (1/c) log(1 + c a / b)
-        rep = wd.lemma_log_sum_check([1.0], 1.0, 1.0)
+        rep = lemma_log_sum_check([1.0], 1.0, 1.0)
         assert rep.lhs == approx(0.5)
         assert rep.rhs == approx(math.log(2.0))
         assert rep.ok
@@ -617,25 +626,25 @@ def test_a_descent_range_with_a_non_finite_side_skips(name):
 
 class TestLemmas:
     def test_aligned_vectors_equality(self):
-        rep = wd.lemma_norm_sum_check([np.array([1.0, 0.0]), np.array([1.0, 0.0])])
+        rep = lemma_norm_sum_check([np.array([1.0, 0.0]), np.array([1.0, 0.0])])
         assert rep.lhs == approx(4.0) and rep.rhs == approx(4.0)
         assert abs(rep.rel_slack) <= 1e-12
 
     def test_cancelling_vectors(self):
-        rep = wd.lemma_norm_sum_check([np.array([1.0, 0.0]), np.array([-1.0, 0.0])])
+        rep = lemma_norm_sum_check([np.array([1.0, 0.0]), np.array([-1.0, 0.0])])
         assert rep.lhs == 0.0 and rep.rhs == approx(4.0)
 
     def test_log_sum_small_terms_vanish(self):
-        rep = wd.lemma_log_sum_check([1e-12] * 5, 1.0, 1.0)
+        rep = lemma_log_sum_check([1e-12] * 5, 1.0, 1.0)
         assert rep.lhs == approx(0.0, abs=1e-11)
         assert rep.rhs == approx(0.0, abs=1e-11)
         assert rep.ok
 
     def test_log_sum_validates_inputs(self):
         with pytest.raises(ValueError):
-            wd.lemma_log_sum_check([1.0, -1.0], 1.0, 1.0)
+            lemma_log_sum_check([1.0, -1.0], 1.0, 1.0)
         with pytest.raises(ValueError):
-            wd.lemma_log_sum_check([1.0], 0.0, 1.0)
+            lemma_log_sum_check([1.0], 0.0, 1.0)
 
 
 class TestLipschitz:
@@ -643,17 +652,17 @@ class TestLipschitz:
         prob = formula_problem(1, 2, lambda x: float(x[0]), lambda x: np.array([1.0, 0.0]), 1.0, 0.0)
         rng = np.random.default_rng(0)
         pairs = [(rng.standard_normal(2), rng.standard_normal(2)) for _ in range(20)]
-        assert wd.lipschitz_gradient_check(prob, pairs) == 0.0
+        assert lipschitz_gradient_check(prob, pairs) == 0.0
 
     def test_collinear_far_pair_on_logistic(self):
         prob = wd.logistic_problem([[1.0], [-1.0]], [1.0, 1.0])
         pairs = [(np.array([-8.0]), np.array([8.0]))]
-        assert wd.lipschitz_gradient_check(prob, pairs) <= prob.L
+        assert lipschitz_gradient_check(prob, pairs) <= prob.L
 
     def test_identical_points_rejected(self):
         prob = wd.logistic_problem([[1.0]], [1.0])
         with pytest.raises(ValueError):
-            wd.lipschitz_gradient_check(prob, [(np.zeros(1), np.zeros(1))])
+            lipschitz_gradient_check(prob, [(np.zeros(1), np.zeros(1))])
 
 
 @given(
@@ -665,7 +674,7 @@ class TestLipschitz:
 )
 @settings(max_examples=80)
 def test_norm_sum_inequality_random(vectors):
-    assert wd.lemma_norm_sum_check([np.array(v) for v in vectors]).ok
+    assert lemma_norm_sum_check([np.array(v) for v in vectors]).ok
 
 
 @given(
@@ -675,4 +684,4 @@ def test_norm_sum_inequality_random(vectors):
 )
 @settings(max_examples=80)
 def test_log_sum_inequality_random(a, b, c):
-    assert wd.lemma_log_sum_check(a, b, c).ok
+    assert lemma_log_sum_check(a, b, c).ok

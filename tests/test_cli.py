@@ -541,6 +541,16 @@ class TestCmdVerify:
         assert capsys.readouterr().err.startswith("--checks names no check; known: step_length,")
         assert not (out / "certificate.json").exists()
 
+    def test_a_check_list_repeating_a_check_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        main(["run", "--config", str(cfg), "--out", str(out)])
+        capsys.readouterr()
+        checks = "lex,lex,bound_adaptive,bound_adaptive"
+        assert main(["verify", "--trace", str(out / "trace.txt"), "--checks", checks, "--out", str(tmp_path / "v")]) == 2
+        assert capsys.readouterr() == ("", "--checks names 'lex' more than once\n")
+        assert not (tmp_path / "v").exists() and not (out / "certificate.json").exists()
+
 
 # the damaged traces below come from a run with n = 4, p = 2 and 6 epochs:
 # #DATA rows [a_i, b_i] are 24 bytes, #NODES rows 32 bytes, #INNER rows

@@ -23,7 +23,6 @@ from wrdescent.engine import (
     EPOCH_SERIES,
     INNER_FIELDS,
     NODE_SERIES,
-    config_from_dict,
     config_to_dict,
     provenance,
 )
@@ -1183,6 +1182,43 @@ class TestTraceHeader:
         assert (tmp_path / "resaved.txt").read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("aborted_at", [5, 1], "'aborted_at' must be null or [K, i], K in 0..4 and i in 1..4, got [5, 1]"),
+        ("aborted_at", [-1, 1], "'aborted_at' must be null or [K, i], K in 0..4 and i in 1..4, got [-1, 1]"),
+        ("aborted_at", [2, 0], "'aborted_at' must be null or [K, i], K in 0..4 and i in 1..4, got [2, 0]"),
+        ("aborted_at", [2, 5], "'aborted_at' must be null or [K, i], K in 0..4 and i in 1..4, got [2, 5]"),
+        ("bound_exceeded_at", -1, "'bound_exceeded_at' must be null or a node 0..5, got -1"),
+        ("bound_exceeded_at", 6, "'bound_exceeded_at' must be null or a node 0..5, got 6"),
+        ("bound_exceeded_at", 0, None),
+        ("bound_exceeded_at", 5, None),
+    ],
+    ids=["abort_past_the_epochs", "abort_before_epoch_0", "abort_at_step_0", "abort_past_step_n",
+         "box_exit_before_x0", "box_exit_past_x_N", "box_exit_at_x0", "box_exit_at_x_N"],
+)
+def test_header_abort_and_box_exit_name_a_step_and_a_node_of_the_run(tmp_path, capsys, key, value, message):
+    # the config hash covers neither field, so a load checks each against
+    # the run: K in 0..epochs-1 and i in 1..n, a node in 0..N
+    trace = make_run(wd.make_problem("logistic", 4, 2, 3), wd.Constant(0.5, 4), epochs=5)
+    path = tmp_path / "trace.txt"
+    wd.save_trace(trace, path)
+    first, _, rest = path.read_bytes().partition(b"\n")
+    edited = first.replace(f'"{key}": null'.encode(), f'"{key}": {json.dumps(value)}'.encode())
+    assert json.loads(edited)[key] == value
+    path.write_bytes(edited + b"\n" + rest)
+    if message is None:
+        assert wd.load_trace(path).bound_exceeded_at == value
+        return
+    with pytest.raises(ValueError) as err:
+        wd.load_trace(path)
+    assert str(err.value) == f"header: {message}"
+    capsys.readouterr()
+    assert main(["verify", "--trace", str(path)]) == 2
+    assert main(["report", "--trace", str(path)]) == 2
+    assert capsys.readouterr().err == f"trace error: header: {message}\n" * 2
+
+
 class TestSummaryCsv:
     def test_row_count_and_columns(self, tmp_path):
         prob = wd.make_problem("logistic", 2, 1, 2)
@@ -1415,7 +1451,8 @@ class TestVariantDicts:
             track_objective=track,
         )
         text = json.dumps(config_to_dict(config))
-        back = config_from_dict(json.loads(text), config.problem.kind.data)
+        doc = json.loads(text)
+        back = wd.RunConfig.from_dict(doc, problems.problem_from_dict(doc["problem"], config.problem.kind.data))
         for key in VARIANT_SECTIONS:
             assert getattr(back, key) == getattr(config, key)
         assert np.array_equal(back.x0, config.x0)

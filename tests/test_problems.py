@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import wrdescent as wd
-from conftest import formula_problem
+from conftest import finite_diff_check, formula_problem, lipschitz_gradient_check
 from wrdescent.problems import PROBLEM_KINDS, ReluNet, _expit, _labelled
 
 
@@ -72,15 +72,15 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(13)
         for _ in range(5):
             x = rng.standard_normal(4)
-            assert wd.finite_diff_check(prob, x, 1e-6) <= 1e-5
+            assert finite_diff_check(prob, x, 1e-6) <= 1e-5
 
     def test_constant_zero_problem(self):
         prob = formula_problem(1, 2, lambda x: 0.0, lambda x: np.zeros(2), 0.0, 0.0)
-        assert wd.finite_diff_check(prob, np.ones(2), 1e-6) == 0.0
+        assert finite_diff_check(prob, np.ones(2), 1e-6) == 0.0
 
     def test_nonsmooth_unsupported(self):
         with pytest.raises(wd.UnsupportedProblem):
-            wd.finite_diff_check(wd.median_problem([0.0, 1.0]), np.zeros(1), 1e-6)
+            finite_diff_check(wd.median_problem([0.0, 1.0]), np.zeros(1), 1e-6)
 
     def test_relu_direction_is_reverse_mode_of_value(self):
         # per-component check at a generic parameter point (no kinks)
@@ -225,7 +225,7 @@ class TestBoundednessInvariants:
         pairs = [
             (rng.standard_normal(3) * 2, rng.standard_normal(3) * 2) for _ in range(200)
         ]
-        assert wd.lipschitz_gradient_check(prob, pairs) <= prob.L + 1e-12
+        assert lipschitz_gradient_check(prob, pairs) <= prob.L + 1e-12
 
 
 @pytest.mark.parametrize("kind", PROBLEM_KINDS)
