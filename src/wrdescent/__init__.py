@@ -85,10 +85,8 @@ from .steps import (
     DecreasingCbrtWithL,
     DecreasingSqrt,
     LexReport,
-    StepState,
     check_lex_monotone,
     epoch_anchor,
-    new_state,
     step_value,
 )
 

@@ -142,7 +142,7 @@ def sweep_checkpoints(epochs: int, count: int = 13) -> np.ndarray:
 
 
 def _sweep_cell(payload):
-    doc, overrides, checkpoints = payload
+    doc, overrides = payload
     try:
         doc = _apply_overrides(json.loads(json.dumps(doc)), overrides)
         run_config = ExperimentConfig.from_dict(doc).build()
@@ -153,6 +153,7 @@ def _sweep_cell(payload):
     if trace.aborted_at is not None:
         return {"overrides": overrides, "error": f"aborted at {trace.aborted_at}"}
     running = trace.running_min_grad_sq()
+    checkpoints = sweep_checkpoints(run_config.epochs)  # the cell's own horizons, as a grid may set epochs
     curve = [(int(N), float(running[N])) for N in checkpoints if N <= trace.epochs_completed]
     rules = trace.config.strategy.rate_params(trace.problem) if trace.problem.is_smooth else {}
     certs = [(rule, analysis.run_check(trace, f"bound_{rule}")[0]) for rule in rules]
@@ -193,11 +194,7 @@ def cmd_sweep(args) -> int:
         print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
     doc = cfg.to_dict()
-    checkpoints = sweep_checkpoints(doc["epochs"])
-    cells = [
-        (doc, [f"{k}={json.dumps(v)}" for k, v in combo], checkpoints)
-        for combo in itertools.product(*axes)
-    ]
+    cells = [(doc, [f"{k}={json.dumps(v)}" for k, v in combo]) for combo in itertools.product(*axes)]
     out = _output_dir(args.out or cfg.doc["output_dir"])
     if out is None:
         return 2
@@ -248,8 +245,8 @@ def cmd_report(args) -> int:
     for K in checkpoints:
         x = trace.xs[K]
         surrogate = math.sqrt(max(trace.grad_sq[K], 0.0)) if np.isfinite(trace.grad_sq[K]) else math.nan
-        try:
-            measure = flows.criticality_measure(problem, x).measure
+        try:  # nan where x_K is not finite, whose generator set may be empty
+            measure = flows.criticality_measure(problem, x).measure if np.isfinite(x).all() else math.nan
         except UnsupportedProblem:
             measure = math.nan
         rows.append(f"{K},{_fmt(measure)},{_fmt(surrogate)}")

@@ -44,10 +44,13 @@ Generator for all shuffled orders), and F and ||grad F||^2 of the block's
 nodes come from one stacked full_value and one full_direction call, each
 row with the bits of a call at that node alone.  Per epoch come the
 supports, a prescribed rule's one step size (``epoch_step``) as a row of
-length p, whose product with d has the bits of alpha * d, the epoch
-series from the epoch's list of step sizes and, at full level, the record
-rows.  Per step there is only the direction call, ||d||^2 and its test,
-the adaptive rule's ``step_value`` and the update; where the support of
+length p, whose product with d has the bits of alpha * d, or the adaptive
+rule's accumulator, read from the record's v_end of the epoch before
+(delta at K = 0), since the run keeps no step state beside its record;
+then the epoch series from the epoch's list of step sizes and, at full
+level, the record rows.  Per step there is only the direction call,
+||d||^2 and its test, the adaptive rule's ``step_value``, a pure function
+of the accumulator, and the update; where the support of
 step i is i-1 (Incremental), the step queries z_{K,i-1} directly.  A run
 takes the n components' direction oracles once, as a tuple each step
 indexes; that builds a zoo problem's component oracles
@@ -70,7 +73,7 @@ the iterates once per epoch, through z_{K,n}, which a non-finite entry of
 an earlier iterate reaches, or earlier when a non-finite ||d||^2 makes the
 engine look back for one.  The adversarial order probes ||d_i(x_K)|| with
 one direction_norms call per epoch, vectorized over the data matrix for
-the logistic, sigmoid and median problems, from the row kernel for
+the logistic and sigmoid problems, from the row kernel for median and
 relu_net.  The engine also monitors ||x_K||_inf against an optional
 radius and flags the first excursion (constants of box-local problems
 are only valid inside the box).
@@ -98,14 +101,7 @@ from .schedules import (
     hull_point,
     permutation,
 )
-from .steps import (
-    Adaptive,
-    StepState,
-    epoch_anchor,
-    epoch_step,
-    new_state,
-    step_value,
-)
+from .steps import Adaptive, epoch_anchor, epoch_step, step_value
 
 TRACE_FORMAT = "wrdescent-trace/6"
 # epochs per block of run: the unit of the query orders drawn and of the
@@ -286,37 +282,30 @@ def _eval_points(trace: RunTrace) -> np.ndarray:
     return zhat
 
 
-def run_epoch(
-    trace: RunTrace,
-    state: StepState,
-    x: np.ndarray,
-    K: int,
-    order: Optional[list] = None,
-    directions: Optional[tuple] = None,
-) -> np.ndarray:
+def run_epoch(trace: RunTrace, x: np.ndarray, K: int, order: Optional[list], directions: tuple) -> np.ndarray:
     """Epoch K of the trace's run, from x = x_K; returns x_{K+1}.
 
-    ``order`` is the epoch's query order as ints; without it, it is asked
+    ``order`` is the epoch's query order as ints; when None, it is asked
     of the permutation policy (probing x_K for an adversarial order).
     ``directions`` is the tuple of the n components' direction oracles,
-    which ``run`` takes once; without it, it is taken from the problem's
-    components.
+    which ``run`` takes once.
     Writes row K of the trace's epoch series and, at the full record level,
-    of its inner arrays, once the epoch is complete.  ``state`` must be
-    consistent with epochs 0..K-1 and is advanced in place.  Raises NonFiniteError at the first step i
+    of its inner arrays, once the epoch is complete.  Epochs 0..K-1 must be
+    recorded: the adaptive rule's accumulator starts from the record's
+    v_end[K-1] (delta at K = 0).  Raises NonFiniteError at the first step i
     where ||d||^2 or an entry of z_{K,i} is not finite, tested as the
     module docstring says (``_first_non_finite`` scans the iterates).
     """
     config = trace.config
     problem, strategy, eval_policy = config.problem, config.strategy, config.eval_policy
     n = problem.n
-    if directions is None:
-        directions = tuple(c.direction for c in problem.components)
     if order is None:
         probe = problem.direction_norms(x) if config.perm_policy.needs_probe else None
         order = permutation(config.perm_policy, K, n, probe=probe).tolist()
-    alpha = epoch_step(strategy, state, K)  # None: the adaptive rule, one step_value per step
+    alpha = epoch_step(strategy, K)  # None: the adaptive rule, one step_value per step
     adaptive = alpha is None
+    # the adaptive accumulator; float() keeps v ** (-1/3) on Python's **
+    v = (float(trace.v_end[K - 1]) if K else strategy.delta) if adaptive else math.nan
     full = trace.alpha is not None
     # a prescribed step multiplies d by a row of alpha, the bits of alpha * d
     # without NumPy's Python-float path; the adaptive rule's is a float
@@ -342,10 +331,10 @@ def run_epoch(
         if not math.isfinite(dnorm2):
             raise NonFiniteError(K, _first_non_finite(zs[1:]) or i)
         if adaptive:
-            step = step_value(strategy, state, K, i, dnorm2)
+            v, step = step_value(strategy, K, v, dnorm2)
             alphas.append(step)
             if full:
-                vs.append(state.v)
+                vs.append(v)
         z = z - step * d
         zs.append(z)
         if full:
@@ -360,7 +349,7 @@ def run_epoch(
     for a in alphas:  # left to right, in step order
         alpha_sum += a
     trace.alpha_first[K], trace.alpha_last[K], trace.alpha_sum[K] = alphas[0], alphas[-1], alpha_sum
-    trace.v_end[K] = state.v if adaptive else math.nan
+    trace.v_end[K] = v
     if full:
         trace.index[K], trace.alpha[K], trace.dnorm2[K], trace.v[K] = order, alphas, dnorm2s, vs
         trace.z[K] = zs[1:]
@@ -403,7 +392,6 @@ def run(config: RunConfig) -> RunTrace:
     n = config.problem.n
     directions = tuple(c.direction for c in config.problem.components)
     trace = _new_trace(config, config.epochs)
-    state = new_state(config.strategy)
     x = config.x0.copy()
     trace.xs[0] = x
     tracked = 0  # nodes x_0..x_{tracked-1} are evaluated
@@ -414,7 +402,7 @@ def run(config: RunConfig) -> RunTrace:
             orders = permutation(config.perm_policy, block, n).tolist()
         for K, order in zip(block, orders):
             try:
-                x = run_epoch(trace, state, x, K, order, directions)
+                x = run_epoch(trace, x, K, order, directions)
             except NonFiniteError as err:
                 trace.aborted_at = (err.K, err.i)
                 _track_nodes(trace, tracked, K)

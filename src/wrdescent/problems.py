@@ -537,9 +537,6 @@ class Median(ZooKind):
         np.add.at(acc, (np.arange(len(X))[:, None], j), s)
         return acc / self.n
 
-    def direction_norms(self, x) -> np.ndarray:
-        return np.abs(self._signs(x[None])[0][0])
-
 
 class ReluNet(_Labelled):
     """Absolute-error loss of a two-layer scalar-output ReLU network.

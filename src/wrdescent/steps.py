@@ -13,7 +13,10 @@ Prescribed rules (per epoch K, constant within the epoch):
 
 The adaptive rule is the scalar cube-root variant of Adagrad-norm: an
 accumulator v starts at delta and, at every inner step, is increased by
-beta * ||d||^2 BEFORE the step size v^(-1/3) is computed.
+beta * ||d||^2 BEFORE the step size v^(-1/3) is computed.  That v is the
+rule's only state, and a run's record holds it (``v`` per step, ``v_end``
+per epoch), so ``step_value`` and ``epoch_step`` are pure functions: the
+caller passes the accumulator in and keeps the one returned.
 
 The epoch anchor alpha_K is the previous epoch's last step size
 (alpha_{K-1,n}); for K = 0 it is delta^(-1/3) for the adaptive rule and
@@ -133,93 +136,48 @@ def _check_n(n):
         raise ValueError("n must be a positive integer")
 
 
-@dataclass
-class StepState:
-    """Mutable per-run bookkeeping owned by a single run.
+def step_value(strategy: StepStrategy, K: int, v: Optional[float], dnorm2: float = 0.0) -> tuple:
+    """(v, alpha_{K,i}) of a step of epoch K taken after accumulator ``v``.
 
-    ``v`` is the adaptive accumulator (None for prescribed strategies);
-    ``K`` and ``i`` place the state after inner step i of epoch K (i = 0:
-    epoch K not started).  The alpha values themselves live in the run's
-    record.
+    The adaptive rule updates v += beta * dnorm2 before the returned
+    alpha = v^(-1/3); ``v`` before the run's first step is ``delta``.  A
+    prescribed rule returns ``v`` unchanged and ``prescribed_value(K)``,
+    ignoring ``dnorm2``.
     """
-
-    v: Optional[float] = None
-    K: int = 0
-    i: int = 0
-
-
-def new_state(strategy: StepStrategy) -> StepState:
-    v = strategy.delta if isinstance(strategy, Adaptive) else None
-    return StepState(v=v)
-
-
-def step_value(
-    strategy: StepStrategy,
-    state: StepState,
-    K: int,
-    i: int,
-    dnorm2: float = 0.0,
-) -> float:
-    """alpha_{K,i}, advancing ``state`` (mutated in place).
-
-    For the adaptive rule the accumulator update v += beta * dnorm2 happens
-    before the returned v^(-1/3); prescribed rules ignore ``dnorm2``.
-    Calls must follow the run order: (K, i) = (state.K, state.i + 1).
-    """
-    n = strategy.n
-    if K != state.K or i != state.i + 1 or not 1 <= i <= n:
-        if K != state.K:
-            raise ValueError(f"step_value called at epoch {K}, state is at epoch {state.K}")
-        raise ValueError(f"step_value called at inner index {i}, expected {state.i + 1}")
     if dnorm2 < 0:
         raise ValueError("dnorm2 must be nonnegative")
     if isinstance(strategy, Adaptive):
-        state.v = v = state.v + strategy.beta * dnorm2
-        alpha = v ** (-1.0 / 3.0)  # Adaptive.step_size(v), without its call
-    else:
-        alpha = strategy.prescribed_value(K)
-    if i == n:
-        state.K, state.i = K + 1, 0
-    else:
-        state.i = i
-    return alpha
+        v = v + strategy.beta * dnorm2
+        return v, v ** (-1.0 / 3.0)  # Adaptive.step_size(v), without its call
+    return v, strategy.prescribed_value(K)
 
 
-def epoch_step(strategy: StepStrategy, state: StepState, K: int) -> Optional[float]:
+def epoch_step(strategy: StepStrategy, K: int) -> Optional[float]:
     """The one step size of every inner step of epoch K, or None when steps vary.
 
     A prescribed strategy's alpha_{K,i} is ``prescribed_value(K)`` for each
-    i; the call advances ``state`` past epoch K, to (K + 1, 0), as n
-    step_value calls would.  The adaptive rule gives None and leaves
-    ``state`` to its step_value call at each step.
+    i; the adaptive rule gives None and takes a step_value call at each step.
     """
     if isinstance(strategy, Adaptive):
         return None
-    if (K, 0) != (state.K, state.i):
-        raise ValueError(f"epoch_step called at epoch {K}, state is at ({state.K}, {state.i})")
-    state.K = K + 1
     return strategy.prescribed_value(K)
 
 
-def epoch_anchor(strategy: StepStrategy, K: int, alpha_last=None) -> float:
+def epoch_anchor(strategy: StepStrategy, K: int, alpha_last=()) -> float:
     """Anchor alpha_K = alpha_{K-1,n} (K >= 1); see module docstring for K = 0.
 
     ``alpha_last`` holds the last step size of each completed epoch and must
-    cover epoch K-1; without it prescribed strategies use the closed form.
+    cover epoch K-1.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
-    if alpha_last is not None and len(alpha_last) < K:
+    if len(alpha_last) < K:
         raise ValueError(f"epoch_anchor({K}) called with only {len(alpha_last)} complete epochs")
     if K == 0:
         if isinstance(strategy, Adaptive):
             return strategy.step_size(strategy.delta)
         return strategy.prescribed_value(0)
-    if alpha_last is not None:
-        return float(alpha_last[K - 1])
-    if isinstance(strategy, Adaptive):
-        raise ValueError("adaptive anchor needs the recorded alpha_last")
-    return strategy.prescribed_value(K - 1)
+    return float(alpha_last[K - 1])
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import re
 import tempfile
 import warnings
@@ -1022,6 +1023,16 @@ class TestCmdSweep:
         ]
         assert [row[4] for row in rows] == ["decreasing_sqrt=pass", "adaptive=pass"]
 
+    def test_each_cell_takes_the_horizons_of_its_own_epochs(self, tmp_path):
+        cfg = write_config(tmp_path, epochs=10, record_level="epoch_only")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--grid", "epochs=10,400", "--out", str(out)]) == 0
+        curves = list(csv.DictReader(io.StringIO((out / "curves.csv").read_text())))
+        for cell, epochs in (("0", 10), ("1", 400)):
+            Ns = [int(row["N"]) for row in curves if row["cell"] == cell]
+            assert Ns == sweep_checkpoints(epochs).tolist()
+            assert Ns[-1] == epochs
+
     def test_grid_of_json_objects_is_not_split_inside_them(self, tmp_path):
         # the axis is one JSON list once bracketed, so its commas inside
         # objects stay; a single object is one cell
@@ -1125,6 +1136,26 @@ class TestCmdReport:
         assert crit[0] == "K,criticality,surrogate_grad_norm"
         assert "min grad_sq" in capsys.readouterr().out
 
+
+    def test_non_finite_node_has_nan_criticality(self, tmp_path, capsys):
+        # at x_0 = NaN the median's generator set is empty: criticality is
+        # NaN there, as the surrogate is, instead of a min-norm point of nothing
+        cfg = tmp_path / "config.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "problem": {"kind": "median", "n": 5, "p": 1, "seed": 3},
+                    "strategy": {"variant": "constant", "alpha": 0.1},
+                    "epochs": 20,
+                    "x0": [math.nan],
+                }
+            )
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "aborted:" in capsys.readouterr().err
+        assert main(["report", "--trace", str(out / "trace.txt")]) == 0
+        assert (out / "criticality.csv").read_text() == "K,criticality,surrogate_grad_norm\n0,nan,nan\n"
 
     def test_trace_without_a_completed_epoch(self, tmp_path, capsys):
         # relu_net whose step overflows at (0, 2): report writes the header

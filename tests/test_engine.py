@@ -1,3 +1,4 @@
+import collections
 import ctypes
 import dataclasses
 import hashlib
@@ -191,6 +192,14 @@ class TestRunEpoch:
             assert wd.permutation(wd.AdversarialMaxNorm(), 0, 4, probe=norms).tolist() == (
                 np.argsort(-np.asarray(expected), kind="stable").tolist()
             )
+        # the row kernel's norms are |sign(x - b_i)| at the first maximizing
+        # coordinate bit for bit, at b_i and at non-finite entries too
+        B = prob.kind.data
+        for x in (*B, [0.0, np.nan], [np.nan, 1.0], [np.inf, 1.0], [-np.inf, np.inf], [-0.0, 1.0]):
+            dev = np.asarray(x) - B
+            j = np.argmax(np.abs(dev), axis=1)
+            first_max_sign = np.abs(np.sign(dev[np.arange(4), j]))
+            assert prob.direction_norms(np.asarray(x)).tobytes() == first_max_sign.tobytes()
 
 
 class TestRun:
@@ -801,15 +810,16 @@ def reference_run(config) -> dict:
     Per epoch K the query order (probing x_K for an adversarial one); per
     step i the policy's point zhat_{K,i-1} (z_{K,j} for its support j, else
     the cumulative sum of eval_point's weights over z_{K,0..i-1}), d =
-    components[idx].direction(zhat), ||d||^2 = d.dot(d), alpha = step_value
-    and z_{K,i} = z_{K,i-1} - alpha * d.  The run aborts at the first step
+    components[idx].direction(zhat), ||d||^2 = d.dot(d), (v, alpha) =
+    step_value of the accumulator v carried from step to step, and z_{K,i}
+    = z_{K,i-1} - alpha * d.  The run aborts at the first step
     whose ||d||^2 or z_{K,i} is not finite, keeping the completed epochs.
     Epoch series from the steps (alpha_sum added from 0.0 in step order),
     node series from one full_value and full_direction call per node.
     """
     problem, strategy, policy, perm = config.problem, config.strategy, config.eval_policy, config.perm_policy
-    n, adaptive = problem.n, isinstance(strategy, wd.Adaptive)
-    state = wd.new_state(strategy)
+    n = problem.n
+    v = strategy.delta if isinstance(strategy, wd.Adaptive) else math.nan  # the accumulator, carried across epochs
     xs, epochs, steps, aborted = [config.x0.copy()], [], [], None
     for K in range(config.epochs):
         probe = problem.direction_norms(xs[K]) if perm.needs_probe else None
@@ -823,12 +833,12 @@ def reference_run(config) -> dict:
             if not math.isfinite(dnorm2):
                 aborted = (K, i)
                 break
-            alpha = wd.step_value(strategy, state, K, i, dnorm2)
+            v, alpha = wd.step_value(strategy, K, v, dnorm2)
             zs.append(zs[-1] - alpha * d)
             if not np.isfinite(zs[-1]).all():
                 aborted = (K, i)
                 break
-            rows.append((idx, zhat, d, dnorm2, alpha, zs[-1], state.v if adaptive else math.nan))
+            rows.append((idx, zhat, d, dnorm2, alpha, zs[-1], v))
         if aborted:
             break
         alpha_sum = 0.0
@@ -1084,15 +1094,17 @@ def record_not_of_its_config(case: str) -> wd.RunTrace:
             run_config = dataclasses.replace(config, problem=dataclasses.replace(problem, components=(nudged, *rest)))
         elif case in ("adaptive_alpha", "v"):
             real_step = engine.step_value
+            calls = collections.Counter()  # step_value calls per epoch: the j-th is step j
 
-            def nudged_step(strategy, state, k, j, dnorm2):
-                alpha = real_step(strategy, state, k, j, dnorm2)
-                if (k, j) != (K, i):
-                    return alpha
+            def nudged_step(strategy, k, v, dnorm2):
+                calls[k] += 1
+                v, alpha = real_step(strategy, k, v, dnorm2)
+                if (k, calls[k]) != (K, i):
+                    return v, alpha
                 if case == "v":
-                    state.v = np.nextafter(state.v, np.inf)
-                    return strategy.step_size(state.v)
-                return np.nextafter(alpha, np.inf)
+                    v = np.nextafter(v, np.inf)  # carried to the epoch's later steps
+                    return v, strategy.step_size(v)
+                return v, np.nextafter(alpha, np.inf)
 
             mp.setattr(engine, "step_value", nudged_step)
         elif case == "infinite_dnorm2":

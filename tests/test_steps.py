@@ -7,16 +7,21 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import wrdescent as wd
-from wrdescent.steps import epoch_step, new_state, step_value
+from wrdescent.steps import epoch_step, step_value
 
 
 def drive(strategy, dnorm2_epochs):
-    """Feed per-epoch dnorm2 lists through step_value; (state, per-epoch alphas)."""
-    state = new_state(strategy)
+    """Feed per-epoch dnorm2 lists through step_value, carrying the
+    accumulator from delta (None for a prescribed rule); (v, per-epoch alphas)."""
+    v = strategy.delta if isinstance(strategy, wd.Adaptive) else None
     history = []
     for K, epoch in enumerate(dnorm2_epochs):
-        history.append([step_value(strategy, state, K, i, d2) for i, d2 in enumerate(epoch, start=1)])
-    return state, history
+        alphas = []
+        for d2 in epoch:
+            v, alpha = step_value(strategy, K, v, d2)
+            alphas.append(alpha)
+        history.append(alphas)
+    return v, history
 
 
 def alpha_last(strategy, history):
@@ -27,45 +32,29 @@ def alpha_last(strategy, history):
 class TestStepValue:
     def test_constant(self):
         s = wd.Constant(alpha=0.5, n=5)
-        state = new_state(s)
-        assert step_value(s, state, 0, 1) == approx(0.1)
+        assert step_value(s, 0, None) == (None, approx(0.1))
 
     def test_adaptive_first_call(self):
         s = wd.Adaptive(delta=8.0, beta=1.0, n=2)
-        state = new_state(s)
-        alpha = step_value(s, state, 0, 1, dnorm2=19.0)
-        assert state.v == approx(27.0)
+        v, alpha = step_value(s, 0, s.delta, dnorm2=19.0)
+        assert v == approx(27.0)
         assert alpha == approx(1.0 / 3.0)
 
     def test_decreasing_sqrt(self):
         s = wd.DecreasingSqrt(n=2)
-        state = new_state(s)
         for K in range(4):
             for i in (1, 2):
-                alpha = step_value(s, state, K, i)
+                _, alpha = step_value(s, K, None)
         assert alpha == approx(0.25)  # K = 3: 1/(2*sqrt(4))
 
     def test_decreasing_cbrt(self):
         s = wd.DecreasingCbrtWithL(L=2.0, n=4)
-        state = new_state(s)
-        assert step_value(s, state, 0, 1) == approx(1.0 / 8.0)
+        assert step_value(s, 0, None)[1] == approx(1.0 / 8.0)
 
-    def test_state_tracks_position(self):
-        s = wd.Constant(alpha=1.0, n=2)
-        state = new_state(s)
-        step_value(s, state, 0, 1)
-        assert (state.K, state.i) == (0, 1)
-        step_value(s, state, 0, 2)
-        assert (state.K, state.i) == (1, 0)
-
-    def test_call_order_enforced(self):
-        s = wd.Constant(alpha=1.0, n=2)
-        state = new_state(s)
-        with pytest.raises(ValueError):
-            step_value(s, state, 1, 1)
-        step_value(s, state, 0, 1)
-        with pytest.raises(ValueError):
-            step_value(s, state, 0, 1)
+    def test_negative_dnorm2_rejected(self):
+        for s in (wd.Constant(alpha=1.0, n=2), wd.Adaptive(delta=8.0, beta=1.0, n=2)):
+            with pytest.raises(ValueError):
+                step_value(s, 0, 8.0, dnorm2=-1.0)
 
     @pytest.mark.parametrize(
         "strategy",
@@ -73,20 +62,14 @@ class TestStepValue:
         ids=lambda s: s.VARIANT,
     )
     def test_epoch_step_is_the_epochs_step_values(self, strategy):
-        # one call per epoch: the step size of each of its n steps, and the state after them
-        per_step, per_epoch = new_state(strategy), new_state(strategy)
+        # one call per epoch: the step size of each of its n steps, which leave the accumulator as it was
         for K in range(5):
-            alphas = [step_value(strategy, per_step, K, i) for i in range(1, 4)]
-            assert [epoch_step(strategy, per_epoch, K)] * 3 == alphas
-            assert per_epoch == per_step
-        with pytest.raises(ValueError):
-            epoch_step(strategy, per_epoch, 4)
+            steps = [step_value(strategy, K, 1.0, 0.5) for _ in range(3)]
+            assert [(1.0, epoch_step(strategy, K))] * 3 == steps
 
     def test_epoch_step_of_the_adaptive_rule_is_per_step(self):
         s = wd.Adaptive(delta=8.0, beta=1.0, n=2)
-        state = new_state(s)
-        assert epoch_step(s, state, 0) is None
-        assert (state.K, state.i, state.v) == (0, 0, 8.0)
+        assert epoch_step(s, 0) is None
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -147,7 +130,6 @@ class TestEpochAnchor:
     def test_constant_any_epoch(self):
         s = wd.Constant(alpha=0.5, n=5)
         assert wd.epoch_anchor(s, 0) == approx(0.1)
-        assert wd.epoch_anchor(s, 7) == approx(0.1)
 
     def test_adaptive_initial(self):
         s = wd.Adaptive(delta=8.0, beta=1.0, n=3)
@@ -163,12 +145,6 @@ class TestEpochAnchor:
         _, history = drive(s, [[0.0]])
         with pytest.raises(ValueError):
             wd.epoch_anchor(s, 1, alpha_last(s, history))
-
-    def test_prescribed_closed_form_matches_state(self):
-        s = wd.DecreasingSqrt(n=3)
-        _, history = drive(s, [[0.0] * 3] * 4)
-        for K in range(1, 5):
-            assert wd.epoch_anchor(s, K) == approx(wd.epoch_anchor(s, K, alpha_last(s, history)))
 
 
 def first_rise(alpha):
@@ -274,15 +250,14 @@ class TestStateInvariants:
         s = wd.Adaptive(delta=3.0, beta=0.5, n=3)
         rng = np.random.default_rng(4)
         feeds = rng.random((30, 3)).tolist()
-        state = new_state(s)
-        v_expected = 3.0
+        v = v_expected = 3.0
         for K, epoch in enumerate(feeds):
-            for i, d2 in enumerate(epoch, start=1):
-                prev = state.v
-                step_value(s, state, K, i, d2)
+            for d2 in epoch:
+                prev = v
+                v, _ = step_value(s, K, v, d2)
                 v_expected = v_expected + 0.5 * d2
-                assert state.v == v_expected  # exact replay of the recursion
-                assert state.v >= prev
+                assert v == v_expected  # exact replay of the recursion
+                assert v >= prev
 
     def test_alpha_upper_bound(self):
         for s in (
