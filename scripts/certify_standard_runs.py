@@ -30,10 +30,10 @@ def main() -> int:
     problem = wd.make_problem("logistic", args.n, args.p, args.seed)
     L, n = problem.L, problem.n
     runs = {
-        "constant": wd.Constant(2.0 / L, n),
-        "constant_with_l": wd.Constant(0.5 / L, n),
-        "decreasing_sqrt": wd.DecreasingSqrt(n),
-        "decreasing_cbrt": wd.DecreasingCbrtWithL(L, n),
+        "constant": wd.Constant(2.0 / L),
+        "constant_with_l": wd.Constant(0.5 / L),
+        "decreasing_sqrt": wd.DecreasingSqrt(),
+        "decreasing_cbrt": wd.DecreasingCbrtWithL(L),
         "adaptive": wd.Adaptive.recommended(n),
     }
 

@@ -40,8 +40,8 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     problem = separable_logistic(args.n, args.p, args.seed)
     strategies = {
-        "decreasing_sqrt": wd.DecreasingSqrt(problem.n),
-        "decreasing_cbrt": wd.DecreasingCbrtWithL(problem.L, problem.n),
+        "decreasing_sqrt": wd.DecreasingSqrt(),
+        "decreasing_cbrt": wd.DecreasingCbrtWithL(problem.L),
         "adaptive": wd.Adaptive.recommended(problem.n),
     }
     checkpoints = np.unique(

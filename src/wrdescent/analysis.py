@@ -72,7 +72,7 @@ import numpy as np
 from . import flows
 from .engine import EPOCH_BLOCK, RunTrace, _fmt
 from .problems import FiniteSumProblem, UnsupportedProblem
-from .steps import Adaptive, check_lex_monotone, epoch_anchor
+from .steps import Adaptive, check_lex_monotone
 
 EXACT_RTOL = 1e-12
 INEQ_RTOL = 1e-9
@@ -225,7 +225,7 @@ def _descent_terms(trace: RunTrace, k_min: int, k_max: Optional[int], lex: bool 
         scan = check_lex_monotone(trace.alpha)
         if not scan.ok:
             raise ValueError(f"step sizes violate lexicographic monotonicity at {scan.violation}")
-    alpha = np.concatenate([[epoch_anchor(trace.config.strategy, 0)], trace.alpha_last])
+    alpha = np.concatenate([[trace.epoch_anchor(0)], trace.alpha_last])
     return epochs, alpha[epochs.start : epochs.stop], _s2(trace, epochs)
 
 

@@ -198,10 +198,11 @@ def cmd_sweep(args) -> int:
     out = _output_dir(args.out or cfg.doc["output_dir"])
     if out is None:
         return 2
-    if args.jobs > 1:
+    jobs = min(args.jobs, len(cells))  # a pool starts all its workers at the first submit
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # about 25 ms to import, so only here
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_cell, cells))
     else:
         results = [_sweep_cell(c) for c in cells]

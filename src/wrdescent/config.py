@@ -13,7 +13,7 @@ one document write the same bytes.  Schema (defaults in parentheses):
     eval_policy: {"variant": "full_gradient"|"incremental"} | {"variant": "mini_batch", "b": int}
                | {"variant": "delayed_async", "max_delay": int, "seed": int}
                | {"variant": "convex_mix", "seed": int}                  (incremental)
-    perm_policy: {"variant": "identity"} | {"variant": "fixed", "perm": [..]}
+    perm_policy: {"variant": "identity"} | {"variant": "fixed", "perm": [int, ..]}
                | {"variant": "shuffled", "seed": int} | {"variant": "adversarial"}   (identity)
     x0:          {"kind": "zero"} | {"kind": "ball", "radius": float >= 0, "seed": int >= 0}
                | a list of p numbers                                       ({"kind": "zero"})
@@ -32,9 +32,10 @@ An int is a JSON integer, not a float (1.0 included) or a bool, of at most
 np.iinfo(np.intp).max in size; a float is a finite JSON number, not a bool
 or a string; an x0 list holds numbers (Infinity and NaN included).  "auto"
 resolves against the problem (L, or Adaptive.recommended's beta = n^2 and
-delta = n^3), and the strategy's n is the problem's.  Keys of a strategy or
-policy that its variant does not use are ignored.  This module also owns
-RunConfig and ``config_to_dict``, the document a trace header stores.
+delta = n^3).  Keys of a strategy or policy that its variant does not use
+are ignored, the strategy "n" of older trace headers among them: n is the
+problem's.  This module also owns RunConfig and ``config_to_dict``, the
+document a trace header stores.
 """
 
 from __future__ import annotations
@@ -120,8 +121,6 @@ class RunConfig:
         if self.x0.shape != (self.problem.p,):
             raise ConfigError(f"'x0' must have shape ({self.problem.p},), got {self.x0.shape}")
         _check_run_fields(vars(self))
-        if self.strategy.n != self.problem.n:
-            raise ConfigError(f"'strategy.n' is {self.strategy.n}, the problem has n = {self.problem.n}")
         perm = self.perm_policy
         if isinstance(perm, FixedPermutation) and len(perm.perm) != self.problem.n:
             raise ConfigError(
@@ -159,9 +158,9 @@ def variant_from_dict(doc: dict, table: dict, problem: Optional[FiniteSumProblem
     """Inverse of variant_to_dict through one of the VARIANT_SECTIONS tables.
 
     Each int and float field is checked as ``_check_int`` and
-    ``_check_float`` do; errors name ``section.field``.  Given the problem,
-    n defaults to the problem's and "auto" resolves against it.  Keys that
-    are not fields of the class are ignored.
+    ``_check_float`` do, and a tuple field (a fixed perm) must list JSON
+    integers; errors name ``section.field``.  Given the problem, "auto"
+    resolves against it.  Keys that are not fields of the class are ignored.
     """
     section = next(name for name, known in VARIANT_SECTIONS.items() if known is table)
     variant = doc.get("variant")
@@ -171,10 +170,7 @@ def variant_from_dict(doc: dict, table: dict, problem: Optional[FiniteSumProblem
     values = {}
     for f in fields(cls):
         key = f"{section}.{f.name}"
-        default = "auto" if f.name in _AUTO else MISSING
-        if f.name == "n" and problem is not None:
-            default = problem.n  # RunConfig turns down a document's other n
-        value = doc.get(f.name, default)
+        value = doc.get(f.name, "auto" if f.name in _AUTO else MISSING)
         if value is MISSING:
             raise ConfigError(f"missing config key '{key}'")
         if f.name in _AUTO and value == "auto" and problem is not None:
@@ -185,6 +181,8 @@ def variant_from_dict(doc: dict, table: dict, problem: Optional[FiniteSumProblem
             _check_int(value, key)
         elif f.type == "float":
             value = _check_float(value, key)
+        elif f.type == "tuple" and not (isinstance(value, (list, tuple)) and all(type(v) is int for v in value)):
+            raise ConfigError(f"'{key}' must be a list of integers, got {value!r}")
         values[f.name] = value
     try:
         return cls(**values)

@@ -217,7 +217,7 @@ class RunTrace:
 
     def epoch_anchor(self, K: int) -> float:
         """alpha_K convention used by the per-epoch inequality checks."""
-        return epoch_anchor(self.config.strategy, K, self.alpha_last)
+        return epoch_anchor(self.config.strategy, K, self.problem.n, self.alpha_last)
 
     def running_min_grad_sq(self) -> np.ndarray:
         return np.minimum.accumulate(self.grad_sq)
@@ -302,7 +302,7 @@ def run_epoch(trace: RunTrace, x: np.ndarray, K: int, order: Optional[list], dir
     if order is None:
         probe = problem.direction_norms(x) if config.perm_policy.needs_probe else None
         order = permutation(config.perm_policy, K, n, probe=probe).tolist()
-    alpha = epoch_step(strategy, K)  # None: the adaptive rule, one step_value per step
+    alpha = epoch_step(strategy, K, n)  # None: the adaptive rule, one step_value per step
     adaptive = alpha is None
     # the adaptive accumulator; float() keeps v ** (-1/3) on Python's **
     v = (float(trace.v_end[K - 1]) if K else strategy.delta) if adaptive else math.nan
@@ -331,7 +331,7 @@ def run_epoch(trace: RunTrace, x: np.ndarray, K: int, order: Optional[list], dir
         if not math.isfinite(dnorm2):
             raise NonFiniteError(K, _first_non_finite(zs[1:]) or i)
         if adaptive:
-            v, step = step_value(strategy, K, v, dnorm2)
+            v, step = step_value(strategy, K, n, v, dnorm2)
             alphas.append(step)
             if full:
                 vs.append(v)
@@ -492,7 +492,7 @@ def _block_matches(trace: RunTrace, block: range, zhat: np.ndarray) -> bool:
     series = (alphas[:, 0], alphas[:, -1], sums, v_end)
     if not all(_same(new, getattr(trace, name)[Ks]) for name, new in zip(EPOCH_SERIES, series)):
         return False
-    prescribed = None if adaptive else np.array([strategy.prescribed_value(K) for K in block])
+    prescribed = None if adaptive else np.array([strategy.prescribed_value(K, n) for K in block])
     for q0 in range(block.start * n, block.stop * n, ROW_BLOCK):
         # steps q0.. in run order, as (epoch, column) pairs: each array a copy of these rows alone
         q = np.arange(q0, min(q0 + ROW_BLOCK, block.stop * n))
@@ -532,7 +532,7 @@ def _check_record(trace: RunTrace) -> bool:
         zhat once the check passes, or compared with it if it was read before;
       * d is the stacked row kernel at (index, zhat), dnorm2 each row's ddot
         of d, and every dnorm2 and x_{K+1} finite, as the run tests them;
-      * alpha is prescribed_value(K), or v is the recorded previous v (delta
+      * alpha is prescribed_value(K, n), or v is the recorded previous v (delta
         at the start) plus beta * dnorm2 and alpha Adaptive.step_size(v);
       * z is the recorded z_{K,i-1} - alpha * d and z_{K,n} is x_{K+1};
       * the epoch series are those of the steps (alpha_sum added in order

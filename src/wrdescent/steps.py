@@ -11,6 +11,9 @@ Prescribed rules (per epoch K, constant within the epoch):
     DecreasingSqrt:           1 / (n sqrt(K+1))
     DecreasingCbrtWithL(L):   1 / (L n (K+1)^(1/3))
 
+A strategy holds only its rule's parameters; n, the number of components,
+is the problem's, and each function that computes a step size takes it.
+
 The adaptive rule is the scalar cube-root variant of Adagrad-norm: an
 accumulator v starts at delta and, at every inner step, is increased by
 beta * ||d||^2 BEFORE the step size v^(-1/3) is computed.  That v is the
@@ -39,16 +42,14 @@ import numpy as np
 @dataclass(frozen=True)
 class Constant:
     alpha: float
-    n: int
     VARIANT = "constant"
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        _check_n(self.n)
 
-    def prescribed_value(self, K: int) -> float:
-        return self.alpha / self.n
+    def prescribed_value(self, K: int, n: int) -> float:
+        return self.alpha / n
 
     def rate_params(self, problem) -> dict:
         """{rule: step parameters} of the ``analysis.rate_bound`` rules whose
@@ -61,14 +62,10 @@ class Constant:
 
 @dataclass(frozen=True)
 class DecreasingSqrt:
-    n: int
     VARIANT = "decreasing_sqrt"
 
-    def __post_init__(self):
-        _check_n(self.n)
-
-    def prescribed_value(self, K: int) -> float:
-        return 1.0 / (self.n * math.sqrt(K + 1.0))
+    def prescribed_value(self, K: int, n: int) -> float:
+        return 1.0 / (n * math.sqrt(K + 1.0))
 
     def rate_params(self, problem) -> dict:
         return {"decreasing_sqrt": {}}
@@ -77,16 +74,14 @@ class DecreasingSqrt:
 @dataclass(frozen=True)
 class DecreasingCbrtWithL:
     L: float
-    n: int
     VARIANT = "decreasing_cbrt"
 
     def __post_init__(self):
         if self.L <= 0:
             raise ValueError("L must be positive")
-        _check_n(self.n)
 
-    def prescribed_value(self, K: int) -> float:
-        return 1.0 / (self.L * self.n * (K + 1.0) ** (1.0 / 3.0))
+    def prescribed_value(self, K: int, n: int) -> float:
+        return 1.0 / (self.L * n * (K + 1.0) ** (1.0 / 3.0))
 
     def rate_params(self, problem) -> dict:
         # any upper bound on the problem's gradient Lipschitz constant is
@@ -100,19 +95,17 @@ class DecreasingCbrtWithL:
 class Adaptive:
     delta: float
     beta: float
-    n: int
     VARIANT = "adaptive"
 
     def __post_init__(self):
         if self.delta <= 0 or self.beta <= 0:
             raise ValueError("delta and beta must be positive")
-        _check_n(self.n)
 
     @classmethod
     def recommended(cls, n: int) -> "Adaptive":
         # beta = n^2, delta = n^3 are the defaults backing the adaptive
         # rate certificate; both are overridable.
-        return cls(delta=float(n) ** 3, beta=float(n) ** 2, n=n)
+        return cls(delta=float(n) ** 3, beta=float(n) ** 2)
 
     @staticmethod
     def step_size(v: float) -> float:
@@ -122,7 +115,7 @@ class Adaptive:
 
     def rate_params(self, problem) -> dict:
         # the adaptive bound assumes beta = n^2 and delta = n^3 and reads neither
-        if self == Adaptive.recommended(self.n):
+        if self == Adaptive.recommended(problem.n):
             return {"adaptive": {}}
         return {}
 
@@ -131,39 +124,35 @@ StepStrategy = Union[Constant, DecreasingSqrt, DecreasingCbrtWithL, Adaptive]
 STRATEGIES = {cls.VARIANT: cls for cls in get_args(StepStrategy)}
 
 
-def _check_n(n):
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
-
-
-def step_value(strategy: StepStrategy, K: int, v: Optional[float], dnorm2: float = 0.0) -> tuple:
-    """(v, alpha_{K,i}) of a step of epoch K taken after accumulator ``v``.
+def step_value(strategy: StepStrategy, K: int, n: int, v: Optional[float], dnorm2: float = 0.0) -> tuple:
+    """(v, alpha_{K,i}) of a step of epoch K of a problem of n components,
+    taken after accumulator ``v``.
 
     The adaptive rule updates v += beta * dnorm2 before the returned
-    alpha = v^(-1/3); ``v`` before the run's first step is ``delta``.  A
-    prescribed rule returns ``v`` unchanged and ``prescribed_value(K)``,
-    ignoring ``dnorm2``.
+    alpha = v^(-1/3), which reads no n; ``v`` before the run's first step is
+    ``delta``.  A prescribed rule returns ``v`` unchanged and
+    ``prescribed_value(K, n)``, ignoring ``dnorm2``.
     """
     if dnorm2 < 0:
         raise ValueError("dnorm2 must be nonnegative")
     if isinstance(strategy, Adaptive):
         v = v + strategy.beta * dnorm2
         return v, v ** (-1.0 / 3.0)  # Adaptive.step_size(v), without its call
-    return v, strategy.prescribed_value(K)
+    return v, strategy.prescribed_value(K, n)
 
 
-def epoch_step(strategy: StepStrategy, K: int) -> Optional[float]:
+def epoch_step(strategy: StepStrategy, K: int, n: int) -> Optional[float]:
     """The one step size of every inner step of epoch K, or None when steps vary.
 
-    A prescribed strategy's alpha_{K,i} is ``prescribed_value(K)`` for each
+    A prescribed strategy's alpha_{K,i} is ``prescribed_value(K, n)`` for each
     i; the adaptive rule gives None and takes a step_value call at each step.
     """
     if isinstance(strategy, Adaptive):
         return None
-    return strategy.prescribed_value(K)
+    return strategy.prescribed_value(K, n)
 
 
-def epoch_anchor(strategy: StepStrategy, K: int, alpha_last=()) -> float:
+def epoch_anchor(strategy: StepStrategy, K: int, n: int, alpha_last=()) -> float:
     """Anchor alpha_K = alpha_{K-1,n} (K >= 1); see module docstring for K = 0.
 
     ``alpha_last`` holds the last step size of each completed epoch and must
@@ -176,7 +165,7 @@ def epoch_anchor(strategy: StepStrategy, K: int, alpha_last=()) -> float:
     if K == 0:
         if isinstance(strategy, Adaptive):
             return strategy.step_size(strategy.delta)
-        return strategy.prescribed_value(0)
+        return strategy.prescribed_value(0, n)
     return float(alpha_last[K - 1])
 
 

@@ -48,9 +48,9 @@ POLICIES = {
 
 def grid_strategies(problem):
     return {
-        "constant": wd.Constant(0.5 / problem.L, problem.n),
-        "decreasing_sqrt": wd.DecreasingSqrt(problem.n),
-        "decreasing_cbrt": wd.DecreasingCbrtWithL(problem.L, problem.n),
+        "constant": wd.Constant(0.5 / problem.L),
+        "decreasing_sqrt": wd.DecreasingSqrt(),
+        "decreasing_cbrt": wd.DecreasingCbrtWithL(problem.L),
         "adaptive": wd.Adaptive.recommended(problem.n),
     }
 
@@ -154,10 +154,10 @@ def test_criterion_rate_certificates(grid_problem, adaptive_2000_full):
     """Matched rate certificates at every horizon N <= 2000, F* -> 0."""
     L = grid_problem.L
     runs = {
-        "constant": wd.Constant(2.0 / L, N_GRID),
-        "decreasing_sqrt": wd.DecreasingSqrt(N_GRID),
-        "constant_with_l": wd.Constant(0.5 / L, N_GRID),
-        "decreasing_cbrt": wd.DecreasingCbrtWithL(L, N_GRID),
+        "constant": wd.Constant(2.0 / L),
+        "decreasing_sqrt": wd.DecreasingSqrt(),
+        "constant_with_l": wd.Constant(0.5 / L),
+        "decreasing_cbrt": wd.DecreasingCbrtWithL(L),
     }
     details = []
     for rule, strategy in runs.items():
@@ -273,7 +273,7 @@ def test_criterion_median_convergence():
     target = prob.known_solution
     trace = make_run(
         prob,
-        wd.DecreasingSqrt(101),
+        wd.DecreasingSqrt(),
         epochs=10_000,
         record_level="epoch_only",
         track_objective=False,
@@ -303,7 +303,7 @@ def test_criterion_perturbed_inclusion_diagnostics():
     prob = wd.make_problem("median", 101, 1, 404)
     trace = make_run(
         prob,
-        wd.Adaptive(delta=1.0, beta=3e4, n=101),
+        wd.Adaptive(delta=1.0, beta=3e4),
         epochs=10_001,
         record_level="epoch_only",
         track_objective=False,
@@ -334,10 +334,10 @@ def test_criterion_order_independence(grid_problem):
     orderings.append(wd.AdversarialMaxNorm())
     L = grid_problem.L
     matched = {
-        "constant": wd.Constant(2.0 / L, N_GRID),
-        "decreasing_sqrt": wd.DecreasingSqrt(N_GRID),
-        "constant_with_l": wd.Constant(0.5 / L, N_GRID),
-        "decreasing_cbrt": wd.DecreasingCbrtWithL(L, N_GRID),
+        "constant": wd.Constant(2.0 / L),
+        "decreasing_sqrt": wd.DecreasingSqrt(),
+        "constant_with_l": wd.Constant(0.5 / L),
+        "decreasing_cbrt": wd.DecreasingCbrtWithL(L),
         "adaptive": wd.Adaptive.recommended(N_GRID),
     }
     worst_len = math.inf

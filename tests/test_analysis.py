@@ -21,14 +21,14 @@ from test_engine import EVAL_CASES, PERM_CASES, zero_problem
 
 class TestStepLengthBound:
     def test_zero_direction_epoch_zero_slack(self):
-        trace = make_run(zero_problem(), wd.Constant(0.5, 2), epochs=2)
+        trace = make_run(zero_problem(), wd.Constant(0.5), epochs=2)
         rep = wd.check_step_length_bound_trace(trace, k_min=0, k_max=0)
         assert rep.lhs == 0.0 and rep.rhs == 0.0
         assert rep.ok and rep.rel_slack == 0.0
 
     def test_n1_single_term_equality(self):
         prob = wd.make_problem("logistic", 1, 2, 4)
-        trace = make_run(prob, wd.Constant(0.3, 1), epochs=3)
+        trace = make_run(prob, wd.Constant(0.3), epochs=3)
         for K in range(trace.epochs_completed):
             rep = wd.check_step_length_bound_trace(trace, k_min=K, k_max=K)
             assert abs(rep.rel_slack) <= 1e-12  # LHS = alpha^2 ||d||^2 = RHS
@@ -42,7 +42,7 @@ class TestStepLengthBound:
 
     def test_needs_inner_records(self):
         prob = wd.make_problem("logistic", 3, 2, 6)
-        trace = make_run(prob, wd.Constant(0.2, 3), epochs=2, record_level="epoch_only")
+        trace = make_run(prob, wd.Constant(0.2), epochs=2, record_level="epoch_only")
         with pytest.raises(ValueError):
             wd.check_step_length_bound_trace(trace)
 
@@ -61,7 +61,7 @@ class TestEpochDescent:
         assert len(calls) == 1
 
     def test_lex_violation_rejected(self, logistic32):
-        trace = make_run(logistic32, wd.DecreasingSqrt(32), epochs=6)
+        trace = make_run(logistic32, wd.DecreasingSqrt(), epochs=6)
         trace.alpha[4][2] *= 2.0
         for k_max in (1, None):  # epoch 1 alone, and the default range
             with pytest.raises(ValueError, match=r"lexicographic monotonicity at \(4, 3\)"):
@@ -70,13 +70,13 @@ class TestEpochDescent:
     def test_constant_steps_kill_ratio_term(self, logistic32):
         # alpha = 1/L keeps the S2 coefficient nonnegative, so the combined
         # form is provable here; the ratio term vanishes for equal steps
-        trace = make_run(logistic32, wd.Constant(1.0 / logistic32.L, 32), epochs=6)
+        trace = make_run(logistic32, wd.Constant(1.0 / logistic32.L), epochs=6)
         rep = wd.check_epoch_descent_trace(trace, k_min=3, k_max=3)
         assert rep.detail["ratio_term"] == approx(0.0, abs=1e-14)
         assert rep.ok
 
     def test_zero_direction_problem_both_sides_zero(self):
-        trace = make_run(zero_problem(), wd.Constant(0.5, 2), epochs=3)
+        trace = make_run(zero_problem(), wd.Constant(0.5), epochs=3)
         rep = wd.check_epoch_descent_trace(trace, k_min=1, k_max=1)
         assert rep.lhs == approx(0.0, abs=1e-15)
         assert rep.rhs == approx(0.0, abs=1e-15)
@@ -87,10 +87,10 @@ class TestEpochDescent:
     def test_tight_form_holds_along_seeded_runs(self, strategy_name):
         prob = wd.make_problem("logistic", 8, 3, 15)
         strategies = {
-            "sqrt": wd.DecreasingSqrt(8),
-            "cbrt": wd.DecreasingCbrtWithL(prob.L, 8),
+            "sqrt": wd.DecreasingSqrt(),
+            "cbrt": wd.DecreasingCbrtWithL(prob.L),
             "adaptive": wd.Adaptive.recommended(8),
-            "constant": wd.Constant(0.5 / prob.L, 8),
+            "constant": wd.Constant(0.5 / prob.L),
         }
         trace = make_run(
             prob,
@@ -131,13 +131,13 @@ class TestEpochDescent:
 
     def test_nonsmooth_unsupported(self):
         prob = wd.make_problem("median", 5, 1, 3)
-        trace = make_run(prob, wd.DecreasingSqrt(5), epochs=4)
+        trace = make_run(prob, wd.DecreasingSqrt(), epochs=4)
         with pytest.raises(wd.UnsupportedProblem):
             wd.check_epoch_descent_trace(trace, k_min=1, k_max=1)
 
     def test_anchor_convention(self):
         prob = wd.make_problem("logistic", 4, 2, 5)
-        s = wd.Adaptive(delta=8.0, beta=1.0, n=4)
+        s = wd.Adaptive(delta=8.0, beta=1.0)
         trace = make_run(prob, s, epochs=5)
         assert trace.epoch_anchor(0) == approx(0.5)  # delta^(-1/3)
         for K in range(1, 5):
@@ -149,7 +149,7 @@ class TestDescentDecomposition:
         # zhat = x_K and equal steps: LHS equals -(n alpha_K / 2)||grad F||^2
         trace = make_run(
             logistic32,
-            wd.Constant(0.5 / logistic32.L, 32),
+            wd.Constant(0.5 / logistic32.L),
             eval_policy=wd.FullGradient(),
             epochs=4,
         )
@@ -264,13 +264,13 @@ def _property_run(strategy, eval_policy, perm_policy, epochs, track):
     """A run on logistic 4x2 under ``strategy``, or with "aborted" one of at
     most 60 epochs whose iterates overflow (F reaches -inf, ||d||^2 inf)."""
     if strategy == "aborted":
-        problem, rule, x0, epochs = _growing_problem(), wd.Constant(1e5, 4), np.ones(2), 60
+        problem, rule, x0, epochs = _growing_problem(), wd.Constant(1e5), np.ones(2), 60
     else:
         problem, x0 = wd.make_problem("logistic", 4, 2, 6), np.full(2, 0.2)
         rule = {
-            "constant": wd.Constant(0.5 / problem.L, 4),
-            "sqrt": wd.DecreasingSqrt(4),
-            "cbrt": wd.DecreasingCbrtWithL(problem.L, 4),
+            "constant": wd.Constant(0.5 / problem.L),
+            "sqrt": wd.DecreasingSqrt(),
+            "cbrt": wd.DecreasingCbrtWithL(problem.L),
             "adaptive": wd.Adaptive.recommended(4),
         }[strategy]
     with np.errstate(all="ignore"):
@@ -295,7 +295,7 @@ class TestRangeChecks:
         assert bad and rep.name != f"step_length[K={bad[0]}]"
         assert rep.non_finite == f"lhs {refs[bad[0]].lhs}, rhs {refs[bad[0]].rhs} at K={bad[0]}"
         assert "non_finite" not in repr(rep)
-        finite = make_run(wd.make_problem("logistic", 4, 2, 6), wd.Constant(0.1, 4), epochs=3)
+        finite = make_run(wd.make_problem("logistic", 4, 2, 6), wd.Constant(0.1), epochs=3)
         assert wd.check_step_length_bound_trace(finite).non_finite is None
 
     @pytest.mark.parametrize("eval_policy", EVAL_CASES, ids=lambda c: c.VARIANT)
@@ -375,7 +375,7 @@ class TestRangeChecks:
         ids=lambda v: getattr(v, "__name__", str(v)),
     )
     def test_epochs_outside_the_trace_rejected(self, check, epochs):
-        trace = make_run(wd.make_problem("logistic", 4, 2, 6), wd.DecreasingSqrt(4), epochs=3)
+        trace = make_run(wd.make_problem("logistic", 4, 2, 6), wd.DecreasingSqrt(), epochs=3)
         with pytest.raises(ValueError, match=r"outside the completed epochs 0\.\.2"):
             check(trace, k_min=epochs[0], k_max=epochs[1])
 
@@ -390,7 +390,7 @@ class TestRangeChecks:
     )
     def test_default_range_names_the_epochs_it_needs(self, check, reason):
         with np.errstate(all="ignore"):
-            trace = make_run(_growing_problem(), wd.Constant(1e300, 4), x0=np.ones(2), epochs=2)
+            trace = make_run(_growing_problem(), wd.Constant(1e300), x0=np.ones(2), epochs=2)
         assert trace.epochs_completed == 0
         with pytest.raises(ValueError, match=f"^{reason}$"):
             check(trace)
@@ -417,7 +417,7 @@ class TestRateBound:
         # with other parameters earns no adaptive rule, and the bound itself
         # takes no step parameter that could stand in for one
         prob = wd.make_problem("logistic", 4, 3, 5)
-        assert wd.Adaptive(delta=64.0, beta=3.0, n=4).rate_params(prob) == {}
+        assert wd.Adaptive(delta=64.0, beta=3.0).rate_params(prob) == {}
         assert wd.Adaptive.recommended(4).rate_params(prob) == {"adaptive": {}}
         with pytest.raises(TypeError):
             wd.rate_bound("adaptive", f0_minus_fstar=1.0, L=1.0, M=1.0, N=5, n=4, beta=3.0)
@@ -447,7 +447,7 @@ class TestCertifyRun:
     def test_constant_certificates(self, logistic32):
         trace = make_run(
             logistic32,
-            wd.Constant(0.5 / logistic32.L, 32),
+            wd.Constant(0.5 / logistic32.L),
             epochs=200,
             record_level="epoch_only",
         )
@@ -458,7 +458,7 @@ class TestCertifyRun:
 
     def test_decreasing_certificates(self, logistic32):
         trace = make_run(
-            logistic32, wd.DecreasingSqrt(32), epochs=200, record_level="epoch_only"
+            logistic32, wd.DecreasingSqrt(), epochs=200, record_level="epoch_only"
         )
         (cert,) = wd.certify_run(trace)
         assert cert.rule == "decreasing_sqrt" and cert.ok
@@ -483,7 +483,7 @@ class TestCertifyRun:
 
     def test_strategy_mismatch_rejected(self, logistic32):
         trace = make_run(
-            logistic32, wd.DecreasingSqrt(32), epochs=10, record_level="epoch_only"
+            logistic32, wd.DecreasingSqrt(), epochs=10, record_level="epoch_only"
         )
         with pytest.raises(ValueError):
             wd.certify_run(trace, "adaptive")
@@ -491,7 +491,7 @@ class TestCertifyRun:
     def test_non_default_adaptive_matches_nothing(self, logistic32):
         trace = make_run(
             logistic32,
-            wd.Adaptive(delta=1.0, beta=1.0, n=32),
+            wd.Adaptive(delta=1.0, beta=1.0),
             epochs=10,
             record_level="epoch_only",
         )
@@ -500,7 +500,7 @@ class TestCertifyRun:
 
     def test_nonsmooth_rejected(self):
         prob = wd.make_problem("median", 5, 1, 1)
-        trace = make_run(prob, wd.DecreasingSqrt(5), epochs=10, record_level="epoch_only")
+        trace = make_run(prob, wd.DecreasingSqrt(), epochs=10, record_level="epoch_only")
         with pytest.raises(wd.UnsupportedProblem):
             wd.certify_run(trace, "decreasing_sqrt")
 
@@ -534,10 +534,10 @@ def _ref_rate_certificate(trace, rule, f_star, tol=analysis.INEQ_RTOL):
 
 # a step rule that each rate rule matches on a 4-component problem
 _RATE_STRATEGIES = {
-    "constant": lambda problem: wd.Constant(2.0 / problem.L, 4),
-    "decreasing_sqrt": lambda problem: wd.DecreasingSqrt(4),
-    "constant_with_l": lambda problem: wd.Constant(0.5 / problem.L, 4),
-    "decreasing_cbrt": lambda problem: wd.DecreasingCbrtWithL(problem.L, 4),
+    "constant": lambda problem: wd.Constant(2.0 / problem.L),
+    "decreasing_sqrt": lambda problem: wd.DecreasingSqrt(),
+    "constant_with_l": lambda problem: wd.Constant(0.5 / problem.L),
+    "decreasing_cbrt": lambda problem: wd.DecreasingCbrtWithL(problem.L),
     "adaptive": lambda problem: wd.Adaptive.recommended(4),
 }
 
@@ -579,7 +579,7 @@ def test_certificate_arrays_match_the_per_horizon_loop(rule, epochs, f0, data):
 class TestSummability:
     def test_zero_direction_run(self):
         prob = zero_problem()
-        trace = make_run(prob, wd.Adaptive(delta=1.0, beta=1.0, n=2), epochs=3)
+        trace = make_run(prob, wd.Adaptive(delta=1.0, beta=1.0), epochs=3)
         rep = wd.check_summability_ada(trace)
         assert rep.lhs == 0.0
         assert rep.ok
@@ -599,13 +599,13 @@ class TestSummability:
         assert rep.detail["data_driven_rhs"] <= rep.rhs + 1e-15
 
     def test_requires_adaptive(self, logistic32):
-        trace = make_run(logistic32, wd.DecreasingSqrt(32), epochs=5)
+        trace = make_run(logistic32, wd.DecreasingSqrt(), epochs=5)
         with pytest.raises(ValueError):
             wd.check_summability_ada(trace)
 
     def test_adaptive_ratio_bound_variants(self):
         prob = wd.make_problem("logistic", 6, 2, 14)
-        trace = make_run(prob, wd.Adaptive(delta=2.0, beta=1.0, n=6), epochs=60)
+        trace = make_run(prob, wd.Adaptive(delta=2.0, beta=1.0), epochs=60)
         rep = wd.check_adaptive_ratio_bound(trace)
         assert rep["ok_with_M_squared"]  # the provable variant always holds
         assert rep["max_ratio"] <= rep["bound_with_M_squared"] * (1 + 1e-9)
@@ -616,7 +616,7 @@ def test_a_descent_range_with_a_non_finite_side_skips(name):
     # F(x_3) = inf makes the lhs of epoch 2 inf and of epoch 3 -inf: no
     # slack of the range certifies anything, so verify skips the check
     prob = wd.make_problem("logistic", 6, 2, 14)
-    trace = make_run(prob, wd.DecreasingSqrt(6), epochs=6)
+    trace = make_run(prob, wd.DecreasingSqrt(), epochs=6)
     assert analysis.run_check(trace, name)[0] == "pass"
     trace.f_vals[3] = math.inf
     status, detail, _ = analysis.run_check(trace, name)

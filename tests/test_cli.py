@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -22,6 +23,7 @@ from conftest import decode_payload, encode_payload, section_payload, section_sp
 from wrdescent import analysis
 from wrdescent.cli import KNOWN_CHECKS, fit_loglog_slope, main, sweep_checkpoints
 from wrdescent.config import VARIANT_SECTIONS, ExperimentConfig, load_config, save_config
+from wrdescent.engine import EPOCH_SERIES, INNER_FIELDS, NODE_SERIES
 
 
 def minimal_config(**overrides):
@@ -201,9 +203,11 @@ class TestCmdRun:
             ('problem={"kind": "logistic", "n": true, "p": 1, "seed": 3}', "'problem.n'"),
             ("epochs=true", "'epochs'"),
             ('x0={"kind": "ball", "radius": 1.0, "seed": 1.0}', "'x0.seed'"),
+            ('perm_policy={"variant": "fixed", "perm": [1.0, 0.0]}', "'perm_policy.perm'"),
+            ('perm_policy={"variant": "fixed", "perm": [true, false]}', "'perm_policy.perm'"),
         ],
         ids=["float_seed", "float_max_delay", "bool_b", "bool_perm_seed", "bool_problem_seed", "bool_n",
-             "bool_epochs", "float_x0_seed"],
+             "bool_epochs", "float_x0_seed", "float_perm", "bool_perm"],
     )
     def test_non_integer_exits_2_naming_the_key(self, tmp_path, capsys, override, key):
         # JSON integers only: a float (1.0 too) or a bool is not truncated or read as 0/1
@@ -499,7 +503,7 @@ class TestCmdVerify:
             zoo = type("NoFStar", (type(zoo),), {"f_star_lower": None})(zoo.data, zoo.seed)
         problem = zoo.problem()
         assert problem.f_star_lower == f_star
-        config = wd.RunConfig(problem, wd.Constant(0.5, 2), wd.Incremental(), wd.Identity(), np.zeros(1), 3)
+        config = wd.RunConfig(problem, wd.Constant(0.5), wd.Incremental(), wd.Identity(), np.zeros(1), 3)
         trace = wd.run(config)
         with pytest.raises((ValueError, wd.UnsupportedProblem)) as err:
             wd.certify_run(trace, check[len("bound_"):])
@@ -615,14 +619,17 @@ class TestTraceErrors:
             (lambda c: c.update(monitor_radius="x"), "'monitor_radius' must be a finite nonnegative number, got 'x'"),
             (lambda c: c.update(track_objective="no"), "'track_objective' must be true or false, got 'no'"),
             (lambda c: c["strategy"].update(alpha="0.5"), "'strategy.alpha' must be a finite number, got '0.5'"),
-            (lambda c: c["strategy"].update(n=3), "'strategy.n' is 3, the problem has n = 4"),
+            (
+                lambda c: c.update(perm_policy={"variant": "fixed", "perm": [1.0, 0.0, 2.0, 3.0]}),
+                "'perm_policy.perm' must be a list of integers, got [1.0, 0.0, 2.0, 3.0]",
+            ),
             (lambda c: c.update(x0=[0.0]), "'x0' must have shape (2,), got (1,)"),
             (lambda c: c["problem"].update(n=4.0), "'problem.n' must be an integer >= 1, got 4.0"),
             (lambda c: c["problem"].update(p=2.0), "'problem.p' must be an integer >= 1, got 2.0"),
             (lambda c: c["problem"].update(seed="3"), "'problem.seed' must be a nonnegative integer, got '3'"),
             (lambda c: c.update(strategy="x"), "'strategy' must be a JSON object, got 'x'"),
         ],
-        ids=["float_epochs", "float_batch", "string_radius", "string_track_objective", "string_alpha", "other_n",
+        ids=["float_epochs", "float_batch", "string_radius", "string_track_objective", "string_alpha", "float_perm",
              "short_x0", "float_problem_n", "float_problem_p", "string_problem_seed", "string_strategy"],
     )
     def test_header_fields_are_checked_like_config_fields(self, tmp_path, capsys, edit, message):
@@ -639,6 +646,37 @@ class TestTraceErrors:
         assert main(["verify", "--trace", str(path)]) == 2
         assert main(["report", "--trace", str(path)]) == 2
         assert capsys.readouterr().err == f"trace error: header: {message}\n" * 2
+
+    @pytest.mark.parametrize("record_level", ["full", "epoch_only"])
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            {"variant": "constant", "alpha": 0.5},
+            {"variant": "decreasing_sqrt"},
+            {"variant": "decreasing_cbrt"},
+            {"variant": "adaptive"},
+        ],
+        ids=lambda spec: spec["variant"],
+    )
+    def test_a_header_strategy_with_n_loads_and_replays(self, tmp_path, strategy, record_level):
+        # traces written while a strategy held the problem's n carry it in
+        # config.strategy, a key that no strategy has now
+        cfg = write_config(tmp_path, problem={"kind": "logistic", "n": 4, "p": 2, "seed": 3}, strategy=strategy,
+                           epochs=6, record_level=record_level)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        path = out / "trace.txt"
+        old = tmp_path / "old.txt"
+        old.write_bytes(_edit_config(path.read_bytes(), lambda c: c["strategy"].update(n=4)))
+        assert json.loads(old.read_bytes().partition(b"\n")[0])["config"]["strategy"]["n"] == 4
+        fresh, trace = wd.load_trace(path), wd.load_trace(old)
+        assert trace.config.strategy == fresh.config.strategy
+        for name in NODE_SERIES + EPOCH_SERIES + INNER_FIELDS:
+            new, want = getattr(trace, name), getattr(fresh, name)
+            assert (new is None and want is None) or (new.dtype, new.shape, new.tobytes()) == (
+                want.dtype, want.shape, want.tobytes()
+            )
+        assert wd.replay(trace) == wd.ReplayReport(True)
 
     @pytest.mark.parametrize("p", [34, 40, 32, 16, 1])
     def test_relu_net_header_p_must_be_the_parameter_count(self, tmp_path, capsys, p):
@@ -1022,6 +1060,37 @@ class TestCmdSweep:
             'strategy.variant="adaptive"',
         ]
         assert [row[4] for row in rows] == ["decreasing_sqrt=pass", "adaptive=pass"]
+
+    @pytest.mark.parametrize(
+        "alphas, jobs, pools",
+        [("0.1,0.2", 64, [2]), ("0.1", 64, []), ("0.1,0.2,0.3", 2, [2])],
+        ids=["64_jobs_2_cells", "64_jobs_1_cell", "2_jobs_3_cells"],
+    )
+    def test_jobs_capped_at_the_number_of_cells(self, tmp_path, monkeypatch, alphas, jobs, pools):
+        # a process pool forks all of its max_workers at the first submit;
+        # the stand-in records the pools asked for and maps in this process
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = write_config(tmp_path, epochs=10, record_level="epoch_only")
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(cfg), "--grid", f"strategy.alpha={alphas}", "--jobs", str(jobs)]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert asked == pools
+        assert len((out / "cells.csv").read_text().splitlines()) == 1 + len(alphas.split(","))
 
     def test_each_cell_takes_the_horizons_of_its_own_epochs(self, tmp_path):
         cfg = write_config(tmp_path, epochs=10, record_level="epoch_only")

@@ -62,7 +62,7 @@ def overflow_config(case: str, record_level: str) -> wd.RunConfig:
     if case.startswith("exploding"):
         n = 1 if case == "exploding" else 2
         problem = exploding_problem(scale=1e100 if n == 1 else 10.0, n=n)
-        strategy = wd.Constant(1.0 if n == 1 else 1e308, n)
+        strategy = wd.Constant(1.0 if n == 1 else 1e308)
         return wd.RunConfig(
             problem=problem,
             strategy=strategy,
@@ -88,7 +88,7 @@ def overflow_config(case: str, record_level: str) -> wd.RunConfig:
     }[kind]()
     return wd.RunConfig(
         problem=problem,
-        strategy=wd.Constant(1e308, problem.n),
+        strategy=wd.Constant(1e308),
         eval_policy=eval_policies[policy],
         perm_policy=wd.ShuffledPerEpoch(11) if kind == "logistic" else wd.AdversarialMaxNorm(),
         x0=np.full(problem.p, 0.1),
@@ -119,7 +119,7 @@ class TestRunEpoch:
     def test_zero_directions_fixed_point(self):
         prob = zero_problem()
         x0 = np.array([0.3, -0.4])
-        trace = make_run(prob, wd.Constant(0.5, 2), epochs=3, x0=x0)
+        trace = make_run(prob, wd.Constant(0.5), epochs=3, x0=x0)
         for K in range(trace.epochs_completed):
             assert np.array_equal(trace.xs[K + 1], x0)
             for z in trace.z[K]:
@@ -130,7 +130,7 @@ class TestRunEpoch:
         x0 = np.array([0.2, -0.1])
         alpha = 0.7
         for policy in (wd.Incremental(), wd.FullGradient()):
-            trace = make_run(prob, wd.Constant(alpha, 1), eval_policy=policy, epochs=1, x0=x0)
+            trace = make_run(prob, wd.Constant(alpha), eval_policy=policy, epochs=1, x0=x0)
             expected = x0 - alpha * prob.full_direction(x0)
             assert trace.xs[1] == approx(expected, rel=1e-15)
 
@@ -139,7 +139,7 @@ class TestRunEpoch:
         prob = wd.logistic_problem([[1.0], [-1.0]], [1.0, 1.0])
         x0 = np.array([0.37])
         alpha_inner = 0.25
-        trace = make_run(prob, wd.Constant(0.5, 2), epochs=1, x0=x0)
+        trace = make_run(prob, wd.Constant(0.5), epochs=1, x0=x0)
 
         mpmath.mp.dps = 50
         sig = lambda t: 1 / (1 + mpmath.e**-t)
@@ -154,7 +154,7 @@ class TestRunEpoch:
     def test_each_component_queried_once_per_epoch(self):
         prob = wd.make_problem("logistic", 7, 2, 1)
         trace = make_run(
-            prob, wd.DecreasingSqrt(7), perm_policy=wd.ShuffledPerEpoch(3), epochs=5
+            prob, wd.DecreasingSqrt(), perm_policy=wd.ShuffledPerEpoch(3), epochs=5
         )
         for K in range(trace.epochs_completed):
             assert sorted(trace.index[K].tolist()) == list(range(7))
@@ -163,7 +163,7 @@ class TestRunEpoch:
         for kind in PROBLEM_KINDS:
             prob = wd.make_problem(kind, 5, 2, 11)
             trace = make_run(
-                prob, wd.Constant(0.1, 5), perm_policy=wd.AdversarialMaxNorm(), epochs=2
+                prob, wd.Constant(0.1), perm_policy=wd.AdversarialMaxNorm(), epochs=2
             )
             calls = []
             counted = counting_directions(prob, calls)
@@ -229,7 +229,7 @@ class TestRun:
         real = wd.engine.eval_support
         monkeypatch.setattr(wd.engine, "eval_support", lambda *a: calls.append(a[1:]) or real(*a))
         prob = wd.make_problem("logistic", 5, 2, 4)
-        trace = make_run(prob, wd.Constant(0.3, 5), eval_policy=policy, epochs=7)
+        trace = make_run(prob, wd.Constant(0.3), eval_policy=policy, epochs=7)
         assert calls == [(K, 5) for K in range(7)]
         wd.save_trace(trace, tmp_path / "trace.txt")
         calls.clear()
@@ -244,7 +244,7 @@ class TestRun:
         real = wd.schedules.counter_rng
         monkeypatch.setattr(wd.schedules, "counter_rng", lambda *key: calls.append(key) or real(*key))
         prob = wd.make_problem("logistic", 6, 2, 4)
-        trace = make_run(prob, wd.Constant(0.3, 6), eval_policy=wd.ConvexMix(5), epochs=7)
+        trace = make_run(prob, wd.Constant(0.3), eval_policy=wd.ConvexMix(5), epochs=7)
         assert calls == [(5, 2, K, 1) for K in range(7)]
         wd.save_trace(trace, tmp_path / "trace.txt")
         calls.clear()
@@ -256,7 +256,7 @@ class TestRun:
     def test_replay_of_a_loaded_convex_mix_record_draws_its_weights_once(self, monkeypatch, tmp_path):
         # the record check's hull points become the trace's zhat: no second draw
         prob = wd.make_problem("logistic", 6, 2, 4)
-        trace = make_run(prob, wd.Constant(0.3, 6), eval_policy=wd.ConvexMix(5), epochs=7)
+        trace = make_run(prob, wd.Constant(0.3), eval_policy=wd.ConvexMix(5), epochs=7)
         expected = trace.zhat.tobytes()
         wd.save_trace(trace, tmp_path / "trace.txt")
         calls = []
@@ -291,7 +291,7 @@ class TestRun:
         # regression on the seeded instance, not a theorem
         trace = make_run(
             logistic32,
-            wd.Constant(0.5 / logistic32.L, 32),
+            wd.Constant(0.5 / logistic32.L),
             epochs=200,
             record_level="epoch_only",
         )
@@ -301,7 +301,7 @@ class TestRun:
     def test_full_gradient_descent_lemma_regime(self, logistic32):
         trace = make_run(
             logistic32,
-            wd.Constant(1.0 / logistic32.L, 32),
+            wd.Constant(1.0 / logistic32.L),
             eval_policy=wd.FullGradient(),
             epochs=60,
             record_level="epoch_only",
@@ -318,7 +318,7 @@ class TestRun:
         prob = exploding_problem(scale=1e100)
         cfg = wd.RunConfig(
             problem=prob,
-            strategy=wd.Constant(1.0, 1),
+            strategy=wd.Constant(1.0),
             eval_policy=wd.Incremental(),
             perm_policy=wd.Identity(),
             x0=np.array([1.0]),
@@ -344,7 +344,7 @@ class TestRun:
         problem = wd.make_problem("relu_net", 4, 2, 5)
         x0 = np.full(problem.p, -1e308)
         x0[0] = -0.0
-        cfg = wd.RunConfig(problem, wd.Constant(1e308, 4), wd.Incremental(), wd.Identity(), x0, 3)
+        cfg = wd.RunConfig(problem, wd.Constant(1e308), wd.Incremental(), wd.Identity(), x0, 3)
         with np.errstate(all="ignore"):
             trace = wd.run(cfg)
         assert trace.aborted_at == (0, 1) and trace.f_vals.tolist() == [math.inf]
@@ -364,7 +364,7 @@ class TestRun:
         prob = wd.make_problem("logistic", 4, 2, 9)
         cfg = wd.RunConfig(
             problem=prob,
-            strategy=wd.Constant(5.0, 4),
+            strategy=wd.Constant(5.0),
             eval_policy=wd.Incremental(),
             perm_policy=wd.Identity(),
             x0=np.zeros(2),
@@ -379,7 +379,7 @@ class TestRun:
 
     def test_adaptive_alpha_recomputable_from_dnorm2(self):
         prob = wd.make_problem("logistic", 5, 2, 21)
-        s = wd.Adaptive(delta=4.0, beta=1.5, n=5)
+        s = wd.Adaptive(delta=4.0, beta=1.5)
         trace = make_run(prob, s, epochs=15)
         v = s.delta
         for K in range(trace.epochs_completed):
@@ -390,7 +390,7 @@ class TestRun:
 
     def test_epoch_only_skips_inner_records(self):
         prob = wd.make_problem("logistic", 4, 2, 7)
-        trace = make_run(prob, wd.DecreasingSqrt(4), epochs=6, record_level="epoch_only")
+        trace = make_run(prob, wd.DecreasingSqrt(), epochs=6, record_level="epoch_only")
         assert all(getattr(trace, f) is None for f in INNER_FIELDS)
         assert len(trace.xs) == 7
         assert len(trace.alpha_sum) == 6
@@ -410,7 +410,7 @@ class TestReplay:
 
     def test_perturbed_alpha_detected_at_position(self):
         prob = wd.make_problem("logistic", 4, 2, 8)
-        trace = make_run(prob, wd.DecreasingSqrt(4), epochs=6)
+        trace = make_run(prob, wd.DecreasingSqrt(), epochs=6)
         trace.alpha[3][1] *= 1.0 + 1e-12
         rep = wd.replay(trace)
         assert not rep.ok
@@ -421,7 +421,7 @@ class TestReplay:
         # -0.0 == 0.0, but the record's x_0 is not the config's: the check and
         # the re-run both compare bits
         prob = wd.make_problem("logistic", 4, 2, 8)
-        trace = make_run(prob, wd.DecreasingSqrt(4), epochs=3, record_level=level)
+        trace = make_run(prob, wd.DecreasingSqrt(), epochs=3, record_level=level)
         trace.xs[0, 0] = -0.0
         assert wd.replay(trace) == wd.ReplayReport(False, (0, 0, "xs"))
 
@@ -453,7 +453,7 @@ class TestReplay:
     def test_zhat_reconstructs_bitwise_from_weights(self):
         prob = wd.make_problem("logistic", 6, 3, 12)
         policy = wd.ConvexMix(7)
-        trace = make_run(prob, wd.Constant(0.4, 6), eval_policy=policy, epochs=5)
+        trace = make_run(prob, wd.Constant(0.4), eval_policy=policy, epochs=5)
         for K in range(trace.epochs_completed):
             zs = [trace.xs[K]] + list(trace.z[K])
             for i, zhat in enumerate(trace.zhat[K], start=1):
@@ -491,7 +491,7 @@ class TestReplay:
 
     def test_epoch_only_trace_replays(self):
         prob = wd.make_problem("logistic", 4, 2, 3)
-        trace = make_run(prob, wd.Constant(0.2, 4), epochs=3, record_level="epoch_only")
+        trace = make_run(prob, wd.Constant(0.2), epochs=3, record_level="epoch_only")
         assert wd.replay(trace).ok
 
     @pytest.mark.parametrize(
@@ -536,7 +536,7 @@ class TestReplay:
     def test_corrupted_abort_detected(self):
         cfg = wd.RunConfig(
             problem=exploding_problem(scale=1e100),
-            strategy=wd.Constant(1.0, 1),
+            strategy=wd.Constant(1.0),
             eval_policy=wd.Incremental(),
             perm_policy=wd.Identity(),
             x0=np.array([1.0]),
@@ -553,7 +553,7 @@ class TestReplay:
     def test_trace_cut_short_reported_at_its_abort(self):
         # a full run made to look aborted: its arrays cover 3 epochs
         prob = wd.make_problem("logistic", 4, 2, 8)
-        trace = make_run(prob, wd.DecreasingSqrt(4), epochs=6)
+        trace = make_run(prob, wd.DecreasingSqrt(), epochs=6)
         for name in ("xs", "f_vals", "grad_sq"):
             setattr(trace, name, getattr(trace, name)[:4])
         for name in ("alpha_first", "alpha_last", "alpha_sum", "v_end") + INNER_FIELDS:
@@ -565,7 +565,7 @@ class TestReplay:
     def test_trace_cut_short_without_an_abort_is_a_mismatch(self, level, where):
         # no abort explains the missing epochs: the first one is the mismatch
         prob = wd.make_problem("logistic", 4, 2, 8)
-        trace = make_run(prob, wd.DecreasingSqrt(4), epochs=6, record_level=level)
+        trace = make_run(prob, wd.DecreasingSqrt(), epochs=6, record_level=level)
         for name in NODE_SERIES + EPOCH_SERIES + INNER_FIELDS:
             if getattr(trace, name) is not None:
                 setattr(trace, name, getattr(trace, name)[: 4 if name in NODE_SERIES else 3])
@@ -575,14 +575,14 @@ class TestReplay:
     @pytest.mark.parametrize("level, where", [("full", (4, 1, "index")), ("epoch_only", (4, 4, "xs"))])
     def test_record_of_more_epochs_than_its_config_is_a_mismatch(self, level, where):
         prob = wd.make_problem("logistic", 4, 2, 8)
-        trace = make_run(prob, wd.DecreasingSqrt(4), epochs=6, record_level=level)
+        trace = make_run(prob, wd.DecreasingSqrt(), epochs=6, record_level=level)
         trace.config = dataclasses.replace(trace.config, epochs=4)
         assert wd.replay(trace) == wd.ReplayReport(False, where)
 
     def test_corrupted_box_exit_detected(self):
         cfg = wd.RunConfig(
             problem=wd.make_problem("logistic", 4, 2, 9),
-            strategy=wd.Constant(5.0, 4),
+            strategy=wd.Constant(5.0),
             eval_policy=wd.Incremental(),
             perm_policy=wd.Identity(),
             x0=np.zeros(2),
@@ -641,7 +641,7 @@ class TestTraceFileProperty:
         self, eval_policy, perm_policy, level, adaptive, data
     ):
         prob = wd.make_problem("logistic", 4, 2, 6)
-        strategy = wd.Adaptive.recommended(4) if adaptive else wd.DecreasingSqrt(4)
+        strategy = wd.Adaptive.recommended(4) if adaptive else wd.DecreasingSqrt()
         trace = make_run(prob, strategy, eval_policy, perm_policy, epochs=3, record_level=level)
 
         # one stored value: inner step (K, i) -> (K, i), #NODES row of x_K ->
@@ -710,7 +710,7 @@ def test_every_zoo_kind_round_trips_through_file(kind, eval_policy, perm_policy,
     # loaded array has the run's bits (NaN and -0.0 included) and is
     # writable, and save -> load -> save writes the same bytes
     prob = wd.make_problem(kind, 4, 2, 13)
-    strategy = wd.Adaptive.recommended(4) if adaptive else wd.DecreasingSqrt(4)
+    strategy = wd.Adaptive.recommended(4) if adaptive else wd.DecreasingSqrt()
     for level in ("full", "epoch_only"):
         for abort in (False, True):
             x0 = np.full(prob.p, 0.2)
@@ -746,7 +746,7 @@ def test_every_zoo_kind_round_trips_through_file(kind, eval_policy, perm_policy,
 def test_a_loaded_problem_has_the_constants_of_the_saved_one(tmp_path, kind):
     # every constant is the kind's, so the header and #DATA give them all back
     prob = wd.make_problem(kind, 5, 1, 7)
-    trace = make_run(prob, wd.DecreasingSqrt(5), epochs=2)
+    trace = make_run(prob, wd.DecreasingSqrt(), epochs=2)
     wd.save_trace(trace, tmp_path / "trace.txt")
     loaded = wd.load_trace(tmp_path / "trace.txt").problem
     assert (loaded.n, loaded.p, loaded.M.hex()) == (prob.n, prob.p, prob.M.hex())
@@ -761,11 +761,11 @@ RULES = ("constant", "decreasing_sqrt", "decreasing_cbrt", "adaptive")
 def rule_strategy(rule: str, problem):
     n = problem.n
     if rule == "constant":
-        return wd.Constant(0.5 / problem.L if problem.is_smooth else 0.1, n)
+        return wd.Constant(0.5 / problem.L if problem.is_smooth else 0.1)
     if rule == "decreasing_sqrt":
-        return wd.DecreasingSqrt(n)
+        return wd.DecreasingSqrt()
     if rule == "decreasing_cbrt":
-        return wd.DecreasingCbrtWithL(problem.L or 1.0, n)
+        return wd.DecreasingCbrtWithL(problem.L or 1.0)
     return wd.Adaptive.recommended(n)
 
 
@@ -833,7 +833,7 @@ def reference_run(config) -> dict:
             if not math.isfinite(dnorm2):
                 aborted = (K, i)
                 break
-            v, alpha = wd.step_value(strategy, K, v, dnorm2)
+            v, alpha = wd.step_value(strategy, K, n, v, dnorm2)
             zs.append(zs[-1] - alpha * d)
             if not np.isfinite(zs[-1]).all():
                 aborted = (K, i)
@@ -895,7 +895,7 @@ def test_run_is_the_reference_recursion(kind, eval_policy, perm, rule, level, sh
     # then abort where the loop does
     n, epochs = shape
     problem = wd.make_problem(kind, n, 2, seed)
-    strategy = wd.Constant(1e308, n) if rule == "constant_1e308" else rule_strategy(rule, problem)
+    strategy = wd.Constant(1e308) if rule == "constant_1e308" else rule_strategy(rule, problem)
     config = wd.RunConfig(
         problem=problem,
         strategy=strategy,
@@ -957,7 +957,7 @@ class TestReplayCheck:
         # one recorded value at a drawn position, one ulp up (NaN to 1.0) or,
         # for index, the next component, n at the last: out of range
         problem = wd.make_problem(kind, 5, 2, 3)
-        strategy = wd.Adaptive.recommended(5) if adaptive else wd.DecreasingSqrt(5)
+        strategy = wd.Adaptive.recommended(5) if adaptive else wd.DecreasingSqrt()
         x0 = np.full(problem.p, 0.2)
         trace = make_run(problem, strategy, eval_policy, wd.ShuffledPerEpoch(2), epochs=EPOCH_BLOCK + 3, x0=x0)
         assert engine._check_record(trace)
@@ -978,7 +978,7 @@ class TestReplayCheck:
         prob = wd.make_problem("logistic", 5, 2, 3)
 
         def record():
-            return make_run(prob, wd.DecreasingSqrt(5), eval_policy, wd.ShuffledPerEpoch(2), epochs=4)
+            return make_run(prob, wd.DecreasingSqrt(), eval_policy, wd.ShuffledPerEpoch(2), epochs=4)
 
         expected = record().zhat
         trace = record()
@@ -1039,7 +1039,7 @@ def test_loaded_z_and_read_zhat_have_the_bits_of_the_run(eval_policy, kind, n, g
     x0 = 0.1 + np.random.default_rng(seed).random(problem.p)
     x0[0] = -0.0
     config = wd.RunConfig(
-        problem=dataclasses.replace(problem, components=comps), strategy=wd.Constant(0.1, n),
+        problem=dataclasses.replace(problem, components=comps), strategy=wd.Constant(0.1),
         eval_policy=eval_policy, perm_policy=wd.ShuffledPerEpoch(seed), x0=x0, epochs=12, track_objective=False,
     )
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1065,7 +1065,7 @@ def record_not_of_its_config(case: str) -> wd.RunTrace:
     prescribed = case in ("dnorm2", "prescribed_alpha")
     config = wd.RunConfig(
         problem=problem,
-        strategy=wd.Constant(0.3, 5) if prescribed else wd.Adaptive.recommended(5),
+        strategy=wd.Constant(0.3) if prescribed else wd.Adaptive.recommended(5),
         eval_policy=wd.FullGradient() if case == "z" else wd.Incremental(),
         perm_policy=wd.ShuffledPerEpoch(2),
         x0=np.full(2, 0.2),
@@ -1096,9 +1096,9 @@ def record_not_of_its_config(case: str) -> wd.RunTrace:
             real_step = engine.step_value
             calls = collections.Counter()  # step_value calls per epoch: the j-th is step j
 
-            def nudged_step(strategy, k, v, dnorm2):
+            def nudged_step(strategy, k, n, v, dnorm2):
                 calls[k] += 1
-                v, alpha = real_step(strategy, k, v, dnorm2)
+                v, alpha = real_step(strategy, k, n, v, dnorm2)
                 if (k, calls[k]) != (K, i):
                     return v, alpha
                 if case == "v":
@@ -1110,7 +1110,7 @@ def record_not_of_its_config(case: str) -> wd.RunTrace:
         elif case == "infinite_dnorm2":
             # ||d||^2 overflows while z stays finite; the run would abort at once
             config = wd.RunConfig(
-                problem=formula_problem(1, 1, lambda x: 0.0, lambda x: 1e200 * x, 1.0), strategy=wd.Constant(1e-201, 1),
+                problem=formula_problem(1, 1, lambda x: 0.0, lambda x: 1e200 * x, 1.0), strategy=wd.Constant(1e-201),
                 eval_policy=wd.Incremental(), perm_policy=wd.Identity(), x0=np.ones(1), epochs=3,
                 track_objective=False,
             )
@@ -1118,7 +1118,7 @@ def record_not_of_its_config(case: str) -> wd.RunTrace:
             mp.setattr(math, "isfinite", lambda value: True)
         elif case == "infinite_x":
             config = wd.RunConfig(
-                problem=formula_problem(1, 1, lambda x: 0.0, lambda x: np.zeros(1), 0.0), strategy=wd.Constant(0.5, 1),
+                problem=formula_problem(1, 1, lambda x: 0.0, lambda x: np.zeros(1), 0.0), strategy=wd.Constant(0.5),
                 eval_policy=wd.Incremental(), perm_policy=wd.Identity(), x0=np.ones(1), epochs=3,
                 track_objective=False,
             )
@@ -1135,7 +1135,7 @@ def record_not_of_its_config(case: str) -> wd.RunTrace:
     elif case == "epochs_completed":
         trace.alpha_sum = np.append(trace.alpha_sum, 0.0)  # one epoch more than the config runs
     elif case == "prescribed_alpha":
-        trace.config = dataclasses.replace(config, strategy=wd.Constant(np.nextafter(0.3, 1.0), 5))
+        trace.config = dataclasses.replace(config, strategy=wd.Constant(np.nextafter(0.3, 1.0)))
     elif case in ("dnorm2", "z"):
         getattr(trace, case)[K, i - 1] = np.nextafter(getattr(trace, case)[K, i - 1], np.inf)
     elif case == "x_next":
@@ -1174,7 +1174,7 @@ class TestTraceHeader:
 
     def test_provenance_and_config_hash_round_trip(self, tmp_path):
         prob = wd.make_problem("logistic", 4, 2, 8)
-        trace = make_run(prob, wd.DecreasingSqrt(4), epochs=3)
+        trace = make_run(prob, wd.DecreasingSqrt(), epochs=3)
         assert trace.provenance == provenance()
         assert set(trace.provenance) == {"wrdescent", "numpy", "python", "blas", "blas_core"}
         # a trace made on another machine keeps its provenance through a load
@@ -1212,7 +1212,7 @@ class TestTraceHeader:
 def test_header_abort_and_box_exit_name_a_step_and_a_node_of_the_run(tmp_path, capsys, key, value, message):
     # the config hash covers neither field, so a load checks each against
     # the run: K in 0..epochs-1 and i in 1..n, a node in 0..N
-    trace = make_run(wd.make_problem("logistic", 4, 2, 3), wd.Constant(0.5, 4), epochs=5)
+    trace = make_run(wd.make_problem("logistic", 4, 2, 3), wd.Constant(0.5), epochs=5)
     path = tmp_path / "trace.txt"
     wd.save_trace(trace, path)
     first, _, rest = path.read_bytes().partition(b"\n")
@@ -1234,7 +1234,7 @@ def test_header_abort_and_box_exit_name_a_step_and_a_node_of_the_run(tmp_path, c
 class TestSummaryCsv:
     def test_row_count_and_columns(self, tmp_path):
         prob = wd.make_problem("logistic", 2, 1, 2)
-        trace = make_run(prob, wd.Constant(0.5, 2), epochs=10, record_level="epoch_only")
+        trace = make_run(prob, wd.Constant(0.5), epochs=10, record_level="epoch_only")
         path = tmp_path / "summary.csv"
         wd.write_summary_csv(trace, path)
         lines = path.read_text().splitlines()
@@ -1243,7 +1243,7 @@ class TestSummaryCsv:
 
     def test_min_so_far_is_running_minimum(self, tmp_path):
         prob = wd.make_problem("logistic", 3, 2, 4)
-        trace = make_run(prob, wd.DecreasingSqrt(3), epochs=7, record_level="epoch_only")
+        trace = make_run(prob, wd.DecreasingSqrt(), epochs=7, record_level="epoch_only")
         path = tmp_path / "summary.csv"
         wd.write_summary_csv(trace, path)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
@@ -1270,7 +1270,7 @@ class TestEpochBlocks:
         # runs advance in blocks of EPOCH_BLOCK epochs; where a block ends
         # must not show in the record
         prob = wd.make_problem("logistic", 4, 2, 6)
-        strategy = wd.Adaptive.recommended(4) if adaptive else wd.DecreasingSqrt(4)
+        strategy = wd.Adaptive.recommended(4) if adaptive else wd.DecreasingSqrt()
 
         def run(epochs):
             return wd.run(wd.RunConfig(
@@ -1298,7 +1298,7 @@ class TestEpochBlocks:
 
         def run(epochs):
             return wd.run(wd.RunConfig(
-                problem=prob, strategy=wd.Constant(alpha, 1), eval_policy=wd.Incremental(),
+                problem=prob, strategy=wd.Constant(alpha), eval_policy=wd.Incremental(),
                 perm_policy=wd.Identity(), x0=np.ones(1), epochs=epochs, record_level=level,
                 monitor_radius=1e250,
             ))
@@ -1318,7 +1318,7 @@ class TestEpochBlocks:
         # F and ||grad F||^2 of every node come from stacked calls, with the
         # bits of full_value(x_K) and g @ g of g = full_direction(x_K)
         prob = wd.make_problem(kind, 5, 2, 4)
-        trace = make_run(prob, wd.DecreasingSqrt(5), epochs=EPOCH_BLOCK + 3, record_level="epoch_only",
+        trace = make_run(prob, wd.DecreasingSqrt(), epochs=EPOCH_BLOCK + 3, record_level="epoch_only",
                          x0=np.full(prob.p, 0.1))
         for x, f, g2 in zip(trace.xs, trace.f_vals.tolist(), trace.grad_sq.tolist()):
             g = prob.full_direction(x)
@@ -1335,7 +1335,7 @@ class TestEpochBlocks:
             monkeypatch.setattr(wd.FiniteSumProblem, name, counted(name, getattr(wd.FiniteSumProblem, name)))
         monkeypatch.setattr(engine, "permutation", counted("order", engine.permutation))
         prob = wd.make_problem("logistic", 4, 2, 6)
-        make_run(prob, wd.DecreasingSqrt(4), perm_policy=wd.ShuffledPerEpoch(3), epochs=2 * EPOCH_BLOCK + 1)
+        make_run(prob, wd.DecreasingSqrt(), perm_policy=wd.ShuffledPerEpoch(3), epochs=2 * EPOCH_BLOCK + 1)
         blocks = [EPOCH_BLOCK, EPOCH_BLOCK, 1]
         nodes = [EPOCH_BLOCK + 1, EPOCH_BLOCK, 1]
         expected = []
@@ -1350,22 +1350,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             wd.RunConfig(
                 problem=prob,
-                strategy=wd.Constant(0.1, 2),
+                strategy=wd.Constant(0.1),
                 eval_policy=wd.Incremental(),
                 perm_policy=wd.Identity(),
                 x0=np.zeros(2),
-                epochs=1,
-            )
-
-    def test_strategy_n_must_match(self):
-        prob = wd.make_problem("logistic", 2, 3, 0)
-        with pytest.raises(ValueError):
-            wd.RunConfig(
-                problem=prob,
-                strategy=wd.Constant(0.1, 3),
-                eval_policy=wd.Incremental(),
-                perm_policy=wd.Identity(),
-                x0=np.zeros(3),
                 epochs=1,
             )
 
@@ -1374,7 +1362,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="'perm_policy.perm' has 2 entries, the problem has n = 4"):
             wd.RunConfig(
                 problem=prob,
-                strategy=wd.Constant(0.1, 4),
+                strategy=wd.Constant(0.1),
                 eval_policy=wd.Incremental(),
                 perm_policy=wd.FixedPermutation([1, 0]),
                 x0=np.zeros(3),
@@ -1386,7 +1374,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             wd.RunConfig(
                 problem=prob,
-                strategy=wd.Constant(0.1, 2),
+                strategy=wd.Constant(0.1),
                 eval_policy=wd.Incremental(),
                 perm_policy=wd.Identity(),
                 x0=np.zeros(3),
@@ -1395,13 +1383,12 @@ class TestConfigValidation:
 
 
 _positive = st.floats(min_value=1e-6, max_value=1e6)
-_n = st.integers(min_value=1, max_value=64)
 _seed = st.integers(min_value=0, max_value=2**32)
 VARIANT_VALUES = {
-    wd.Constant: st.builds(wd.Constant, alpha=_positive, n=_n),
-    wd.DecreasingSqrt: st.builds(wd.DecreasingSqrt, n=_n),
-    wd.DecreasingCbrtWithL: st.builds(wd.DecreasingCbrtWithL, L=_positive, n=_n),
-    wd.Adaptive: st.builds(wd.Adaptive, delta=_positive, beta=_positive, n=_n),
+    wd.Constant: st.builds(wd.Constant, alpha=_positive),
+    wd.DecreasingSqrt: st.just(wd.DecreasingSqrt()),
+    wd.DecreasingCbrtWithL: st.builds(wd.DecreasingCbrtWithL, L=_positive),
+    wd.Adaptive: st.builds(wd.Adaptive, delta=_positive, beta=_positive),
     wd.FullGradient: st.just(wd.FullGradient()),
     wd.Incremental: st.just(wd.Incremental()),
     wd.MiniBatch: st.builds(wd.MiniBatch, b=st.integers(min_value=1, max_value=64)),
@@ -1414,6 +1401,10 @@ VARIANT_VALUES = {
     wd.ShuffledPerEpoch: st.builds(wd.ShuffledPerEpoch, seed=_seed),
     wd.AdversarialMaxNorm: st.just(wd.AdversarialMaxNorm()),
 }
+
+# the parameters of each step rule, the only keys beside "variant" of its serialized form
+RULE_PARAMETERS = {wd.Constant: ("alpha",), wd.DecreasingSqrt: (), wd.DecreasingCbrtWithL: ("L",),
+                   wd.Adaptive: ("delta", "beta")}
 
 
 def _values_of(section):
@@ -1430,6 +1421,8 @@ class TestVariantDicts:
         section, value = section_and_value
         doc = json.loads(json.dumps(variant_to_dict(value)))
         assert list(doc)[0] == "variant"
+        if section == "strategy":  # the rule's parameters only: n is the problem's
+            assert set(doc) == {"variant", *RULE_PARAMETERS[type(value)]}
         assert variant_from_dict(doc, VARIANT_SECTIONS[section]) == value
 
     def test_unknown_variant_rejected(self):
@@ -1453,7 +1446,7 @@ class TestVariantDicts:
         n = len(perm_policy.perm) if isinstance(perm_policy, wd.FixedPermutation) else 3
         config = wd.RunConfig(
             problem=wd.make_problem("logistic", n, 2, 5),
-            strategy=dataclasses.replace(strategy, n=n),
+            strategy=strategy,
             eval_policy=eval_policy,
             perm_policy=perm_policy,
             x0=np.array(x0),

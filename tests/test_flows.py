@@ -145,27 +145,27 @@ class TestInterpolant:
     def test_breakpoints_accumulate_epoch_step_mass(self):
         # interval K carries epoch K's mass: tau_0 = 0, tau_{K+1} = (K+1) alpha
         prob = wd.make_problem("logistic", 4, 2, 5)
-        trace = make_run(prob, wd.Constant(0.8, 4), epochs=5, record_level="epoch_only")
+        trace = make_run(prob, wd.Constant(0.8), epochs=5, record_level="epoch_only")
         w = wd.interpolant(trace)
         assert w.taus == approx(0.8 * np.arange(6))
 
     def test_nodes_hit_exactly(self):
         prob = wd.make_problem("logistic", 3, 2, 6)
-        trace = make_run(prob, wd.DecreasingSqrt(3), epochs=8)
+        trace = make_run(prob, wd.DecreasingSqrt(), epochs=8)
         w = wd.interpolant(trace)
         for K in range(9):
             assert np.array_equal(w(w.taus[K]), trace.xs[K])
 
     def test_midpoint_affine(self):
         prob = wd.make_problem("logistic", 3, 2, 6)
-        trace = make_run(prob, wd.DecreasingSqrt(3), epochs=4)
+        trace = make_run(prob, wd.DecreasingSqrt(), epochs=4)
         w = wd.interpolant(trace)
         mid = 0.5 * (w.taus[2] + w.taus[3])
         assert w(mid) == approx(0.5 * (trace.xs[2] + trace.xs[3]), rel=1e-14)
 
     def test_constant_extension_outside_span(self):
         prob = wd.make_problem("logistic", 3, 2, 6)
-        trace = make_run(prob, wd.DecreasingSqrt(3), epochs=3)
+        trace = make_run(prob, wd.DecreasingSqrt(), epochs=3)
         w = wd.interpolant(trace)
         assert np.array_equal(w(-1.0), trace.xs[0])
         assert np.array_equal(w(w.horizon + 5.0), trace.xs[3])
@@ -174,7 +174,7 @@ class TestInterpolant:
 class TestGammaTrace:
     def test_constant_steps(self):
         prob = wd.make_problem("logistic", 4, 2, 7)
-        trace = make_run(prob, wd.Constant(0.5, 4), epochs=4)
+        trace = make_run(prob, wd.Constant(0.5), epochs=4)
         gt = wd.gamma_trace(trace)
         # gamma = max(n * (alpha/n) * M, 0) = alpha * M per epoch
         assert gt.gammas == approx(np.full(4, 0.5 * prob.M))
@@ -182,7 +182,7 @@ class TestGammaTrace:
 
     def test_decreasing_sqrt_profile(self):
         prob = wd.make_problem("logistic", 5, 2, 8)
-        trace = make_run(prob, wd.DecreasingSqrt(5), epochs=6)
+        trace = make_run(prob, wd.DecreasingSqrt(), epochs=6)
         gt = wd.gamma_trace(trace)
         expected = prob.M / np.sqrt(np.arange(1.0, 7.0))
         assert gt.gammas == approx(expected, rel=1e-12)
@@ -190,7 +190,7 @@ class TestGammaTrace:
 
     def test_adaptive_lambda_bound_and_decay(self):
         prob = wd.make_problem("logistic", 6, 2, 9)
-        trace = make_run(prob, wd.Adaptive(delta=1.0, beta=36.0, n=6), epochs=300)
+        trace = make_run(prob, wd.Adaptive(delta=1.0, beta=36.0), epochs=300)
         gt = wd.gamma_trace(trace)
         assert gt.lambda_bound_ok
         assert gt.max_lambda_excess <= 1e-12
@@ -198,7 +198,7 @@ class TestGammaTrace:
 
     def test_piecewise_constant_lookup(self):
         prob = wd.make_problem("logistic", 3, 2, 10)
-        trace = make_run(prob, wd.DecreasingSqrt(3), epochs=4)
+        trace = make_run(prob, wd.DecreasingSqrt(), epochs=4)
         gt = wd.gamma_trace(trace)
         t = 0.5 * (gt.taus[1] + gt.taus[2])
         assert gt(t) == gt.gamma_of_epoch(1)
@@ -206,7 +206,7 @@ class TestGammaTrace:
 
 class TestFlowIntegration:
     def test_zero_direction_deviation_zero(self):
-        trace = make_run(zero_problem(), wd.Constant(0.5, 2), epochs=6)
+        trace = make_run(zero_problem(), wd.Constant(0.5), epochs=6)
         assert wd.apt_deviation(trace, t=0.1, T=0.5, h=1e-2) == 0.0
 
     def test_lyapunov_descent_along_flow(self):
@@ -223,7 +223,7 @@ class TestFlowIntegration:
     def test_late_window_shadows_better_than_early(self):
         prob = wd.make_problem("logistic", 8, 3, 12)
         trace = make_run(
-            prob, wd.DecreasingSqrt(8), epochs=400, record_level="epoch_only"
+            prob, wd.DecreasingSqrt(), epochs=400, record_level="epoch_only"
         )
         w = wd.interpolant(trace)
         early = wd.apt_deviation(trace, t=float(w.taus[5]), T=1.0, h=1e-3)
@@ -242,7 +242,7 @@ class TestFlowIntegration:
         for alpha in (0.02, 0.04, 0.08):
             trace = make_run(
                 prob,
-                wd.Constant(alpha, 1),
+                wd.Constant(alpha),
                 epochs=int(math.ceil(1.5 / alpha)),
                 x0=np.array([1.0]),
             )
@@ -253,12 +253,12 @@ class TestFlowIntegration:
 
     def test_coarse_step_flagged(self):
         prob = wd.make_problem("logistic", 4, 2, 13)
-        trace = make_run(prob, wd.Constant(2.0, 4), epochs=40, record_level="epoch_only")
+        trace = make_run(prob, wd.Constant(2.0), epochs=40, record_level="epoch_only")
         with pytest.raises(ValueError, match="too coarse"):
             wd.apt_deviation(trace, t=0.0, T=10.0, h=5.0)
 
     def test_window_must_fit_span(self):
         prob = wd.make_problem("logistic", 4, 2, 13)
-        trace = make_run(prob, wd.Constant(0.5, 4), epochs=4, record_level="epoch_only")
+        trace = make_run(prob, wd.Constant(0.5), epochs=4, record_level="epoch_only")
         with pytest.raises(ValueError):
             wd.apt_deviation(trace, t=0.0, T=100.0, h=0.1)

@@ -10,76 +10,77 @@ import wrdescent as wd
 from wrdescent.steps import epoch_step, step_value
 
 
-def drive(strategy, dnorm2_epochs):
-    """Feed per-epoch dnorm2 lists through step_value, carrying the
-    accumulator from delta (None for a prescribed rule); (v, per-epoch alphas)."""
+def drive(strategy, n, dnorm2_epochs):
+    """Feed per-epoch dnorm2 lists through step_value on n components,
+    carrying the accumulator from delta (None for a prescribed rule);
+    (v, per-epoch alphas)."""
     v = strategy.delta if isinstance(strategy, wd.Adaptive) else None
     history = []
     for K, epoch in enumerate(dnorm2_epochs):
         alphas = []
         for d2 in epoch:
-            v, alpha = step_value(strategy, K, v, d2)
+            v, alpha = step_value(strategy, K, n, v, d2)
             alphas.append(alpha)
         history.append(alphas)
     return v, history
 
 
-def alpha_last(strategy, history):
-    """Last step size of each completed epoch, as a run's record holds it."""
-    return [epoch[-1] for epoch in history if len(epoch) == strategy.n]
+def alpha_last(n, history):
+    """Last step size of each completed epoch of n steps, as a run's record holds it."""
+    return [epoch[-1] for epoch in history if len(epoch) == n]
 
 
 class TestStepValue:
     def test_constant(self):
-        s = wd.Constant(alpha=0.5, n=5)
-        assert step_value(s, 0, None) == (None, approx(0.1))
+        s = wd.Constant(alpha=0.5)
+        assert step_value(s, 0, 5, None) == (None, approx(0.1))
 
     def test_adaptive_first_call(self):
-        s = wd.Adaptive(delta=8.0, beta=1.0, n=2)
-        v, alpha = step_value(s, 0, s.delta, dnorm2=19.0)
+        s = wd.Adaptive(delta=8.0, beta=1.0)
+        v, alpha = step_value(s, 0, 2, s.delta, dnorm2=19.0)
         assert v == approx(27.0)
         assert alpha == approx(1.0 / 3.0)
 
     def test_decreasing_sqrt(self):
-        s = wd.DecreasingSqrt(n=2)
+        s = wd.DecreasingSqrt()
         for K in range(4):
             for i in (1, 2):
-                _, alpha = step_value(s, K, None)
+                _, alpha = step_value(s, K, 2, None)
         assert alpha == approx(0.25)  # K = 3: 1/(2*sqrt(4))
 
     def test_decreasing_cbrt(self):
-        s = wd.DecreasingCbrtWithL(L=2.0, n=4)
-        assert step_value(s, 0, None)[1] == approx(1.0 / 8.0)
+        s = wd.DecreasingCbrtWithL(L=2.0)
+        assert step_value(s, 0, 4, None)[1] == approx(1.0 / 8.0)
 
     def test_negative_dnorm2_rejected(self):
-        for s in (wd.Constant(alpha=1.0, n=2), wd.Adaptive(delta=8.0, beta=1.0, n=2)):
+        for s in (wd.Constant(alpha=1.0), wd.Adaptive(delta=8.0, beta=1.0)):
             with pytest.raises(ValueError):
-                step_value(s, 0, 8.0, dnorm2=-1.0)
+                step_value(s, 0, 2, 8.0, dnorm2=-1.0)
 
     @pytest.mark.parametrize(
         "strategy",
-        [wd.Constant(alpha=0.5, n=3), wd.DecreasingSqrt(n=3), wd.DecreasingCbrtWithL(L=2.0, n=3)],
+        [wd.Constant(alpha=0.5), wd.DecreasingSqrt(), wd.DecreasingCbrtWithL(L=2.0)],
         ids=lambda s: s.VARIANT,
     )
     def test_epoch_step_is_the_epochs_step_values(self, strategy):
         # one call per epoch: the step size of each of its n steps, which leave the accumulator as it was
         for K in range(5):
-            steps = [step_value(strategy, K, 1.0, 0.5) for _ in range(3)]
-            assert [(1.0, epoch_step(strategy, K))] * 3 == steps
+            steps = [step_value(strategy, K, 3, 1.0, 0.5) for _ in range(3)]
+            assert [(1.0, epoch_step(strategy, K, 3))] * 3 == steps
 
     def test_epoch_step_of_the_adaptive_rule_is_per_step(self):
-        s = wd.Adaptive(delta=8.0, beta=1.0, n=2)
-        assert epoch_step(s, 0) is None
+        s = wd.Adaptive(delta=8.0, beta=1.0)
+        assert epoch_step(s, 0, 2) is None
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            wd.Constant(alpha=0.0, n=2)
+            wd.Constant(alpha=0.0)
         with pytest.raises(ValueError):
-            wd.DecreasingCbrtWithL(L=0.0, n=2)
+            wd.DecreasingCbrtWithL(L=0.0)
         with pytest.raises(ValueError):
-            wd.Adaptive(delta=0.0, beta=1.0, n=2)
+            wd.Adaptive(delta=0.0, beta=1.0)
         with pytest.raises(ValueError):
-            wd.Adaptive(delta=1.0, beta=-1.0, n=2)
+            wd.Adaptive(delta=1.0, beta=-1.0)
 
     def test_recommended_adaptive_defaults(self):
         s = wd.Adaptive.recommended(4)
@@ -93,58 +94,58 @@ class TestRateParams:
     def test_constant_with_l_up_to_one_over_l(self):
         prob = wd.make_problem("logistic", 8, 3, 5)
         edge = 1.0 / prob.L
-        assert wd.Constant(edge, 8).rate_params(prob) == {
+        assert wd.Constant(edge).rate_params(prob) == {
             "constant": {"alpha": edge},
             "constant_with_l": {"alpha": edge},
         }
         above = float(np.nextafter(edge, math.inf))
-        assert wd.Constant(above, 8).rate_params(prob) == {"constant": {"alpha": above}}
+        assert wd.Constant(above).rate_params(prob) == {"constant": {"alpha": above}}
 
     def test_constant_on_nonsmooth_problem(self):
         prob = wd.make_problem("median", 5, 1, 3)
-        assert wd.Constant(1e-6, 5).rate_params(prob) == {"constant": {"alpha": 1e-6}}
+        assert wd.Constant(1e-6).rate_params(prob) == {"constant": {"alpha": 1e-6}}
 
     def test_decreasing_sqrt(self):
         prob = wd.make_problem("logistic", 8, 3, 5)
-        assert wd.DecreasingSqrt(8).rate_params(prob) == {"decreasing_sqrt": {}}
+        assert wd.DecreasingSqrt().rate_params(prob) == {"decreasing_sqrt": {}}
 
     def test_adaptive_only_with_recommended_parameters(self):
         prob = wd.make_problem("logistic", 8, 3, 5)
         rec = wd.Adaptive.recommended(8)
         assert rec.rate_params(prob) == {"adaptive": {}}
-        doubled = wd.Adaptive(delta=2.0 * rec.delta, beta=rec.beta, n=8)
+        doubled = wd.Adaptive(delta=2.0 * rec.delta, beta=rec.beta)
         assert doubled.rate_params(prob) == {}
         # beta != n^2, with delta = n^3
         for n, beta in ((4, 3.0), (32, 2.0)):
-            other = wd.Adaptive(delta=float(n) ** 3, beta=beta, n=n)
+            other = wd.Adaptive(delta=float(n) ** 3, beta=beta)
             assert other.rate_params(wd.make_problem("logistic", n, 3, 5)) == {}
 
     def test_cbrt_needs_l_at_least_the_problems(self):
         prob = wd.make_problem("logistic", 8, 3, 5)
         for L in (prob.L, 2.0 * prob.L):
-            assert wd.DecreasingCbrtWithL(L, 8).rate_params(prob) == {"decreasing_cbrt": {"L": L}}
-        assert wd.DecreasingCbrtWithL(prob.L / 2.0, 8).rate_params(prob) == {}
+            assert wd.DecreasingCbrtWithL(L).rate_params(prob) == {"decreasing_cbrt": {"L": L}}
+        assert wd.DecreasingCbrtWithL(prob.L / 2.0).rate_params(prob) == {}
 
 
 class TestEpochAnchor:
     def test_constant_any_epoch(self):
-        s = wd.Constant(alpha=0.5, n=5)
-        assert wd.epoch_anchor(s, 0) == approx(0.1)
+        s = wd.Constant(alpha=0.5)
+        assert wd.epoch_anchor(s, 0, 5) == approx(0.1)
 
     def test_adaptive_initial(self):
-        s = wd.Adaptive(delta=8.0, beta=1.0, n=3)
-        assert wd.epoch_anchor(s, 0) == approx(0.5)
+        s = wd.Adaptive(delta=8.0, beta=1.0)
+        assert wd.epoch_anchor(s, 0, 3) == approx(0.5)
 
     def test_adaptive_after_one_epoch(self):
-        s = wd.Adaptive(delta=8.0, beta=1.0, n=2)
-        _, history = drive(s, [[9.0, 10.0]])  # total beta * sum = 19 -> v = 27
-        assert wd.epoch_anchor(s, 1, alpha_last(s, history)) == approx(1.0 / 3.0)
+        s = wd.Adaptive(delta=8.0, beta=1.0)
+        _, history = drive(s, 2, [[9.0, 10.0]])  # total beta * sum = 19 -> v = 27
+        assert wd.epoch_anchor(s, 1, 2, alpha_last(2, history)) == approx(1.0 / 3.0)
 
     def test_mid_epoch_rejected(self):
-        s = wd.Constant(alpha=1.0, n=2)
-        _, history = drive(s, [[0.0]])
+        s = wd.Constant(alpha=1.0)
+        _, history = drive(s, 2, [[0.0]])
         with pytest.raises(ValueError):
-            wd.epoch_anchor(s, 1, alpha_last(s, history))
+            wd.epoch_anchor(s, 1, 2, alpha_last(2, history))
 
 
 def first_rise(alpha):
@@ -160,9 +161,9 @@ def first_rise(alpha):
 
 class TestLexMonotone:
     def test_adaptive_history_monotone(self):
-        s = wd.Adaptive(delta=2.0, beta=0.7, n=4)
+        s = wd.Adaptive(delta=2.0, beta=0.7)
         rng = np.random.default_rng(3)
-        _, history = drive(s, rng.random((20, 4)).tolist())
+        _, history = drive(s, 4, rng.random((20, 4)).tolist())
         assert wd.check_lex_monotone(np.array(history))
 
     def test_constructed_violation_position(self):
@@ -175,8 +176,8 @@ class TestLexMonotone:
         assert rep.violation == (1, 1)
 
     def test_decreasing_sqrt_hundred_epochs(self):
-        s = wd.DecreasingSqrt(n=3)
-        _, history = drive(s, [[0.0] * 3 for _ in range(100)])
+        s = wd.DecreasingSqrt()
+        _, history = drive(s, 3, [[0.0] * 3 for _ in range(100)])
         assert wd.check_lex_monotone(np.array(history))
 
     def test_empty_history_rejected(self):
@@ -217,8 +218,8 @@ class TestAsymptoticConditions:
     epoch, which should be near 1."""
 
     def test_constant_flags_alpha(self):
-        s = wd.Constant(alpha=0.5, n=2)
-        _, history = drive(s, [[0.0, 0.0] for _ in range(10)])
+        s = wd.Constant(alpha=0.5)
+        _, history = drive(s, 2, [[0.0, 0.0] for _ in range(10)])
         firsts = [e[0] for e in history]
         ratio = history[-1][0] / history[-1][-1]
         assert ratio == 1.0
@@ -227,47 +228,47 @@ class TestAsymptoticConditions:
         assert math.fsum(firsts) == approx(10 * 0.25)
 
     def test_decreasing_sqrt_scaling(self):
-        s = wd.DecreasingSqrt(n=2)
-        _, history = drive(s, [[0.0, 0.0] for _ in range(10_001)])
+        s = wd.DecreasingSqrt()
+        _, history = drive(s, 2, [[0.0, 0.0] for _ in range(10_001)])
         last = history[10_000]
         assert last[0] / last[-1] == 1.0
         assert last[0] == approx(1.0 / (2.0 * math.sqrt(10_001)), rel=1e-12)
         assert last[0] <= 1e-2
 
     def test_adaptive_ratio_bounded_by_accumulator(self):
-        s = wd.Adaptive(delta=8.0, beta=2.0, n=4)
+        s = wd.Adaptive(delta=8.0, beta=2.0)
         rng = np.random.default_rng(8)
         epochs = (rng.random((50, 4)) * 1.5).tolist()
-        _, history = drive(s, epochs)
+        _, history = drive(s, 4, epochs)
         ratio = history[49][0] / history[49][-1]
         m_sq = 1.5  # upper bound on every fed dnorm2
         v_start = 8.0 + 2.0 * math.fsum(v for e in epochs[:49] for v in e)
-        assert ratio - 1.0 <= s.beta * s.n * m_sq / v_start
+        assert ratio - 1.0 <= s.beta * 4 * m_sq / v_start
 
 
 class TestStateInvariants:
     def test_v_nondecreasing_and_replayable(self):
-        s = wd.Adaptive(delta=3.0, beta=0.5, n=3)
+        s = wd.Adaptive(delta=3.0, beta=0.5)
         rng = np.random.default_rng(4)
         feeds = rng.random((30, 3)).tolist()
         v = v_expected = 3.0
         for K, epoch in enumerate(feeds):
             for d2 in epoch:
                 prev = v
-                v, _ = step_value(s, K, v, d2)
+                v, _ = step_value(s, K, 3, v, d2)
                 v_expected = v_expected + 0.5 * d2
                 assert v == v_expected  # exact replay of the recursion
                 assert v >= prev
 
     def test_alpha_upper_bound(self):
         for s in (
-            wd.Constant(alpha=0.3, n=4),
-            wd.DecreasingSqrt(n=4),
-            wd.DecreasingCbrtWithL(L=2.0, n=4),
-            wd.Adaptive(delta=5.0, beta=1.0, n=4),
+            wd.Constant(alpha=0.3),
+            wd.DecreasingSqrt(),
+            wd.DecreasingCbrtWithL(L=2.0),
+            wd.Adaptive(delta=5.0, beta=1.0),
         ):
             rng = np.random.default_rng(1)
-            _, history = drive(s, rng.random((15, 4)).tolist())
+            _, history = drive(s, 4, rng.random((15, 4)).tolist())
             flat = np.concatenate(history)
             cap = max(flat[0], 5.0 ** (-1.0 / 3.0))
             assert np.all(flat > 0)
@@ -285,14 +286,14 @@ class TestStateInvariants:
 )
 @settings(max_examples=60)
 def test_adaptive_always_lex_monotone(feeds, delta, beta):
-    s = wd.Adaptive(delta=delta, beta=beta, n=3)
-    _, history = drive(s, feeds)
+    s = wd.Adaptive(delta=delta, beta=beta)
+    _, history = drive(s, 3, feeds)
     assert wd.check_lex_monotone(np.array(history))
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=30))
 @settings(max_examples=40)
 def test_prescribed_rules_lex_monotone(n, epochs):
-    for s in (wd.DecreasingSqrt(n=n), wd.DecreasingCbrtWithL(L=0.7, n=n)):
-        _, history = drive(s, [[0.0] * n for _ in range(epochs)])
+    for s in (wd.DecreasingSqrt(), wd.DecreasingCbrtWithL(L=0.7)):
+        _, history = drive(s, n, [[0.0] * n for _ in range(epochs)])
         assert wd.check_lex_monotone(np.array(history))
