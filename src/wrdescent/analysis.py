@@ -46,9 +46,16 @@ repaired form, so they are unaffected.
 Each per-epoch inequality has one computation over an epoch range
 0 <= k_min <= k_max < N, array by array, reported at the first epoch of
 least slack; each ``check_*_trace`` function runs it over the range its
-``k_min``/``k_max`` keywords give.  Step sums are ``math.fsum`` over
-Python floats and squared norms stacked matmuls (one ddot per row), so a
-range has the bits of the per-epoch formulas.  The preconditions, in this
+``k_min``/``k_max`` keywords give.  The step sums (``STEP_SUMS``: S2,
+ratio_cube = sum_i (1 - alpha_{K,i}^3 / alpha_K^3) and ratio_sq =
+sum_i (alpha_{K,i}/alpha_K - 1)^2) are ``math.fsum`` over Python floats,
+Python's ``**`` included, whose bits NumPy's products need not have; each
+is derived for the whole record on its first read and kept on the trace,
+so the checks of one ``verify`` derive it once and slice their ranges.
+A term or a partial sum past the float range raises OverflowError naming
+the first such epoch of the range and its step.  Squared norms are
+stacked matmuls (one ddot per row), so a range has the bits of the
+per-epoch formulas.  The preconditions, in this
 order, raise the reasons ``verify`` skips a check for: full records, a
 smooth problem, the range's epochs.  A range in which an epoch's lhs or
 rhs is not finite still reports its least slack, and names that epoch in
@@ -160,11 +167,58 @@ def _least_slack(name, epochs, lhs, rhs, denom, tol, detail) -> MarginReport:
     return rep
 
 
-def _s2(trace: RunTrace, epochs: range) -> np.ndarray:
-    """S2 = sum_j alpha_{K,j}^2 ||d_j||^2 of each epoch K, term by term in Python floats."""
-    at = slice(epochs.start, epochs.stop)
-    rows = zip(trace.alpha[at], trace.dnorm2[at])
-    return np.array([math.fsum([a**2 * d2 for a, d2 in zip(al.tolist(), dl.tolist())]) for al, dl in rows])
+# each epoch's terms of a per-epoch step sum, as Python floats, from its
+# step sizes alpha_{K,i}, its ||d_i||^2 and its anchor alpha_K
+STEP_SUMS = {
+    "S2": lambda alphas, dnorm2s, ak: [a**2 * d2 for a, d2 in zip(alphas, dnorm2s)],
+    "ratio_cube": lambda alphas, dnorm2s, ak: [1.0 - (a / ak) ** 3 for a in alphas],
+    "ratio_sq": lambda alphas, dnorm2s, ak: [(a / ak - 1.0) ** 2 for a in alphas],
+}
+
+
+def _derive_step_sum(trace: RunTrace, name: str) -> tuple[np.ndarray, dict]:
+    """The ``math.fsum`` of each epoch's ``STEP_SUMS[name]`` terms over the
+    whole record, NaN where a term or a partial sum overflows, and {K: i}
+    of those epochs, i the first step whose prefix of the epoch overflows."""
+    terms = STEP_SUMS[name]
+    N = len(trace.alpha)
+    anchors = [trace.epoch_anchor(0)] + trace.alpha_last[: N - 1].tolist()
+    sums, overflows = np.empty(N), {}
+    for K, row in enumerate(zip(trace.alpha.tolist(), trace.dnorm2.tolist(), anchors)):
+        try:
+            sums[K] = math.fsum(terms(*row))
+        except ArithmeticError:  # a**2 or a quotient out of range, or fsum's partial sums
+            sums[K] = math.nan
+            overflows[K] = _first_overflow(terms, *row)
+    return sums, overflows
+
+
+def _first_overflow(terms, alphas, dnorm2s, ak) -> int:
+    """The least i whose first i terms, or their fsum, overflow, by bisection:
+    a prefix that overflows overflows in every longer prefix."""
+    lo, hi = 0, len(alphas)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            math.fsum(terms(alphas[:mid], dnorm2s[:mid], ak))
+            lo = mid
+        except ArithmeticError:
+            hi = mid
+    return hi
+
+
+def _step_sum(trace: RunTrace, name: str, epochs: range) -> np.ndarray:
+    """The per-epoch step sum ``name`` of ``STEP_SUMS`` over ``epochs``,
+    sliced from its array over the whole record, which is derived on its
+    first read and kept on the trace.  OverflowError names the first epoch
+    of the range where a term or a partial sum overflows, and its step."""
+    if name not in trace.step_sums:
+        trace.step_sums[name] = _derive_step_sum(trace, name)
+    sums, overflows = trace.step_sums[name]
+    bad = [K for K in overflows if K in epochs]
+    if bad:
+        raise OverflowError(f"{name} overflows at K={bad[0]}, i={overflows[bad[0]]}")
+    return sums[epochs.start : epochs.stop]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +256,7 @@ def check_step_length_bound_trace(
         at = slice(lo - epochs.start, hi - epochs.start)
         argmax[at] = sq.argmax(axis=1)
         lhs[at] = sq.max(axis=1)
-    rhs = n * _s2(trace, epochs)
+    rhs = n * _step_sum(trace, "S2", epochs)
     denom = np.where((rhs == 0.0) & (lhs == 0.0), 1.0, np.maximum(rhs, 1e-300))
     where = [("x_next", n)] + [(label, i) for i in range(1, n + 1) for label in ("z", "zhat")]
     return _least_slack(
@@ -226,7 +280,7 @@ def _descent_terms(trace: RunTrace, k_min: int, k_max: Optional[int], lex: bool 
         if not scan.ok:
             raise ValueError(f"step sizes violate lexicographic monotonicity at {scan.violation}")
     alpha = np.concatenate([[trace.epoch_anchor(0)], trace.alpha_last])
-    return epochs, alpha[epochs.start : epochs.stop], _s2(trace, epochs)
+    return epochs, alpha[epochs.start : epochs.stop], _step_sum(trace, "S2", epochs)
 
 
 def _descent_form(trace: RunTrace, k_min: int, k_max: Optional[int], tight: bool):
@@ -235,21 +289,21 @@ def _descent_form(trace: RunTrace, k_min: int, k_max: Optional[int], tight: bool
     problem, lo, hi = trace.problem, epochs.start, epochs.stop
     n, L, M = problem.n, problem.L, problem.M
     f, g = trace.f_vals, trace.grad_sq
-    lhs = f[lo + 1 : hi + 1] - f[lo:hi] + 0.5 * n * alpha * g[lo:hi]
-    rows = zip(trace.alpha[lo:hi], alpha.tolist())
-    ratio_cube = np.array([math.fsum([1.0 - (a / ak) ** 3 for a in row.tolist()]) for row, ak in rows])
-    if tight:
-        d2 = _dots(trace.xs[lo + 1 : hi + 1] - trace.xs[lo:hi])
-        rhs = (
-            alpha * L**2 * n**2 * s2
-            + alpha * M**2 * ratio_cube
-            + (L / 2.0 - 1.0 / (2.0 * n * alpha)) * d2
-        )
-        name, last = "epoch_descent_tight", ("displacement_sq", d2)
-    else:
-        coeff = alpha * L**2 * n**2 + L * n / 2.0 - 1.0 / (2.0 * alpha)
-        rhs = coeff * s2 + alpha * M**2 * ratio_cube
-        name, last = "epoch_descent", ("ratio_term", ratio_cube)
+    ratio_cube = _step_sum(trace, "ratio_cube", epochs)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported by _least_slack
+        lhs = f[lo + 1 : hi + 1] - f[lo:hi] + 0.5 * n * alpha * g[lo:hi]
+        if tight:
+            d2 = _dots(trace.xs[lo + 1 : hi + 1] - trace.xs[lo:hi])
+            rhs = (
+                alpha * L**2 * n**2 * s2
+                + alpha * M**2 * ratio_cube
+                + (L / 2.0 - 1.0 / (2.0 * n * alpha)) * d2
+            )
+            name, last = "epoch_descent_tight", ("displacement_sq", d2)
+        else:
+            coeff = alpha * L**2 * n**2 + L * n / 2.0 - 1.0 / (2.0 * alpha)
+            rhs = coeff * s2 + alpha * M**2 * ratio_cube
+            name, last = "epoch_descent", ("ratio_term", ratio_cube)
     return _least_slack(
         name, epochs, lhs, rhs, 1.0 + abs(rhs), INEQ_RTOL,
         lambda k: {"alpha_K": float(alpha[k]), "S2": float(s2[k]), last[0]: float(last[1][k])},
@@ -282,12 +336,12 @@ def check_descent_decomposition_trace(
     epochs, alpha, s2 = _descent_terms(trace, k_min, k_max)
     problem, lo, hi = trace.problem, epochs.start, epochs.stop
     n, L, M = problem.n, problem.L, problem.M
-    rows = zip(trace.alpha[lo:hi], alpha.tolist())
-    ratio_sq = np.array([math.fsum([(a / ak - 1.0) ** 2 for a in row.tolist()]) for row, ak in rows])
-    g = problem.full_direction(trace.xs[lo:hi])
-    diff = trace.xs[lo + 1 : hi + 1] - trace.xs[lo:hi]
-    lhs = _dots(g, diff) + _dots(diff) / (2.0 * n * alpha)
-    rhs = -0.5 * n * alpha * _dots(g) + alpha * L**2 * n**2 * s2 + alpha * M**2 * ratio_sq
+    ratio_sq = _step_sum(trace, "ratio_sq", epochs)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported by _least_slack
+        g = problem.full_direction(trace.xs[lo:hi])
+        diff = trace.xs[lo + 1 : hi + 1] - trace.xs[lo:hi]
+        lhs = _dots(g, diff) + _dots(diff) / (2.0 * n * alpha)
+        rhs = -0.5 * n * alpha * _dots(g) + alpha * L**2 * n**2 * s2 + alpha * M**2 * ratio_sq
     return _least_slack(
         "descent_decomposition", epochs, lhs, rhs, 1.0 + abs(rhs), INEQ_RTOL,
         lambda k: {"alpha_K": float(alpha[k])},

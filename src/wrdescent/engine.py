@@ -60,8 +60,9 @@ oracles read the zoo kind alone and build none.
 Runs are deterministic functions of their configuration (all randomness
 is counter-based off explicit seeds).  Replay checks a full, complete
 record without re-running it: every recorded step must be the engine's
-step of its own recorded inputs, in stacked row-kernel passes per block
-(``_check_record``), whose evaluation points become the trace's zhat.
+step of its own recorded inputs, in stacked row-kernel passes of
+ROW_ENTRIES // p steps per block (``_check_record``), whose evaluation
+points become the trace's zhat.
 That rests on a property of the BLAS kernel, not of IEEE arithmetic: a
 row of a stacked product has the bits of the point call.  So the check
 only ever accepts; when it fails, and for other
@@ -92,7 +93,7 @@ from typing import Optional
 import numpy as np
 
 from .config import RunConfig, config_to_dict, read_document
-from .problems import ROW_BLOCK, FiniteSumProblem, data_shape, problem_from_dict
+from .problems import ROW_ENTRIES, FiniteSumProblem, data_shape, problem_from_dict
 from .schedules import (
     EvalPointPolicy,
     eval_point,
@@ -172,7 +173,10 @@ class RunTrace:
     Node series have one row per iterate x_0..x_N, epoch series one per
     completed epoch, and the inner arrays one row per epoch K with step i
     in column i-1.  When the run aborted, every array covers the completed
-    prefix.  zhat is not recorded but derived on its first read.
+    prefix.  zhat is not recorded but derived on its first read, and so
+    are the per-epoch step sums the range checks read (``step_sums``,
+    filled by ``analysis``); a ``dataclasses.replace`` copy derives both
+    again.
     """
 
     config: RunConfig
@@ -195,6 +199,9 @@ class RunTrace:
     # where the run was made; a loaded trace keeps its file's
     provenance: dict = field(default_factory=provenance)
     _zhat: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    # per-epoch sums over the inner arrays that analysis derives on their
+    # first read, by name, and keeps; a dataclasses.replace copy starts empty
+    step_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def zhat(self) -> Optional[np.ndarray]:
@@ -468,8 +475,9 @@ def _block_matches(trace: RunTrace, block: range, zhat: np.ndarray) -> bool:
     """Whether every inner step of the epochs ``block`` is the engine's step
     from its recorded inputs and ``zhat``, and the block's epoch series its own.
 
-    Steps are taken ROW_BLOCK at a time, in run order across the block's
-    epochs, so each temporary holds at most ROW_BLOCK rows.
+    Steps are taken ROW_ENTRIES // p at a time (at least one), in run
+    order across the block's epochs, so each temporary of p-vectors holds
+    about ROW_ENTRIES entries.
     """
     config = trace.config
     problem, strategy = config.problem, config.strategy
@@ -493,9 +501,10 @@ def _block_matches(trace: RunTrace, block: range, zhat: np.ndarray) -> bool:
     if not all(_same(new, getattr(trace, name)[Ks]) for name, new in zip(EPOCH_SERIES, series)):
         return False
     prescribed = None if adaptive else np.array([strategy.prescribed_value(K, n) for K in block])
-    for q0 in range(block.start * n, block.stop * n, ROW_BLOCK):
+    rows = max(1, ROW_ENTRIES // problem.p)
+    for q0 in range(block.start * n, block.stop * n, rows):
         # steps q0.. in run order, as (epoch, column) pairs: each array a copy of these rows alone
-        q = np.arange(q0, min(q0 + ROW_BLOCK, block.stop * n))
+        q = np.arange(q0, min(q0 + rows, block.stop * n))
         K, r = np.divmod(q, n)
         d, dnorm2, alpha, v = trace.d[K, r], trace.dnorm2[K, r], trace.alpha[K, r], trace.v[K, r]
         if not (

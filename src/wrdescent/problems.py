@@ -20,6 +20,13 @@ serialization, and the one holder of a problem's n, p, M, L, F* lower
 bound, known solution and box.  The full oracles are the exact per-row
 sums over the row kernels unless the kind overrides them with formulas
 over its whole matrix: logistic, sigmoid and median do, relu_net does not.
+The logistic and sigmoid row kernels take a block of rows in one pass:
+one stacked ddot per row, then the point oracle's IEEE operations entry
+by entry, with ``math.exp`` (glibc's bits, which NumPy's SIMD exp need
+not have) the one Python call per row.  ``direction_norms``, which only
+feeds the adversarial order, keeps NumPy's exp.  Row-kernel callers take
+ROW_ENTRIES // p rows at a time, so a block's temporaries hold about
+ROW_ENTRIES entries whatever n and p are.
 ``ZOO_KINDS`` holds the four built-in kinds, the ones that serialize.  A
 problem is ``FiniteSumProblem(kind)``.  Its ``components`` is a read-only
 sequence over its kind (``KindComponents``): its n ComponentOracles,
@@ -45,9 +52,10 @@ import numpy as np
 
 # sup |sigma''| over R, attained at sigma = (3 +- sqrt(3))/6
 _SIGMOID_HESS_BOUND = 1.0 / (6.0 * math.sqrt(3.0))
-# components per row-kernel call of a direction sum, which bounds its
-# temporary at ROW_BLOCK x p
-ROW_BLOCK = 256
+# entries per row-kernel call of a direction sum or of replay's record
+# check: ROW_ENTRIES // p rows (at least one) at a time, which bounds their
+# temporaries at about ROW_ENTRIES entries whatever n and p are
+ROW_ENTRIES = 12_800
 # most distinct sums generator_set enumerates before it gives up
 GENERATOR_CAP = 4096
 
@@ -82,9 +90,16 @@ def _expit(t: float) -> float:
     return e / (1.0 + e)
 
 
-def _expit_rows(t: np.ndarray) -> np.ndarray:
-    # _expit of each entry, with the same two branches
-    e = np.exp(-np.abs(t))
+def _math_exp(u: np.ndarray) -> np.ndarray:
+    # math.exp of each entry, glibc's bits, which NumPy's SIMD exp need not have
+    return np.fromiter(map(math.exp, u.tolist()), float, len(u))
+
+
+def _expit_rows(t: np.ndarray, exp=np.exp) -> np.ndarray:
+    # _expit of each entry, its two branches as one np.where over one exp
+    # of each branch's argument (-t where t >= 0, else t: a NaN keeps its
+    # sign); with exp=_math_exp every entry has the bits of _expit
+    e = exp(np.where(t >= 0.0, -t, t))
     return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
@@ -263,13 +278,14 @@ class ZooKind:
     def _direction_sum(self, x: np.ndarray) -> np.ndarray:
         """d_1(x) + ... + d_n(x), added one at a time to 0.0 in index order.
 
-        ROW_BLOCK rows at a time, each block summed by one in-place
+        ROW_ENTRIES // p rows at a time, each block summed by one in-place
         cumulative sum that starts from the sum so far, so the temporary
-        is one block of rows, not all n.
+        is one block of about ROW_ENTRIES entries, not all n rows.
         """
         acc = np.zeros(self.p)  # the sum starts at 0.0, which makes a -0.0 of d_1 +0.0
-        for lo in range(0, self.n, ROW_BLOCK):
-            D = self.row_directions(x, slice(lo, lo + ROW_BLOCK))
+        block = max(1, ROW_ENTRIES // self.p)
+        for lo in range(0, self.n, block):
+            D = self.row_directions(x, slice(lo, lo + block))
             np.add(acc, D[0], out=D[0])
             acc = np.cumsum(D, axis=0, out=D)[-1]
         return acc
@@ -365,11 +381,10 @@ class _Labelled(ZooKind):
         # (m, p) of c @ A / n for each row c of C, one BLAS gemv per row like c @ A
         return (C[:, None, :] @ self.A[None])[:, 0, :] / self.n
 
-    def _row_products(self, x, rows) -> list:
-        # a_i @ x of the rows as Python floats, x a point or one point per
-        # row: a stack of BLAS ddot calls, each the bits of the row
-        # oracles' a_i.dot(x)
-        return (self.A[rows, None, :] @ x.reshape(-1, self.p)[:, :, None])[:, 0, 0].tolist()
+    def _row_products(self, x, rows) -> np.ndarray:
+        # a_i @ x of the rows, x a point or one point per row: a stack of
+        # BLAS ddot calls, each the bits of the row oracles' a_i.dot(x)
+        return (self.A[rows, None, :] @ x.reshape(-1, self.p)[:, :, None])[:, 0, 0]
 
 
 class Logistic(_Labelled):
@@ -402,8 +417,9 @@ class Logistic(_Labelled):
         return (-b * s) * a
 
     def row_directions(self, x, rows=slice(None)) -> np.ndarray:
-        coef = [-b * _expit(-b * t) for b, t in zip(self.v[rows].tolist(), self._row_products(x, rows))]
-        return np.array(coef)[:, None] * self.A[rows]
+        # the direction oracle's IEEE operations, entry by entry over the block
+        nb = -self.v[rows]
+        return (nb * _expit_rows(nb * self._row_products(x, rows), _math_exp))[:, None] * self.A[rows]
 
     def full_values(self, X) -> np.ndarray:
         return np.mean(np.logaddexp(0.0, -self.v * self._products(X)), axis=1)
@@ -448,8 +464,9 @@ class Sigmoid(_Labelled):
         return (s * (1.0 - s)) * a
 
     def row_directions(self, x, rows=slice(None)) -> np.ndarray:
-        s = [_expit(t - c) for c, t in zip(self.v[rows].tolist(), self._row_products(x, rows))]
-        return np.array([q * (1.0 - q) for q in s])[:, None] * self.A[rows]
+        # the direction oracle's IEEE operations, entry by entry over the block
+        s = _expit_rows(self._row_products(x, rows) - self.v[rows], _math_exp)
+        return (s * (1.0 - s))[:, None] * self.A[rows]
 
     # exp overflows to inf where the sigmoid saturates to 0
     def full_values(self, X) -> np.ndarray:

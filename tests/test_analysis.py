@@ -624,6 +624,44 @@ def test_a_descent_range_with_a_non_finite_side_skips(name):
     assert detail.endswith(" at K=2")
 
 
+def test_a_vanishing_anchor_skips_naming_its_epoch_and_step():
+    # beta = 1e308 takes the adaptive accumulator to inf in epoch 1, and
+    # alpha = v ** (-1/3) to 0: alpha / alpha_K then divides by zero at
+    # the first step of epoch 2, which the ratio sums report as an overflow
+    trace = make_run(wd.make_problem("logistic", 4, 2, 1), wd.Adaptive(delta=1.0, beta=1e308), epochs=3)
+    assert trace.alpha_last[1] == 0.0 < trace.alpha_last[0]
+    for name in ("epoch_descent", "epoch_descent_tight"):
+        assert analysis.run_check(trace, name) == ("skip", "numeric overflow: ratio_cube overflows at K=2, i=1", None)
+    with pytest.raises(OverflowError, match=r"^ratio_sq overflows at K=2, i=1$"):
+        analysis.check_descent_decomposition_trace(trace)
+    # a range before that epoch reads the sums of its own epochs
+    assert analysis.check_epoch_descent_tight_trace(trace, k_max=1).name == "epoch_descent_tight[K=1]"
+
+
+@pytest.mark.parametrize(
+    "name, alpha, dnorm2, i",
+    [
+        ("S2", 1e200, None, 4),  # alpha**2 is past the float range
+        ("S2", 1e154, 1.7, 5),  # two finite terms of 1.7e308 whose sum is not
+        ("ratio_cube", 1e200, None, 4),
+        ("ratio_sq", 1e200, None, 4),
+        ("ratio_sq", 1.3e154, None, 5),  # two finite squares of 1.69e308
+    ],
+)
+def test_the_first_overflowing_prefix_is_named(name, alpha, dnorm2, i):
+    # the step named is the first whose prefix of the epoch overflows: a
+    # term (alpha**2, or a ratio past the float range) or fsum's partial sums
+    trace = make_run(wd.make_problem("logistic", 6, 2, 1), wd.Constant(6.0), epochs=2)
+    assert trace.alpha_last[0] == 1.0  # alpha / n: each ratio is its alpha
+    trace.alpha[1, 3:5] = alpha
+    if dnorm2 is not None:
+        trace.dnorm2[1, 3:5] = dnorm2
+    with pytest.raises(OverflowError, match=rf"^{name} overflows at K=1, i={i}$"):
+        analysis._step_sum(trace, name, range(0, 2))
+    # the epoch before is read as it is
+    assert analysis._step_sum(trace, name, range(0, 1)).size == 1
+
+
 class TestLemmas:
     def test_aligned_vectors_equality(self):
         rep = lemma_norm_sum_check([np.array([1.0, 0.0]), np.array([1.0, 0.0])])

@@ -487,6 +487,64 @@ class TestCmdVerify:
         report = json.loads((out / "certificate.json").read_text())
         assert report == {"step_length": {"status": "skip", "detail": reason}}
 
+    def test_every_check_of_an_overflowing_start_runs_without_a_warning(self, tmp_path, capsys):
+        # from x0 = (1e308, -1e308), F(x_0) is inf, so an epoch-descent lhs
+        # is inf - inf; every check runs with NumPy's warnings as errors,
+        # and each overflow skip names its epoch or horizon
+        cfg = write_config(
+            tmp_path,
+            problem={"kind": "logistic", "n": 4, "p": 2, "seed": 1},
+            strategy={"variant": "constant", "alpha": 0.1},
+            epochs=3,
+            x0=[1e308, -1e308],
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--trace", str(out / "trace.txt"), "--checks", ",".join(analysis.CHECKS)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(analysis.CHECKS)
+        overflows = [line for line in lines if ": numeric overflow: " in line]
+        assert [line.split(":")[0] for line in overflows] == [
+            "[SKIP] epoch_descent", "[SKIP] epoch_descent_tight", "[SKIP] bound_constant", "[SKIP] bound_constant_with_l"
+        ]
+        assert all(re.search(r" at [KN]=\d+$", line) for line in overflows)
+
+    def test_an_overflowing_step_sum_names_its_epoch_and_step(self, tmp_path, capsys):
+        # alpha = 1e300: alpha**2 overflows at the first step of every epoch
+        # (sigmoid directions stay small, so the run completes)
+        cfg = write_config(
+            tmp_path,
+            problem={"kind": "sigmoid_nonconvex", "n": 4, "p": 2, "seed": 1},
+            strategy={"variant": "constant", "alpha": 1e300},
+            epochs=5,
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        checks = "step_length,epoch_descent,epoch_descent_tight"
+        assert main(["verify", "--trace", str(out / "trace.txt"), "--checks", checks]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "[SKIP] step_length: numeric overflow: S2 overflows at K=0, i=1",
+            "[SKIP] epoch_descent: numeric overflow: S2 overflows at K=1, i=1",
+            "[SKIP] epoch_descent_tight: numeric overflow: S2 overflows at K=1, i=1",
+        ]
+
+    def test_one_verify_derives_each_step_sum_once(self, tmp_path, monkeypatch):
+        # step_length and both descent forms read S2, and both descent
+        # forms the cubed-ratio sum: each is derived once for the trace
+        cfg = write_config(tmp_path, strategy={"variant": "adaptive", "delta": 1.0, "beta": 1.0})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        derived = []
+        derive = analysis._derive_step_sum
+        monkeypatch.setattr(analysis, "_derive_step_sum", lambda trace, name: derived.append(name) or derive(trace, name))
+        main(["verify", "--trace", str(out / "trace.txt"), "--checks", ",".join(analysis.CHECKS)])
+        assert sorted(derived) == ["S2", "ratio_cube"]
+
     @pytest.mark.parametrize(
         "kind, f_star, check, reason",
         [

@@ -929,8 +929,9 @@ class TestReplayCheck:
     )
     @settings(max_examples=60, deadline=None)
     def test_a_fresh_record_replays_without_a_rerun(self, kind, eval_policy, perm, rule, shape, seed):
-        # n = 7 puts epoch ends inside row chunks, n = 300 splits an epoch
-        # across them; a zero start puts relu_net at its kinks
+        # n = 7 and n = 300 put epoch ends inside row chunks (a chunk
+        # boundary inside an epoch is the next test's); a zero start puts
+        # relu_net at its kinks
         n, epochs = shape
         problem = wd.make_problem(kind, n, 2, seed)
         x0 = np.zeros(problem.p) if seed % 2 else 0.3 * np.random.default_rng(seed).standard_normal(problem.p)
@@ -944,6 +945,28 @@ class TestReplayCheck:
             wd.save_trace(trace, Path(tmp) / "trace.txt")
             assert wd.replay(wd.load_trace(Path(tmp) / "trace.txt")).ok
         assert runs == []
+
+    @pytest.mark.parametrize("rule", ["decreasing_sqrt", "adaptive"])
+    @pytest.mark.parametrize("eval_policy", [wd.Incremental(), wd.DelayedAsync(2, 3)], ids=lambda c: c.VARIANT)
+    def test_a_row_chunk_boundary_inside_an_epoch_replays_without_a_rerun(self, monkeypatch, rule, eval_policy):
+        # ROW_ENTRIES of 3 rows of p = 2 splits the epochs of n = 7 across
+        # the record check's row chunks, so a chunk starts mid-epoch, where
+        # the adaptive accumulator carries over from the chunk before
+        problem = wd.make_problem("logistic", 7, 2, 5)
+        trace = make_run(
+            problem, rule_strategy(rule, problem), eval_policy, wd.ShuffledPerEpoch(1),
+            epochs=EPOCH_BLOCK + 2, x0=np.full(2, 0.3),
+        )
+        chunks = []
+        row_directions = wd.FiniteSumProblem.row_directions
+        monkeypatch.setattr(engine, "ROW_ENTRIES", 3 * problem.p)
+        monkeypatch.setattr(engine, "run", lambda config: pytest.fail("replay re-ran the record"))
+        monkeypatch.setattr(
+            wd.FiniteSumProblem, "row_directions", lambda self, X, rows: chunks.append(len(rows)) or row_directions(self, X, rows)
+        )
+        assert wd.replay(trace).ok
+        # 448 steps in the first block of epochs and 14 in the second
+        assert chunks == [3] * 149 + [1] + [3] * 4 + [2]
 
     @pytest.mark.parametrize("name", INNER_FIELDS + NODE_SERIES + EPOCH_SERIES)
     @given(

@@ -12,7 +12,7 @@ from pytest import approx
 
 import wrdescent as wd
 from conftest import finite_diff_check, formula_problem, lipschitz_gradient_check
-from wrdescent.problems import PROBLEM_KINDS, ReluNet, _expit, _labelled
+from wrdescent.problems import PROBLEM_KINDS, ROW_ENTRIES, ReluNet, _expit, _labelled
 
 
 def logistic_pair():
@@ -373,6 +373,10 @@ def test_row_kernels_have_the_bits_of_the_reference_oracles(kind, shape, hidden,
         assert zoo.row_values(x, block).tobytes() == values[block].tobytes()
 
 
+# products a_i @ x of the saturated points of the stacked row-kernel property
+SATURATED_PRODUCTS = [-1e4, -746.0, -745.5, -744.0, 744.0, 745.5, 746.0, 1e4, -math.inf, math.inf, math.nan, -math.nan]
+
+
 @given(
     st.sampled_from(PROBLEM_KINDS),
     st.sampled_from([(1, 1), (7, 2), (32, 5), (300, 4)]),
@@ -387,7 +391,10 @@ def test_stacked_row_kernels_have_the_bits_of_the_point_oracles(kind, shape, hid
     # rows[r]'s direction at X[r] bit for bit: indices repeat and come in
     # any order.  Half the points are kinks: relu_net's parameter point
     # with zero pre-activations and residuals, median's data rows and
-    # points whose deviations tie in absolute value
+    # points whose deviations tie in absolute value, and for logistic and
+    # sigmoid points x = t a_i / ||a_i||^2 whose product a_i @ x is about
+    # t: past +-745, where exp underflows to 0, at +-inf, where exp(-inf)
+    # is 0, or NaN, whose sign the kernels keep
     n, p = shape
     rng = np.random.default_rng(seed)
     if kind == "relu_net":
@@ -402,14 +409,18 @@ def test_stacked_row_kernels_have_the_bits_of_the_point_oracles(kind, shape, hid
         X[kinks] = kink
     elif kind == "median":
         X[kinks] = zoo.data[rows[kinks]] + scale * rng.choice([-1.0, 0.0, 1.0], size=(int(kinks.sum()), p))
-    expected = np.array([reference(zoo.data[i], x)[1] for i, x in zip(rows, X)])
+    else:
+        t = rng.choice(SATURATED_PRODUCTS, size=int(kinks.sum()))
+        X[kinks] = t[:, None] * zoo.A[rows[kinks]] / np.array(zoo.sq)[rows[kinks], None]
+    with np.errstate(invalid="ignore"):  # the reference's value at a NaN product, not compared
+        expected = np.array([reference(zoo.data[i], x)[1] for i, x in zip(rows, X)])
     assert zoo.row_directions(X, rows).tobytes() == expected.tobytes()
     # the problem's stacked directions
     assert zoo.problem().row_directions(X, rows).tobytes() == expected.tobytes()
 
 
 @given(
-    st.sampled_from([(1, 1), (7, 2), (40, 3), (300, 2)]),
+    st.sampled_from([(1, 1), (7, 2), (40, 3), (None, 2)]),
     st.sampled_from([1, 3, 8]),
     st.sampled_from([0.0, 1e-3, 1.0, 30.0]),
     st.integers(min_value=1, max_value=3),
@@ -419,9 +430,12 @@ def test_stacked_row_kernels_have_the_bits_of_the_point_oracles(kind, shape, hid
 def test_relu_full_oracles_are_the_component_sums(shape, hidden, scale, m, seed):
     # F is the fsum of the component values over n and the full direction
     # the component directions added to 0.0 in index order, over n, bit
-    # for bit, at a point and at every row of a stack (n = 300 spans two
-    # ROW_BLOCKs of the direction sum)
+    # for bit, at a point and at every row of a stack (n None: three rows
+    # more than one ROW_ENTRIES // p block of the direction sum, so the sum
+    # spans two blocks)
     n, p = shape
+    if n is None:
+        n = ROW_ENTRIES // (hidden * p + 2 * hidden + 1) + 3
     rng = np.random.default_rng(seed)
     zoo, theta = _relu_instance(rng, n, p, hidden, scale)
     prob = zoo.problem()
