@@ -626,7 +626,7 @@ def _gamma(trace: RunTrace):
     if not trace.epochs_completed:
         raise ValueError("no completed epoch")
     gt = flows.gamma_trace(trace)
-    for what in ("taus", "gammas", "ratios"):
+    for what in ("taus", "ratios", "gammas"):  # a gamma reads its epoch's ratio
         values = getattr(gt, what)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:

@@ -16,7 +16,8 @@ one RunTrace of arrays indexed by epoch K:
   * epoch series: alpha_first, alpha_last, alpha_sum, v_end (N,);
   * record_level="full" only, the inner steps, [K, i-1] for step i:
     index, alpha, dnorm2, v of shape (N, n) and d, z of shape (N, n, p),
-    and zhat (N, n, p), derived on its first read.  At record_level
+    and zhat (N, n, p), derived on its first read.  z is derived from x_K,
+    alpha and d, once per run and once per load.  At record_level
     "epoch_only" these arrays are None.
 
 A trace file stores the problem's data matrix and each recorded primitive
@@ -29,7 +30,8 @@ newline, so a save writes the arrays' buffers and a load views them in
 the file's bytes, with no text to encode or parse.  ``load_trace``
 reads the header's config with config's reader, ``read_document`` (a
 malformed field raises ValueError naming its key), derives only z, with
-the engine's update from x_K, and checks z_{K,n} = x_{K+1} bit for bit.
+the engine's update from x_K as ``run`` does (``_derive_z``), and checks
+z_{K,n} = x_{K+1} bit for bit.
 zhat, a pure function of (policy, K, z), is derived the first time it is
 read and then kept (``_eval_points``: ``eval_support``, or ``hull_point``
 of ``eval_point``'s weights).  The engine and the derivation ask
@@ -47,10 +49,11 @@ supports, a prescribed rule's one step size (``epoch_step``) as a row of
 length p, whose product with d has the bits of alpha * d, or the adaptive
 rule's accumulator, read from the record's v_end of the epoch before
 (delta at K = 0), since the run keeps no step state beside its record;
-then the epoch series from the epoch's list of step sizes and, at full
-level, the record rows.  Per step there is only the direction call,
-||d||^2 and its test, the adaptive rule's ``step_value``, a pure function
-of the accumulator, and the update; where the support of
+then the finiteness tests, the epoch series from the epoch's list of step
+sizes and, at full level, the record rows.  Per step there is only the
+direction call, ||d||^2 where a step reads it (the adaptive rule's
+``step_value``, a pure function of the accumulator, or the full record),
+and the update; where the support of
 step i is i-1 (Incremental), the step queries z_{K,i-1} directly.  A run
 takes the n components' direction oracles once, as a tuple each step
 indexes; that builds a zoo problem's component oracles
@@ -68,11 +71,15 @@ row of a stacked product has the bits of the point call.  So the check
 only ever accepts; when it fails, and for other
 records, replay re-runs the configuration and compares the arrays one by
 one.  A non-finite value aborts the run at the first step (K, i) where
-||d||^2, or an entry of z_{K,i}, is not finite; completed epochs are
-retained.  ||d||^2 is tested at each step, before the step rule reads it;
-the iterates once per epoch, through z_{K,n}, which a non-finite entry of
-an earlier iterate reaches, or earlier when a non-finite ||d||^2 makes the
-engine look back for one.  The adversarial order probes ||d_i(x_K)|| with
+||d||^2, the adaptive accumulator v or an entry of z_{K,i} is not finite;
+completed epochs are retained.  Each is tested once per epoch, at its
+end, and the scan for the step runs only when a test fails: the iterates
+through z_{K,n}, which a non-finite entry of an earlier iterate reaches;
+an adaptive epoch's v through v_{K,n}, since v never decreases and an
+inf or NaN one stays (a non-finite ||d||^2 makes its step's v
+non-finite); a prescribed epoch's ||d||^2 through its d rows, none of
+which can overflow when every entry is at most sqrt(DBL_MAX / (2p)).
+The adversarial order probes ||d_i(x_K)|| with
 one direction_norms call per epoch, vectorized over the data matrix for
 the logistic and sigmoid problems, from the row kernel for median and
 relu_net.  The engine also monitors ||x_K||_inf against an optional
@@ -85,6 +92,7 @@ from __future__ import annotations
 import json
 import math
 import platform
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -231,14 +239,14 @@ class RunTrace:
 
 
 def _new_trace(config: RunConfig, N: int) -> RunTrace:
-    """A trace of N epochs whose arrays are allocated, to be filled in."""
+    """A trace of N epochs whose arrays are allocated, to be filled in; z is derived (``_derive_z``)."""
     n, p = config.problem.n, config.problem.p
     inner = {}
     if config.record_level == "full":
         inner = dict(
             index=np.empty((N, n), dtype=int),
             **{name: np.empty((N, n)) for name in ("alpha", "dnorm2", "v")},
-            **{name: np.empty((N, n, p)) for name in ("d", "z")},
+            d=np.empty((N, n, p)),
         )
     return RunTrace(
         config=config,
@@ -250,12 +258,39 @@ def _new_trace(config: RunConfig, N: int) -> RunTrace:
     )
 
 
+def _derive_z(trace: RunTrace) -> None:
+    """Set a full trace's z from its x_K, alpha and d, with the engine's update.
+
+    z_{K,0..n} of every epoch is one in-place accumulate from x_K:
+    z_{K,i} = z_{K,i-1} - alpha_{K,i} d_{K,i}, left to right, the bits of
+    the run's steps.  ``run`` and ``load_trace`` both derive z this way.
+    """
+    N, n, p = trace.d.shape
+    zs = np.empty((N, n + 1, p))
+    zs[:, 0] = trace.xs[:N]
+    np.multiply(trace.alpha[..., None], trace.d, out=zs[:, 1:])
+    np.subtract.accumulate(zs, axis=1, out=zs)
+    trace.z = zs[:, 1:]
+
+
 def _first_non_finite(rows) -> Optional[int]:
     """The first i at which ``rows`` (an epoch's z_{K,1}, z_{K,2}, ...) has a non-finite entry, or None."""
     if not len(rows):
         return None
     finite = np.isfinite(rows).all(axis=1)
     return None if finite.all() else int(np.argmin(finite)) + 1
+
+
+def _first_non_finite_norm(D: np.ndarray) -> Optional[int]:
+    """The first i at which row i-1 of ``D`` (an epoch's d rows) has a non-finite ||d||^2, or None.
+
+    When every entry is at most sqrt(DBL_MAX / (2p)) in size, no ||d||^2
+    can overflow, and that is the only test; otherwise each row's
+    d.dot(d), the bits a step computes, is tested in step order.
+    """
+    if np.abs(D).max() <= math.sqrt(sys.float_info.max / (2 * D.shape[1])):
+        return None
+    return next((i for i, d in enumerate(D, start=1) if not math.isfinite(d.dot(d))), None)
 
 
 def _hull_weights(policy: EvalPointPolicy, K: int, n: int) -> np.ndarray:
@@ -297,11 +332,15 @@ def run_epoch(trace: RunTrace, x: np.ndarray, K: int, order: Optional[list], dir
     ``directions`` is the tuple of the n components' direction oracles,
     which ``run`` takes once.
     Writes row K of the trace's epoch series and, at the full record level,
-    of its inner arrays, once the epoch is complete.  Epochs 0..K-1 must be
+    of its inner arrays but z, which ``run`` derives.  Epochs 0..K-1 must be
     recorded: the adaptive rule's accumulator starts from the record's
-    v_end[K-1] (delta at K = 0).  Raises NonFiniteError at the first step i
-    where ||d||^2 or an entry of z_{K,i} is not finite, tested as the
-    module docstring says (``_first_non_finite`` scans the iterates).
+    v_end[K-1] (delta at K = 0).  ||d||^2 is computed at a step only where
+    something reads it: the adaptive rule's ``step_value`` and the full
+    record.  Raises NonFiniteError at the first step i where ||d||^2, the
+    adaptive accumulator or an entry of z_{K,i} is not finite, each tested
+    once, at the epoch's end: a prescribed epoch's ||d||^2 from its d rows
+    (``_first_non_finite_norm``), an adaptive one's through v_{K,n}, and the
+    iterates through z_{K,n} (``_first_non_finite`` scans them).
     """
     config = trace.config
     problem, strategy, eval_policy = config.problem, config.strategy, config.eval_policy
@@ -311,13 +350,18 @@ def run_epoch(trace: RunTrace, x: np.ndarray, K: int, order: Optional[list], dir
         order = permutation(config.perm_policy, K, n, probe=probe).tolist()
     alpha = epoch_step(strategy, K, n)  # None: the adaptive rule, one step_value per step
     adaptive = alpha is None
+    full = trace.alpha is not None
+    reads_norm = adaptive or full
     # the adaptive accumulator; float() keeps v ** (-1/3) on Python's **
     v = (float(trace.v_end[K - 1]) if K else strategy.delta) if adaptive else math.nan
-    full = trace.alpha is not None
-    # a prescribed step multiplies d by a row of alpha, the bits of alpha * d
-    # without NumPy's Python-float path; the adaptive rule's is a float
-    step = None if adaptive else np.full(len(x), alpha)
-    alphas, vs = ([], []) if adaptive else ([alpha] * n, [math.nan] * n)  # vs: read at full level only
+    if adaptive:
+        alphas = []
+    else:
+        # a prescribed step multiplies d by a row of alpha, the bits of alpha * d
+        # without NumPy's Python-float path; the adaptive rule's is a float
+        step = np.empty(len(x))
+        step.fill(alpha)
+        alphas = [alpha] * n
     support = eval_support(eval_policy, K, n)
     incremental = support == list(range(n))  # each step queries the current iterate
     # a step without a single support point (ConvexMix) takes its hull point
@@ -328,29 +372,43 @@ def run_epoch(trace: RunTrace, x: np.ndarray, K: int, order: Optional[list], dir
         W = _hull_weights(eval_policy, K, n)
         hull = np.full((n, len(x)), -0.0)
         hull_accumulate(hull, W[:, 0], x)
-    zs, dnorm2s = [x], []
-    ds = trace.d[K] if full else None  # d rows, written per step: a list of them would grow the peak
+    zs, dnorm2s, vs = [x], [], []  # dnorm2s at full level, vs in an adaptive epoch
+    # the d rows: the record's, written per step (a list of them would grow
+    # the peak), or a prescribed epoch's list, which its end tests
+    ds = trace.d[K] if full else []
     z = x
     for i, idx in enumerate(order, start=1):
         zhat = z if incremental else zs[support[i - 1]] if hull is None else hull[i - 1]
         d = directions[idx](zhat)
-        dnorm2 = float(d.dot(d))  # the bits of d @ d, with less dispatch
-        if not math.isfinite(dnorm2):
-            raise NonFiniteError(K, _first_non_finite(zs[1:]) or i)
-        if adaptive:
-            v, step = step_value(strategy, K, n, v, dnorm2)
-            alphas.append(step)
+        if reads_norm:
+            dnorm2 = float(d.dot(d))  # the bits of d @ d, with less dispatch
             if full:
+                dnorm2s.append(dnorm2)
+            if adaptive:
+                v, step = step_value(strategy, K, n, v, dnorm2)
+                alphas.append(step)
                 vs.append(v)
         z = z - step * d
         zs.append(z)
         if full:
             ds[i - 1] = d
-            dnorm2s.append(dnorm2)
+        elif not adaptive:
+            ds.append(d)
         if hull is not None and i < n:
             hull_accumulate(hull[i:], W[i:, i], z)
-    if not np.isfinite(z).all():
-        raise NonFiniteError(K, _first_non_finite(zs[1:]))
+    # each value is tested once, here, and the run aborts at the earlier
+    # step of the two tests; an entry of an iterate that is not finite
+    # stays so at every later step, so z_{K,n} has one if any iterate does
+    at_z = None if math.isfinite(z.dot(z)) or np.isfinite(z).all() else _first_non_finite(zs[1:])
+    if not adaptive:
+        at_d = _first_non_finite_norm(ds if full else np.concatenate(ds).reshape(n, -1))
+    else:
+        # v never decreases and stays inf or NaN once it is, and alpha =
+        # v^(-1/3) is positive exactly while v is finite (0.0 at inf); a
+        # non-finite ||d||^2 makes its own step's v non-finite
+        at_d = None if math.isfinite(v) else next(i for i, a in enumerate(alphas, start=1) if not a > 0.0)
+    if at_z or at_d:
+        raise NonFiniteError(K, min(i for i in (at_z, at_d) if i))
 
     alpha_sum = 0.0
     for a in alphas:  # left to right, in step order
@@ -358,8 +416,8 @@ def run_epoch(trace: RunTrace, x: np.ndarray, K: int, order: Optional[list], dir
     trace.alpha_first[K], trace.alpha_last[K], trace.alpha_sum[K] = alphas[0], alphas[-1], alpha_sum
     trace.v_end[K] = v
     if full:
-        trace.index[K], trace.alpha[K], trace.dnorm2[K], trace.v[K] = order, alphas, dnorm2s, vs
-        trace.z[K] = zs[1:]
+        trace.index[K], trace.alpha[K], trace.dnorm2[K] = order, alphas, dnorm2s
+        trace.v[K] = vs if adaptive else math.nan
     return z
 
 
@@ -389,8 +447,12 @@ def run(config: RunConfig) -> RunTrace:
 
     Blocks of EPOCH_BLOCK epochs share one draw of query orders (when the
     policy needs no probe) and one evaluation of their nodes
-    (``_track_nodes``).  On a non-finite abort the trace is cut to the
-    completed epochs, with ``aborted_at`` set to the offending (K, i).
+    (``_track_nodes``).  A non-finite ||d||^2, adaptive accumulator v or
+    iterate entry, each tested once per epoch (``run_epoch``), aborts the
+    run: the trace is cut to the completed epochs, with ``aborted_at`` set
+    to the offending (K, i).  A full record's z is derived once, at the
+    end, from x_K, alpha and d (``_derive_z``, as ``load_trace`` derives
+    it).
     The components' direction oracles, which a zoo problem builds on first
     use, are taken once, and each step indexes their tuple.  NumPy's
     overflow and invalid warnings are off for the whole run: a non-finite
@@ -402,25 +464,27 @@ def run(config: RunConfig) -> RunTrace:
     x = config.x0.copy()
     trace.xs[0] = x
     tracked = 0  # nodes x_0..x_{tracked-1} are evaluated
-    for start in range(0, config.epochs, EPOCH_BLOCK):
-        block = range(start, min(start + EPOCH_BLOCK, config.epochs))
-        orders = [None] * len(block)
-        if not config.perm_policy.needs_probe:
-            orders = permutation(config.perm_policy, block, n).tolist()
-        for K, order in zip(block, orders):
-            try:
+    try:
+        for start in range(0, config.epochs, EPOCH_BLOCK):
+            block = range(start, min(start + EPOCH_BLOCK, config.epochs))
+            orders = [None] * len(block)
+            if not config.perm_policy.needs_probe:
+                orders = permutation(config.perm_policy, block, n).tolist()
+            for K, order in zip(block, orders):
                 x = run_epoch(trace, x, K, order, directions)
-            except NonFiniteError as err:
-                trace.aborted_at = (err.K, err.i)
-                _track_nodes(trace, tracked, K)
-                for name in NODE_SERIES + EPOCH_SERIES + INNER_FIELDS:
-                    column = None if name == "zhat" else getattr(trace, name)  # zhat: derived from the cut z
-                    if column is not None:
-                        setattr(trace, name, column[: K + 1 if name in NODE_SERIES else K])
-                return trace
-            trace.xs[K + 1] = x
-        _track_nodes(trace, tracked, block[-1] + 1)
-        tracked = block[-1] + 2
+                trace.xs[K + 1] = x
+            _track_nodes(trace, tracked, block[-1] + 1)
+            tracked = block[-1] + 2
+    except NonFiniteError as err:
+        K = err.K
+        trace.aborted_at = (K, err.i)
+        _track_nodes(trace, tracked, K)
+        for name in NODE_SERIES + EPOCH_SERIES + INNER_FIELDS:
+            column = getattr(trace, name)  # None for z and zhat, not yet derived
+            if column is not None:
+                setattr(trace, name, column[: K + 1 if name in NODE_SERIES else K])
+    if trace.d is not None:
+        _derive_z(trace)
     return trace
 
 
@@ -517,7 +581,7 @@ def _block_matches(trace: RunTrace, block: range, zhat: np.ndarray) -> bool:
             v_prev = trace.v[np.divmod(np.maximum(q - 1, 0), n)]
             if q0 == 0:
                 v_prev[0] = strategy.delta
-            steps = _same(v_prev + strategy.beta * dnorm2, v) and _same(
+            steps = np.isfinite(v).all() and _same(v_prev + strategy.beta * dnorm2, v) and _same(
                 [strategy.step_size(value) for value in v.tolist()], alpha
             )
         else:
@@ -540,7 +604,8 @@ def _check_record(trace: RunTrace) -> bool:
       * zhat is the policy's point of the recorded z_{K,0..n-1}: the trace's
         zhat once the check passes, or compared with it if it was read before;
       * d is the stacked row kernel at (index, zhat), dnorm2 each row's ddot
-        of d, and every dnorm2 and x_{K+1} finite, as the run tests them;
+        of d, and every dnorm2, adaptive v and x_{K+1} finite, as the run
+        tests them;
       * alpha is prescribed_value(K, n), or v is the recorded previous v (delta
         at the start) plus beta * dnorm2 and alpha Adaptive.step_size(v);
       * z is the recorded z_{K,i-1} - alpha * d and z_{K,n} is x_{K+1};
@@ -805,9 +870,9 @@ def load_trace(path) -> RunTrace:
     covers it, is checked, and the other sections after.  The hash does
     not cover the header's ``aborted_at`` and ``bound_exceeded_at``, so
     the first must be an inner step of the configured run and the second
-    a node of the trace.  z is derived, and a z_{K,n} that is not x_{K+1}
-    bit for bit raises ValueError naming both rows; zhat waits for its
-    first read.
+    a node of the trace.  z is derived as ``run`` derives it
+    (``_derive_z``), and a z_{K,n} that is not x_{K+1} bit for bit raises
+    ValueError naming both rows; zhat waits for its first read.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -858,17 +923,11 @@ def load_trace(path) -> RunTrace:
         trace.d[:] = steps[..., 3:]
         # the trace's arrays are copies: the file's bytes are not live beside z
         del blob, data, arrays, nodes, steps
-        # z_{K,0..n} of every epoch, the engine's update from x_K as one in-place
-        # accumulate: z_{K,i} = z_{K,i-1} - alpha_{K,i} d_{K,i}, left to right
-        zs = np.empty((epochs, n + 1, p))
-        zs[:, 0] = trace.xs[:epochs]
-        np.multiply(trace.alpha[..., None], trace.d, out=zs[:, 1:])
-        np.subtract.accumulate(zs, axis=1, out=zs)
-        moved = np.flatnonzero((zs[:, n] != trace.xs[1:]).any(axis=1))
+        _derive_z(trace)
+        moved = np.flatnonzero((trace.z[:, -1] != trace.xs[1:]).any(axis=1))
         if moved.size:
             K = int(moved[0])
             raise ValueError(f"#INNER {K}: the derived z_{{{K},n}} differs from x_{K + 1} (#NODES row {K + 2})")
-        trace.z = zs[:, 1:]
     return trace
 
 

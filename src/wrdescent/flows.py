@@ -93,12 +93,13 @@ def gamma_trace(trace: RunTrace) -> GammaTrace:
     With full inner records the weights lambda_i = n alpha_{K,i} / alpha_sum
     are verified against alpha_{K,1}/alpha_{K,n}; the maximum excess over
     the bound is reported (nonpositive excess passes).  Step sizes near the
-    float range overflow silently to inf or nan, which callers test for.
+    float range overflow silently to inf or nan, and an alpha_last of 0.0
+    gives an inf ratio without a warning, which callers test for.
     """
     n, M = trace.problem.n, trace.problem.M
     lambda_ok = None
     excess = None
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ratios = trace.alpha_first / trace.alpha_last
         gammas = np.maximum(n * trace.alpha_first * M, np.abs(1.0 - ratios))
         taus = np.concatenate([[0.0], np.cumsum(trace.alpha_sum)])

@@ -159,6 +159,7 @@ def counter_rngs(seed: int, keys: list):
     that key gives (the SeedSequence words of every key in one vectorized
     pass, a shorter entropy being the 4 words ending in 0s).  It is the
     same object each time, so draw from it before asking for the next key.
+    Its state is set from one dict, whose PCG64 words are updated per key.
     Keys with a word of 2**32 or more, which the seed sequence splits into
     several words, take ``counter_rng`` per key.
     """
@@ -171,9 +172,11 @@ def counter_rngs(seed: int, keys: list):
     yield rng
     columns = np.array(keys[1:], dtype=np.uint32).reshape(-1, len(keys[0])).T
     words = _seed_state([seed, *columns, *[0] * (3 - len(columns))])
+    pcg = {"state": 0, "inc": 0}
+    state = dict(_PCG_STATE, state=pcg)
     for key_words in zip(*words):
-        state, inc = _pcg_seeded(key_words)
-        rng.bit_generator.state = dict(_PCG_STATE, state={"state": state, "inc": inc})
+        pcg["state"], pcg["inc"] = _pcg_seeded(key_words)
+        rng.bit_generator.state = state
         yield rng
 
 
@@ -377,9 +380,15 @@ class ShuffledPerEpoch:
         _check_seed(self.seed)
 
     def orders(self, Ks: range, n: int) -> np.ndarray:
-        out = np.empty((len(Ks), n), dtype=np.int64)
+        """Epoch K's order, row by row: ``counter_rng(seed, tag, K).permutation(n)``.
+
+        That call shuffles ``arange(n)`` in place; here each row of a block
+        filled with ``arange(n)`` is shuffled in place by the key's Generator
+        (``counter_rngs``), the same draws on the same values.
+        """
+        out = np.tile(np.arange(n), (len(Ks), 1))
         for row, rng in zip(out, counter_rngs(self.seed, [(_TAG_PERM, K) for K in Ks])):
-            row[:] = rng.permutation(n)
+            rng.shuffle(row)
         return out
 
 

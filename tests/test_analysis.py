@@ -625,10 +625,14 @@ def test_a_descent_range_with_a_non_finite_side_skips(name):
 
 
 def test_a_vanishing_anchor_skips_naming_its_epoch_and_step():
-    # beta = 1e308 takes the adaptive accumulator to inf in epoch 1, and
-    # alpha = v ** (-1/3) to 0: alpha / alpha_K then divides by zero at
-    # the first step of epoch 2, which the ratio sums report as an overflow
-    trace = make_run(wd.make_problem("logistic", 4, 2, 1), wd.Adaptive(delta=1.0, beta=1e308), epochs=3)
+    # steps of alpha = 0.0 from the last of epoch 1 on: alpha / alpha_K
+    # then divides by zero at the first step of epoch 2, which the ratio
+    # sums report as an overflow.  An adaptive accumulator that overflows
+    # to inf gives alpha = v ** (-1/3) = 0.0, but the run aborts there, so
+    # the steps are zeroed in the record
+    trace = make_run(wd.make_problem("logistic", 4, 2, 1), wd.Adaptive.recommended(4), epochs=3)
+    trace.alpha[1, -1] = trace.alpha_last[1] = 0.0
+    trace.alpha[2] = trace.alpha_first[2] = trace.alpha_last[2] = 0.0
     assert trace.alpha_last[1] == 0.0 < trace.alpha_last[0]
     for name in ("epoch_descent", "epoch_descent_tight"):
         assert analysis.run_check(trace, name) == ("skip", "numeric overflow: ratio_cube overflows at K=2, i=1", None)

@@ -463,6 +463,31 @@ class TestCmdVerify:
         assert "[SKIP] gamma: numeric overflow: taus[2] is inf" in capsys.readouterr().out.splitlines()
         assert json.loads((out / "certificate.json").read_text())["gamma"]["status"] == "skip"
 
+    def test_zero_alpha_last_gamma_skipped(self, tmp_path, capsys):
+        # an alpha_last of 0.0 makes the epoch's ratio inf: gamma skips
+        # naming it, with no divide-by-zero warning.  No run records a zero
+        # step, so the trace file's #EPOCHS is edited (the config hash does
+        # not cover it), and so is a trace in memory
+        config = str(Path(__file__).parents[1] / "scripts" / "configs" / "logistic_small.json")
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out), "--set", "epochs=3"]) == 0
+        blob = (out / "trace.txt").read_bytes()
+        epochs = decode_payload(section_payload(blob, "#EPOCHS")).reshape(3, len(EPOCH_SERIES))
+        epochs[1, EPOCH_SERIES.index("alpha_last")] = 0.0
+        edited = tmp_path / "edited.txt"
+        edited.write_bytes(with_payload(blob, "#EPOCHS", encode_payload(epochs)))
+        capsys.readouterr()
+        skip = ("skip", "numeric overflow: ratios[1] is inf", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--trace", str(edited), "--checks", "gamma"]) == 0
+            trace = wd.load_trace(out / "trace.txt")
+            zeroed = dataclasses.replace(trace, alpha_last=np.where(np.arange(3) == 1, 0.0, trace.alpha_last))
+            assert wd.gamma_trace(zeroed).ratios[1] == math.inf
+            assert analysis.run_check(zeroed, "gamma") == skip
+        assert f"[SKIP] gamma: {skip[1]}" in capsys.readouterr().out.splitlines()
+        assert json.loads((tmp_path / "certificate.json").read_text())["gamma"]["status"] == "skip"
+
     def test_overflowing_step_length_squares_skipped(self, tmp_path, capsys):
         # relu_net under alpha = 1e100 leaves the box at once: the squared
         # step lengths and n * S2 are inf from epoch 0, where inf - inf

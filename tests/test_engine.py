@@ -53,12 +53,38 @@ def overflow_config(case: str, record_level: str) -> wd.RunConfig:
 
     "exploding": ||d||^2 overflows at step 1 of epoch 1.  "exploding_down"
     and "exploding_up": z_{0,1} overflows to -inf or +inf, then ||d||^2 at
-    step 2.  "<problem>/<eval policy>", under
-    Constant(1e308): "logistic" is the problem of
+    step 2.  "exploding_norm": ||d||^2 overflows at step 2 of epoch 1
+    (n = 3, a prescribed rule) while every iterate stays finite, which only
+    the test of ||d||^2 sees.  "adaptive_overflow": the adaptive
+    accumulator overflows to inf at step 4 of epoch 1, where alpha becomes
+    0.0 and every later iterate stays where it is.
+    "<problem>/<eval policy>", under Constant(1e308): "logistic" is the problem of
     scripts/configs/logistic_small.json, shuffled; "logistic_wide" (20x50)
     and "relu_net" query in the adversarial order.  On logistic_wide the sum
     of z_{0,6} overflows though its entries are finite, and the run goes on.
     """
+    if case == "exploding_norm":
+        # z_{K,i} = (-1.09)^(3K+i): |d| = 1e154 |z| squares past DBL_MAX once |z| > 1.34
+        return wd.RunConfig(
+            problem=exploding_problem(scale=1e154, n=3),
+            strategy=wd.Constant(3 * 2.09e-154),
+            eval_policy=wd.Incremental(),
+            perm_policy=wd.Identity(),
+            x0=np.ones(1),
+            epochs=10,
+            record_level=record_level,
+            track_objective=False,
+        )
+    if case == "adaptive_overflow":
+        return wd.RunConfig(
+            problem=wd.make_problem("logistic", 4, 2, 1),
+            strategy=wd.Adaptive(delta=1.0, beta=1e308),
+            eval_policy=wd.Incremental(),
+            perm_policy=wd.ShuffledPerEpoch(0),
+            x0=np.zeros(2),
+            epochs=3,
+            record_level=record_level,
+        )
     if case.startswith("exploding"):
         n = 1 if case == "exploding" else 2
         problem = exploding_problem(scale=1e100 if n == 1 else 10.0, n=n)
@@ -106,6 +132,8 @@ ABORT_PINS = {
     "exploding": ((1, 1), 1),
     "exploding_down": ((0, 1), 0),
     "exploding_up": ((0, 1), 0),
+    "exploding_norm": ((1, 2), 1),
+    "adaptive_overflow": ((1, 4), 1),
     "logistic/incremental": (None, 6),
     "logistic/mini_batch": (None, 6),
     "logistic/delayed_async": (None, 6),
@@ -798,7 +826,7 @@ def assert_replays_as_its_rerun(trace) -> None:
 # recorded inputs
 SOLE_CASES = [
     "x0", "epochs_completed", "index", "zhat", "d", "dnorm2", "prescribed_alpha", "adaptive_alpha", "v", "z",
-    "x_next", "infinite_dnorm2", "infinite_x", "bound_exceeded_at", "aborted_at",
+    "x_next", "infinite_dnorm2", "infinite_v", "infinite_x", "bound_exceeded_at", "aborted_at",
 ]
 OTHER_CASES = ["epochs", "cut_short", "cut_short_at_its_abort", "aborted", "index_out_of_range", "nan_d"]
 
@@ -812,8 +840,9 @@ def reference_run(config) -> dict:
     the cumulative sum of eval_point's weights over z_{K,0..i-1}), d =
     components[idx].direction(zhat), ||d||^2 = d.dot(d), (v, alpha) =
     step_value of the accumulator v carried from step to step, and z_{K,i}
-    = z_{K,i-1} - alpha * d.  The run aborts at the first step
-    whose ||d||^2 or z_{K,i} is not finite, keeping the completed epochs.
+    = z_{K,i-1} - alpha * d.  The run aborts at the first step whose
+    ||d||^2, adaptive accumulator v or z_{K,i} is not finite, keeping the
+    completed epochs.
     Epoch series from the steps (alpha_sum added from 0.0 in step order),
     node series from one full_value and full_direction call per node.
     """
@@ -834,6 +863,9 @@ def reference_run(config) -> dict:
                 aborted = (K, i)
                 break
             v, alpha = wd.step_value(strategy, K, n, v, dnorm2)
+            if isinstance(strategy, wd.Adaptive) and not math.isfinite(v):
+                aborted = (K, i)
+                break
             zs.append(zs[-1] - alpha * d)
             if not np.isfinite(zs[-1]).all():
                 aborted = (K, i)
@@ -1138,6 +1170,10 @@ def record_not_of_its_config(case: str) -> wd.RunTrace:
                 track_objective=False,
             )
             run_config = config
+            mp.setattr(math, "isfinite", lambda value: True)
+        elif case == "infinite_v":
+            # the adaptive accumulator overflows to inf and alpha to 0.0; the run would abort
+            config = run_config = overflow_config("adaptive_overflow", "full")
             mp.setattr(math, "isfinite", lambda value: True)
         elif case == "infinite_x":
             config = wd.RunConfig(
